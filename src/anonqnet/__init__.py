@@ -3,7 +3,7 @@ messages over noisy N-node networks.
 
 Layers:
 
-* qcore: label-addressed dense states, measurements, Bell projections
+* qcore: label-addressed dense states, projections, partial traces
 * channels: single-qubit noise channels and a channel distance
 * analytic: closed-form fidelities, success probabilities, thresholds
 * protocols: round-level protocol execution (exact and sampling modes)
@@ -19,15 +19,12 @@ from .qcore import (
     DenseCapError,
     DensityMatrix,
     Ket,
-    MeasurementRecord,
-    bell_measure,
     bell_project,
     bell_state_vector,
     fidelity_with_pure,
     make_bell_pair,
     make_ghz_state,
     make_w_state,
-    measure,
     partial_trace,
     postselect,
     tensor,
@@ -77,6 +74,7 @@ from .protocols import (
     run_protocol1,
     run_relay_protocol,
     sample_protocol1_runs,
+    teleport_branches,
     teleport_exact,
     veto_protocol,
     w_loss_branch_average_dense,

@@ -34,13 +34,20 @@ from .channels import (
     parse_channel_spec,
 )
 from .analytic import (
+    GHZ_DEPH,
     GHZ_DEPOL,
+    W_DEPH,
     W_DEPOL,
     crossover_n,
+    f_ae_ghz_dephasing,
     f_ae_ghz_depolarizing,
     f_ae_relay_depolarizing,
+    f_ae_w_dephasing,
     f_ae_w_depolarizing,
+    f_ae_w_loss,
     fidelity_report,
+    p_success_w,
+    structured_fidelity,
     threshold_q,
 )
 from .protocols import (
@@ -52,15 +59,8 @@ from .protocols import (
     sample_protocol1_runs,
     w_loss_branch_average_dense,
 )
-from .qcore import DenseCapError, Ket, fidelity_with_pure
+from .qcore import DenseCapError, Ket
 from .security import ADVERSARY_NODE_CAP, security_report
-from .analytic import (
-    f_ae_ghz_dephasing,
-    f_ae_w_dephasing,
-    f_ae_w_loss,
-    p_success_w,
-    structured_fidelity,
-)
 
 
 def _fnum(x) -> str:
@@ -123,8 +123,15 @@ def _merge(flag, cfg: dict, key: str, default, cast=None):
         raw = cfg[key]
         if cast is bool:
             return raw.lower() in ("1", "true", "yes", "on")
-        return cast(raw) if cast else raw
+        try:
+            return cast(raw) if cast else raw
+        except ValueError:
+            raise click.UsageError(f"config key {key!r}: bad value {raw!r}")
     return default
+
+
+def _float_list(text: str) -> tuple:
+    return tuple(float(p) for p in text.split(","))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -133,6 +140,31 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
     else:
         click.echo(text, nl=False)
+
+
+def _cell(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    return _fnum(value) if isinstance(value, float) else str(value)
+
+
+def _emit_table(meta: dict, rows: list, cols: list, as_json: bool,
+                out: str | None, notes: list | tuple = (),
+                extra: dict | None = None) -> None:
+    """Write rows as JSON, or as CSV of the listed columns after the
+    '#' metadata lines and any '#' notes.  extra holds JSON-only fields
+    placed between the metadata and the rows."""
+    if as_json:
+        body = {"tool": "anonqnet", "version": __version__, "metadata": meta,
+                **(extra or {}), "rows": rows}
+        _emit(json.dumps(body, indent=2) + "\n", out)
+        return
+    lines = [f"# anonqnet {__version__}"]
+    lines += [f"# {k} = {v}" for k, v in meta.items()]
+    lines += notes
+    lines.append(",".join(cols))
+    lines += [",".join(_cell(row[c]) for c in cols) for row in rows]
+    _emit("\n".join(lines) + "\n", out)
 
 
 def _channel_factory(family: str):
@@ -152,6 +184,12 @@ def _per_node_channels(base_spec: str, overrides, n: int) -> dict:
         return parse_channel_map(base_spec, overrides, range(1, n + 1))
     except ValueError as exc:
         raise click.UsageError(str(exc))
+
+
+_config_option = click.option(
+    "--config", "config_path", default=None,
+    type=click.Path(exists=True, dir_okay=False),
+    help="key = value defaults file")
 
 
 @click.group()
@@ -218,8 +256,7 @@ def _sweep_row(protocol: str, family: str, n: int, q: float, mode: str) -> dict:
 @click.option("--workers", type=int, default=None)
 @click.option("--json", "as_json", is_flag=True, default=False)
 @click.option("--out", default=None, help="write output to this file")
-@click.option("--config", "config_path", default=None,
-              help="key = value defaults file")
+@_config_option
 def sweep(protocol, channel_family, q, q_range, nodes, n_range, mode, seed,
           workers, as_json, out, config_path):
     """Tabulate pair fidelity and success probability over (N, q)."""
@@ -268,26 +305,11 @@ def sweep(protocol, channel_family, q, q_range, nodes, n_range, mode, seed,
 
     meta = {"command": "sweep", "channel": channel_family,
             "protocol": protocol, "mode": mode, "seed": seed}
-    if as_json:
-        body = {"tool": "anonqnet", "version": __version__,
-                "metadata": meta, "rows": rows}
-        _emit(json.dumps(body, indent=2) + "\n", out)
-        return
-    lines = [f"# anonqnet {__version__}"]
-    lines += [f"# {k} = {v}" for k, v in meta.items()]
     cols = ["protocol", "channel", "N", "q", "F_AE", "P_success", "useful",
             "mode"]
     if mode == "both":
         cols += ["F_AE_exact", "delta"]
-    lines.append(",".join(cols))
-    for row in rows:
-        cells = [row["protocol"], row["channel"], str(row["N"]),
-                 _fnum(row["q"]), _fnum(row["F_AE"]), _fnum(row["P_success"]),
-                 "true" if row["useful"] else "false", row["mode"]]
-        if mode == "both":
-            cells += [_fnum(row["F_AE_exact"]), _fnum(row["delta"])]
-        lines.append(",".join(cells))
-    _emit("\n".join(lines) + "\n", out)
+    _emit_table(meta, rows, cols, as_json, out)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +322,7 @@ def sweep(protocol, channel_family, q, q_range, nodes, n_range, mode, seed,
               type=click.Choice(["dephasing", "depolarizing"]), default=None)
 @click.option("--json", "as_json", is_flag=True, default=False)
 @click.option("--out", default=None)
-@click.option("--config", "config_path", default=None)
+@_config_option
 def threshold(n_range, channel_family, as_json, out, config_path):
     """Usefulness thresholds q* per size and the W/GHZ crossover."""
     allowed = {"n_range", "channel", "json", "out"}
@@ -317,7 +339,6 @@ def threshold(n_range, channel_family, as_json, out, config_path):
         w_key, g_key = W_DEPOL, GHZ_DEPOL
         cross = crossover_n()
     else:
-        from .analytic import GHZ_DEPH, W_DEPH
         w_key, g_key = W_DEPH, GHZ_DEPH
         cross = None
     rows = []
@@ -326,23 +347,11 @@ def threshold(n_range, channel_family, as_json, out, config_path):
         qg = threshold_q(g_key, n)
         rows.append({"N": n, "qstar_W": qw, "qstar_GHZ": qg,
                      "W_better": qw < qg})
-    meta = {"command": "threshold", "channel": channel_family}
-    if as_json:
-        body = {"tool": "anonqnet", "version": __version__, "metadata": meta,
-                "crossover_n": cross, "rows": rows}
-        _emit(json.dumps(body, indent=2) + "\n", out)
-        return
-    lines = [f"# anonqnet {__version__}"]
-    lines += [f"# {k} = {v}" for k, v in meta.items()]
-    if cross is not None:
-        lines.append(
-            f"# crossover: smallest N with qstar_W > qstar_GHZ = {cross}")
-    lines.append("N,qstar_W,qstar_GHZ,W_better")
-    for row in rows:
-        lines.append(",".join([
-            str(row["N"]), _fnum(row["qstar_W"]), _fnum(row["qstar_GHZ"]),
-            "true" if row["W_better"] else "false"]))
-    _emit("\n".join(lines) + "\n", out)
+    notes = ([] if cross is None else
+             [f"# crossover: smallest N with qstar_W > qstar_GHZ = {cross}"])
+    _emit_table({"command": "threshold", "channel": channel_family}, rows,
+                ["N", "qstar_W", "qstar_GHZ", "W_better"], as_json, out,
+                notes=notes, extra={"crossover_n": cross})
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +380,7 @@ def _relay_point(n: int, s: int, r: int, q: float, mode: str) -> dict:
 @click.option("--workers", type=int, default=None)
 @click.option("--json", "as_json", is_flag=True, default=False)
 @click.option("--out", default=None)
-@click.option("--config", "config_path", default=None)
+@_config_option
 def relay(nodes, q_values, sender, receiver, mode, workers, as_json, out,
           config_path):
     """Chain-relay pair fidelity per (sender, receiver) placement.
@@ -391,11 +400,7 @@ def relay(nodes, q_values, sender, receiver, mode, workers, as_json, out,
     workers = _merge(workers, cfg, "workers", 4, cast=int)
     as_json = as_json or _merge(None, cfg, "json", False, cast=bool)
     out = _merge(out, cfg, "out", None)
-    if not q_values:
-        if "q" in cfg:
-            q_values = tuple(float(p) for p in cfg["q"].split(","))
-        else:
-            q_values = (0.8, 0.95)
+    q_values = _merge(q_values or None, cfg, "q", (0.8, 0.95), cast=_float_list)
     if nodes < 4:
         raise click.UsageError("relay needs at least 4 nodes")
     if not 1 <= sender <= nodes:
@@ -416,8 +421,6 @@ def relay(nodes, q_values, sender, receiver, mode, workers, as_json, out,
     for (nn, s, r, qq, _), vals in zip(points, results):
         table.setdefault((s, r), {})[qq] = vals
 
-    meta = {"command": "relay", "channel": "depolarizing", "nodes": nodes,
-            "mode": mode}
     rows = []
     for (s, r), per_q in table.items():
         row = {"sender": s, "receiver": r}
@@ -430,32 +433,18 @@ def relay(nodes, q_values, sender, receiver, mode, workers, as_json, out,
                        else f"F_q{_fnum(qq)}")
                 row[key] = vals["exact"]
         rows.append(row)
-    if as_json:
-        body = {"tool": "anonqnet", "version": __version__, "metadata": meta,
-                "rows": rows}
-        _emit(json.dumps(body, indent=2) + "\n", out)
-        return
-    lines = [f"# anonqnet {__version__}"]
-    lines += [f"# {k} = {v}" for k, v in meta.items()]
-    for qq in q_values:
-        fw = f_ae_w_depolarizing(qq, nodes)
-        fg = f_ae_ghz_depolarizing(qq, nodes)
-        lines.append(f"# baseline q={_fnum(qq)}: F_W={_fnum(fw)}"
-                     f" F_GHZ={_fnum(fg)}")
+    notes = [f"# baseline q={_fnum(qq)}:"
+             f" F_W={_fnum(f_ae_w_depolarizing(qq, nodes))}"
+             f" F_GHZ={_fnum(f_ae_ghz_depolarizing(qq, nodes))}"
+             for qq in q_values]
     cols = ["sender", "receiver"]
     for qq in q_values:
         cols.append(f"F_q{_fnum(qq)}")
         if mode == "both":
             cols.append(f"F_q{_fnum(qq)}_exact")
-    lines.append(",".join(cols))
-    for row in rows:
-        cells = [str(row["sender"]), str(row["receiver"])]
-        for qq in q_values:
-            cells.append(_fnum(row[f"F_q{_fnum(qq)}"]))
-            if mode == "both":
-                cells.append(_fnum(row[f"F_q{_fnum(qq)}_exact"]))
-        lines.append(",".join(cells))
-    _emit("\n".join(lines) + "\n", out)
+    meta = {"command": "relay", "channel": "depolarizing", "nodes": nodes,
+            "mode": mode}
+    _emit_table(meta, rows, cols, as_json, out, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +465,7 @@ def relay(nodes, q_values, sender, receiver, mode, workers, as_json, out,
 @click.option("--lost", default=None, help="comma-separated lost node ids")
 @click.option("--seed", type=int, default=None)
 @click.option("--out", default=None)
-@click.option("--config", "config_path", default=None)
+@_config_option
 def security(nodes, sender, receiver, adversaries, role, channel_spec,
              channel_overrides, lost, seed, out, config_path):
     """Audit anonymity against a passive coalition; exit 1 on violation."""
@@ -564,7 +553,7 @@ def security(nodes, sender, receiver, adversaries, role, channel_spec,
 @click.option("--transcript", "transcript_path", default=None,
               help="also write the transcript as JSONL")
 @click.option("--out", default=None)
-@click.option("--config", "config_path", default=None)
+@_config_option
 def run(protocol, nodes, sender, receiver, channel_spec, channel_overrides,
         lost, seed, mode, samples, message, transcript_path, out, config_path):
     """Execute a protocol run end to end and print the outcome as JSON."""

@@ -227,24 +227,19 @@ def parity_protocol(inputs: Mapping[int, int], rng: np.random.Generator,
     """
     nodes = sorted(inputs)
     k = len(nodes)
-    shares = {}
-    for i in nodes:
-        row = rng.integers(0, 2, size=k)
-        row[-1] = row[:-1].sum() % 2 ^ (inputs[i] & 1)
-        shares[i] = {j: int(row[idx]) for idx, j in enumerate(nodes)}
-        if transcript is not None:
-            for j in nodes:
-                transcript.add(start_round, "private_send", i,
-                               bytes([shares[i][j]]), _private(j))
-    out = 0
-    for j in nodes:
-        received = 0
-        for i in nodes:
-            received ^= shares[i][j]
-        if transcript is not None:
-            transcript.add(start_round + 1, "broadcast", j, bytes([received]))
-        out ^= received
-    return out
+    # row i holds node i's shares, drawn row by row from one (k, k) draw
+    shares = rng.integers(0, 2, size=(k, k))
+    bits = np.array([inputs[i] & 1 for i in nodes], dtype=shares.dtype)
+    shares[:, -1] = shares[:, :-1].sum(axis=1) % 2 ^ bits
+    received = shares.sum(axis=0) % 2
+    if transcript is not None:
+        for i, row in zip(nodes, shares.tolist()):
+            for j, share in zip(nodes, row):
+                transcript.add(start_round, "private_send", i, bytes([share]),
+                               _private(j))
+        for j, bit in zip(nodes, received.tolist()):
+            transcript.add(start_round + 1, "broadcast", j, bytes([bit]))
+    return int(received.sum() % 2)
 
 
 def veto_protocol(inputs: Mapping[int, int], rng: np.random.Generator,
@@ -319,36 +314,79 @@ def _noisy_w_over_live(config: NetworkConfig) -> DensityMatrix:
     return rho
 
 
-def _postselect_zeros(rho: DensityMatrix, nodes: Sequence[int]
-                      ) -> tuple[DensityMatrix, float]:
-    """Condition every listed qubit on reading 0; returns the unnormalized
-    reduced branch and its weight."""
-    for node in nodes:
-        branch, _ = postselect(rho, node, "standard", 0)
-        rho = partial_trace(branch, [node])
-    return rho, rho.weight
+def _measure_out(rho: DensityMatrix, qubit, basis: str, outcome: int
+                 ) -> DensityMatrix:
+    """Condition one qubit on a basis outcome and remove it; the returned
+    branch is unnormalized and its weight is the outcome's Born weight."""
+    branch, _ = postselect(rho, qubit, basis, outcome)
+    return partial_trace(branch, [qubit])
+
+
+def _draw(rng: np.random.Generator, weights) -> int:
+    """Sample an outcome index from Born weights (negative round-off
+    clipped to 0)."""
+    w = np.maximum(np.asarray(weights, dtype=float), 0.0)
+    return int(rng.choice(len(w), p=w / w.sum()))
+
+
+def _x_measure_sampled(rho: DensityMatrix, qubit, rng: np.random.Generator,
+                       corr_label=None) -> tuple[int, DensityMatrix]:
+    """Sample an X measurement of one qubit and remove it.  With corr_label,
+    a '-' outcome flips the phase of that qubit.  Returns the outcome and
+    the normalized remaining state."""
+    plus = _measure_out(rho, qubit, "hadamard", 0)
+    p_plus = min(max(plus.weight / rho.weight, 0.0), 1.0)
+    if rng.random() < p_plus:
+        return 0, plus.normalized()
+    minus = _measure_out(rho, qubit, "hadamard", 1)
+    if corr_label is not None:
+        minus = apply_op_dense(minus, PAULI_Z, [corr_label])
+    return 1, minus.normalized()
+
+
+def _x_measure_mix(state: DensityMatrix, qubit, corr_label) -> DensityMatrix:
+    """X-measure one qubit in exact mode: a '-' outcome flips the phase of
+    corr_label, and both corrected branches are mixed (unnormalized)."""
+    plus_red = _measure_out(state, qubit, "hadamard", 0)
+    minus_red = apply_op_dense(_measure_out(state, qubit, "hadamard", 1),
+                               PAULI_Z, [corr_label])
+    return DensityMatrix(plus_red.mat + minus_red.mat, plus_red.labels,
+                         unnormalized=True)
+
+
+def teleport_branches(pair: DensityMatrix, message: Ket, sender_label,
+                      receiver_label, resource: str) -> list:
+    """The four Bell-outcome branches of teleporting message through pair.
+
+    Returns (weight, corrected receiver branch) for m = 0..3: the Bell
+    projection of (message, sender half) onto outcome m, with the outcome
+    correction applied to the receiver half.  resource names the noiseless
+    pair the corrections are calibrated for: "psi+" corrections are P_m X,
+    "phi+" corrections P_m.  Each branch is unnormalized, with trace equal
+    to its weight times the pair's weight.
+    """
+    msg = Ket(message.amps, ("message",)).to_density()
+    joint = tensor(msg, pair, cap=pair.n_qubits + 1)
+    flip = PAULI_X if resource == "psi+" else ID2
+    out = []
+    for m in range(4):
+        branch, w = bell_project(joint, "message", sender_label, m)
+        corr = BELL_CORRECTIONS[m] @ flip
+        out.append((w, apply_op_dense(branch, corr, [receiver_label])))
+    return out
 
 
 def teleport_exact(ae: DensityMatrix, message: Ket, sender_label, receiver_label,
                    resource: str) -> tuple[DensityMatrix, list]:
-    """Deterministic teleport through a (possibly noisy) pair state.
-
-    Enumerates the four Bell outcomes on (message, sender half), applies
-    the outcome correction on the receiver half, and mixes.  resource
-    names the noiseless pair the corrections are calibrated for: "psi+"
-    corrections are P_m X, "phi+" corrections P_m.
-    """
-    msg = Ket(message.amps, ("message",)).to_density()
-    joint = tensor(msg, ae, cap=ae.n_qubits + 1)
+    """Deterministic teleport through a (possibly noisy) pair state: the
+    sum of the teleport_branches, with their weights."""
+    branches = teleport_branches(ae, message, sender_label, receiver_label,
+                                 resource)
     acc = None
-    weights = []
-    for m in range(4):
-        branch, w = bell_project(joint, "message", sender_label, m)
-        corr = BELL_CORRECTIONS[m] @ (PAULI_X if resource == "psi+" else ID2)
-        fixed = apply_op_dense(branch, corr, [receiver_label])
+    for _, fixed in branches:
         acc = fixed.mat if acc is None else acc + fixed.mat
-        weights.append(w)
-    return DensityMatrix(acc, (receiver_label,), unnormalized=True), weights
+    return (DensityMatrix(acc, (receiver_label,), unnormalized=True),
+            [w for w, _ in branches])
 
 
 def _delivered_fidelity(delivered: DensityMatrix, message: Ket) -> float:
@@ -389,7 +427,7 @@ def run_protocol1(config: NetworkConfig, rng: np.random.Generator | None = None,
     if mode == "exact":
         return _protocol1_exact(config)
     if mode == "sampling":
-        return _protocol1_sampled(config, rng, record_transcript=True)
+        return _Protocol1Sampler(config).run(rng, record_transcript=True)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -401,8 +439,10 @@ def _protocol1_exact(config: NetworkConfig) -> RunOutcome:
                  if i not in (config.sender, config.receiver)]
     for node in measuring:
         transcript.add(3, "measurement", node, b"", _private(node))
-    branch, weight = _postselect_zeros(rho, measuring)
-    ae = _ae_as_pair(branch.normalized(), config.sender, config.receiver)
+    for node in measuring:
+        rho = _measure_out(rho, node, "standard", 0)
+    weight = rho.weight
+    ae = _ae_as_pair(rho.normalized(), config.sender, config.receiver)
     ae_fid = fidelity_with_pure(ae, pair_target("W"))
     delivered, _ = teleport_exact(ae, config.message_state, *PAIR_LABELS,
                                   resource="psi+")
@@ -444,25 +484,18 @@ class _Protocol1Sampler:
             bits = tuple((string >> (k - 1 - i)) & 1 for i in range(k))
             cur = rho
             for node, b in zip(self.measuring, bits):
-                projected, _ = postselect(cur, node, "standard", b)
-                cur = partial_trace(projected, [node])
+                cur = _measure_out(cur, node, "standard", b)
             w = cur.weight
             if w < 1e-15:
                 continue
             pair = _ae_as_pair(cur.normalized(), config.sender, config.receiver)
-            delivered_by_m = []
-            msg = Ket(config.message_state.amps, ("message",)).to_density()
-            joint = tensor(msg, pair, cap=3)
-            for m in range(4):
-                br, bw = bell_project(joint, "message", PAIR_LABELS[0], m)
-                if bw < 1e-15:
-                    # outcome incompatible with this message state
-                    delivered_by_m.append((0.0, 0.0))
-                    continue
-                corr = BELL_CORRECTIONS[m] @ PAULI_X
-                fixed = apply_op_dense(br, corr, [PAIR_LABELS[1]])
-                f = _delivered_fidelity(fixed, config.message_state)
-                delivered_by_m.append((bw, f))
+            # an outcome incompatible with the message state delivers nothing
+            delivered_by_m = [
+                (bw, _delivered_fidelity(fixed, config.message_state))
+                if bw >= 1e-15 else (0.0, 0.0)
+                for bw, fixed in teleport_branches(
+                    pair, config.message_state, *PAIR_LABELS, resource="psi+")
+            ]
             self.branches.append((bits, w, pair, delivered_by_m))
             if not any(bits):
                 self.exact_success = w
@@ -505,9 +538,7 @@ class _Protocol1Sampler:
                 transcript=transcript, anonymous_entanglement=None,
                 veto_output=1,
             )
-        mw = np.array([max(w, 0.0) for w, _ in delivered_by_m])
-        mw /= mw.sum()
-        m = int(rng.choice(4, p=mw))
+        m = _draw(rng, [w for w, _ in delivered_by_m])
         fid = delivered_by_m[m][1]
         m_bits = (m >> 1 & 1, m & 1)
         rand = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
@@ -531,11 +562,6 @@ class _Protocol1Sampler:
             ae_fidelity=fidelity_with_pure(pair, pair_target("W")),
             veto_output=0, public_teleport_bits=tuple(public),
         )
-
-
-def _protocol1_sampled(config: NetworkConfig, rng: np.random.Generator,
-                       record_transcript: bool) -> RunOutcome:
-    return _Protocol1Sampler(config).run(rng, record_transcript)
 
 
 def sample_protocol1_runs(config: NetworkConfig, n_samples: int,
@@ -595,13 +621,7 @@ def run_ghz_protocol(config: NetworkConfig, rng: np.random.Generator | None = No
     if mode == "exact":
         for node in measuring:
             transcript.add(3, "measurement", node, b"", _private(node))
-            plus_branch, _ = postselect(rho, node, "hadamard", 0)
-            minus_branch, _ = postselect(rho, node, "hadamard", 1)
-            plus_red = partial_trace(plus_branch, [node])
-            minus_red = apply_op_dense(partial_trace(minus_branch, [node]),
-                                       PAULI_Z, [config.receiver])
-            rho = DensityMatrix(plus_red.mat + minus_red.mat, plus_red.labels,
-                                unnormalized=True)
+            rho = _x_measure_mix(rho, node, config.receiver)
         ae = _ae_as_pair(rho.normalized(), config.sender, config.receiver)
         ae_fid = fidelity_with_pure(ae, pair_target("GHZ"))
         delivered, _ = teleport_exact(ae, config.message_state, *PAIR_LABELS,
@@ -618,15 +638,7 @@ def run_ghz_protocol(config: NetworkConfig, rng: np.random.Generator | None = No
         raise ValueError(f"unknown mode {mode!r}")
     outcome_bits = {}
     for node in measuring:
-        branch0, w0 = postselect(rho, node, "hadamard", 0)
-        p0 = min(max(w0 / rho.weight, 0.0), 1.0)
-        if rng.random() < p0:
-            outcome_bits[node] = 0
-            rho = partial_trace(branch0, [node]).normalized()
-        else:
-            outcome_bits[node] = 1
-            branch1, _ = postselect(rho, node, "hadamard", 1)
-            rho = partial_trace(branch1, [node]).normalized()
+        outcome_bits[node], rho = _x_measure_sampled(rho, node, rng)
         transcript.add(3, "measurement", node, bytes([outcome_bits[node]]),
                        _private(node))
     announce_inputs = {i: outcome_bits.get(i, 0) for i in config.nodes}
@@ -636,19 +648,10 @@ def run_ghz_protocol(config: NetworkConfig, rng: np.random.Generator | None = No
         rho = DensityMatrix(rho.mat, rho.labels)
     ae = _ae_as_pair(rho, config.sender, config.receiver)
     ae_fid = fidelity_with_pure(ae, pair_target("GHZ"))
-    msg = Ket(config.message_state.amps, ("message",)).to_density()
-    joint = tensor(msg, ae, cap=3)
-    weights = []
-    branches = []
-    for m in range(4):
-        br, w = bell_project(joint, "message", PAIR_LABELS[0], m)
-        weights.append(max(w, 0.0))
-        branches.append(br)
-    weights = np.array(weights)
-    weights /= weights.sum()
-    m = int(rng.choice(4, p=weights))
-    fixed = apply_op_dense(branches[m], BELL_CORRECTIONS[m], [PAIR_LABELS[1]])
-    fid = _delivered_fidelity(fixed, config.message_state)
+    branches = teleport_branches(ae, config.message_state, *PAIR_LABELS,
+                                 resource="phi+")
+    m = _draw(rng, [w for w, _ in branches])
+    fid = _delivered_fidelity(branches[m][1], config.message_state)
     m_bits = (m >> 1 & 1, m & 1)
     rand = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
     public = []
@@ -716,6 +719,14 @@ def run_relay_protocol(config: NetworkConfig,
         max_live = max(max_live, dm.n_qubits)
         return dm
 
+    def close(state, qubit, round_, actor):
+        # X measurements at the chain ends; sampled outcomes are broadcast
+        if not sampling:
+            return _x_measure_mix(state, qubit, first_anc)
+        outcome, state = _x_measure_sampled(state, qubit, rng, first_anc)
+        transcript.add(round_, "broadcast", actor, bytes([outcome]))
+        return state
+
     state = note(make_bell_pair(("keep", "travel")).to_density())
     if 1 in anc_label:
         state = note(tensor(state, _relabel(zero.to_density(), "z", anc_label[1])))
@@ -745,21 +756,17 @@ def run_relay_protocol(config: NetworkConfig,
         if j < config.n_nodes:
             pair = make_bell_pair((f"a{j}", f"b{j}")).to_density()
             state = note(tensor(state, pair))
+            swaps = [bell_project(state, "travel", f"a{j}", m) for m in range(4)]
             if sampling:
-                m, reduced = _sample_bell(state, "travel", f"a{j}", rng)
+                m = _draw(rng, [w for _, w in swaps])
                 transcript.add(j, "broadcast", j, bytes([m]))
-                pending = [(m, reduced)]
+                pending = [(m, swaps[m][0].normalized())]
             else:
-                pending = []
-                for m in range(4):
-                    reduced, _ = bell_project(state, "travel", f"a{j}", m)
-                    pending.append((m, reduced))
+                pending = [(m, reduced) for m, (reduced, _) in enumerate(swaps)]
             pending = [(m, _relabel(b, f"b{j}", "travel")) for m, b in pending]
         else:
-            state = _x_measure_mix(state, "travel", first_anc, rng if sampling
-                                   else None, transcript, round_=j, actor=j)
-    state = _x_measure_mix(state, "keep", first_anc, rng if sampling else None,
-                           transcript, round_=config.n_nodes + 1, actor=1)
+            state = close(state, "travel", round_=j, actor=j)
+    state = close(state, "keep", round_=config.n_nodes + 1, actor=1)
     state = state.normalized() if sampling else DensityMatrix(state.mat, state.labels)
     ae = _ae_as_pair(state, "anc_sender", "anc_receiver")
     ae_fid = fidelity_with_pure(ae, pair_target("GHZ"))
@@ -773,39 +780,6 @@ def run_relay_protocol(config: NetworkConfig,
         ae_fidelity=ae_fid, veto_output=None,
         max_live_qubits=max_live,
     )
-
-
-def _sample_bell(state: DensityMatrix, q1, q2, rng) -> tuple[int, DensityMatrix]:
-    weights = []
-    reduced = []
-    for m in range(4):
-        red, w = bell_project(state, q1, q2, m)
-        weights.append(max(w, 0.0))
-        reduced.append(red)
-    weights = np.array(weights)
-    weights /= weights.sum()
-    m = int(rng.choice(4, p=weights))
-    return m, reduced[m].normalized()
-
-
-def _x_measure_mix(state: DensityMatrix, qubit, corr_label, rng,
-                   transcript: Transcript, round_: int, actor: int) -> DensityMatrix:
-    """X-measure one qubit; a '-' outcome flips the phase of the ancilla.
-    With an rng the outcome is sampled, otherwise both branches are
-    corrected and mixed (exact mode)."""
-    plus_branch, w_plus = postselect(state, qubit, "hadamard", 0)
-    minus_branch, _ = postselect(state, qubit, "hadamard", 1)
-    plus_red = partial_trace(plus_branch, [qubit])
-    minus_red = apply_op_dense(partial_trace(minus_branch, [qubit]),
-                               PAULI_Z, [corr_label])
-    if rng is None:
-        return DensityMatrix(plus_red.mat + minus_red.mat, plus_red.labels,
-                             unnormalized=True)
-    p_plus = min(max(w_plus / state.weight, 0.0), 1.0)
-    outcome = 0 if rng.random() < p_plus else 1
-    transcript.add(round_, "broadcast", actor, bytes([outcome]))
-    chosen = plus_red if outcome == 0 else minus_red
-    return chosen.normalized()
 
 
 # ---------------------------------------------------------------------------
@@ -824,9 +798,9 @@ def w_loss_branch_average_dense(channel: QuantumChannel, n: int) -> float:
     cfg = NetworkConfig(n_nodes=n, sender=1, receiver=2,
                         per_qubit_channels={i: channel for i in range(1, n + 1)})
     rho = _noisy_w_over_live(cfg)
-    measuring = list(range(3, n + 1))
-    branch, _ = _postselect_zeros(rho, measuring)
-    pair = _ae_as_pair(branch.normalized(), 1, 2)
+    for node in range(3, n + 1):
+        rho = _measure_out(rho, node, "standard", 0)
+    pair = _ae_as_pair(rho.normalized(), 1, 2)
     f_noloss = fidelity_with_pure(pair, pair_target("W"))
     vac = channel(np.array([[1, 0], [0, 0]], dtype=complex))
     pair_lost = DensityMatrix(np.kron(vac, vac), PAIR_LABELS)

@@ -87,11 +87,6 @@ class Ket:
             "amplitudes": [[float(a.real), float(a.imag)] for a in self.amps],
         }
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "Ket":
-        amps = np.array([complex(re, im) for re, im in d["amplitudes"]])
-        return Ket(amps, tuple(d["labels"]))
-
 
 @dataclass
 class DensityMatrix:
@@ -132,12 +127,6 @@ class DensityMatrix:
             raise ValueError("cannot normalize a zero-weight branch")
         return DensityMatrix(self.mat / w, self.labels)
 
-    def validate_psd(self, tol: float = -1e-10) -> None:
-        """Full positive-semidefiniteness check (eigendecomposition)."""
-        lo = float(np.min(np.linalg.eigvalsh(self.mat)))
-        if lo < tol:
-            raise ValueError(f"min eigenvalue {lo} below PSD tolerance")
-
     def permuted(self, new_order: Sequence) -> "DensityMatrix":
         """Reorder the label tuple (same physical state)."""
         new_order = tuple(new_order)
@@ -156,31 +145,6 @@ class DensityMatrix:
                 [[float(v.real), float(v.imag)] for v in row] for row in self.mat
             ],
         }
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "DensityMatrix":
-        mat = np.array([[complex(re, im) for re, im in row] for row in d["entries"]])
-        dm = DensityMatrix(mat, tuple(d["labels"]), unnormalized=True)
-        if abs(dm.weight - 1.0) <= 1e-10:
-            dm.unnormalized = False
-        return dm
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One projective measurement outcome on a single register slot."""
-
-    qubit: object
-    basis: str  # "standard" | "hadamard" | "bell"
-    outcome: int
-    branch_probability: float
-
-    def __post_init__(self):
-        card = {"standard": 2, "hadamard": 2, "bell": 4}[self.basis]
-        if not 0 <= self.outcome < card:
-            raise ValueError(f"outcome {self.outcome} invalid for {self.basis}")
-        if not -1e-12 <= self.branch_probability <= 1 + 1e-12:
-            raise ValueError("branch probability outside [0,1]")
 
 
 def make_w_state(n: int, labels: Sequence | None = None) -> Ket:
@@ -310,20 +274,6 @@ def postselect(
     return out, out.weight
 
 
-def measure(
-    dm: DensityMatrix, qubit, basis: str, rng: np.random.Generator
-) -> tuple[MeasurementRecord, DensityMatrix]:
-    """Sample a projective single-qubit measurement; returns the record and
-    the normalized post-measurement state (qubit retained, collapsed)."""
-    total = dm.weight
-    branch0, w0 = postselect(dm, qubit, basis, 0)
-    p0 = min(max(w0 / total, 0.0), 1.0)
-    if rng.random() < p0:
-        return MeasurementRecord(qubit, basis, 0, p0), branch0.normalized()
-    branch1, _ = postselect(dm, qubit, basis, 1)
-    return MeasurementRecord(qubit, basis, 1, 1.0 - p0), branch1.normalized()
-
-
 def fidelity_with_pure(dm: DensityMatrix, target: Ket) -> float:
     """<target| rho |target> for a normalized rho, aligned by labels."""
     if set(dm.labels) != set(target.labels):
@@ -355,26 +305,3 @@ def bell_project(
     projected = apply_op_dense(dm, proj, [q1, q2])
     reduced = partial_trace(projected, [q1, q2])
     return reduced, reduced.weight / dm.weight if dm.weight > 0 else 0.0
-
-
-def bell_measure(
-    dm: DensityMatrix, q1, q2, rng: np.random.Generator
-) -> tuple[int, DensityMatrix]:
-    """Sample a Bell measurement on (q1, q2).
-
-    Outcome m follows the Born probabilities; the returned state is
-    normalized with (q1, q2) collapsed onto the m-th Bell state.
-    Deterministic given the generator state.
-    """
-    branches = []
-    weights = []
-    for m in range(4):
-        red, p = bell_project(dm, q1, q2, m)
-        branches.append(red)
-        weights.append(max(p, 0.0))
-    weights = np.array(weights)
-    weights /= weights.sum()
-    m = int(rng.choice(4, p=weights))
-    rest = branches[m].normalized()
-    bell_dm = Ket(bell_state_vector(m), (q1, q2)).to_density()
-    return m, tensor(rest, bell_dm, cap=max(DENSE_CAP, rest.n_qubits + 2))

@@ -30,20 +30,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channels import QuantumChannel, apply_to, channel_distance
-from .qcore import (
-    BELL_CORRECTIONS,
-    DensityMatrix,
-    Ket,
-    PAULI_X,
-    bell_project,
-    apply_op_dense,
-    partial_trace,
-    postselect,
-    tensor,
-    trace_distance,
+from .channels import QuantumChannel, channel_distance
+from .qcore import DensityMatrix, partial_trace, trace_distance
+from .protocols import (
+    NetworkConfig,
+    _measure_out,
+    _noisy_w_over_live,
+    teleport_branches,
 )
-from .protocols import NetworkConfig, _noisy_w_over_live
 
 _TINY = 1e-14
 
@@ -162,22 +156,19 @@ def adversary_view(config: NetworkConfig, scenario: AdversaryScenario,
     rn_bits = tuple(int(i == eff_receiver) for i in sorted(adv))
 
     rho = _noisy_w_over_live(config)
-    msg = Ket(config.message_state.amps, ("message",)).to_density()
     view = LabeledEnsemble()
 
     for mu in product((0, 1), repeat=len(adv_meas)):
         branch = rho
         for node, bit in zip(adv_meas, mu):
-            projected, _ = postselect(branch, node, "standard", bit)
-            branch = partial_trace(projected, [node])
+            branch = _measure_out(branch, node, "standard", bit)
         w_mu = branch.weight
         if w_mu < _TINY:
             continue
         # honest all-zero sub-branch, eagerly reduced onto (S, R, adv-R)
         zero_branch = branch
         for node in honest_meas:
-            projected, _ = postselect(zero_branch, node, "standard", 0)
-            zero_branch = partial_trace(projected, [node])
+            zero_branch = _measure_out(zero_branch, node, "standard", 0)
         w_zero = zero_branch.weight
         rest_mat = partial_trace(branch, honest_meas).mat - zero_branch.mat
         w_rest = w_mu - w_zero
@@ -212,13 +203,11 @@ def adversary_view(config: NetworkConfig, scenario: AdversaryScenario,
         # success: anonymous pair on (eff_sender, eff_receiver), teleport
         pair = zero_branch.normalized().permuted((eff_sender, eff_receiver))
         if receiver_corrupt:
-            joint = tensor(msg, pair, cap=3)
-            for m in range(4):
-                tele, w_m = bell_project(joint, "message", eff_sender, m)
+            branches = teleport_branches(pair, config.message_state,
+                                         eff_sender, eff_receiver, "psi+")
+            for m, (w_m, fixed) in enumerate(branches):
                 if w_m < _TINY:
                     continue
-                corr = BELL_CORRECTIONS[m] @ PAULI_X
-                fixed = apply_op_dense(tele, corr, [eff_receiver])
                 view.add(base + (0, 0, ("m", m)), w_zero * w_m,
                          fixed.mat / w_m, ("carrier",))
         else:

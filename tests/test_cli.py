@@ -293,6 +293,21 @@ def test_config_file_unknown_key_exits_2(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("command, text", [
+    ("sweep", "nodes = five\n"),
+    ("relay", "q = 0.8,abc\n"),
+    ("run", None),  # the file does not exist
+], ids=["bad-int", "bad-float-list", "missing-file"])
+def test_config_file_bad_value_or_missing_exits_2(runner, tmp_path, command,
+                                                 text):
+    cfg = tmp_path / "bad.conf"
+    if text is not None:
+        cfg.write_text(text)
+    res = runner.invoke(main, [command, "--config", str(cfg)])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+
+
 # ---------------------------------------------------------------------------
 # oracle-check
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -29,6 +30,7 @@ from anonqnet.protocols import (
     run_protocol1,
     run_relay_protocol,
     sample_protocol1_runs,
+    teleport_branches,
     teleport_exact,
     veto_protocol,
     w_loss_branch_average_dense,
@@ -351,6 +353,21 @@ def test_teleport_exact_identity_any_message():
             1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["psi+", "phi+"])
+def test_teleport_branches_each_outcome_delivers(kind):
+    pair = make_bell_pair(("s", "r"), kind=kind).to_density()
+    v = np.array([0.6, 0.8j])
+    branches = teleport_branches(pair, Ket(v, ("message",)), "s", "r",
+                                 resource=kind)
+    assert len(branches) == 4
+    for w, fixed in branches:
+        assert w == pytest.approx(0.25, abs=1e-12)
+        assert fixed.labels == ("r",)
+        assert fidelity_with_pure(fixed.normalized(),
+                                  Ket(v, ("r",))) == pytest.approx(
+            1.0, abs=1e-12)
+
+
 def test_teleport_exact_phi_resource():
     pair = make_bell_pair(("s", "r"), kind="phi+").to_density()
     v = np.array([0.6, 0.8j])
@@ -379,6 +396,52 @@ def test_sampled_runs_reproducible_for_fixed_seed():
     _, agg1 = sample_protocol1_runs(cfg, 300)
     _, agg2 = sample_protocol1_runs(cfg, 300)
     assert agg1 == agg2
+
+
+# Seeded outputs pinned at their values before the measurement helpers were
+# shared and parity was vectorized; only discrete data is pinned.
+PINNED_TRANSCRIPTS = [
+    (run_protocol1, 5, 1, 2, 2, False,
+     "0ac7b89437c841ffc58449335b9ea67d93da5b791fcc391b8a63feebc397da92"),
+    (run_protocol1, 5, 1, 2, 7, True,
+     "8dc59c64071275fb180e944dde010cf97005f4a04cb43fd221f8abd463a016d6"),
+    (run_ghz_protocol, 5, 1, 2, 7, False,
+     "54c97cefbca86ae08879ef55b0dbc3c8152b75b90e871627e8070948f732e25e"),
+    (run_relay_protocol, 6, 2, 5, 7, False,
+     "d4d960d77ccc21f906edb6ec19aba6018dfec6f2bf4b6219dbb71ce126db3da0"),
+]
+
+# sample_protocol1_runs(n=6, seed=11, 300 runs): "A" is an abort, a digit
+# d the public teleport bits (d >> 1, d & 1)
+PINNED_BATCH = (
+    "213AA3AAAA1AAAAAA3112AAAAA2A2AAAAAAAA2A3A2AAAAAAAA2AA0AA1A2AAAAAAAA3A0A3"
+    "AAAA0AAAAAAA3A2AAAAAAA3AAAAAAAAAA2AAAA1AA12AA0A30AAAAAAAAAA313AAAAAAAAAA"
+    "A32AAAAAA23A22AAAAA0A2AAA0AA2AA0A11A2AA2A0AA1AAAAAA0A2A0AAA2AA0AAAA121AA"
+    "0AAA131A12AA1AA23110AAAA0AAA2AAAAAAAAAA11AA20AA0AAAA1AAAAAAAA0AAAA1A1AAA"
+    "AAA3AAA3A01A"
+)
+
+
+@pytest.mark.parametrize("runner, n, s, r, seed, aborted, digest",
+                         PINNED_TRANSCRIPTS)
+def test_seeded_transcript_pinned(runner, n, s, r, seed, aborted, digest):
+    cfg = NetworkConfig(n_nodes=n, sender=s, receiver=r, seed=seed,
+                        per_qubit_channels=uniform(depolarizing(0.9), n))
+    out = runner(cfg, mode="sampling")
+    assert out.aborted is aborted
+    text = out.transcript.to_jsonl()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_seeded_batch_pinned():
+    cfg = NetworkConfig(n_nodes=6, sender=1, receiver=2, seed=11,
+                        per_qubit_channels=uniform(depolarizing(0.9), 6))
+    outs, agg = sample_protocol1_runs(cfg, 300)
+    got = "".join("A" if o.aborted else
+                  str(2 * o.public_teleport_bits[0] + o.public_teleport_bits[1])
+                  for o in outs)
+    assert got == PINNED_BATCH
+    assert agg["aborts"] == 213
 
 
 def test_sampled_aborted_run_has_no_delivery():
