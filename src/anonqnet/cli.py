@@ -7,7 +7,7 @@ Subcommands:
 * relay         chain-relay fidelities per sender/receiver placement
 * security      anonymity audit for a passive coalition (JSON)
 * run           execute one protocol run (or many samples) end to end
-* oracle-check  quick dense-vs-closed-form self test
+* oracle-check  quick exact-vs-closed-form self test
 
 CSV output starts with '#' metadata lines (tool version, command, channel,
 seed) so files are self-describing; formats are stable for given inputs.
@@ -121,9 +121,10 @@ def _merge(flag, cfg: dict, key: str, default, cast=None):
         return flag
     if key in cfg:
         raw = cfg[key]
-        if cast is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
         try:
+            if cast is bool:
+                words = ("0", "false", "no", "off", "1", "true", "yes", "on")
+                return words.index(raw.lower()) >= 4  # ValueError if neither
             return cast(raw) if cast else raw
         except ValueError:
             raise click.UsageError(f"config key {key!r}: bad value {raw!r}")
@@ -211,26 +212,17 @@ def _sweep_row(protocol: str, family: str, n: int, q: float, mode: str) -> dict:
         row["useful"] = rep.useful
     if mode in ("exact", "both"):
         channel = _channel_factory(family)(q)
-        if protocol == "W":
-            cfg = NetworkConfig(n_nodes=n, sender=1, receiver=2,
-                                per_qubit_channels=_uniform_channels(channel, n))
-            outcome = run_protocol1(cfg, mode="exact")
-            f_exact = outcome.ae_fidelity
-            p_exact = outcome.analytic_success_probability
-        elif protocol == "GHZ":
-            cfg = NetworkConfig(n_nodes=n, sender=1, receiver=2,
-                                per_qubit_channels=_uniform_channels(channel, n))
-            outcome = run_ghz_protocol(cfg, mode="exact")
-            f_exact = outcome.ae_fidelity
+        cfg = NetworkConfig(n_nodes=n, sender=1, receiver=2,
+                            per_qubit_channels=_uniform_channels(channel, n),
+                            lost_nodes={n} if protocol == "W_loss" else ())
+        if protocol == "GHZ":
+            f_exact = run_ghz_protocol(cfg, mode="exact").ae_fidelity
             p_exact = 1.0
-        elif protocol == "W_loss":
-            f_exact = w_loss_branch_average_dense(channel, n)
-            cfg = NetworkConfig(n_nodes=n, sender=1, receiver=2,
-                                per_qubit_channels=_uniform_channels(channel, n),
-                                lost_nodes=frozenset({n}))
-            p_exact = run_protocol1(cfg, mode="exact").analytic_success_probability
         else:
-            raise click.UsageError(f"unknown protocol {protocol!r}")
+            outcome = run_protocol1(cfg, mode="exact")
+            p_exact = outcome.analytic_success_probability
+            f_exact = (w_loss_branch_average_dense(channel, n)
+                       if protocol == "W_loss" else outcome.ae_fidelity)
         if mode == "exact":
             row["F_AE"] = f_exact
             row["P_success"] = p_exact
@@ -729,7 +721,7 @@ def _oracle_checks():
 
 @main.command("oracle-check")
 def oracle_check():
-    """Cross-check closed forms against the dense simulator; exit 1 on
+    """Cross-check closed forms against the exact simulator; exit 1 on
     any disagreement."""
     failures = 0
     for name, fn in _oracle_checks():

@@ -11,7 +11,9 @@ Two execution modes:
 * exact: every measurement is branch-enumerated with Born weights, and
   because all later processing is linear and the only outcome dependence
   is a known Pauli correction, each branch is corrected and mixed back in
-  immediately.  The pipeline stays deterministic and the register small.
+  immediately.  The W and GHZ routes pull each outcome back onto the 2^n
+  resource ket (pullback_pair); only the relay (six live qubits at most),
+  GHZ sampling and the three-qubit teleport conjugate dense states.
 * sampling: one branch is drawn per run with the seeded generator; used
   for transcript-level statistics (abort rates, masking uniformity).
 
@@ -35,6 +37,7 @@ from .qcore import (
     BELL_CORRECTIONS,
     DenseCapError,
     DensityMatrix,
+    HADAMARD,
     ID2,
     Ket,
     PAULI_X,
@@ -162,7 +165,7 @@ class NetworkConfig:
         return tuple(i for i in self.nodes if i not in self.lost_nodes)
 
     def channel_for(self, node: int) -> QuantumChannel:
-        return self.per_qubit_channels.get(node, identity_channel())
+        return self.per_qubit_channels.get(node) or identity_channel()
 
 
 @dataclass
@@ -300,18 +303,56 @@ def _relabel(dm: DensityMatrix, old, new) -> DensityMatrix:
     return DensityMatrix(dm.mat, labels, unnormalized=dm.unnormalized)
 
 
-def _noisy_w_over_live(config: NetworkConfig) -> DensityMatrix:
+# Heisenberg pull-back: a node reading |v> off its noisy share acts on the
+# pure resource ket through its effect Φ†(|v><v|) = Σ K†|v><v|K, so no 4^n
+# density matrix is built.  Node i is axis i - 1 of the ket tensor.
+
+
+def _resource_ket(config: NetworkConfig, make) -> np.ndarray:
     if config.n_nodes > config.dense_cap:
-        raise DenseCapError(
-            f"{config.n_nodes} qubits exceed the dense cap {config.dense_cap};"
-            " use the closed-form evaluators"
-        )
-    rho = make_w_state(config.n_nodes, labels=config.nodes).to_density()
-    if config.lost_nodes:
-        rho = partial_trace(rho, config.lost_nodes)
-    for node in config.live_nodes:
-        rho = apply_to(config.channel_for(node), rho, node)
-    return rho
+        raise DenseCapError(f"{config.n_nodes} qubits exceed the dense cap "
+                            f"{config.dense_cap}; use the closed-form evaluators")
+    return make(config.n_nodes).amps.reshape((2,) * config.n_nodes)
+
+
+def _pull_back(ket: np.ndarray, node: int, channel: QuantumChannel,
+               v: np.ndarray) -> np.ndarray:
+    """Apply the effect of reading |v> through channel, as an operator, on
+    one node's axis of the ket."""
+    effect = sum(np.outer(r.conj(), r)
+                 for r in (v.conj() @ k for k in channel.kraus_ops))
+    return np.moveaxis(np.tensordot(effect, ket, axes=(1, node - 1)), 0,
+                       node - 1)
+
+
+def _noisy_pair(config: NetworkConfig, pulled: np.ndarray, ket: np.ndarray,
+                sender: int, receiver: int) -> np.ndarray:
+    """(Φ_S ⊗ Φ_R)(N M†) on (sender, receiver): M is the resource ket and N
+    the pulled-back one, both with the pair axes first, shaped (4, 2^(n-2));
+    contracting the other axes traces out every node without an effect."""
+    n_mat, m_mat = (np.moveaxis(t, (sender - 1, receiver - 1), (0, 1))
+                    .reshape(4, -1) for t in (pulled, ket))
+    x = (n_mat @ m_mat.conj().T).reshape(2, 2, 2, 2)
+    ks, kr = (np.array(config.channel_for(node).kraus_ops)
+              for node in (sender, receiver))
+    return np.einsum("asi,brj,ijkl,atk,bul->srtu", ks, kr, x, ks.conj(),
+                     kr.conj()).reshape(4, 4)
+
+
+def pullback_pair(config: NetworkConfig, outcomes: Mapping[int, int],
+                  sender: int, receiver: int) -> np.ndarray:
+    """Unnormalized (sender, receiver) state of the noisy W resource after
+    each node in outcomes reads that standard-basis bit; its trace is the
+    Born weight.  Every other node (lost, or summed over) is traced out."""
+    ket = pulled = _resource_ket(config, make_w_state)
+    for node, bit in outcomes.items():
+        pulled = _pull_back(pulled, node, config.channel_for(node), ID2[bit])
+    return _noisy_pair(config, pulled, ket, sender, receiver)
+
+
+def _normalized_pair(raw: np.ndarray) -> tuple[float, DensityMatrix]:
+    weight = float(np.trace(raw).real)
+    return weight, DensityMatrix(raw / weight, PAIR_LABELS)
 
 
 def _measure_out(rho: DensityMatrix, qubit, basis: str, outcome: int
@@ -434,15 +475,12 @@ def run_protocol1(config: NetworkConfig, rng: np.random.Generator | None = None,
 def _protocol1_exact(config: NetworkConfig) -> RunOutcome:
     transcript = Transcript()
     _protocol1_skeleton(config, transcript)
-    rho = _noisy_w_over_live(config)
     measuring = [i for i in config.live_nodes
                  if i not in (config.sender, config.receiver)]
     for node in measuring:
         transcript.add(3, "measurement", node, b"", _private(node))
-    for node in measuring:
-        rho = _measure_out(rho, node, "standard", 0)
-    weight = rho.weight
-    ae = _ae_as_pair(rho.normalized(), config.sender, config.receiver)
+    weight, ae = _normalized_pair(pullback_pair(
+        config, dict.fromkeys(measuring, 0), config.sender, config.receiver))
     ae_fid = fidelity_with_pure(ae, pair_target("W"))
     delivered, _ = teleport_exact(ae, config.message_state, *PAIR_LABELS,
                                   resource="psi+")
@@ -472,23 +510,21 @@ class _Protocol1Sampler:
 
     def __init__(self, config: NetworkConfig):
         self.config = config
-        rho = _noisy_w_over_live(config)
         self.measuring = [i for i in config.live_nodes
                           if i not in (config.sender, config.receiver)]
         k = len(self.measuring)
         if 2**k > 4096:
             raise DenseCapError("branch table too large; lower the node count")
         self.exact_success = None
-        self.branches = []  # (outcome bits, weight, teleport weights, fidelities)
+        self.branches = []  # (bits, weight, pair, per-m (w, fid), pair fid)
         for string in range(2**k):
             bits = tuple((string >> (k - 1 - i)) & 1 for i in range(k))
-            cur = rho
-            for node, b in zip(self.measuring, bits):
-                cur = _measure_out(cur, node, "standard", b)
-            w = cur.weight
+            raw = pullback_pair(config, dict(zip(self.measuring, bits)),
+                                config.sender, config.receiver)
+            w = float(np.trace(raw).real)
             if w < 1e-15:
                 continue
-            pair = _ae_as_pair(cur.normalized(), config.sender, config.receiver)
+            pair = DensityMatrix(raw / w, PAIR_LABELS)
             # an outcome incompatible with the message state delivers nothing
             delivered_by_m = [
                 (bw, _delivered_fidelity(fixed, config.message_state))
@@ -496,7 +532,8 @@ class _Protocol1Sampler:
                 for bw, fixed in teleport_branches(
                     pair, config.message_state, *PAIR_LABELS, resource="psi+")
             ]
-            self.branches.append((bits, w, pair, delivered_by_m))
+            self.branches.append((bits, w, pair, delivered_by_m,
+                                  fidelity_with_pure(pair, pair_target("W"))))
             if not any(bits):
                 self.exact_success = w
         self.branch_weights = np.array([b[1] for b in self.branches])
@@ -514,7 +551,7 @@ class _Protocol1Sampler:
         if record_transcript:
             _protocol1_skeleton(config, transcript)
         idx = int(rng.choice(len(self.branches), p=self.branch_weights))
-        bits, _, pair, delivered_by_m = self.branches[idx]
+        bits, _, pair, delivered_by_m, ae_fid = self.branches[idx]
         if record_transcript:
             for node, b in zip(self.measuring, bits):
                 transcript.add(3, "measurement", node, bytes([b]), _private(node))
@@ -559,8 +596,8 @@ class _Protocol1Sampler:
             aborted=False, delivered_fidelity=fid,
             analytic_success_probability=self.exact_success,
             transcript=transcript, anonymous_entanglement=pair,
-            ae_fidelity=fidelity_with_pure(pair, pair_target("W")),
-            veto_output=0, public_teleport_bits=tuple(public),
+            ae_fidelity=ae_fid, veto_output=0,
+            public_teleport_bits=tuple(public),
         )
 
 
@@ -606,23 +643,26 @@ def run_ghz_protocol(config: NetworkConfig, rng: np.random.Generator | None = No
         )
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    if config.n_nodes > config.dense_cap:
-        raise DenseCapError(
-            f"{config.n_nodes} qubits exceed the dense cap {config.dense_cap}"
-        )
+    ket = _resource_ket(config, make_ghz_state)
     transcript = Transcript()
     _protocol1_skeleton(config, transcript)
-    rho = make_ghz_state(config.n_nodes, labels=config.nodes).to_density()
-    for node in config.nodes:
-        rho = apply_to(config.channel_for(node), rho, node)
     measuring = [i for i in config.nodes
                  if i not in (config.sender, config.receiver)]
 
     if mode == "exact":
+        # a '-' outcome flips the receiver's phase, so the pulled-back kets
+        # are carried per outcome parity and the odd pair gets Z_R
+        even, odd = ket, np.zeros_like(ket)
         for node in measuring:
             transcript.add(3, "measurement", node, b"", _private(node))
-            rho = _x_measure_mix(rho, node, config.receiver)
-        ae = _ae_as_pair(rho.normalized(), config.sender, config.receiver)
+            (e_p, e_m), (o_p, o_m) = (
+                [_pull_back(t, node, config.channel_for(node), v)
+                 for v in HADAMARD] for t in (even, odd))
+            even, odd = e_p + o_m, e_m + o_p
+        even, odd = (_noisy_pair(config, t, ket, config.sender,
+                                 config.receiver) for t in (even, odd))
+        z_r = np.kron(ID2, PAULI_Z)
+        _, ae = _normalized_pair(even + z_r @ odd @ z_r)
         ae_fid = fidelity_with_pure(ae, pair_target("GHZ"))
         delivered, _ = teleport_exact(ae, config.message_state, *PAIR_LABELS,
                                       resource="phi+")
@@ -636,6 +676,9 @@ def run_ghz_protocol(config: NetworkConfig, rng: np.random.Generator | None = No
 
     if mode != "sampling":
         raise ValueError(f"unknown mode {mode!r}")
+    rho = make_ghz_state(config.n_nodes, labels=config.nodes).to_density()
+    for node in config.nodes:
+        rho = apply_to(config.channel_for(node), rho, node)
     outcome_bits = {}
     for node in measuring:
         outcome_bits[node], rho = _x_measure_sampled(rho, node, rng)
@@ -783,12 +826,13 @@ def run_relay_protocol(config: NetworkConfig,
 
 
 # ---------------------------------------------------------------------------
-# dense cross-check used by the CLI's exact sweep for the loss formulas
+# exact cross-check used by the CLI's exact sweep for the loss formulas
 
 
 def w_loss_branch_average_dense(channel: QuantumChannel, n: int) -> float:
-    """Dense evaluation of the loss-branch-averaged pair fidelity (the
-    quantity the closed-form loss formulas compute; see f_ae_w_loss).
+    """Exact evaluation, through the pull-back engine, of the
+    loss-branch-averaged pair fidelity (the quantity the closed-form loss
+    formulas compute; see f_ae_w_loss).
 
     With one lost measuring node the distributed state splits into the
     excitation-survived branch (weight (n-1)/n) and the excitation-lost
@@ -797,10 +841,8 @@ def w_loss_branch_average_dense(channel: QuantumChannel, n: int) -> float:
     """
     cfg = NetworkConfig(n_nodes=n, sender=1, receiver=2,
                         per_qubit_channels={i: channel for i in range(1, n + 1)})
-    rho = _noisy_w_over_live(cfg)
-    for node in range(3, n + 1):
-        rho = _measure_out(rho, node, "standard", 0)
-    pair = _ae_as_pair(rho.normalized(), 1, 2)
+    _, pair = _normalized_pair(
+        pullback_pair(cfg, dict.fromkeys(range(3, n + 1), 0), 1, 2))
     f_noloss = fidelity_with_pure(pair, pair_target("W"))
     vac = channel(np.array([[1, 0], [0, 0]], dtype=complex))
     pair_lost = DensityMatrix(np.kron(vac, vac), PAIR_LABELS)

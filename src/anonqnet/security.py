@@ -31,13 +31,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .channels import QuantumChannel, channel_distance
-from .qcore import DensityMatrix, partial_trace, trace_distance
-from .protocols import (
-    NetworkConfig,
-    _measure_out,
-    _noisy_w_over_live,
-    teleport_branches,
-)
+from .qcore import DensityMatrix, trace_distance
+from .protocols import NetworkConfig, pullback_pair, teleport_branches
 
 _TINY = 1e-14
 
@@ -155,53 +150,43 @@ def adversary_view(config: NetworkConfig, scenario: AdversaryScenario,
     honest_meas = [i for i in measuring if i not in adv]
     rn_bits = tuple(int(i == eff_receiver) for i in sorted(adv))
 
-    rho = _noisy_w_over_live(config)
-    view = LabeledEnsemble()
+    def abort_view(mat, weight):
+        # a corrupt receiver keeps its carrier qubit, anyone else nothing
+        if not receiver_corrupt:
+            return _TRIVIAL, ()
+        carrier = np.trace(mat.reshape(2, 2, 2, 2), axis1=0, axis2=2)
+        return carrier / weight, ("carrier",)
 
+    view = LabeledEnsemble()
     for mu in product((0, 1), repeat=len(adv_meas)):
-        branch = rho
-        for node, bit in zip(adv_meas, mu):
-            branch = _measure_out(branch, node, "standard", bit)
-        w_mu = branch.weight
+        coalition = dict(zip(adv_meas, mu))
+        # (sender, receiver) pairs with the honest outcomes summed over
+        # (total) and all zero
+        total = pullback_pair(config, coalition, eff_sender, eff_receiver)
+        w_mu = float(np.trace(total).real)
         if w_mu < _TINY:
             continue
-        # honest all-zero sub-branch, eagerly reduced onto (S, R, adv-R)
-        zero_branch = branch
-        for node in honest_meas:
-            zero_branch = _measure_out(zero_branch, node, "standard", 0)
-        w_zero = zero_branch.weight
-        rest_mat = partial_trace(branch, honest_meas).mat - zero_branch.mat
+        zero = pullback_pair(config, {**coalition,
+                                      **dict.fromkeys(honest_meas, 0)},
+                             eff_sender, eff_receiver)
+        w_zero = float(np.trace(zero).real)
         w_rest = w_mu - w_zero
 
         base = (rn_bits, mu)
-        veto_zero = 1 if any(mu) else 0
-
         # honest saw a 1: always abort
         if w_rest > _TINY:
-            if receiver_corrupt:
-                rest_dm = DensityMatrix(rest_mat, zero_branch.labels,
-                                        unnormalized=True)
-                r_side = partial_trace(rest_dm, [eff_sender])
-                mat, labs = r_side.mat / w_rest, ("carrier",)
-            else:
-                mat, labs = _TRIVIAL, ()
-            view.add(base + (1, 1, None), w_rest, mat, labs)
-
+            view.add(base + (1, 1, None), w_rest,
+                     *abort_view(total - zero, w_rest))
         if w_zero < _TINY:
             continue
-        if veto_zero:
+        if any(mu):
             # coalition outcome forces the abort even though honest side
             # read all zeros
-            if receiver_corrupt:
-                r_side = partial_trace(zero_branch, [eff_sender])
-                mat, labs = r_side.mat / w_zero, ("carrier",)
-            else:
-                mat, labs = _TRIVIAL, ()
-            view.add(base + (0, 1, None), w_zero, mat, labs)
+            view.add(base + (0, 1, None), w_zero, *abort_view(zero, w_zero))
             continue
 
         # success: anonymous pair on (eff_sender, eff_receiver), teleport
-        pair = zero_branch.normalized().permuted((eff_sender, eff_receiver))
+        pair = DensityMatrix(zero / w_zero, (eff_sender, eff_receiver))
         if receiver_corrupt:
             branches = teleport_branches(pair, config.message_state,
                                          eff_sender, eff_receiver, "psi+")

@@ -286,6 +286,16 @@ def test_config_file_defaults_and_flag_priority(runner, tmp_path):
     assert row["protocol"] == "W"
 
 
+@pytest.mark.parametrize("word, as_json", [("YES", True), ("on", True),
+                                           ("Off", False), ("0", False)])
+def test_config_file_bool_words(runner, tmp_path, word, as_json):
+    cfg = tmp_path / "sweep.conf"
+    cfg.write_text(f"nodes = 5\nq = 0.9\njson = {word}\n")
+    res = runner.invoke(main, ["sweep", "--config", str(cfg)])
+    assert res.exit_code == 0
+    assert res.output.lstrip().startswith("{") is as_json
+
+
 def test_config_file_unknown_key_exits_2(runner, tmp_path):
     cfg = tmp_path / "bad.conf"
     cfg.write_text("protcol = W\n")
@@ -297,7 +307,8 @@ def test_config_file_unknown_key_exits_2(runner, tmp_path):
     ("sweep", "nodes = five\n"),
     ("relay", "q = 0.8,abc\n"),
     ("run", None),  # the file does not exist
-], ids=["bad-int", "bad-float-list", "missing-file"])
+    ("sweep", "nodes = 5\nq = 0.9\njson = yse\n"),
+], ids=["bad-int", "bad-float-list", "missing-file", "bad-bool"])
 def test_config_file_bad_value_or_missing_exits_2(runner, tmp_path, command,
                                                  text):
     cfg = tmp_path / "bad.conf"

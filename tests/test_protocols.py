@@ -17,12 +17,19 @@ from anonqnet.analytic import (
     p_success_w_loss,
     pair_target,
 )
-from anonqnet.channels import dephasing, depolarizing, identity_channel
+from anonqnet.channels import (
+    QuantumChannel,
+    apply_to,
+    dephasing,
+    depolarizing,
+    identity_channel,
+)
 from anonqnet.protocols import (
     NetworkConfig,
     ProtocolImpossibleError,
     RunOutcome,
     Transcript,
+    _Protocol1Sampler,
     collision_detection,
     parity_protocol,
     receiver_notification,
@@ -36,11 +43,20 @@ from anonqnet.protocols import (
     w_loss_branch_average_dense,
 )
 from anonqnet.qcore import (
+    PAULI_X,
+    PAULI_Z,
     DenseCapError,
+    DensityMatrix,
     Ket,
+    apply_op_dense,
     fidelity_with_pure,
     make_bell_pair,
+    make_ghz_state,
+    make_w_state,
+    partial_trace,
+    postselect,
 )
+from anonqnet.security import AdversaryScenario, adversary_view
 
 
 def uniform(channel, n):
@@ -489,3 +505,151 @@ def test_transcript_rounds_must_not_decrease():
     t.add(3, "broadcast", 1, b"\x00")
     with pytest.raises(ValueError):
         t.add(2, "broadcast", 1, b"\x00")
+
+
+# ---------------------------------------------------------------------------
+# exact routes against a dense reference built here from qcore primitives
+
+
+def damp_then_rotate(gamma, theta, axis=PAULI_X):
+    """Amplitude damping followed by exp(-i theta axis / 2): a non-unital
+    channel with complex Kraus operators, so its effects are neither real
+    nor symmetric and Φ differs from Φ†."""
+    k0 = np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=complex)
+    k1 = np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex)
+    u = np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * axis
+    return QuantumChannel([u @ k0, u @ k1], name="damp-rotate")
+
+
+# n = 6, sender 4 > receiver 2, not adjacent; both ends and three measured
+# nodes see a non-unital complex channel (an X rotation leaves the X-basis
+# effects real, so node 5 turns about Z for the GHZ case)
+HETERO = {1: damp_then_rotate(0.3, 0.7), 2: damp_then_rotate(0.2, -1.1),
+          3: depolarizing(0.9), 4: damp_then_rotate(0.25, 0.4),
+          5: damp_then_rotate(0.35, 0.8, PAULI_Z),
+          6: damp_then_rotate(0.5, 0.3)}
+HS, HR = 4, 2
+
+
+def hetero_config(**kw):
+    return NetworkConfig(n_nodes=6, sender=HS, receiver=HR,
+                         per_qubit_channels=HETERO, **kw)
+
+
+def dense_noisy(make, lost=()):
+    rho = make(6, labels=range(1, 7)).to_density()
+    if lost:
+        rho = partial_trace(rho, lost)
+    for node in rho.labels:
+        rho = apply_to(HETERO[node], rho, node)
+    return rho
+
+
+def dense_measure(rho, outcomes, basis="standard"):
+    for node, bit in outcomes.items():
+        branch, _ = postselect(rho, node, basis, bit)
+        rho = partial_trace(branch, [node])
+    return rho
+
+
+def as_pair(rho):
+    """Unnormalized (sender, receiver) matrix of a two-node register."""
+    return rho.permuted((HS, HR)).mat
+
+
+@pytest.mark.parametrize("lost", [(), (5,)])
+def test_w_exact_matches_dense_under_complex_nonunital_noise(lost):
+    out = run_protocol1(hetero_config(lost_nodes=set(lost)), mode="exact")
+    measured = {i: 0 for i in (1, 3, 5, 6) if i not in lost}
+    ref = as_pair(dense_measure(dense_noisy(make_w_state, lost), measured))
+    weight = np.trace(ref).real
+    assert out.analytic_success_probability == pytest.approx(weight, abs=1e-12)
+    assert np.abs(out.anonymous_entanglement.mat - ref / weight).max() < 1e-12
+
+
+def test_ghz_exact_matches_dense_under_complex_nonunital_noise():
+    out = run_ghz_protocol(hetero_config(), mode="exact")
+    rho = dense_noisy(make_ghz_state)
+    for node in (1, 3, 5, 6):
+        plus = dense_measure(rho, {node: 0}, "hadamard")
+        minus = apply_op_dense(dense_measure(rho, {node: 1}, "hadamard"),
+                               PAULI_Z, [HR])
+        rho = DensityMatrix(plus.mat + minus.mat, plus.labels,
+                            unnormalized=True)
+    ref = as_pair(rho)
+    assert np.abs(out.anonymous_entanglement.mat - ref / np.trace(ref).real
+                  ).max() < 1e-12
+
+
+def test_sampler_branches_match_dense_under_complex_nonunital_noise():
+    sampler = _Protocol1Sampler(hetero_config())
+    rho = dense_noisy(make_w_state)
+    assert sampler.measuring == [1, 3, 5, 6]
+    expected = []
+    for string in range(16):
+        bits = tuple((string >> (3 - i)) & 1 for i in range(4))
+        ref = as_pair(dense_measure(rho, dict(zip(sampler.measuring, bits))))
+        if np.trace(ref).real >= 1e-15:
+            expected.append((bits, ref))
+    assert [b[0] for b in sampler.branches] == [bits for bits, _ in expected]
+    for (bits, w, pair, _, ae_fid), (_, ref) in zip(sampler.branches,
+                                                    expected):
+        assert w == pytest.approx(np.trace(ref).real, abs=1e-12)
+        assert np.abs(pair.mat - ref / w).max() < 1e-12
+        assert ae_fid == fidelity_with_pure(pair, pair_target("W"))
+
+
+def test_adversary_view_matches_dense_enumeration_corrupt_receiver():
+    # coalition {2, 5}: node 2 is the receiver, node 5 measures; the dense
+    # reference enumerates every outcome string instead of subtracting
+    cfg = hetero_config()
+    view = adversary_view(cfg, AdversaryScenario(frozenset({2, 5})), HS)
+    rho = dense_noisy(make_w_state)
+    expected = {}
+
+    def add(label, weighted):
+        expected[label] = expected.get(label, 0) + weighted
+
+    for string in range(16):
+        bits = dict(zip((1, 3, 5, 6), ((string >> (3 - i)) & 1
+                                       for i in range(4))))
+        ref = dense_measure(rho, bits)
+        base = ((1, 0), (bits[5],))
+        if any(bits[i] for i in (1, 3, 6)) or bits[5]:
+            honest = int(any(bits[i] for i in (1, 3, 6)))
+            add(base + (honest, 1, None), partial_trace(ref, [HS]).mat)
+            continue
+        w = ref.weight
+        pair = DensityMatrix(as_pair(ref) / w, (HS, HR))
+        for m, (w_m, fixed) in enumerate(teleport_branches(
+                pair, cfg.message_state, HS, HR, "psi+")):
+            add(base + (0, 0, ("m", m)), w * fixed.mat)
+    assert view.labels() == set(expected)
+    for label, weighted in expected.items():
+        assert view.weight(label) == pytest.approx(np.trace(weighted).real,
+                                                   abs=1e-12)
+        assert np.abs(view.weighted_mat(label) - weighted).max() < 1e-12
+
+
+def test_exact_routes_build_no_density_matrix_wider_than_three(monkeypatch):
+    widest = []
+    post_init = DensityMatrix.__post_init__
+
+    def recording(self):
+        post_init(self)
+        widest.append(len(self.labels))
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", recording)
+    chans = uniform(depolarizing(0.9), 9)
+    run_protocol1(NetworkConfig(n_nodes=9, sender=1, receiver=2,
+                                per_qubit_channels=chans), mode="exact")
+    run_protocol1(NetworkConfig(n_nodes=9, sender=1, receiver=2,
+                                per_qubit_channels=chans, lost_nodes={9}),
+                  mode="exact")
+    run_ghz_protocol(NetworkConfig(n_nodes=9, sender=3, receiver=7,
+                                   per_qubit_channels=chans), mode="exact")
+    w_loss_branch_average_dense(depolarizing(0.9), 9)
+    adversary_view(NetworkConfig(n_nodes=7, sender=1, receiver=2,
+                                 per_qubit_channels=uniform(dephasing(0.9), 7)),
+                   AdversaryScenario(frozenset({2, 4})), 3)
+    assert widest and max(widest) <= 3

@@ -174,6 +174,20 @@ def test_permuted_reorders_representation():
     assert np.allclose(back.mat, asym.mat, atol=1e-14)
 
 
+@pytest.mark.parametrize("defect, ok", [(1e-11, True), (1e-9, False),
+                                        (np.nan, False)])
+def test_density_matrix_hermiticity_check(defect, ok):
+    # an anti-Hermitian perturbation on zero off-diagonal entries
+    mat = np.eye(4, dtype=complex) / 4
+    mat[0, 3] += defect
+    mat[3, 0] -= defect
+    if ok:
+        DensityMatrix(mat, ("a", "b"))
+    else:
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityMatrix(mat, ("a", "b"))
+
+
 def test_density_matrix_json_roundtrip():
     mat = np.array([[0.5, 0.25 - 0.25j], [0.25 + 0.25j, 0.5]])
     d = DensityMatrix(mat, ("s",)).to_json_dict()
