@@ -4,7 +4,7 @@ messages over noisy N-node networks.
 Layers:
 
 * qcore: label-addressed dense states, projections, partial traces
-* channels: single-qubit noise channels and a channel distance
+* channels: single-qubit noise channels and channel distances
 * analytic: closed-form fidelities, success probabilities, thresholds
 * protocols: round-level protocol execution (exact and sampling modes)
 * security: adversary views, independence checks, guessing bounds
@@ -36,6 +36,7 @@ from .channels import (
     channel_distance,
     dephasing,
     depolarizing,
+    diamond_distance,
     identity_channel,
     parse_channel_map,
     parse_channel_spec,

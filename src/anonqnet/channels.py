@@ -2,7 +2,11 @@
 
 Provides the two named noise families (dephasing, depolarizing), identity,
 arbitrary user Kraus sets, per-qubit application to labeled registers, and
-the induced-trace-norm distance between channels.
+two channel distances read off the Bloch-affine form (t, M) of a qubit map,
+Phi((I + r.sigma)/2) = (I + (t + M r).sigma)/2 (King and Ruskai,
+arXiv:quant-ph/9911079): channel_distance, the exact induced trace norm
+over inputs without an ancilla, and diamond_distance, the stabilized norm
+of Pauli channels.  Both are un-halved trace norms.
 """
 
 from __future__ import annotations
@@ -10,7 +14,6 @@ from __future__ import annotations
 from typing import List, Mapping
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .qcore import DensityMatrix, ID2, PAULI_X, PAULI_Y, PAULI_Z, apply_op_dense
 
@@ -96,58 +99,65 @@ def apply_to(channel: QuantumChannel, rho: DensityMatrix, qubit) -> DensityMatri
     return DensityMatrix(acc, rho.labels, unnormalized=rho.unnormalized)
 
 
-def _bloch_ket(theta: float, phi: float) -> np.ndarray:
-    return np.array(
-        [np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], dtype=complex
-    )
+_PAULIS = np.array([ID2, PAULI_X, PAULI_Y, PAULI_Z])
+
+# rows I, X, Y, Z: Pauli weight = row . (1, Mxx, Myy, Mzz) / 4
+_PAULI_SIGNS = np.array([[1, 1, 1, 1], [1, 1, -1, -1],
+                         [1, -1, 1, -1], [1, -1, -1, 1]])
 
 
-def _diff_norm(a: QuantumChannel, b: QuantumChannel, theta: float, phi: float) -> float:
-    """1-norm of (a-b) applied to the pure state at Bloch angles (theta, phi).
+def _bloch_affine(channel: QuantumChannel) -> np.ndarray:
+    """The 3x4 Bloch-affine form [t | M] of a qubit map.
 
-    The difference of two CPTP maps is traceless Hermitian on Hermitian
-    input, so the 2x2 norm is 2*sqrt(d^2 + |c|^2) for [[d, c], [c*, -d]].
+    Entry (i, j) is 1/2 tr(sigma_i Phi(sigma_j)) with sigma_0 = I, so
+    Phi((I + r.sigma)/2) = (I + (t + M r).sigma)/2.
     """
-    v = _bloch_ket(theta, phi)
-    rho = np.outer(v, v.conj())
-    m = a(rho) - b(rho)
-    d = m[0, 0].real
-    c = m[0, 1]
-    return float(2.0 * np.sqrt(d * d + (c * c.conjugate()).real))
+    k = np.array(channel.kraus_ops)
+    return 0.5 * np.einsum("iab,kbc,jcd,kad->ij",
+                           _PAULIS[1:], k, _PAULIS, k.conj()).real
 
 
-def channel_distance(a: QuantumChannel, b: QuantumChannel,
-                     grid_points: int = 1024, rel_tol: float = 1e-6) -> float:
+def channel_distance(a: QuantumChannel, b: QuantumChannel) -> float:
     """Induced trace norm of the channel difference, max over pure inputs.
 
-    Maximizing over pure states suffices: the difference map is linear and
-    the trace norm is convex, so the maximum over the (convex) state space
-    is attained at an extreme point.  A Fibonacci-sphere grid of at least
-    1000 points seeds a local Nelder-Mead refinement to relative tolerance
-    rel_tol.  The norm is the un-halved output trace norm.
+    The difference maps Bloch vector r to (dt + dM r).sigma/2, of trace
+    norm |dt + dM r|, so the distance is the exact max of that over the
+    unit sphere.  With H = dM^T dM and g = dM^T dt the maximiser is
+    r = (mu I - H)^+ g, mu the largest real eigenvalue of
+    [[H, I], [g g^T, H]] floored at lambda_max(H), completed along the top
+    eigenvector of H when it falls inside the sphere (g orthogonal to it).
+    The norm is taken at r itself, so an error in mu enters to second order.
     """
-    golden = (1 + np.sqrt(5)) / 2
-    i = np.arange(grid_points)
-    theta = np.arccos(1 - 2 * (i + 0.5) / grid_points)
-    phi = 2 * np.pi * i / golden
+    d = _bloch_affine(a) - _bloch_affine(b)
+    dt, dm = d[:, 0], d[:, 1:]
+    lam, vecs = np.linalg.eigh(dm.T @ dm)
+    g = vecs.T @ (dm.T @ dt)  # in the eigenbasis of H
+    ev = np.linalg.eigvals(np.block([[np.diag(lam), np.eye(3)],
+                                     [np.outer(g, g), np.diag(lam)]]))
+    mu = ev.real[ev.imag == 0].max(initial=lam[-1])
+    gap = mu - lam
+    r = np.divide(g, gap, out=np.zeros(3), where=gap > 0)
+    r[-1] += np.copysign(np.sqrt(max(1.0 - r @ r, 0.0)), g[-1])
+    return float(np.linalg.norm(dt + dm @ (vecs @ (r / np.linalg.norm(r)))))
 
-    best_val = 0.0
-    best_angles = (0.0, 0.0)
-    for t, p in zip(theta, phi):
-        val = _diff_norm(a, b, t, p)
-        if val > best_val:
-            best_val = val
-            best_angles = (t, p)
-    if best_val < 1e-14:
-        return 0.0
 
-    res = minimize(
-        lambda x: -_diff_norm(a, b, x[0], x[1]),
-        np.array(best_angles),
-        method="Nelder-Mead",
-        options={"xatol": 1e-9, "fatol": best_val * rel_tol, "maxiter": 400},
-    )
-    return float(max(best_val, -res.fun))
+def diamond_distance(a: QuantumChannel, b: QuantumChannel) -> float:
+    """Diamond (stabilized) norm of the difference of two Pauli channels.
+
+    A channel is Pauli when t = 0 and M is diagonal (to 1e-12); its Choi
+    matrix is then Bell-diagonal, so the maximally entangled input is
+    optimal and the distance is the l1 distance of the Pauli weights
+    (un-halved, like channel_distance).  Unlike channel_distance it bounds
+    the effect on a qubit entangled with others.  Any other channel raises
+    ValueError: a general Kraus set needs a semidefinite program.
+    """
+    weights = []
+    for channel in (a, b):
+        form = _bloch_affine(channel)
+        if np.abs(form - form * np.eye(3, 4, 1)).max() > 1e-12:
+            raise ValueError(f"{channel!r} is not a Pauli channel")
+        weights.append(_PAULI_SIGNS @ np.append(1.0, np.diagonal(form, 1)) / 4)
+    return float(np.abs(weights[0] - weights[1]).sum())
 
 
 def parse_channel_spec(spec: str) -> QuantumChannel:

@@ -53,6 +53,7 @@ from .analytic import (
 from .protocols import (
     NetworkConfig,
     ProtocolImpossibleError,
+    batch_summary,
     run_ghz_protocol,
     run_protocol1,
     run_relay_protocol,
@@ -95,7 +96,15 @@ def _parse_node_list(text: str) -> list:
         raise click.UsageError(f"bad node list {text!r}")
 
 
-def _load_config_file(path: str, allowed: set) -> dict:
+def _load_config(ctx: click.Context, param, path: str | None) -> None:
+    """Eager --config callback: the file's `key = value` lines become the
+    command's defaults (click's default_map), so explicit flags win and
+    every value is parsed and checked by its option's own type.  A key is
+    an option's long name; a multiple option takes a comma-separated list."""
+    if path is None:
+        return
+    params = {opt[2:].replace("-", "_"): p for p in ctx.command.params
+              if p is not param for opt in p.opts if opt.startswith("--")}
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -108,31 +117,13 @@ def _load_config_file(path: str, allowed: set) -> dict:
                 sys.exit(2)
             key, _, val = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in allowed:
+            if key not in params:
                 click.echo(f"config {path}:{lineno}: unknown key {key!r}",
                            err=True)
                 sys.exit(2)
-            values[key] = val.strip()
-    return values
-
-
-def _merge(flag, cfg: dict, key: str, default, cast=None):
-    if flag is not None:
-        return flag
-    if key in cfg:
-        raw = cfg[key]
-        try:
-            if cast is bool:
-                words = ("0", "false", "no", "off", "1", "true", "yes", "on")
-                return words.index(raw.lower()) >= 4  # ValueError if neither
-            return cast(raw) if cast else raw
-        except ValueError:
-            raise click.UsageError(f"config key {key!r}: bad value {raw!r}")
-    return default
-
-
-def _float_list(text: str) -> tuple:
-    return tuple(float(p) for p in text.split(","))
+            opt, val = params[key], val.strip()
+            values[opt.name] = val.split(",") if opt.multiple else val
+    ctx.default_map = values
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -188,8 +179,8 @@ def _per_node_channels(base_spec: str, overrides, n: int) -> dict:
 
 
 _config_option = click.option(
-    "--config", "config_path", default=None,
-    type=click.Path(exists=True, dir_okay=False),
+    "--config", type=click.Path(exists=True, dir_okay=False), is_eager=True,
+    expose_value=False, callback=_load_config,
     help="key = value defaults file")
 
 
@@ -235,43 +226,24 @@ def _sweep_row(protocol: str, family: str, n: int, q: float, mode: str) -> dict:
 
 @main.command()
 @click.option("--protocol",
-              type=click.Choice(["W", "GHZ", "W_loss", "all"]), default=None)
+              type=click.Choice(["W", "GHZ", "W_loss", "all"]), default="W")
 @click.option("--channel", "channel_family",
-              type=click.Choice(["dephasing", "depolarizing"]), default=None)
+              type=click.Choice(["dephasing", "depolarizing"]),
+              default="depolarizing")
 @click.option("--q", type=float, default=None, help="single noise value")
 @click.option("--q-range", default=None, help="a:b:step grid of q values")
 @click.option("--nodes", type=int, default=None, help="single network size")
 @click.option("--n-range", default=None, help="a:b[:step] grid of sizes")
 @click.option("--mode", type=click.Choice(["analytic", "exact", "both"]),
-              default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--workers", type=int, default=None)
+              default="analytic")
+@click.option("--seed", type=int, default=0)
+@click.option("--workers", type=int, default=4)
 @click.option("--json", "as_json", is_flag=True, default=False)
 @click.option("--out", default=None, help="write output to this file")
 @_config_option
 def sweep(protocol, channel_family, q, q_range, nodes, n_range, mode, seed,
-          workers, as_json, out, config_path):
+          workers, as_json, out):
     """Tabulate pair fidelity and success probability over (N, q)."""
-    allowed = {"protocol", "channel", "q", "q_range", "nodes", "n_range",
-               "mode", "seed", "workers", "json", "out"}
-    cfg = _load_config_file(config_path, allowed) if config_path else {}
-    protocol = _merge(protocol, cfg, "protocol", "W")
-    if protocol not in ("W", "GHZ", "W_loss", "all"):
-        raise click.UsageError(f"unknown protocol {protocol!r}")
-    channel_family = _merge(channel_family, cfg, "channel", "depolarizing")
-    if channel_family not in ("dephasing", "depolarizing"):
-        raise click.UsageError(f"unknown channel family {channel_family!r}")
-    q = _merge(q, cfg, "q", None, cast=float)
-    q_range = _merge(q_range, cfg, "q_range", None)
-    nodes = _merge(nodes, cfg, "nodes", None, cast=int)
-    n_range = _merge(n_range, cfg, "n_range", None)
-    mode = _merge(mode, cfg, "mode", "analytic")
-    if mode not in ("analytic", "exact", "both"):
-        raise click.UsageError(f"unknown mode {mode!r}")
-    seed = _merge(seed, cfg, "seed", 0, cast=int)
-    workers = _merge(workers, cfg, "workers", 4, cast=int)
-    as_json = as_json or _merge(None, cfg, "json", False, cast=bool)
-    out = _merge(out, cfg, "out", None)
 
     qs = [q] if q is not None else _parse_steps(q_range or "0:1:0.1", "q")
     ns = [nodes] if nodes is not None else _parse_steps(
@@ -309,20 +281,15 @@ def sweep(protocol, channel_family, q, q_range, nodes, n_range, mode, seed,
 
 
 @main.command()
-@click.option("--n-range", default=None, help="a:b[:step] grid of sizes")
+@click.option("--n-range", default="4:200", help="a:b[:step] grid of sizes")
 @click.option("--channel", "channel_family",
-              type=click.Choice(["dephasing", "depolarizing"]), default=None)
+              type=click.Choice(["dephasing", "depolarizing"]),
+              default="depolarizing")
 @click.option("--json", "as_json", is_flag=True, default=False)
 @click.option("--out", default=None)
 @_config_option
-def threshold(n_range, channel_family, as_json, out, config_path):
+def threshold(n_range, channel_family, as_json, out):
     """Usefulness thresholds q* per size and the W/GHZ crossover."""
-    allowed = {"n_range", "channel", "json", "out"}
-    cfg = _load_config_file(config_path, allowed) if config_path else {}
-    n_range = _merge(n_range, cfg, "n_range", "4:200")
-    channel_family = _merge(channel_family, cfg, "channel", "depolarizing")
-    as_json = as_json or _merge(None, cfg, "json", False, cast=bool)
-    out = _merge(out, cfg, "out", None)
     ns = _parse_steps(n_range, "nodes", integer=True)
     if any(n < 4 for n in ns):
         raise click.UsageError("thresholds start at 4 nodes")
@@ -363,36 +330,23 @@ def _relay_point(n: int, s: int, r: int, q: float, mode: str) -> dict:
 
 
 @main.command()
-@click.option("--nodes", type=int, default=None)
-@click.option("--q", "q_values", type=float, multiple=True)
-@click.option("--sender", type=int, default=None)
+@click.option("--nodes", type=int, default=6)
+@click.option("--q", "q_values", type=float, multiple=True,
+              default=(0.8, 0.95))
+@click.option("--sender", type=int, default=1)
 @click.option("--receiver", type=int, default=None)
 @click.option("--mode", type=click.Choice(["analytic", "exact", "both"]),
-              default=None)
-@click.option("--workers", type=int, default=None)
+              default="analytic")
+@click.option("--workers", type=int, default=4)
 @click.option("--json", "as_json", is_flag=True, default=False)
 @click.option("--out", default=None)
 @_config_option
-def relay(nodes, q_values, sender, receiver, mode, workers, as_json, out,
-          config_path):
+def relay(nodes, q_values, sender, receiver, mode, workers, as_json, out):
     """Chain-relay pair fidelity per (sender, receiver) placement.
 
     Without --receiver, sweeps every placement for the given sender.
     Uniform depolarizing noise; analytic mode uses the closed form.
     """
-    allowed = {"nodes", "q", "sender", "receiver", "mode", "workers", "json",
-               "out"}
-    cfg = _load_config_file(config_path, allowed) if config_path else {}
-    nodes = _merge(nodes, cfg, "nodes", 6, cast=int)
-    sender = _merge(sender, cfg, "sender", 1, cast=int)
-    receiver = _merge(receiver, cfg, "receiver", None, cast=int)
-    mode = _merge(mode, cfg, "mode", "analytic")
-    if mode not in ("analytic", "exact", "both"):
-        raise click.UsageError(f"unknown mode {mode!r}")
-    workers = _merge(workers, cfg, "workers", 4, cast=int)
-    as_json = as_json or _merge(None, cfg, "json", False, cast=bool)
-    out = _merge(out, cfg, "out", None)
-    q_values = _merge(q_values or None, cfg, "q", (0.8, 0.95), cast=_float_list)
     if nodes < 4:
         raise click.UsageError("relay needs at least 4 nodes")
     if not 1 <= sender <= nodes:
@@ -444,37 +398,23 @@ def relay(nodes, q_values, sender, receiver, mode, workers, as_json, out,
 
 
 @main.command()
-@click.option("--nodes", type=int, default=None)
-@click.option("--sender", type=int, default=None)
-@click.option("--receiver", type=int, default=None)
-@click.option("--adversaries", default=None, help="comma-separated node ids")
+@click.option("--nodes", type=int, default=5)
+@click.option("--sender", type=int, default=1)
+@click.option("--receiver", type=int, default=2)
+@click.option("--adversaries", default="", help="comma-separated node ids")
 @click.option("--role", type=click.Choice(["sender", "receiver", "both"]),
-              default=None)
-@click.option("--channel", "channel_spec", default=None,
+              default="sender")
+@click.option("--channel", "channel_spec", default="identity",
               help="base channel, e.g. depolarizing:q=0.8")
 @click.option("--channel-node", "channel_overrides", multiple=True,
               help="per-node override, e.g. 3=depolarizing:q=0.75")
-@click.option("--lost", default=None, help="comma-separated lost node ids")
-@click.option("--seed", type=int, default=None)
+@click.option("--lost", default="", help="comma-separated lost node ids")
+@click.option("--seed", type=int, default=0)
 @click.option("--out", default=None)
 @_config_option
 def security(nodes, sender, receiver, adversaries, role, channel_spec,
-             channel_overrides, lost, seed, out, config_path):
+             channel_overrides, lost, seed, out):
     """Audit anonymity against a passive coalition; exit 1 on violation."""
-    allowed = {"nodes", "sender", "receiver", "adversaries", "role",
-               "channel", "lost", "seed", "out"}
-    cfg = _load_config_file(config_path, allowed) if config_path else {}
-    nodes = _merge(nodes, cfg, "nodes", 5, cast=int)
-    sender = _merge(sender, cfg, "sender", 1, cast=int)
-    receiver = _merge(receiver, cfg, "receiver", 2, cast=int)
-    adversaries = _merge(adversaries, cfg, "adversaries", "")
-    role = _merge(role, cfg, "role", "sender")
-    if role not in ("sender", "receiver", "both"):
-        raise click.UsageError(f"unknown role {role!r}")
-    channel_spec = _merge(channel_spec, cfg, "channel", "identity")
-    lost = _merge(lost, cfg, "lost", "")
-    seed = _merge(seed, cfg, "seed", 0, cast=int)
-    out = _merge(out, cfg, "out", None)
 
     if nodes > ADVERSARY_NODE_CAP:
         click.echo(f"error: adversary analysis is capped at"
@@ -483,11 +423,8 @@ def security(nodes, sender, receiver, adversaries, role, channel_spec,
     adv = _parse_node_list(adversaries)
     if not adv:
         raise click.UsageError("need at least one adversary node")
-    try:
-        base = parse_channel_spec(channel_spec)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
     channels = _per_node_channels(channel_spec, channel_overrides, nodes)
+    base = parse_channel_spec(channel_spec)  # valid: parsed just above
     try:
         net = NetworkConfig(
             n_nodes=nodes, sender=sender, receiver=receiver,
@@ -503,7 +440,8 @@ def security(nodes, sender, receiver, adversaries, role, channel_spec,
     try:
         for r in roles:
             rep = security_report(net, adv, role=r, base_channel=base)
-            eps = rep.get("epsilon_bound", 0.0)
+            eps = rep.get("diamond_epsilon_bound",
+                          rep.get("epsilon_bound", 0.0))
             rep["holds"] = (rep["guessing_probability"]
                             <= rep["uniform_prior"] + eps + 1e-9)
             ok = ok and rep["holds"]
@@ -530,44 +468,26 @@ def security(nodes, sender, receiver, adversaries, role, channel_spec,
 
 @main.command()
 @click.option("--protocol", type=click.Choice(["W", "GHZ", "relay"]),
-              default=None)
-@click.option("--nodes", type=int, default=None)
-@click.option("--sender", type=int, default=None)
-@click.option("--receiver", type=int, default=None)
-@click.option("--channel", "channel_spec", default=None)
+              default="W")
+@click.option("--nodes", type=int, default=5)
+@click.option("--sender", type=int, default=1)
+@click.option("--receiver", type=int, default=2)
+@click.option("--channel", "channel_spec", default="identity")
 @click.option("--channel-node", "channel_overrides", multiple=True)
-@click.option("--lost", default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--mode", type=click.Choice(["exact", "sampling"]), default=None)
-@click.option("--samples", type=int, default=None)
+@click.option("--lost", default="")
+@click.option("--seed", type=int, default=0)
+@click.option("--mode", type=click.Choice(["exact", "sampling"]),
+              default="exact")
+@click.option("--samples", type=int, default=1)
 @click.option("--message", type=click.Choice(["plus", "zero", "one"]),
-              default=None)
+              default="plus")
 @click.option("--transcript", "transcript_path", default=None,
               help="also write the transcript as JSONL")
 @click.option("--out", default=None)
 @_config_option
 def run(protocol, nodes, sender, receiver, channel_spec, channel_overrides,
-        lost, seed, mode, samples, message, transcript_path, out, config_path):
+        lost, seed, mode, samples, message, transcript_path, out):
     """Execute a protocol run end to end and print the outcome as JSON."""
-    allowed = {"protocol", "nodes", "sender", "receiver", "channel", "lost",
-               "seed", "mode", "samples", "message", "transcript", "out"}
-    cfg = _load_config_file(config_path, allowed) if config_path else {}
-    protocol = _merge(protocol, cfg, "protocol", "W")
-    if protocol not in ("W", "GHZ", "relay"):
-        raise click.UsageError(f"unknown protocol {protocol!r}")
-    nodes = _merge(nodes, cfg, "nodes", 5, cast=int)
-    sender = _merge(sender, cfg, "sender", 1, cast=int)
-    receiver = _merge(receiver, cfg, "receiver", 2, cast=int)
-    channel_spec = _merge(channel_spec, cfg, "channel", "identity")
-    lost = _merge(lost, cfg, "lost", "")
-    seed = _merge(seed, cfg, "seed", 0, cast=int)
-    mode = _merge(mode, cfg, "mode", "exact")
-    if mode not in ("exact", "sampling"):
-        raise click.UsageError(f"unknown mode {mode!r}")
-    samples = _merge(samples, cfg, "samples", 1, cast=int)
-    message = _merge(message, cfg, "message", "plus")
-    transcript_path = _merge(transcript_path, cfg, "transcript", None)
-    out = _merge(out, cfg, "out", None)
     if samples < 1:
         raise click.UsageError("--samples must be positive")
     if samples > 1 and mode == "exact":
@@ -605,15 +525,7 @@ def run(protocol, nodes, sender, receiver, channel_spec, channel_overrides,
                 rng = np.random.default_rng(seed)
                 outcomes = [runner(net, rng=rng, mode="sampling")
                             for _ in range(samples)]
-                aborts = sum(1 for o in outcomes if o.aborted)
-                fids = [o.delivered_fidelity for o in outcomes
-                        if not o.aborted]
-                aggregate = {
-                    "runs": samples, "aborts": aborts,
-                    "abort_rate": aborts / samples,
-                    "mean_delivered_fidelity": (
-                        float(np.mean(fids)) if fids else None),
-                }
+                aggregate = batch_summary(outcomes)
             body = {"tool": "anonqnet", "version": __version__,
                     "protocol": protocol, "seed": seed, "mode": "sampling",
                     "aggregate": aggregate,

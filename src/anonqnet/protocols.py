@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -120,7 +121,8 @@ class NetworkConfig:
     per_qubit_channels maps node id (1-based) to its arrival channel;
     missing nodes get the identity.  lost_nodes stop responding before the
     source distributes anything: their qubit is traced out and they stay
-    silent in every classical subroutine.
+    silent in every classical subroutine.  A config is fixed once built:
+    GHZ sampling caches the noisy resource on it.
     """
 
     n_nodes: int
@@ -166,6 +168,15 @@ class NetworkConfig:
 
     def channel_for(self, node: int) -> QuantumChannel:
         return self.per_qubit_channels.get(node) or identity_channel()
+
+    @cached_property
+    def _noisy_ghz(self) -> DensityMatrix:
+        """The GHZ resource after every node's channel, built once per
+        config: every sampled GHZ run starts from it."""
+        rho = make_ghz_state(self.n_nodes, labels=self.nodes).to_density()
+        for node in self.nodes:
+            rho = apply_to(self.channel_for(node), rho, node)
+        return rho
 
 
 @dataclass
@@ -611,16 +622,18 @@ def sample_protocol1_runs(config: NetworkConfig, n_samples: int,
     sampler = _Protocol1Sampler(config)
     outcomes = [sampler.run(rng, record_transcript=record_transcripts)
                 for _ in range(n_samples)]
+    return outcomes, {**batch_summary(outcomes),
+                      "exact_success_probability": sampler.exact_success}
+
+
+def batch_summary(outcomes: Sequence[RunOutcome]) -> dict:
+    """Run count, aborts, abort rate and mean delivered fidelity of a batch
+    of sampled runs."""
     aborts = sum(1 for o in outcomes if o.aborted)
     fids = [o.delivered_fidelity for o in outcomes if not o.aborted]
-    aggregate = {
-        "runs": n_samples,
-        "aborts": aborts,
-        "abort_rate": aborts / n_samples if n_samples else 0.0,
-        "mean_delivered_fidelity": float(np.mean(fids)) if fids else None,
-        "exact_success_probability": sampler.exact_success,
-    }
-    return outcomes, aggregate
+    return {"runs": len(outcomes), "aborts": aborts,
+            "abort_rate": aborts / len(outcomes) if outcomes else 0.0,
+            "mean_delivered_fidelity": float(np.mean(fids)) if fids else None}
 
 
 # ---------------------------------------------------------------------------
@@ -676,9 +689,7 @@ def run_ghz_protocol(config: NetworkConfig, rng: np.random.Generator | None = No
 
     if mode != "sampling":
         raise ValueError(f"unknown mode {mode!r}")
-    rho = make_ghz_state(config.n_nodes, labels=config.nodes).to_density()
-    for node in config.nodes:
-        rho = apply_to(config.channel_for(node), rho, node)
+    rho = config._noisy_ghz
     outcome_bits = {}
     for node in measuring:
         outcome_bits[node], rho = _x_measure_sampled(rho, node, rng)

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channels import QuantumChannel, channel_distance
+from .channels import QuantumChannel, channel_distance, diamond_distance
 from .qcore import DensityMatrix, trace_distance
 from .protocols import NetworkConfig, pullback_pair, teleport_branches
 
@@ -296,12 +296,17 @@ def guessing_probability(views: Sequence[LabeledEnsemble],
 
 
 def epsilon_security_bound(base: QuantumChannel,
-                           per_node: Mapping[int, QuantumChannel]) -> float:
+                           per_node: Mapping[int, QuantumChannel],
+                           distance=None) -> float:
     """Anonymity degradation bound when node channels deviate from a
-    common base: (number of nodes) x (largest single-channel distance)."""
+    common base: (number of nodes) x (largest single-channel distance),
+    channel_distance unless another distance is given.  With
+    diamond_distance the bound is sound for inputs entangled with the
+    other nodes, as the W state's are."""
     if not per_node:
         return 0.0
-    worst = max(channel_distance(base, ch) for ch in per_node.values())
+    distance = distance or channel_distance  # looked up per call
+    worst = max(distance(base, ch) for ch in per_node.values())
     return len(per_node) * worst
 
 
@@ -328,7 +333,10 @@ def security_report(config: NetworkConfig, adversaries: Sequence[int],
                     base_channel: QuantumChannel | None = None) -> dict:
     """Full anonymity audit for a coalition: per-hypothesis views, the
     independence deviation, the guessing probability under the uniform
-    prior, and (when a base channel is named) the perturbation bound."""
+    prior, and (when a base channel is named) the perturbation bounds:
+    epsilon_bound from the unstabilized channel distance and, when every
+    channel is a Pauli channel, diamond_epsilon_bound from the diamond
+    distance."""
     scenario = AdversaryScenario(frozenset(adversaries))
     candidates = [i for i in config.live_nodes if i not in scenario.adversary_set]
     candidates = [c for c in candidates
@@ -355,4 +363,9 @@ def security_report(config: NetworkConfig, adversaries: Sequence[int],
         eps = epsilon_security_bound(base_channel, per_node)
         report["epsilon_bound"] = eps
         report["bounded_guessing_probability"] = priors[0] + eps
+        try:
+            report["diamond_epsilon_bound"] = epsilon_security_bound(
+                base_channel, per_node, diamond_distance)
+        except ValueError:
+            pass  # a non-Pauli channel: no sound value, so none is reported
     return report

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import anonqnet
+from anonqnet import cli
 from anonqnet.analytic import f_ae_relay_depolarizing, f_ae_w_dephasing
 from anonqnet.cli import main
 
@@ -200,6 +205,35 @@ def test_security_with_override_stays_within_bound(runner):
                                            + rep["epsilon_bound"] + 1e-9)
 
 
+def test_security_reports_sound_diamond_bound(runner):
+    res = runner.invoke(main, ["security", "--nodes", "5", "--adversaries",
+                               "4", "--channel", "depolarizing:q=0.8",
+                               "--channel-node", "3=depolarizing:q=0.83"])
+    assert res.exit_code == 0
+    rep = json.loads(res.output)["reports"]["sender"]
+    assert rep["epsilon_bound"] == pytest.approx(5 * 0.030, abs=1e-12)
+    assert rep["diamond_epsilon_bound"] == pytest.approx(5 * 0.045, abs=1e-12)
+
+
+@pytest.mark.parametrize("diamond, code", [(0.15, 0), (None, 1)])
+def test_security_verdict_uses_diamond_bound(runner, monkeypatch, diamond,
+                                             code):
+    # a guess above prior + epsilon_bound but within prior + the diamond
+    # bound holds; without a diamond bound the unstabilized one decides
+    def fake_report(*args, **kwargs):
+        rep = {"guessing_probability": 0.5, "uniform_prior": 0.4,
+               "epsilon_bound": 0.05}
+        if diamond is not None:
+            rep["diamond_epsilon_bound"] = diamond
+        return rep
+
+    monkeypatch.setattr(cli, "security_report", fake_report)
+    res = runner.invoke(main, ["security", "--nodes", "5", "--adversaries",
+                               "4"])
+    assert res.exit_code == code
+    assert json.loads(res.output)["holds"] is (code == 0)
+
+
 def test_security_usage_errors(runner):
     assert runner.invoke(main, ["security", "--nodes", "8", "--adversaries",
                                 "3"]).exit_code == 2
@@ -296,6 +330,17 @@ def test_config_file_bool_words(runner, tmp_path, word, as_json):
     assert res.output.lstrip().startswith("{") is as_json
 
 
+def test_config_file_repeatable_option_takes_list(runner, tmp_path):
+    cfg = tmp_path / "relay.conf"
+    cfg.write_text("nodes = 5\nreceiver = 4\nq = 0.8,0.9\n")
+    res = runner.invoke(main, ["relay", "--config", str(cfg), "--json"])
+    assert res.exit_code == 0
+    (row,) = json.loads(res.output)["rows"]
+    assert row["F_q0.9"] == pytest.approx(
+        f_ae_relay_depolarizing(0.9, 5, 1, 4), abs=1e-12)
+    assert "F_q0.8" in row
+
+
 def test_config_file_unknown_key_exits_2(runner, tmp_path):
     cfg = tmp_path / "bad.conf"
     cfg.write_text("protcol = W\n")
@@ -308,7 +353,8 @@ def test_config_file_unknown_key_exits_2(runner, tmp_path):
     ("relay", "q = 0.8,abc\n"),
     ("run", None),  # the file does not exist
     ("sweep", "nodes = 5\nq = 0.9\njson = yse\n"),
-], ids=["bad-int", "bad-float-list", "missing-file", "bad-bool"])
+    ("run", "message = two\n"),
+], ids=["bad-int", "bad-float-list", "missing-file", "bad-bool", "bad-choice"])
 def test_config_file_bad_value_or_missing_exits_2(runner, tmp_path, command,
                                                  text):
     cfg = tmp_path / "bad.conf"
@@ -336,3 +382,19 @@ def test_version_flag(runner):
     res = runner.invoke(main, ["--version"])
     assert res.exit_code == 0
     assert "anonqnet" in res.output
+
+
+# ---------------------------------------------------------------------------
+# import cost
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy's import time dominated start-up; the runtime needs only numpy
+    src = os.path.dirname(os.path.dirname(anonqnet.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, anonqnet.cli; print(sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -297,6 +297,33 @@ def test_ghz_sampling_agrees_with_exact_dephasing():
     assert np.mean(fids) == pytest.approx(exact.delivered_fidelity, abs=1e-10)
 
 
+def test_ghz_sampling_builds_noisy_resource_once_per_config(monkeypatch):
+    import anonqnet.protocols as protocols
+
+    calls = []
+
+    def counting(channel, rho, qubit):
+        calls.append(qubit)
+        return apply_to(channel, rho, qubit)
+
+    monkeypatch.setattr(protocols, "apply_to", counting)
+    n = 6
+    cfg = NetworkConfig(n_nodes=n, sender=2, receiver=5,
+                        per_qubit_channels=uniform(depolarizing(0.9), n))
+    rng = np.random.default_rng(4)
+    outs = [run_ghz_protocol(cfg, rng=rng, mode="sampling") for _ in range(5)]
+    assert calls == list(range(1, n + 1))
+    # each run still starts from the untouched resource: one stream of
+    # draws on one config reads the same as on fresh copies of it
+    fresh_rng = np.random.default_rng(4)
+    for out in outs:
+        fresh = NetworkConfig(n_nodes=n, sender=2, receiver=5,
+                              per_qubit_channels=uniform(depolarizing(0.9), n))
+        again = run_ghz_protocol(fresh, rng=fresh_rng, mode="sampling")
+        assert again.transcript.to_jsonl() == out.transcript.to_jsonl()
+        assert again.delivered_fidelity == out.delivered_fidelity
+
+
 # ---------------------------------------------------------------------------
 # relay protocol
 

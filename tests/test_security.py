@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from anonqnet.channels import dephasing, depolarizing, identity_channel
+from anonqnet.channels import (
+    QuantumChannel,
+    dephasing,
+    depolarizing,
+    identity_channel,
+)
 from anonqnet.protocols import NetworkConfig
 from anonqnet.qcore import DensityMatrix, make_w_state
 from anonqnet.security import (
@@ -212,6 +217,46 @@ def test_perturbed_network_respects_epsilon_bound():
     assert rep["guessing_probability"] <= rep["uniform_prior"] + eps + 1e-9
     assert rep["bounded_guessing_probability"] == pytest.approx(
         rep["uniform_prior"] + eps)
+
+
+def test_diamond_bound_reported_for_pauli_channels():
+    n = 5
+    base = depolarizing(0.8)
+    chans = uniform(base, n)
+    chans[3] = depolarizing(0.83)
+    cfg = NetworkConfig(n_nodes=n, sender=1, receiver=2,
+                        per_qubit_channels=chans)
+    rep = security_report(cfg, [4], base_channel=base)
+    # the stabilized distance is 1.5x the unstabilized one for depolarizing
+    assert rep["epsilon_bound"] == pytest.approx(n * 0.030, abs=1e-12)
+    assert rep["diamond_epsilon_bound"] == pytest.approx(n * 0.045, abs=1e-12)
+    assert "diamond_epsilon_bound" not in security_report(cfg, [4])
+
+
+def test_diamond_bound_absent_for_non_pauli_channel():
+    gamma = 0.1
+    damping = QuantumChannel(
+        [np.array([[1, 0], [0, np.sqrt(1 - gamma)]]),
+         np.array([[0, np.sqrt(gamma)], [0, 0]])], name="damping")
+    chans = uniform(dephasing(0.9), 5)
+    chans[3] = damping
+    cfg = NetworkConfig(n_nodes=5, sender=1, receiver=2,
+                        per_qubit_channels=chans)
+    rep = security_report(cfg, [4], base_channel=dephasing(0.9))
+    assert rep["epsilon_bound"] > 0
+    assert "diamond_epsilon_bound" not in rep
+
+
+def test_epsilon_bound_looks_up_channel_distance_per_call(monkeypatch):
+    # wrappers installed on the module (tracing, profiling) must see calls
+    import anonqnet.security as security
+
+    calls = []
+    real = security.channel_distance
+    monkeypatch.setattr(security, "channel_distance",
+                        lambda a, b: calls.append(1) or real(a, b))
+    epsilon_security_bound(dephasing(0.9), {1: dephasing(0.8)})
+    assert calls == [1]
 
 
 def test_epsilon_bound_closed_forms():
