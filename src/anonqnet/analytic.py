@@ -223,13 +223,10 @@ def ghz_postselected_pair(channel: QuantumChannel, n: int) -> tuple[DensityMatri
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    units = {}
+    m = channel_moments(channel)
+    units = {(0, 0): m.out00, (0, 1): m.out01, (1, 0): m.out10,
+             (1, 1): m.out11}
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    for x in range(2):
-        for y in range(2):
-            e = np.zeros((2, 2), dtype=complex)
-            e[x, y] = 1.0
-            units[(x, y)] = channel(e)
     p = {k: complex(plus.conj() @ v @ plus) for k, v in units.items()}
     acc = 0.5 * (
         p[(0, 0)] ** (n - 2) * np.kron(units[(0, 0)], units[(0, 0)])

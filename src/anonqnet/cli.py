@@ -61,7 +61,7 @@ from .protocols import (
     w_loss_branch_average_dense,
 )
 from .qcore import DenseCapError, Ket
-from .security import ADVERSARY_NODE_CAP, security_report
+from .security import security_report
 
 
 def _fnum(x) -> str:
@@ -126,12 +126,14 @@ def _load_config(ctx: click.Context, param, path: str | None) -> None:
     ctx.default_map = values
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | None = None) -> None:
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        # an explicit file keeps click from caching the stream, which would
+        # keep every redirected output alive
+        click.echo(text, nl=False, file=sys.stdout)
 
 
 def _cell(value) -> str:
@@ -157,14 +159,6 @@ def _emit_table(meta: dict, rows: list, cols: list, as_json: bool,
     lines.append(",".join(cols))
     lines += [",".join(_cell(row[c]) for c in cols) for row in rows]
     _emit("\n".join(lines) + "\n", out)
-
-
-def _channel_factory(family: str):
-    if family == "dephasing":
-        return dephasing
-    if family == "depolarizing":
-        return depolarizing
-    raise click.UsageError(f"unknown channel family {family!r}")
 
 
 def _uniform_channels(channel: QuantumChannel, n: int) -> dict:
@@ -202,7 +196,7 @@ def _sweep_row(protocol: str, family: str, n: int, q: float, mode: str) -> dict:
         row["P_success"] = rep.success_probability
         row["useful"] = rep.useful
     if mode in ("exact", "both"):
-        channel = _channel_factory(family)(q)
+        channel = (dephasing if family == "dephasing" else depolarizing)(q)
         cfg = NetworkConfig(n_nodes=n, sender=1, receiver=2,
                             per_qubit_channels=_uniform_channels(channel, n),
                             lost_nodes={n} if protocol == "W_loss" else ())
@@ -263,7 +257,7 @@ def sweep(protocol, channel_family, q, q_range, nodes, n_range, mode, seed,
                 rows = list(pool.map(lambda a: _sweep_row(*a), points))
         else:
             rows = [_sweep_row(*pt) for pt in points]
-    except DenseCapError as exc:
+    except ValueError as exc:  # a Born weight below double precision
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
 
@@ -416,10 +410,6 @@ def security(nodes, sender, receiver, adversaries, role, channel_spec,
              channel_overrides, lost, seed, out):
     """Audit anonymity against a passive coalition; exit 1 on violation."""
 
-    if nodes > ADVERSARY_NODE_CAP:
-        click.echo(f"error: adversary analysis is capped at"
-                   f" {ADVERSARY_NODE_CAP} nodes", err=True)
-        sys.exit(2)
     adv = _parse_node_list(adversaries)
     if not adv:
         raise click.UsageError("need at least one adversary node")
@@ -509,12 +499,12 @@ def run(protocol, nodes, sender, receiver, channel_spec, channel_overrides,
 
     runner = {"W": run_protocol1, "GHZ": run_ghz_protocol,
               "relay": run_relay_protocol}[protocol]
+    body = {"tool": "anonqnet", "version": __version__, "protocol": protocol,
+            "seed": seed, "mode": mode}
     try:
         if samples == 1:
             outcome = runner(net, mode=mode)
-            body = {"tool": "anonqnet", "version": __version__,
-                    "protocol": protocol, "seed": seed, "mode": mode,
-                    "outcome": outcome.to_json_dict()}
+            body["outcome"] = outcome.to_json_dict()
             if transcript_path:
                 with open(transcript_path, "w") as fh:
                     fh.write(outcome.transcript.to_jsonl() + "\n")
@@ -526,11 +516,9 @@ def run(protocol, nodes, sender, receiver, channel_spec, channel_overrides,
                 outcomes = [runner(net, rng=rng, mode="sampling")
                             for _ in range(samples)]
                 aggregate = batch_summary(outcomes)
-            body = {"tool": "anonqnet", "version": __version__,
-                    "protocol": protocol, "seed": seed, "mode": "sampling",
-                    "aggregate": aggregate,
-                    "runs": [o.to_json_dict(include_transcript=False)
-                             for o in outcomes]}
+            body["aggregate"] = aggregate
+            body["runs"] = [o.to_json_dict(include_transcript=False)
+                            for o in outcomes]
     except ProtocolImpossibleError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
@@ -628,6 +616,18 @@ def _oracle_checks():
         got = w_loss_branch_average_dense(depolarizing(q), n)
         return abs(got - f_ae_w_loss("depolarizing", q, n)), 1e-9
 
+    # at the usefulness threshold the exact pair fidelity is 1/2; N = 183 is
+    # the W/GHZ crossover
+    for family, key, runner in (("w", W_DEPOL, run_protocol1),
+                                ("ghz", GHZ_DEPOL, run_ghz_protocol)):
+        @check(f"{family}-threshold-183-exact-half")
+        def _(key=key, runner=runner):
+            n = 183
+            channels = _uniform_channels(depolarizing(threshold_q(key, n)), n)
+            cfg = NetworkConfig(n_nodes=n, sender=1, receiver=2,
+                                per_qubit_channels=channels)
+            return abs(runner(cfg, mode="exact").ae_fidelity - 0.5), 1e-10
+
     return checks
 
 
@@ -640,18 +640,18 @@ def oracle_check():
         try:
             delta, tol = fn()
         except Exception as exc:  # a crashed check is a failed check
-            click.echo(f"FAIL {name}: {exc}")
+            _emit(f"FAIL {name}: {exc}\n")
             failures += 1
             continue
         if delta <= tol:
-            click.echo(f"ok   {name} (delta {delta:.3g} <= {tol:g})")
+            _emit(f"ok   {name} (delta {delta:.3g} <= {tol:g})\n")
         else:
-            click.echo(f"FAIL {name} (delta {delta:.3g} > {tol:g})")
+            _emit(f"FAIL {name} (delta {delta:.3g} > {tol:g})\n")
             failures += 1
     if failures:
-        click.echo(f"{failures} check(s) failed")
+        _emit(f"{failures} check(s) failed\n")
         sys.exit(1)
-    click.echo("all oracle checks passed")
+    _emit("all oracle checks passed\n")
 
 
 if __name__ == "__main__":

@@ -11,9 +11,11 @@ Two execution modes:
 * exact: every measurement is branch-enumerated with Born weights, and
   because all later processing is linear and the only outcome dependence
   is a known Pauli correction, each branch is corrected and mixed back in
-  immediately.  The W and GHZ routes pull each outcome back onto the 2^n
-  resource ket (pullback_pair); only the relay (six live qubits at most),
-  GHZ sampling and the three-qubit teleport conjugate dense states.
+  immediately.  The W and GHZ routes contract the resource, a
+  bond-dimension-2 matrix product state, with each node's measurement
+  effect in one O(n) pass of 4x4 transfer matrices (pullback_pair), so
+  they run at any node count; only the relay (six live qubits at most)
+  and the three-qubit teleport conjugate dense states.
 * sampling: one branch is drawn per run with the seeded generator; used
   for transcript-level statistics (abort rates, masking uniformity).
 
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -36,6 +37,7 @@ import numpy as np
 from .channels import QuantumChannel, apply_to, identity_channel
 from .qcore import (
     BELL_CORRECTIONS,
+    DENSE_CAP,
     DenseCapError,
     DensityMatrix,
     HADAMARD,
@@ -47,8 +49,6 @@ from .qcore import (
     bell_project,
     fidelity_with_pure,
     make_bell_pair,
-    make_ghz_state,
-    make_w_state,
     partial_trace,
     postselect,
     tensor,
@@ -121,8 +121,8 @@ class NetworkConfig:
     per_qubit_channels maps node id (1-based) to its arrival channel;
     missing nodes get the identity.  lost_nodes stop responding before the
     source distributes anything: their qubit is traced out and they stay
-    silent in every classical subroutine.  A config is fixed once built:
-    GHZ sampling caches the noisy resource on it.
+    silent in every classical subroutine.  Exact W and GHZ runs take any
+    node count; GHZ sampling is capped at qcore.DENSE_CAP nodes.
     """
 
     n_nodes: int
@@ -132,7 +132,6 @@ class NetworkConfig:
     message_state: Ket | None = None
     seed: int = 0
     veto_rounds: int = 20
-    dense_cap: int = 12
     lost_nodes: frozenset = frozenset()
 
     def __post_init__(self):
@@ -168,15 +167,6 @@ class NetworkConfig:
 
     def channel_for(self, node: int) -> QuantumChannel:
         return self.per_qubit_channels.get(node) or identity_channel()
-
-    @cached_property
-    def _noisy_ghz(self) -> DensityMatrix:
-        """The GHZ resource after every node's channel, built once per
-        config: every sampled GHZ run starts from it."""
-        rho = make_ghz_state(self.n_nodes, labels=self.nodes).to_density()
-        for node in self.nodes:
-            rho = apply_to(self.channel_for(node), rho, node)
-        return rho
 
 
 @dataclass
@@ -314,36 +304,65 @@ def _relabel(dm: DensityMatrix, old, new) -> DensityMatrix:
     return DensityMatrix(dm.mat, labels, unnormalized=dm.unnormalized)
 
 
-# Heisenberg pull-back: a node reading |v> off its noisy share acts on the
-# pure resource ket through its effect Φ†(|v><v|) = Σ K†|v><v|K, so no 4^n
-# density matrix is built.  Node i is axis i - 1 of the ket tensor.
+# Transfer contraction: both resources are bond-dimension-2 matrix product
+# states, psi(p_1..p_n) = l A[p_1] ... A[p_n] r, so the (sender, receiver)
+# state left after every other node applies an effect E is a product of 4x4
+# transfer matrices Σ E[q,p] A[p] ⊗ conj(A[q]) (Verstraete, García-Ripoll,
+# Cirac, arXiv:cond-mat/0406426); nothing of size 2^n is built.  A node
+# reading an observable O off its noisy share applies the effect Φ†(O),
+# e.g. Φ†(|b><b|) for an outcome b; a node without an outcome (lost, or
+# summed over) applies the identity.
 
 
-def _resource_ket(config: NetworkConfig, make) -> np.ndarray:
-    if config.n_nodes > config.dense_cap:
-        raise DenseCapError(f"{config.n_nodes} qubits exceed the dense cap "
-                            f"{config.dense_cap}; use the closed-form evaluators")
-    return make(config.n_nodes).amps.reshape((2,) * config.n_nodes)
+class _Mps:
+    """Tensors A[p] and boundary vectors l, r of a resource, held as the
+    maps a node applies to the (ket bond, bra bond) environment."""
+
+    def __init__(self, a, left, right):
+        site = np.einsum("pac,qbd->abpqcd", a, a.conj()).reshape(4, 2, 2, 4)
+        self.open = site.reshape(4, 16)  # the node's (p, q) indices stay open
+        self.lift = site.transpose(0, 3, 2, 1).reshape(16, 4)  # E -> transfer
+        self.identity = self.transfer(ID2)
+        self.left = np.kron(left, left.conj())[None, :]
+        self.right = np.kron(right, right.conj())
+
+    def transfer(self, effect: np.ndarray) -> np.ndarray:
+        return (self.lift @ effect.reshape(4)).reshape(4, 4)
 
 
-def _pull_back(ket: np.ndarray, node: int, channel: QuantumChannel,
-               v: np.ndarray) -> np.ndarray:
-    """Apply the effect of reading |v> through channel, as an operator, on
-    one node's axis of the ket."""
-    effect = sum(np.outer(r.conj(), r)
-                 for r in (v.conj() @ k for k in channel.kraus_ops))
-    return np.moveaxis(np.tensordot(effect, ket, axes=(1, node - 1)), 0,
-                       node - 1)
+# W: A[0] = I, A[1] = |0><1|, l = e_0, r = e_1 (squared norm n); GHZ:
+# A[p] = |p><p|, l = r = (1, 1) (squared norm 2)
+_W = _Mps(np.array([ID2, np.outer(ID2[0], ID2[1])]), ID2[0], ID2[1])
+_GHZ = _Mps(np.array([np.outer(v, v) for v in ID2]), ID2[0] + ID2[1],
+            ID2[0] + ID2[1])
+_Z_R = np.kron(ID2, PAULI_Z)
+_READ = tuple(np.outer(v, v) for v in ID2)  # |b><b|
+_X_READ = tuple(np.outer(v, v) for v in HADAMARD)  # |±><±|
 
 
-def _noisy_pair(config: NetworkConfig, pulled: np.ndarray, ket: np.ndarray,
-                sender: int, receiver: int) -> np.ndarray:
-    """(Φ_S ⊗ Φ_R)(N M†) on (sender, receiver): M is the resource ket and N
-    the pulled-back one, both with the pair axes first, shaped (4, 2^(n-2));
-    contracting the other axes traces out every node without an effect."""
-    n_mat, m_mat = (np.moveaxis(t, (sender - 1, receiver - 1), (0, 1))
-                    .reshape(4, -1) for t in (pulled, ket))
-    x = (n_mat @ m_mat.conj().T).reshape(2, 2, 2, 2)
+def _heisenberg(channel: QuantumChannel, op: np.ndarray) -> np.ndarray:
+    """Φ†(op) = Σ K† op K."""
+    ks = np.array(channel.kraus_ops)
+    return np.einsum("kji,jl,klm->im", ks.conj(), op, ks)
+
+
+def _contract(config: NetworkConfig, mps: _Mps, reads: Mapping, sender: int,
+              receiver: int, norm: float) -> np.ndarray:
+    """(Φ_S ⊗ Φ_R) of the unnormalized (sender, receiver) state after each
+    node in reads reads its observable; every other node is traced out."""
+    env, transfers = mps.left, {}  # one per distinct (channel, observable)
+    for node in config.nodes:
+        if node in (sender, receiver):
+            env = (env @ mps.open).reshape(-1, 4)
+        elif node not in reads:
+            env = env @ mps.identity
+        else:
+            key = (config.channel_for(node), id(reads[node]))
+            if key not in transfers:
+                transfers[key] = mps.transfer(_heisenberg(key[0], reads[node]))
+            env = env @ transfers[key]
+    x = (env @ mps.right).reshape(2, 2, 2, 2) / norm  # (p, q) per open node
+    x = x.transpose((0, 2, 1, 3) if sender < receiver else (2, 0, 3, 1))
     ks, kr = (np.array(config.channel_for(node).kraus_ops)
               for node in (sender, receiver))
     return np.einsum("asi,brj,ijkl,atk,bul->srtu", ks, kr, x, ks.conj(),
@@ -355,14 +374,17 @@ def pullback_pair(config: NetworkConfig, outcomes: Mapping[int, int],
     """Unnormalized (sender, receiver) state of the noisy W resource after
     each node in outcomes reads that standard-basis bit; its trace is the
     Born weight.  Every other node (lost, or summed over) is traced out."""
-    ket = pulled = _resource_ket(config, make_w_state)
-    for node, bit in outcomes.items():
-        pulled = _pull_back(pulled, node, config.channel_for(node), ID2[bit])
-    return _noisy_pair(config, pulled, ket, sender, receiver)
+    reads = {node: _READ[bit] for node, bit in outcomes.items()}
+    return _contract(config, _W, reads, sender, receiver, config.n_nodes)
 
 
 def _normalized_pair(raw: np.ndarray) -> tuple[float, DensityMatrix]:
+    """Born weight and normalized pair; a weight that is not a positive
+    normal float (the W weight falls like ((1 + q)/2)^N) is refused."""
     weight = float(np.trace(raw).real)
+    if not weight >= np.finfo(float).tiny:
+        raise ValueError(f"Born weight {weight:g} underflows double "
+                         "precision; use the closed-form evaluators")
     return weight, DensityMatrix(raw / weight, PAIR_LABELS)
 
 
@@ -382,28 +404,17 @@ def _draw(rng: np.random.Generator, weights) -> int:
 
 
 def _x_measure_sampled(rho: DensityMatrix, qubit, rng: np.random.Generator,
-                       corr_label=None) -> tuple[int, DensityMatrix]:
-    """Sample an X measurement of one qubit and remove it.  With corr_label,
-    a '-' outcome flips the phase of that qubit.  Returns the outcome and
-    the normalized remaining state."""
+                       corr_label) -> tuple[int, DensityMatrix]:
+    """Sample an X measurement of one qubit and remove it; a '-' outcome
+    flips the phase of corr_label.  Returns the outcome and the normalized
+    remaining state."""
     plus = _measure_out(rho, qubit, "hadamard", 0)
     p_plus = min(max(plus.weight / rho.weight, 0.0), 1.0)
     if rng.random() < p_plus:
         return 0, plus.normalized()
-    minus = _measure_out(rho, qubit, "hadamard", 1)
-    if corr_label is not None:
-        minus = apply_op_dense(minus, PAULI_Z, [corr_label])
+    minus = apply_op_dense(_measure_out(rho, qubit, "hadamard", 1), PAULI_Z,
+                           [corr_label])
     return 1, minus.normalized()
-
-
-def _x_measure_mix(state: DensityMatrix, qubit, corr_label) -> DensityMatrix:
-    """X-measure one qubit in exact mode: a '-' outcome flips the phase of
-    corr_label, and both corrected branches are mixed (unnormalized)."""
-    plus_red = _measure_out(state, qubit, "hadamard", 0)
-    minus_red = apply_op_dense(_measure_out(state, qubit, "hadamard", 1),
-                               PAULI_Z, [corr_label])
-    return DensityMatrix(plus_red.mat + minus_red.mat, plus_red.labels,
-                         unnormalized=True)
 
 
 def teleport_branches(pair: DensityMatrix, message: Ket, sender_label,
@@ -446,9 +457,42 @@ def _delivered_fidelity(delivered: DensityMatrix, message: Ket) -> float:
     return fidelity_with_pure(delivered.normalized(), target)
 
 
-def _ae_as_pair(rho: DensityMatrix, sender: int, receiver: int) -> DensityMatrix:
-    ordered = rho.permuted((sender, receiver))
-    return DensityMatrix(ordered.mat, PAIR_LABELS, unnormalized=ordered.unnormalized)
+def _teleported(config: NetworkConfig, ae: DensityMatrix, protocol: str,
+                transcript: Transcript, weight: float = 1.0,
+                **extra) -> RunOutcome:
+    """Exact-mode outcome: the message teleported through the pair ae,
+    which is scored against the protocol's target pair."""
+    resource = "psi+" if protocol == "W" else "phi+"
+    delivered, _ = teleport_exact(ae, config.message_state, *PAIR_LABELS,
+                                  resource=resource)
+    return RunOutcome(
+        aborted=False,
+        delivered_fidelity=_delivered_fidelity(delivered, config.message_state),
+        analytic_success_probability=weight, transcript=transcript,
+        anonymous_entanglement=ae,
+        ae_fidelity=fidelity_with_pure(ae, pair_target(protocol)), **extra)
+
+
+def _announce(config: NetworkConfig, m: int, rng: np.random.Generator,
+              transcript: Transcript | None, start_round: int) -> tuple:
+    """Announce Bell outcome m through two masked parity runs (the sender
+    inputs a bit of m, the receiver a fresh mask) and hand m to the
+    receiver privately; returns the public bits.  Without a transcript the
+    parities are taken from their exact output instead of share by share."""
+    m_bits = (m >> 1 & 1, m & 1)
+    rand = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
+    if transcript is None:
+        return m_bits[0] ^ rand[0], m_bits[1] ^ rand[1]
+    public = []
+    for j in range(2):
+        inputs = dict.fromkeys(config.live_nodes, 0)
+        inputs[config.sender] = m_bits[j]
+        inputs[config.receiver] = rand[j]
+        public.append(parity_protocol(inputs, rng, transcript,
+                                      start_round=start_round + 2 * j))
+    transcript.add(start_round + 4, "teleport_correction", config.receiver,
+                   bytes([m]), _private(config.receiver))
+    return tuple(public)
 
 
 # ---------------------------------------------------------------------------
@@ -492,19 +536,7 @@ def _protocol1_exact(config: NetworkConfig) -> RunOutcome:
         transcript.add(3, "measurement", node, b"", _private(node))
     weight, ae = _normalized_pair(pullback_pair(
         config, dict.fromkeys(measuring, 0), config.sender, config.receiver))
-    ae_fid = fidelity_with_pure(ae, pair_target("W"))
-    delivered, _ = teleport_exact(ae, config.message_state, *PAIR_LABELS,
-                                  resource="psi+")
-    fid = _delivered_fidelity(delivered, config.message_state)
-    return RunOutcome(
-        aborted=False,
-        delivered_fidelity=fid,
-        analytic_success_probability=weight,
-        transcript=transcript,
-        anonymous_entanglement=ae,
-        ae_fidelity=ae_fid,
-        veto_output=0,
-    )
+    return _teleported(config, ae, "W", transcript, weight, veto_output=0)
 
 
 class _Protocol1Sampler:
@@ -566,7 +598,6 @@ class _Protocol1Sampler:
         if record_transcript:
             for node, b in zip(self.measuring, bits):
                 transcript.add(3, "measurement", node, bytes([b]), _private(node))
-        if record_transcript:
             veto_inputs = {node: b for node, b in zip(self.measuring, bits)}
             veto_inputs[config.sender] = 0
             veto_inputs[config.receiver] = 0
@@ -587,28 +618,13 @@ class _Protocol1Sampler:
                 veto_output=1,
             )
         m = _draw(rng, [w for w, _ in delivered_by_m])
-        fid = delivered_by_m[m][1]
-        m_bits = (m >> 1 & 1, m & 1)
-        rand = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
-        public = []
-        for j in range(2):
-            if record_transcript:
-                inputs = {i: 0 for i in config.live_nodes}
-                inputs[config.sender] = m_bits[j]
-                inputs[config.receiver] = rand[j]
-                public.append(parity_protocol(inputs, rng, transcript,
-                                              start_round=base + 2 * j))
-            else:
-                public.append(m_bits[j] ^ rand[j])
-        if record_transcript:
-            transcript.add(base + 4, "teleport_correction", config.receiver,
-                           bytes([m]), _private(config.receiver))
+        public = _announce(config, m, rng,
+                           transcript if record_transcript else None, base)
         return RunOutcome(
-            aborted=False, delivered_fidelity=fid,
+            aborted=False, delivered_fidelity=delivered_by_m[m][1],
             analytic_success_probability=self.exact_success,
             transcript=transcript, anonymous_entanglement=pair,
-            ae_fidelity=ae_fid, veto_output=0,
-            public_teleport_bits=tuple(public),
+            ae_fidelity=ae_fid, veto_output=0, public_teleport_bits=public,
         )
 
 
@@ -656,73 +672,54 @@ def run_ghz_protocol(config: NetworkConfig, rng: np.random.Generator | None = No
         )
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    ket = _resource_ket(config, make_ghz_state)
     transcript = Transcript()
     _protocol1_skeleton(config, transcript)
     measuring = [i for i in config.nodes
                  if i not in (config.sender, config.receiver)]
 
     if mode == "exact":
-        # a '-' outcome flips the receiver's phase, so the pulled-back kets
-        # are carried per outcome parity and the odd pair gets Z_R
-        even, odd = ket, np.zeros_like(ket)
+        # a '-' outcome flips the receiver's phase: with E_± = Φ†(|±><±|),
+        # the even-parity sum over outcome strings is (P + Q)/2 and the odd
+        # one, which gets Z_R, is (P - Q)/2, where P takes E_+ + E_- = Φ†(I)
+        # and Q takes E_+ - E_- = Φ†(X) at every measuring node
         for node in measuring:
             transcript.add(3, "measurement", node, b"", _private(node))
-            (e_p, e_m), (o_p, o_m) = (
-                [_pull_back(t, node, config.channel_for(node), v)
-                 for v in HADAMARD] for t in (even, odd))
-            even, odd = e_p + o_m, e_m + o_p
-        even, odd = (_noisy_pair(config, t, ket, config.sender,
-                                 config.receiver) for t in (even, odd))
-        z_r = np.kron(ID2, PAULI_Z)
-        _, ae = _normalized_pair(even + z_r @ odd @ z_r)
-        ae_fid = fidelity_with_pure(ae, pair_target("GHZ"))
-        delivered, _ = teleport_exact(ae, config.message_state, *PAIR_LABELS,
-                                      resource="phi+")
-        fid = _delivered_fidelity(delivered, config.message_state)
-        return RunOutcome(
-            aborted=False, delivered_fidelity=fid,
-            analytic_success_probability=1.0,
-            transcript=transcript, anonymous_entanglement=ae,
-            ae_fidelity=ae_fid, veto_output=0,
-        )
+        p, q = (_contract(config, _GHZ, dict.fromkeys(measuring, op),
+                          config.sender, config.receiver, 2)
+                for op in (ID2, PAULI_X))
+        _, ae = _normalized_pair((p + q) / 2 + _Z_R @ (p - q) @ _Z_R / 2)
+        return _teleported(config, ae, "GHZ", transcript, veto_output=0)
 
     if mode != "sampling":
         raise ValueError(f"unknown mode {mode!r}")
-    rho = config._noisy_ghz
-    outcome_bits = {}
+    if config.n_nodes > DENSE_CAP:
+        # transcripts grow as the square of the node count per parity run
+        raise DenseCapError(f"GHZ sampling is capped at {DENSE_CAP} nodes")
+    # an outcome prefix x has weight (Π E_x[0,0] + Π E_x[1,1]) / 2, so each
+    # node's '+' probability is an O(1) update of the two products
+    reads, outcome_bits, products = {}, {}, np.ones(2)
     for node in measuring:
-        outcome_bits[node], rho = _x_measure_sampled(rho, node, rng)
-        transcript.add(3, "measurement", node, bytes([outcome_bits[node]]),
-                       _private(node))
+        e_pm = [_heisenberg(config.channel_for(node), op) for op in _X_READ]
+        w_plus, w_minus = (products @ np.diag(e).real for e in e_pm)
+        bit = int(rng.random() >= w_plus / (w_plus + w_minus))
+        reads[node], outcome_bits[node] = _X_READ[bit], bit
+        products = products * np.diag(e_pm[bit]).real
+        transcript.add(3, "measurement", node, bytes([bit]), _private(node))
     announce_inputs = {i: outcome_bits.get(i, 0) for i in config.nodes}
     parity = parity_protocol(announce_inputs, rng, transcript, start_round=4)
-    if parity:
-        rho = apply_op_dense(rho, PAULI_Z, [config.receiver])
-        rho = DensityMatrix(rho.mat, rho.labels)
-    ae = _ae_as_pair(rho, config.sender, config.receiver)
+    raw = _contract(config, _GHZ, reads, config.sender, config.receiver, 2)
+    _, ae = _normalized_pair(_Z_R @ raw @ _Z_R if parity else raw)
     ae_fid = fidelity_with_pure(ae, pair_target("GHZ"))
     branches = teleport_branches(ae, config.message_state, *PAIR_LABELS,
                                  resource="phi+")
     m = _draw(rng, [w for w, _ in branches])
     fid = _delivered_fidelity(branches[m][1], config.message_state)
-    m_bits = (m >> 1 & 1, m & 1)
-    rand = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
-    public = []
-    for j in range(2):
-        inputs = {i: 0 for i in config.nodes}
-        inputs[config.sender] = m_bits[j]
-        inputs[config.receiver] = rand[j]
-        public.append(parity_protocol(inputs, rng, transcript,
-                                      start_round=6 + 2 * j))
-    transcript.add(10, "teleport_correction", config.receiver, bytes([m]),
-                   _private(config.receiver))
+    public = _announce(config, m, rng, transcript, start_round=6)
     return RunOutcome(
         aborted=False, delivered_fidelity=fid,
         analytic_success_probability=1.0,
         transcript=transcript, anonymous_entanglement=ae,
-        ae_fidelity=ae_fid, veto_output=0,
-        public_teleport_bits=tuple(public),
+        ae_fidelity=ae_fid, veto_output=0, public_teleport_bits=public,
     )
 
 
@@ -774,12 +771,17 @@ def run_relay_protocol(config: NetworkConfig,
         return dm
 
     def close(state, qubit, round_, actor):
-        # X measurements at the chain ends; sampled outcomes are broadcast
-        if not sampling:
-            return _x_measure_mix(state, qubit, first_anc)
-        outcome, state = _x_measure_sampled(state, qubit, rng, first_anc)
-        transcript.add(round_, "broadcast", actor, bytes([outcome]))
-        return state
+        # X measurements at the chain ends: a '-' outcome flips the phase of
+        # first_anc; sampled outcomes are broadcast, exact ones mixed
+        if sampling:
+            outcome, state = _x_measure_sampled(state, qubit, rng, first_anc)
+            transcript.add(round_, "broadcast", actor, bytes([outcome]))
+            return state
+        plus = _measure_out(state, qubit, "hadamard", 0)
+        minus = apply_op_dense(_measure_out(state, qubit, "hadamard", 1),
+                               PAULI_Z, [first_anc])
+        return DensityMatrix(plus.mat + minus.mat, plus.labels,
+                             unnormalized=True)
 
     state = note(make_bell_pair(("keep", "travel")).to_density())
     if 1 in anc_label:
@@ -822,18 +824,9 @@ def run_relay_protocol(config: NetworkConfig,
             state = close(state, "travel", round_=j, actor=j)
     state = close(state, "keep", round_=config.n_nodes + 1, actor=1)
     state = state.normalized() if sampling else DensityMatrix(state.mat, state.labels)
-    ae = _ae_as_pair(state, "anc_sender", "anc_receiver")
-    ae_fid = fidelity_with_pure(ae, pair_target("GHZ"))
-    delivered, _ = teleport_exact(ae, config.message_state, *PAIR_LABELS,
-                                  resource="phi+")
-    fid = _delivered_fidelity(delivered, config.message_state)
-    return RunOutcome(
-        aborted=False, delivered_fidelity=fid,
-        analytic_success_probability=1.0,
-        transcript=transcript, anonymous_entanglement=ae,
-        ae_fidelity=ae_fid, veto_output=None,
-        max_live_qubits=max_live,
-    )
+    ae = DensityMatrix(state.permuted(("anc_sender", "anc_receiver")).mat,
+                       PAIR_LABELS)
+    return _teleported(config, ae, "GHZ", transcript, max_live_qubits=max_live)
 
 
 # ---------------------------------------------------------------------------
@@ -841,7 +834,7 @@ def run_relay_protocol(config: NetworkConfig,
 
 
 def w_loss_branch_average_dense(channel: QuantumChannel, n: int) -> float:
-    """Exact evaluation, through the pull-back engine, of the
+    """Exact evaluation, through the transfer engine, of the
     loss-branch-averaged pair fidelity (the quantity the closed-form loss
     formulas compute; see f_ae_w_loss).
 

@@ -7,10 +7,10 @@ breeds bugs.  Convention: labels[0] is the most significant bit of the
 computational-basis index.
 
 Density matrices are dense complex128 arrays.  Registers larger than
-``DENSE_CAP`` qubits (default 12) are refused: exactness is the point of
-this module, and the closed-form evaluators cover large networks.  The
-exact W and GHZ routes use the pull-back engine in protocols instead;
-the tests check that engine against dense references built from here.
+``DENSE_CAP`` qubits (12) are refused: exactness is the point of this
+module.  The W and GHZ routes never build such registers: they use the
+O(n) transfer engine in protocols, which the tests check against dense
+references built from here.
 """
 
 from __future__ import annotations

@@ -260,12 +260,18 @@ def guessing_probability(views: Sequence[LabeledEnsemble],
       each view from the prior-averaged view, a valid upper bound
       ("bound-only").
     """
+    return _guessing_probability(views, priors, independence_check(views))
+
+
+def _guessing_probability(views: Sequence[LabeledEnsemble],
+                          priors: Sequence[float], dev: float
+                          ) -> tuple[float, str]:
+    """guessing_probability given the views' independence deviation."""
     if len(views) != len(priors) or not views:
         raise ValueError("need one prior per view")
     priors = [float(p) for p in priors]
     if abs(sum(priors) - 1.0) > 1e-9 or min(priors) < 0:
         raise ValueError("priors must form a distribution")
-    dev = independence_check(views)
     if dev <= 1e-9:
         return max(priors), "state-independence"
     if len(views) == 2:
@@ -347,7 +353,7 @@ def security_report(config: NetworkConfig, adversaries: Sequence[int],
     views = [adversary_view(config, scenario, c, role) for c in candidates]
     priors = [1.0 / len(candidates)] * len(candidates)
     dev = independence_check(views)
-    p_guess, certificate = guessing_probability(views, priors)
+    p_guess, certificate = _guessing_probability(views, priors, dev)
     report = {
         "role": role,
         "adversaries": sorted(scenario.adversary_set),

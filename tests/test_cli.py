@@ -1,7 +1,11 @@
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -111,10 +115,20 @@ def test_sweep_rejects_bad_range_and_small_network(runner):
         main, ["sweep", "--protocol", "W", "--nodes", "3"]).exit_code == 2
 
 
-def test_sweep_dense_cap_exits_2(runner):
-    res = runner.invoke(main, ["sweep", "--nodes", "13", "--q", "1",
-                               "--mode", "exact", "--workers", "1"])
+def test_sweep_exact_past_twelve_nodes_and_underflow_exits_2(runner):
+    res = runner.invoke(main, ["sweep", "--protocol", "all", "--nodes", "13",
+                               "--mode", "both"])
+    assert res.exit_code == 0
+    rows = [l for l in res.output.splitlines()
+            if l and not l.startswith(("#", "protocol,"))]
+    assert len(rows) == 33  # three protocols at 11 default q values
+    assert max(float(row.split(",")[-1]) for row in rows) <= 1e-10
+    # a Born weight of 0.75^3000 underflows double precision
+    res = runner.invoke(main, ["sweep", "--protocol", "W", "--nodes", "3000",
+                               "--q", "0.5", "--mode", "exact",
+                               "--workers", "1"])
     assert res.exit_code == 2
+    assert "underflows" in res.output
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +298,30 @@ def test_run_sampling_aggregate(runner):
     assert "transcript" not in body["runs"][0]
 
 
+def test_run_ghz_sampling_past_dense_cap_exits_2(runner):
+    res = runner.invoke(main, ["run", "--protocol", "GHZ", "--nodes", "13",
+                               "--mode", "sampling"])
+    assert res.exit_code == 2
+    assert runner.invoke(main, ["run", "--protocol", "GHZ", "--nodes", "13"]
+                         ).exit_code == 0
+
+
+def test_in_process_run_releases_redirected_stdout():
+    # click caches the streams it resolves itself in a WeakKeyDictionary
+    # whose values are the streams, so an output it cached never dies
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        with pytest.raises(SystemExit) as exc:
+            main.main(args=["run", "--protocol", "W", "--nodes", "4"],
+                      prog_name="anonqnet")
+    assert exc.value.code == 0
+    assert json.loads(buf.getvalue())["protocol"] == "W"
+    ref = weakref.ref(buf)
+    del buf
+    gc.collect()
+    assert ref() is None
+
+
 def test_run_samples_require_sampling_mode(runner):
     res = runner.invoke(main, ["run", "--samples", "5"])
     assert res.exit_code == 2
@@ -374,7 +412,9 @@ def test_oracle_check_passes(runner):
     assert res.exit_code == 0
     lines = res.output.strip().splitlines()
     assert lines[-1] == "all oracle checks passed"
-    assert len([l for l in lines if l.startswith("ok   ")]) == 10
+    assert len([l for l in lines if l.startswith("ok   ")]) == 12
+    assert "ok   w-threshold-183-exact-half" in res.output
+    assert "ok   ghz-threshold-183-exact-half" in res.output
     assert not [l for l in lines if l.startswith("FAIL")]
 
 

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anonqnet.analytic import (
+    GHZ_DEPOL,
+    W_DEPOL,
     f_ae_ghz_dephasing,
     f_ae_ghz_depolarizing,
     f_ae_relay_depolarizing,
@@ -16,6 +18,7 @@ from anonqnet.analytic import (
     p_success_w,
     p_success_w_loss,
     pair_target,
+    threshold_q,
 )
 from anonqnet.channels import (
     QuantumChannel,
@@ -43,6 +46,7 @@ from anonqnet.protocols import (
     w_loss_branch_average_dense,
 )
 from anonqnet.qcore import (
+    DENSE_CAP,
     PAULI_X,
     PAULI_Z,
     DenseCapError,
@@ -205,13 +209,36 @@ def test_protocol1_transcript_hides_roles():
     assert all(e.payload in (b"\x00", b"\x01") for e in public)
 
 
-def test_protocol1_dense_cap():
-    cfg = NetworkConfig(n_nodes=13, sender=1, receiver=2)
-    with pytest.raises(DenseCapError):
-        run_protocol1(cfg, mode="exact")
-    small = NetworkConfig(n_nodes=5, sender=1, receiver=2, dense_cap=4)
-    with pytest.raises(DenseCapError):
-        run_protocol1(small, mode="exact")
+def test_exact_routes_past_twelve_nodes_and_underflow_refusal():
+    n, q = 13, 0.9
+    cfg = NetworkConfig(n_nodes=n, sender=1, receiver=2,
+                        per_qubit_channels=uniform(depolarizing(q), n))
+    w = run_protocol1(cfg, mode="exact")
+    assert w.ae_fidelity == pytest.approx(f_ae_w_depolarizing(q, n), abs=1e-10)
+    assert w.analytic_success_probability == pytest.approx(
+        p_success_w("depolarizing", q, n), abs=1e-10)
+    ghz = run_ghz_protocol(cfg, mode="exact")
+    assert ghz.ae_fidelity == pytest.approx(f_ae_ghz_depolarizing(q, n),
+                                            abs=1e-10)
+    # the W Born weight falls like ((1 + q)/2)^N: 0.75^3000 ~ 1e-375 is
+    # not a normal double, so the run is refused instead of dividing by it
+    n = 3000
+    far = NetworkConfig(n_nodes=n, sender=1, receiver=2,
+                        per_qubit_channels=uniform(depolarizing(0.5), n))
+    with pytest.raises(ValueError, match="underflows"):
+        run_protocol1(far, mode="exact")
+
+
+@pytest.mark.parametrize("formula, runner", [(W_DEPOL, run_protocol1),
+                                             (GHZ_DEPOL, run_ghz_protocol)])
+def test_exact_pair_fidelity_is_half_at_threshold_n183(formula, runner):
+    # N = 183 is the W/GHZ crossover; the exact engine reaches it directly
+    n = 183
+    cfg = NetworkConfig(n_nodes=n, sender=1, receiver=2,
+                        per_qubit_channels=uniform(
+                            depolarizing(threshold_q(formula, n)), n))
+    assert runner(cfg, mode="exact").ae_fidelity == pytest.approx(0.5,
+                                                                  abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +306,19 @@ def test_ghz_identity_perfect():
     assert out.delivered_fidelity == pytest.approx(1.0, abs=1e-12)
 
 
+def test_sampled_routes_keep_their_caps():
+    # sampled transcripts grow as the square of the node count, and the W
+    # sampler tabulates all 2^k outcome strings of its k measuring nodes
+    cfg = NetworkConfig(n_nodes=DENSE_CAP + 1, sender=1, receiver=2)
+    with pytest.raises(DenseCapError):
+        run_ghz_protocol(cfg, mode="sampling")
+    assert run_ghz_protocol(cfg, mode="exact").ae_fidelity == pytest.approx(
+        1.0, abs=1e-12)
+    with pytest.raises(DenseCapError):
+        run_protocol1(NetworkConfig(n_nodes=15, sender=1, receiver=2),
+                      mode="sampling")
+
+
 def test_ghz_loss_impossible():
     cfg = NetworkConfig(n_nodes=5, sender=1, receiver=2, lost_nodes={3})
     with pytest.raises(ProtocolImpossibleError):
@@ -297,7 +337,7 @@ def test_ghz_sampling_agrees_with_exact_dephasing():
     assert np.mean(fids) == pytest.approx(exact.delivered_fidelity, abs=1e-10)
 
 
-def test_ghz_sampling_builds_noisy_resource_once_per_config(monkeypatch):
+def test_ghz_sampling_builds_no_noisy_resource(monkeypatch):
     import anonqnet.protocols as protocols
 
     calls = []
@@ -312,9 +352,9 @@ def test_ghz_sampling_builds_noisy_resource_once_per_config(monkeypatch):
                         per_qubit_channels=uniform(depolarizing(0.9), n))
     rng = np.random.default_rng(4)
     outs = [run_ghz_protocol(cfg, rng=rng, mode="sampling") for _ in range(5)]
-    assert calls == list(range(1, n + 1))
-    # each run still starts from the untouched resource: one stream of
-    # draws on one config reads the same as on fresh copies of it
+    assert calls == []
+    # runs share nothing through the config: one stream of draws on one
+    # config reads the same as on fresh copies of it
     fresh_rng = np.random.default_rng(4)
     for out in outs:
         fresh = NetworkConfig(n_nodes=n, sender=2, receiver=5,
@@ -675,6 +715,9 @@ def test_exact_routes_build_no_density_matrix_wider_than_three(monkeypatch):
                   mode="exact")
     run_ghz_protocol(NetworkConfig(n_nodes=9, sender=3, receiver=7,
                                    per_qubit_channels=chans), mode="exact")
+    run_ghz_protocol(NetworkConfig(n_nodes=9, sender=3, receiver=7,
+                                   per_qubit_channels=chans),
+                     rng=np.random.default_rng(0), mode="sampling")
     w_loss_branch_average_dense(depolarizing(0.9), 9)
     adversary_view(NetworkConfig(n_nodes=7, sender=1, receiver=2,
                                  per_qubit_channels=uniform(dephasing(0.9), 7)),

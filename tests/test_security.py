@@ -204,6 +204,20 @@ def test_security_report_receiver_role():
     assert rep["certificate"] == "state-independence"
 
 
+def test_security_report_checks_independence_once(monkeypatch):
+    import anonqnet.security as security
+
+    calls = []
+    real = security.independence_check
+    monkeypatch.setattr(security, "independence_check",
+                        lambda views: calls.append(1) or real(views))
+    cfg = NetworkConfig(n_nodes=5, sender=1, receiver=2,
+                        per_qubit_channels=uniform(depolarizing(0.9), 5))
+    rep = security_report(cfg, [4])
+    assert calls == [1]
+    assert rep["certificate"] == "state-independence"
+
+
 def test_perturbed_network_respects_epsilon_bound():
     n = 5
     base = dephasing(0.9)
