@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 import numpy as np
@@ -136,6 +135,21 @@ def _emit(text: str, out: str | None = None) -> None:
         click.echo(text, nl=False, file=sys.stdout)
 
 
+def _dumps_runs(body: dict) -> str:
+    """json.dumps(body, indent=2) for a body whose last key is "runs", with
+    each distinct run row indented once: sampled batches repeat a handful
+    of rows thousands of times, and indented encoding is pure Python."""
+    blocks, rows = {}, []
+    for row in body["runs"]:
+        key = json.dumps(row)  # the compact encoder is the C one
+        if key not in blocks:
+            blocks[key] = json.dumps(row, indent=2).replace("\n", "\n    ")
+        rows.append(blocks[key])
+    # "runs" is the last key, so the 0 placeholder is the text's last 0
+    head, tail = json.dumps({**body, "runs": [0]}, indent=2).rsplit("0", 1)
+    return head + ",\n    ".join(rows) + tail
+
+
 def _cell(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
@@ -231,7 +245,8 @@ def _sweep_row(protocol: str, family: str, n: int, q: float, mode: str) -> dict:
 @click.option("--mode", type=click.Choice(["analytic", "exact", "both"]),
               default="analytic")
 @click.option("--seed", type=int, default=0)
-@click.option("--workers", type=int, default=4)
+@click.option("--workers", type=int, default=4, hidden=True,
+              help="accepted for old invocations; has no effect")
 @click.option("--json", "as_json", is_flag=True, default=False)
 @click.option("--out", default=None, help="write output to this file")
 @_config_option
@@ -249,14 +264,9 @@ def sweep(protocol, channel_family, q, q_range, nodes, n_range, mode, seed,
             if n < lo:
                 raise click.UsageError(f"{p} needs at least {lo} nodes")
 
-    points = [(p, channel_family, n, qq, mode)
-              for p in protocols for n in ns for qq in qs]
     try:
-        if mode != "analytic" and workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(lambda a: _sweep_row(*a), points))
-        else:
-            rows = [_sweep_row(*pt) for pt in points]
+        rows = [_sweep_row(p, channel_family, n, qq, mode)
+                for p in protocols for n in ns for qq in qs]
     except ValueError as exc:  # a Born weight below double precision
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
@@ -331,7 +341,8 @@ def _relay_point(n: int, s: int, r: int, q: float, mode: str) -> dict:
 @click.option("--receiver", type=int, default=None)
 @click.option("--mode", type=click.Choice(["analytic", "exact", "both"]),
               default="analytic")
-@click.option("--workers", type=int, default=4)
+@click.option("--workers", type=int, default=4, hidden=True,
+              help="accepted for old invocations; has no effect")
 @click.option("--json", "as_json", is_flag=True, default=False)
 @click.option("--out", default=None)
 @_config_option
@@ -351,15 +362,8 @@ def relay(nodes, q_values, sender, receiver, mode, workers, as_json, out):
 
     pairs = ([(sender, receiver)] if receiver is not None
              else [(sender, r) for r in range(1, nodes + 1) if r != sender])
-    points = [(nodes, s, r, qq, mode) for (s, r) in pairs for qq in q_values]
-    if mode != "analytic" and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda a: _relay_point(*a), points))
-    else:
-        results = [_relay_point(*pt) for pt in points]
-    table = {}
-    for (nn, s, r, qq, _), vals in zip(points, results):
-        table.setdefault((s, r), {})[qq] = vals
+    table = {(s, r): {qq: _relay_point(nodes, s, r, qq, mode)
+                      for qq in q_values} for (s, r) in pairs}
 
     rows = []
     for (s, r), per_q in table.items():
@@ -525,7 +529,8 @@ def run(protocol, nodes, sender, receiver, channel_spec, channel_overrides,
     except (DenseCapError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
-    _emit(json.dumps(body, indent=2) + "\n", out)
+    _emit((_dumps_runs(body) if "runs" in body
+           else json.dumps(body, indent=2)) + "\n", out)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ Two execution modes:
   immediately.  The W and GHZ routes contract the resource, a
   bond-dimension-2 matrix product state, with each node's measurement
   effect in one O(n) pass of 4x4 transfer matrices (pullback_pair), so
-  they run at any node count; only the relay (six live qubits at most)
-  and the three-qubit teleport conjugate dense states.
+  they run at any node count.  The relay holds a fixed four-qubit
+  register for any chain length, and a teleport branch is one 2x4
+  operator on the pair; qcore's dense registers serve only as the tests'
+  reference.
 * sampling: one branch is drawn per run with the seeded generator; used
   for transcript-level statistics (abort rates, masking uniformity).
 
@@ -34,7 +36,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channels import QuantumChannel, apply_to, identity_channel
+from .channels import QuantumChannel, identity_channel
 from .qcore import (
     BELL_CORRECTIONS,
     DENSE_CAP,
@@ -45,20 +47,11 @@ from .qcore import (
     Ket,
     PAULI_X,
     PAULI_Z,
-    apply_op_dense,
-    bell_project,
+    apply_op_dense,  # unused here; bench/tests reads it as a re-imported name
+    bell_state_vector,
     fidelity_with_pure,
-    make_bell_pair,
-    partial_trace,
-    postselect,
-    tensor,
 )
 from .analytic import PAIR_LABELS, pair_target
-
-CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-
 
 class ProtocolImpossibleError(RuntimeError):
     """The requested protocol cannot run in this configuration at all."""
@@ -299,11 +292,6 @@ def receiver_notification(sender: int, receiver: int, nodes: Sequence[int],
 # shared quantum pieces
 
 
-def _relabel(dm: DensityMatrix, old, new) -> DensityMatrix:
-    labels = tuple(new if l == old else l for l in dm.labels)
-    return DensityMatrix(dm.mat, labels, unnormalized=dm.unnormalized)
-
-
 # Transfer contraction: both resources are bond-dimension-2 matrix product
 # states, psi(p_1..p_n) = l A[p_1] ... A[p_n] r, so the (sender, receiver)
 # state left after every other node applies an effect E is a product of 4x4
@@ -388,33 +376,22 @@ def _normalized_pair(raw: np.ndarray) -> tuple[float, DensityMatrix]:
     return weight, DensityMatrix(raw / weight, PAIR_LABELS)
 
 
-def _measure_out(rho: DensityMatrix, qubit, basis: str, outcome: int
-                 ) -> DensityMatrix:
-    """Condition one qubit on a basis outcome and remove it; the returned
-    branch is unnormalized and its weight is the outcome's Born weight."""
-    branch, _ = postselect(rho, qubit, basis, outcome)
-    return partial_trace(branch, [qubit])
-
-
-def _draw(rng: np.random.Generator, weights) -> int:
-    """Sample an outcome index from Born weights (negative round-off
-    clipped to 0)."""
+def _cdf(weights) -> np.ndarray:
+    """Cumulative distribution of Born weights (negative round-off clipped
+    to 0), in Generator.choice's arithmetic: _draw(rng, _cdf(w)) returns
+    what rng.choice(len(w), p=w / w.sum()) would, from the same draw."""
     w = np.maximum(np.asarray(weights, dtype=float), 0.0)
-    return int(rng.choice(len(w), p=w / w.sum()))
+    cdf = (w / w.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
-def _x_measure_sampled(rho: DensityMatrix, qubit, rng: np.random.Generator,
-                       corr_label) -> tuple[int, DensityMatrix]:
-    """Sample an X measurement of one qubit and remove it; a '-' outcome
-    flips the phase of corr_label.  Returns the outcome and the normalized
-    remaining state."""
-    plus = _measure_out(rho, qubit, "hadamard", 0)
-    p_plus = min(max(plus.weight / rho.weight, 0.0), 1.0)
-    if rng.random() < p_plus:
-        return 0, plus.normalized()
-    minus = apply_op_dense(_measure_out(rho, qubit, "hadamard", 1), PAULI_Z,
-                           [corr_label])
-    return 1, minus.normalized()
+def _draw(rng: np.random.Generator, cdf: np.ndarray) -> int:
+    """Sample an outcome index from a _cdf with one rng.random() call."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+_BELL = np.array([bell_state_vector(m) for m in range(4)]).reshape(4, 2, 2)
 
 
 def teleport_branches(pair: DensityMatrix, message: Ket, sender_label,
@@ -427,15 +404,23 @@ def teleport_branches(pair: DensityMatrix, message: Ket, sender_label,
     pair the corrections are calibrated for: "psi+" corrections are P_m X,
     "phi+" corrections P_m.  Each branch is unnormalized, with trace equal
     to its weight times the pair's weight.
+
+    Branch m is W_m rho W_m† with the 2x4 operator W_m = V_m ⊗ C_m, where
+    V_m = <β_m|_{message,S} |ψ>_message is a bra on the sender half and C_m
+    the correction, so no three-qubit register is built.
     """
-    msg = Ket(message.amps, ("message",)).to_density()
-    joint = tensor(msg, pair, cap=pair.n_qubits + 1)
+    order = (sender_label, receiver_label)
+    rho = pair.mat if pair.labels == order else pair.permuted(order).mat
     flip = PAULI_X if resource == "psi+" else ID2
+    bras = np.einsum("i,mis->ms", message.amps, _BELL.conj())
+    ops = np.array([np.kron(v[None, :], c @ flip)
+                    for v, c in zip(bras, BELL_CORRECTIONS)])
+    total = pair.weight
     out = []
-    for m in range(4):
-        branch, w = bell_project(joint, "message", sender_label, m)
-        corr = BELL_CORRECTIONS[m] @ flip
-        out.append((w, apply_op_dense(branch, corr, [receiver_label])))
+    for branch in ops @ rho @ ops.conj().transpose(0, 2, 1):
+        w = float(np.trace(branch).real) / total if total > 0 else 0.0
+        out.append((w, DensityMatrix(branch, (receiver_label,),
+                                     unnormalized=True)))
     return out
 
 
@@ -579,8 +564,8 @@ class _Protocol1Sampler:
                                   fidelity_with_pure(pair, pair_target("W"))))
             if not any(bits):
                 self.exact_success = w
-        self.branch_weights = np.array([b[1] for b in self.branches])
-        self.branch_weights /= self.branch_weights.sum()
+        self.branch_cdf = _cdf([b[1] for b in self.branches])
+        self.bell_cdfs = [_cdf([w for w, _ in b[3]]) for b in self.branches]
 
     def run(self, rng: np.random.Generator,
             record_transcript: bool = False) -> RunOutcome:
@@ -593,7 +578,7 @@ class _Protocol1Sampler:
         transcript = Transcript()
         if record_transcript:
             _protocol1_skeleton(config, transcript)
-        idx = int(rng.choice(len(self.branches), p=self.branch_weights))
+        idx = _draw(rng, self.branch_cdf)
         bits, _, pair, delivered_by_m, ae_fid = self.branches[idx]
         if record_transcript:
             for node, b in zip(self.measuring, bits):
@@ -617,7 +602,7 @@ class _Protocol1Sampler:
                 transcript=transcript, anonymous_entanglement=None,
                 veto_output=1,
             )
-        m = _draw(rng, [w for w, _ in delivered_by_m])
+        m = _draw(rng, self.bell_cdfs[idx])
         public = _announce(config, m, rng,
                            transcript if record_transcript else None, base)
         return RunOutcome(
@@ -712,7 +697,7 @@ def run_ghz_protocol(config: NetworkConfig, rng: np.random.Generator | None = No
     ae_fid = fidelity_with_pure(ae, pair_target("GHZ"))
     branches = teleport_branches(ae, config.message_state, *PAIR_LABELS,
                                  resource="phi+")
-    m = _draw(rng, [w for w, _ in branches])
+    m = _draw(rng, _cdf([w for w, _ in branches]))
     fid = _delivered_fidelity(branches[m][1], config.message_state)
     public = _announce(config, m, rng, transcript, start_round=6)
     return RunOutcome(
@@ -725,6 +710,25 @@ def run_ghz_protocol(config: NetworkConfig, rng: np.random.Generator | None = No
 
 # ---------------------------------------------------------------------------
 # relay protocol
+
+# The relay register is (keep, anc_sender, anc_receiver, travel), keep the
+# most significant qubit: one 16x16 density matrix for any chain length.
+_TRAVEL = 3
+# Swapping travel through a fresh pair (a, b) with Bell outcome m leaves b,
+# the new travel qubit, as K_m = <β_m|_{travel,a} |Φ+>_{a,b} applied to the
+# old one; each outcome has weight 1/4 whatever the state.
+_SWAPS = np.einsum("mta,ab->mbt", _BELL.conj(), _BELL[0])
+_CORRECTIONS = np.array(BELL_CORRECTIONS)
+_SWAP_CDF = _cdf(np.ones(4))
+
+
+def _on_qubit(rho: np.ndarray, ops, qubit: int) -> np.ndarray:
+    """Σ_k K_k rho K_k† for 2x2 operators K_k on one qubit of the relay
+    register, summed over k before it touches the state."""
+    ops = np.asarray(ops)
+    sup = np.einsum("xij,xkl->ikjl", ops, ops.conj())
+    r = rho.reshape(2**qubit, 2, 2**(3 - qubit), 2**qubit, 2, 2**(3 - qubit))
+    return np.einsum("ikjl,ajbcld->aibckd", sup, r).reshape(16, 16)
 
 
 def run_relay_protocol(config: NetworkConfig,
@@ -740,7 +744,11 @@ def run_relay_protocol(config: NetworkConfig,
     CNOT, so the two ancillas end up anonymously entangled.  Nodes 1 and n
     close the chain with X measurements whose parity fixes a final Z.
 
-    Eager contraction keeps the live register at six qubits or fewer.
+    The register stays at four qubits: node 1's kept half, the two
+    ancillas and the travelling qubit.  A swap is a 2x2 operator on the
+    travelling qubit, applied with the next hop's channel and correction.
+    max_live_qubits counts the protocol's live qubits, the fresh pair
+    during a swap included.
     """
     if config.n_nodes < 4:
         raise ValueError("relay needs at least 4 nodes")
@@ -751,82 +759,67 @@ def run_relay_protocol(config: NetworkConfig,
     if mode not in ("exact", "sampling"):
         raise ValueError(f"unknown mode {mode!r}")
     sampling = mode == "sampling"
+    n = config.n_nodes
 
     transcript = Transcript()
     # pair hand-offs are deterministic, so both modes record them; swap
     # outcomes are only concrete (and broadcast) in sampling mode
-    for j in range(1, config.n_nodes):
+    for j in range(1, n):
         transcript.add(0, "private_send", j, b"\x01", _private(j + 1))
-    anc_label = {config.sender: "anc_sender", config.receiver: "anc_receiver"}
+    anc = {config.sender: 1, config.receiver: 2}  # register qubit per node
     # phase corrections from the closing X measurements land on the anc that
     # was spliced in first along the chain
-    first_anc = anc_label[min(config.sender, config.receiver)]
-    zero = Ket(np.array([1, 0], dtype=complex), ("z",))
+    first_anc = anc[min(anc)]
+    # keep, travel, the ancillas spliced by the last swap and its fresh pair
+    max_live = 4 + sum(node < n for node in anc)
 
-    max_live = 0
+    def splice(rho, control, node):
+        # CNOT onto the node's |0> ancilla: a permutation of basis indices
+        idx = np.arange(16)
+        idx ^= (idx >> (3 - control) & 1) << (3 - anc[node])
+        return rho[np.ix_(idx, idx)]
 
-    def note(dm):
-        nonlocal max_live
-        max_live = max(max_live, dm.n_qubits)
-        return dm
-
-    def close(state, qubit, round_, actor):
+    def close(rho, qubit, round_, actor):
         # X measurements at the chain ends: a '-' outcome flips the phase of
         # first_anc; sampled outcomes are broadcast, exact ones mixed
-        if sampling:
-            outcome, state = _x_measure_sampled(state, qubit, rng, first_anc)
-            transcript.add(round_, "broadcast", actor, bytes([outcome]))
-            return state
-        plus = _measure_out(state, qubit, "hadamard", 0)
-        minus = apply_op_dense(_measure_out(state, qubit, "hadamard", 1),
-                               PAULI_Z, [first_anc])
-        return DensityMatrix(plus.mat + minus.mat, plus.labels,
-                             unnormalized=True)
+        plus = _on_qubit(rho, _X_READ[:1], qubit)
+        minus = _on_qubit(_on_qubit(rho, _X_READ[1:], qubit), [PAULI_Z],
+                          first_anc)
+        if not sampling:
+            return plus + minus
+        p_plus = min(max(np.trace(plus).real / np.trace(rho).real, 0.0), 1.0)
+        outcome = 0 if rng.random() < p_plus else 1
+        transcript.add(round_, "broadcast", actor, bytes([outcome]))
+        branch = minus if outcome else plus
+        return branch / np.trace(branch).real
 
-    state = note(make_bell_pair(("keep", "travel")).to_density())
-    if 1 in anc_label:
-        state = note(tensor(state, _relabel(zero.to_density(), "z", anc_label[1])))
-        state = apply_op_dense(state, CNOT, ["keep", anc_label[1]])
-        state = DensityMatrix(state.mat, state.labels)
-
-    pending: list | None = None  # Bell branches awaiting hop + correction
-
-    for j in range(2, config.n_nodes + 1):
-        chan = config.channel_for(j)
-        if pending is None:
-            state = apply_to(chan, state, "travel")
-        else:
-            acc = None
-            labels = None
-            for m, branch in pending:
-                hopped = apply_to(chan, branch, "travel")
-                fixed = apply_op_dense(hopped, BELL_CORRECTIONS[m], ["travel"])
-                acc = fixed.mat if acc is None else acc + fixed.mat
-                labels = fixed.labels
-            state = note(DensityMatrix(acc, labels))
-            pending = None
-        if j in anc_label:
-            state = note(tensor(state, _relabel(zero.to_density(), "z", anc_label[j])))
-            state = apply_op_dense(state, CNOT, ["travel", anc_label[j]])
-            state = DensityMatrix(state.mat, state.labels)
-        if j < config.n_nodes:
-            pair = make_bell_pair((f"a{j}", f"b{j}")).to_density()
-            state = note(tensor(state, pair))
-            swaps = [bell_project(state, "travel", f"a{j}", m) for m in range(4)]
+    ket = np.zeros((2, 2, 2, 2), dtype=complex)
+    ket[:, 0, 0, :] = _BELL[0]  # Bell(keep, travel), ancillas in |0>
+    rho = np.outer(ket.ravel(), ket.ravel().conj())
+    if 1 in anc:
+        rho = splice(rho, 0, 1)
+    # swap branches and their corrections awaiting the next hop
+    swaps, corrections = ID2[None], ID2[None]
+    for j in range(2, n + 1):
+        # the hop's channel acts between a swap branch and its correction
+        kraus = np.array(config.channel_for(j).kraus_ops)
+        hop = corrections[:, None] @ kraus @ swaps[:, None]
+        rho = _on_qubit(rho, hop.reshape(-1, 2, 2), _TRAVEL)
+        if j in anc:
+            rho = splice(rho, _TRAVEL, j)
+        if j < n:
             if sampling:
-                m = _draw(rng, [w for _, w in swaps])
+                m = _draw(rng, _SWAP_CDF)
                 transcript.add(j, "broadcast", j, bytes([m]))
-                pending = [(m, swaps[m][0].normalized())]
+                swaps, corrections = 2 * _SWAPS[m:m + 1], _CORRECTIONS[m:m + 1]
             else:
-                pending = [(m, reduced) for m, (reduced, _) in enumerate(swaps)]
-            pending = [(m, _relabel(b, f"b{j}", "travel")) for m, b in pending]
+                swaps, corrections = _SWAPS, _CORRECTIONS
         else:
-            state = close(state, "travel", round_=j, actor=j)
-    state = close(state, "keep", round_=config.n_nodes + 1, actor=1)
-    state = state.normalized() if sampling else DensityMatrix(state.mat, state.labels)
-    ae = DensityMatrix(state.permuted(("anc_sender", "anc_receiver")).mat,
-                       PAIR_LABELS)
-    return _teleported(config, ae, "GHZ", transcript, max_live_qubits=max_live)
+            rho = close(rho, _TRAVEL, round_=j, actor=j)
+    rho = close(rho, 0, round_=n + 1, actor=1)
+    pair = np.einsum("iabjicdj->abcd", rho.reshape((2,) * 8)).reshape(4, 4)
+    return _teleported(config, DensityMatrix(pair, PAIR_LABELS), "GHZ",
+                       transcript, max_live_qubits=max_live)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ computational-basis index.
 
 Density matrices are dense complex128 arrays.  Registers larger than
 ``DENSE_CAP`` qubits (12) are refused: exactness is the point of this
-module.  The W and GHZ routes never build such registers: they use the
-O(n) transfer engine in protocols, which the tests check against dense
-references built from here.
+module.  No protocol route builds registers here: W and GHZ run on the
+O(n) transfer engine in protocols, and the relay and teleport on fixed
+four-qubit and two-qubit kernels.  This module is the dense reference the
+tests check those kernels against.
 """
 
 from __future__ import annotations

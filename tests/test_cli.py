@@ -337,6 +337,31 @@ def test_run_relay_message_delivery(runner):
     assert out["max_live_qubits"] <= 6
 
 
+@pytest.mark.parametrize("protocol", ["W", "GHZ", "relay"])
+def test_run_samples_json_matches_plain_encoder(runner, protocol):
+    # each distinct run row is indented once and spliced into the body
+    res = runner.invoke(main, ["run", "--protocol", protocol, "--nodes", "5",
+                               "--channel", "depolarizing:q=0.9", "--mode",
+                               "sampling", "--samples", "40", "--seed", "3"])
+    assert res.exit_code == 0
+    body = json.loads(res.output)
+    assert len(body["runs"]) == 40
+    assert res.output == json.dumps(body, indent=2) + "\n"
+
+
+def test_workers_option_is_hidden_and_changes_nothing(runner):
+    for argv in (["sweep", "--protocol", "all", "--nodes", "5", "--q-range",
+                  "0.8:0.9:0.1", "--mode", "both"],
+                 ["relay", "--nodes", "6", "--sender", "3", "--mode", "both",
+                  "--json"]):
+        one, four = (runner.invoke(main, argv + ["--workers", w])
+                     for w in ("1", "4"))
+        assert one.exit_code == four.exit_code == 0
+        assert one.output == four.output
+        assert "--workers" not in runner.invoke(main, [argv[0], "--help"]
+                                                ).output
+
+
 # ---------------------------------------------------------------------------
 # config files
 

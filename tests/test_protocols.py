@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -46,19 +47,23 @@ from anonqnet.protocols import (
     w_loss_branch_average_dense,
 )
 from anonqnet.qcore import (
+    BELL_CORRECTIONS,
     DENSE_CAP,
+    ID2,
     PAULI_X,
     PAULI_Z,
     DenseCapError,
     DensityMatrix,
     Ket,
     apply_op_dense,
+    bell_project,
     fidelity_with_pure,
     make_bell_pair,
     make_ghz_state,
     make_w_state,
     partial_trace,
     postselect,
+    tensor,
 )
 from anonqnet.security import AdversaryScenario, adversary_view
 
@@ -338,21 +343,21 @@ def test_ghz_sampling_agrees_with_exact_dephasing():
 
 
 def test_ghz_sampling_builds_no_noisy_resource(monkeypatch):
-    import anonqnet.protocols as protocols
+    widest = []
+    post_init = DensityMatrix.__post_init__
 
-    calls = []
+    def recording(self):
+        post_init(self)
+        widest.append(len(self.labels))
 
-    def counting(channel, rho, qubit):
-        calls.append(qubit)
-        return apply_to(channel, rho, qubit)
-
-    monkeypatch.setattr(protocols, "apply_to", counting)
+    monkeypatch.setattr(DensityMatrix, "__post_init__", recording)
     n = 6
     cfg = NetworkConfig(n_nodes=n, sender=2, receiver=5,
                         per_qubit_channels=uniform(depolarizing(0.9), n))
     rng = np.random.default_rng(4)
     outs = [run_ghz_protocol(cfg, rng=rng, mode="sampling") for _ in range(5)]
-    assert calls == []
+    # only the (sender, receiver) pair and the receiver's branches
+    assert widest and max(widest) <= 2
     # runs share nothing through the config: one stream of draws on one
     # config reads the same as on fresh copies of it
     fresh_rng = np.random.default_rng(4)
@@ -723,3 +728,151 @@ def test_exact_routes_build_no_density_matrix_wider_than_three(monkeypatch):
                                  per_qubit_channels=uniform(dephasing(0.9), 7)),
                    AdversaryScenario(frozenset({2, 4})), 3)
     assert widest and max(widest) <= 3
+
+
+def dense_teleport(pair, message, sender, receiver, resource):
+    """teleport_branches on a dense three-qubit register: Bell-project
+    (message, sender) and correct the receiver."""
+    joint = tensor(Ket(message.amps, ("message",)).to_density(), pair)
+    flip = PAULI_X if resource == "psi+" else ID2
+    out = []
+    for m in range(4):
+        branch, w = bell_project(joint, "message", sender, m)
+        out.append((w, apply_op_dense(branch, BELL_CORRECTIONS[m] @ flip,
+                                      [receiver])))
+    return out
+
+
+@pytest.mark.parametrize("resource", ["psi+", "phi+"])
+@pytest.mark.parametrize("labels", [(4, 2), (2, 4)])
+def test_teleport_branches_match_dense_on_random_mixed_pairs(resource, labels):
+    # security passes (eff_sender, eff_receiver), in either order on the pair
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        pair = DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T).real,
+                             labels)
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        msg = Ket(v / np.linalg.norm(v), ("message",))
+        got = teleport_branches(pair, msg, 4, 2, resource)
+        want = dense_teleport(pair, msg, 4, 2, resource)
+        for (w, fixed), (w_ref, ref) in zip(got, want, strict=True):
+            assert fixed.labels == ref.labels == (2,)
+            assert abs(w - w_ref) < 1e-14
+            assert np.abs(fixed.mat - ref.mat).max() < 1e-14
+
+
+CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+                dtype=complex)
+
+
+def dense_relay(config, rng=None):
+    """The relay on dense labeled registers, sampled when rng is given:
+    each hop tensors a fresh Bell pair onto the live register and
+    Bell-projects it, each ancilla is tensored in and spliced with a CNOT,
+    and each X measurement is a postselection and partial trace.  Returns
+    the (sender, receiver) pair, the transcript and the peak register
+    width."""
+    sampling = rng is not None
+    n = config.n_nodes
+    transcript = Transcript()
+    for j in range(1, n):
+        transcript.add(0, "private_send", j, b"\x01", f"private-to({j + 1})")
+    anc = {config.sender: "anc_sender", config.receiver: "anc_receiver"}
+    first_anc = anc[min(anc)]
+    widths = []
+
+    def note(dm):
+        widths.append(dm.n_qubits)
+        return dm
+
+    def splice(state, control, node):
+        zero = Ket(np.array([1, 0], dtype=complex), (anc[node],))
+        state = note(tensor(state, zero.to_density()))
+        return DensityMatrix(apply_op_dense(state, CNOT,
+                                            [control, anc[node]]).mat,
+                             state.labels)
+
+    def measure_x(state, qubit, outcome):
+        branch, _ = postselect(state, qubit, "hadamard", outcome)
+        branch = partial_trace(branch, [qubit])
+        return (apply_op_dense(branch, PAULI_Z, [first_anc]) if outcome
+                else branch)
+
+    def close(state, qubit, round_, actor):
+        plus, minus = (measure_x(state, qubit, b) for b in (0, 1))
+        if not sampling:
+            return DensityMatrix(plus.mat + minus.mat, plus.labels,
+                                 unnormalized=True)
+        p_plus = min(max(plus.weight / state.weight, 0.0), 1.0)
+        outcome = 0 if rng.random() < p_plus else 1
+        transcript.add(round_, "broadcast", actor, bytes([outcome]))
+        return (minus if outcome else plus).normalized()
+
+    def as_travel(dm, j):
+        labels = tuple("travel" if l == f"b{j}" else l for l in dm.labels)
+        return DensityMatrix(dm.mat, labels, unnormalized=dm.unnormalized)
+
+    state = note(make_bell_pair(("keep", "travel")).to_density())
+    if 1 in anc:
+        state = splice(state, "keep", 1)
+    pending = None  # Bell branches awaiting the hop and their correction
+    for j in range(2, n + 1):
+        chan = config.channel_for(j)
+        if pending is None:
+            state = apply_to(chan, state, "travel")
+        else:
+            acc = sum(apply_op_dense(apply_to(chan, branch, "travel"),
+                                     BELL_CORRECTIONS[m], ["travel"]).mat
+                      for m, branch in pending)
+            state = note(DensityMatrix(acc, pending[0][1].labels))
+        if j in anc:
+            state = splice(state, "travel", j)
+        if j == n:
+            state = close(state, "travel", j, j)
+            break
+        pair = make_bell_pair((f"a{j}", f"b{j}")).to_density()
+        state = note(tensor(state, pair))
+        swaps = [bell_project(state, "travel", f"a{j}", m) for m in range(4)]
+        if sampling:
+            w = np.array([w for _, w in swaps])
+            m = int(rng.choice(4, p=w / w.sum()))
+            transcript.add(j, "broadcast", j, bytes([m]))
+            pending = [(m, as_travel(swaps[m][0].normalized(), j))]
+        else:
+            pending = [(m, as_travel(b, j)) for m, (b, _) in enumerate(swaps)]
+    state = close(state, "keep", n + 1, 1)
+    state = state.normalized() if sampling else state
+    return (state.permuted(("anc_sender", "anc_receiver")).mat, transcript,
+            max(widths))
+
+
+# Pauli channels, and amplitude damping followed by a node-dependent X or Z
+# rotation (non-unital, complex Kraus operators)
+RELAY_CHANNELS = {
+    "pauli": lambda i: (depolarizing, dephasing)[i % 2](0.97 - 0.03 * i),
+    "nonunital": lambda i: damp_then_rotate(0.05 * i, 0.4 * i - 1.3,
+                                            (PAULI_X, PAULI_Z)[i % 2]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RELAY_CHANNELS))
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_relay_matches_dense_reference_every_placement(n, kind):
+    chans = {i: RELAY_CHANNELS[kind](i) for i in range(1, n + 1)}
+    for s, r in itertools.permutations(range(1, n + 1), 2):
+        cfg = NetworkConfig(n_nodes=n, sender=s, receiver=r,
+                            per_qubit_channels=chans)
+        out = run_relay_protocol(cfg, mode="exact")
+        ref, _, width = dense_relay(cfg)
+        assert np.abs(out.anonymous_entanglement.mat - ref).max() < 1e-12
+        # the fresh pair of the last swap is live beside both ancillas
+        # unless node n is one of the ends
+        assert out.max_live_qubits == width == (6 if max(s, r) < n else 5)
+        for seed in range(3):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            out = run_relay_protocol(cfg, rng=rng, mode="sampling")
+            ref, transcript, _ = dense_relay(cfg, ref_rng)
+            assert out.transcript.to_jsonl() == transcript.to_jsonl()
+            assert rng.random() == ref_rng.random()
+            assert np.abs(out.anonymous_entanglement.mat - ref).max() < 1e-12
