@@ -56,6 +56,7 @@ from .protocols import (
     run_ghz_protocol,
     run_protocol1,
     run_relay_protocol,
+    sample_ghz_runs,
     sample_protocol1_runs,
     w_loss_branch_average_dense,
 )
@@ -135,16 +136,16 @@ def _emit(text: str, out: str | None = None) -> None:
         click.echo(text, nl=False, file=sys.stdout)
 
 
-def _dumps_runs(body: dict) -> str:
-    """json.dumps(body, indent=2) for a body whose last key is "runs", with
-    each distinct run row indented once: sampled batches repeat a handful
-    of rows thousands of times, and indented encoding is pure Python."""
+def _dumps_runs(body: dict, outcomes: list) -> str:
+    """json.dumps(body, indent=2) with "runs", the outcomes' transcript-free
+    rows, as its last key: each distinct outcome object (sampled batches
+    share a handful) is encoded once, and indented encoding is pure Python."""
     blocks, rows = {}, []
-    for row in body["runs"]:
-        key = json.dumps(row)  # the compact encoder is the C one
-        if key not in blocks:
-            blocks[key] = json.dumps(row, indent=2).replace("\n", "\n    ")
-        rows.append(blocks[key])
+    for o in outcomes:
+        if id(o) not in blocks:  # the list keeps every id alive
+            row = json.dumps(o.to_json_dict(include_transcript=False), indent=2)
+            blocks[id(o)] = row.replace("\n", "\n    ")
+        rows.append(blocks[id(o)])
     # "runs" is the last key, so the 0 placeholder is the text's last 0
     head, tail = json.dumps({**body, "runs": [0]}, indent=2).rsplit("0", 1)
     return head + ",\n    ".join(rows) + tail
@@ -486,6 +487,8 @@ def run(protocol, nodes, sender, receiver, channel_spec, channel_overrides,
         raise click.UsageError("--samples must be positive")
     if samples > 1 and mode == "exact":
         raise click.UsageError("--samples needs --mode sampling")
+    if samples > 1 and transcript_path:
+        raise click.UsageError("--transcript records a single run only")
 
     amps = {"plus": np.array([1, 1]) / np.sqrt(2),
             "zero": np.array([1, 0]),
@@ -512,25 +515,21 @@ def run(protocol, nodes, sender, receiver, channel_spec, channel_overrides,
             if transcript_path:
                 with open(transcript_path, "w") as fh:
                     fh.write(outcome.transcript.to_jsonl() + "\n")
+        elif protocol == "relay":
+            rng = np.random.default_rng(seed)
+            outcomes = [runner(net, rng=rng, mode="sampling") for _ in range(samples)]
+            body["aggregate"] = batch_summary(outcomes)
         else:
-            if protocol == "W":
-                outcomes, aggregate = sample_protocol1_runs(net, samples)
-            else:
-                rng = np.random.default_rng(seed)
-                outcomes = [runner(net, rng=rng, mode="sampling")
-                            for _ in range(samples)]
-                aggregate = batch_summary(outcomes)
-            body["aggregate"] = aggregate
-            body["runs"] = [o.to_json_dict(include_transcript=False)
-                            for o in outcomes]
+            sample = sample_protocol1_runs if protocol == "W" else sample_ghz_runs
+            outcomes, body["aggregate"] = sample(net, samples)
     except ProtocolImpossibleError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     except (DenseCapError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
-    _emit((_dumps_runs(body) if "runs" in body
-           else json.dumps(body, indent=2)) + "\n", out)
+    _emit((json.dumps(body, indent=2) if samples == 1
+           else _dumps_runs(body, outcomes)) + "\n", out)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@ Two execution modes:
   operator on the pair; qcore's dense registers serve only as the tests'
   reference.
 * sampling: one branch is drawn per run with the seeded generator; used
-  for transcript-level statistics (abort rates, masking uniformity).
+  for transcript-level statistics (abort rates, masking uniformity).  W and
+  GHZ samplers plan once per config and memoise per outcome string, so a
+  run only draws randomness; equal unrecorded runs share one outcome.
 
 Classical subroutines follow the additive-sharing constructions: parity is
 XOR secret sharing over pairwise private channels plus broadcast, veto is
@@ -31,6 +33,7 @@ data beyond one public bit / one private bit).
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -383,12 +386,12 @@ def _cdf(weights) -> np.ndarray:
     w = np.maximum(np.asarray(weights, dtype=float), 0.0)
     cdf = (w / w.sum()).cumsum()
     cdf /= cdf[-1]
-    return cdf
+    return cdf.tolist()
 
 
-def _draw(rng: np.random.Generator, cdf: np.ndarray) -> int:
+def _draw(rng: np.random.Generator, cdf: list) -> int:
     """Sample an outcome index from a _cdf with one rng.random() call."""
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    return bisect_right(cdf, rng.random())
 
 
 _BELL = np.array([bell_state_vector(m) for m in range(4)]).reshape(4, 2, 2)
@@ -458,15 +461,27 @@ def _teleported(config: NetworkConfig, ae: DensityMatrix, protocol: str,
         ae_fidelity=fidelity_with_pure(ae, pair_target(protocol)), **extra)
 
 
+def _branch_plan(config: NetworkConfig, pair: DensityMatrix, protocol: str) -> tuple:
+    """(pair, (Bell-outcome CDF, delivered fidelities), pair fidelity) of a
+    sampled branch's normalized pair; an outcome below 1e-15 gets 0s."""
+    table = [(w, _delivered_fidelity(fixed, config.message_state))
+             if w >= 1e-15 else (0.0, 0.0) for w, fixed in teleport_branches(
+                 pair, config.message_state, *PAIR_LABELS,
+                 resource="psi+" if protocol == "W" else "phi+")]
+    return (pair, (_cdf([w for w, _ in table]), [f for _, f in table]),
+            fidelity_with_pure(pair, pair_target(protocol)))
+
+
 def _announce(config: NetworkConfig, m: int, rng: np.random.Generator,
-              transcript: Transcript | None, start_round: int) -> tuple:
+              transcript: Transcript | None, start_round: int,
+              exact: bool = False) -> tuple:
     """Announce Bell outcome m through two masked parity runs (the sender
     inputs a bit of m, the receiver a fresh mask) and hand m to the
-    receiver privately; returns the public bits.  Without a transcript the
-    parities are taken from their exact output instead of share by share."""
+    receiver privately; returns the public bits.  exact takes the parities
+    from their exact output; else shares are drawn, recorded or not."""
     m_bits = (m >> 1 & 1, m & 1)
     rand = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
-    if transcript is None:
+    if exact:
         return m_bits[0] ^ rand[0], m_bits[1] ^ rand[1]
     public = []
     for j in range(2):
@@ -475,8 +490,9 @@ def _announce(config: NetworkConfig, m: int, rng: np.random.Generator,
         inputs[config.receiver] = rand[j]
         public.append(parity_protocol(inputs, rng, transcript,
                                       start_round=start_round + 2 * j))
-    transcript.add(start_round + 4, "teleport_correction", config.receiver,
-                   bytes([m]), _private(config.receiver))
+    if transcript is not None:
+        transcript.add(start_round + 4, "teleport_correction",
+                       config.receiver, bytes([m]), _private(config.receiver))
     return tuple(public)
 
 
@@ -484,13 +500,15 @@ def _announce(config: NetworkConfig, m: int, rng: np.random.Generator,
 # Protocol 1 (W state)
 
 
-def _protocol1_skeleton(config: NetworkConfig, transcript: Transcript) -> None:
+def _protocol1_skeleton(config: NetworkConfig) -> Transcript:
+    transcript = Transcript()
     wish = {i: int(i == config.sender) for i in config.live_nodes}
     collision_detection(wish, transcript, start_round=0)
     receiver_notification(config.sender, config.receiver, config.live_nodes,
                           transcript, start_round=1)
     for node in config.live_nodes:
         transcript.add(2, "private_send", 0, b"\x01", _private(node))  # qubit hand-off
+    return transcript
 
 
 def run_protocol1(config: NetworkConfig, rng: np.random.Generator | None = None,
@@ -513,8 +531,7 @@ def run_protocol1(config: NetworkConfig, rng: np.random.Generator | None = None,
 
 
 def _protocol1_exact(config: NetworkConfig) -> RunOutcome:
-    transcript = Transcript()
-    _protocol1_skeleton(config, transcript)
+    transcript = _protocol1_skeleton(config)
     measuring = [i for i in config.live_nodes
                  if i not in (config.sender, config.receiver)]
     for node in measuring:
@@ -524,27 +541,52 @@ def _protocol1_exact(config: NetworkConfig) -> RunOutcome:
     return _teleported(config, ae, "W", transcript, weight, veto_output=0)
 
 
-class _Protocol1Sampler:
-    """Reusable sampler: the exact branch table is computed once, after
-    which each run only draws classical randomness.
+class _Sampler:
+    """A protocol's sampling plan for one config.  A recorded run gets a fresh
+    outcome; an unrecorded one the read-only outcome (empty transcript) of
+    its result key: None (abort) or (branch key, Bell outcome, public bits)."""
+
+    def _finish(self, key, transcript: Transcript | None) -> RunOutcome:
+        if transcript is None:
+            if key not in self.outcomes:
+                self.outcomes[key] = self._finish(key, Transcript())
+            return self.outcomes[key]
+        if key is None:
+            return RunOutcome(aborted=True, delivered_fidelity=None,
+                              analytic_success_probability=self.exact_success,
+                              transcript=transcript, anonymous_entanglement=None,
+                              veto_output=1)
+        branch, m, public = key
+        # every branch entry ends with (pair, teleport plan, pair fidelity)
+        *_, pair, (_, fids), ae_fid = self.branches[branch]
+        return RunOutcome(aborted=False, delivered_fidelity=fids[m],
+                          analytic_success_probability=self.exact_success,
+                          transcript=transcript, anonymous_entanglement=pair,
+                          ae_fidelity=ae_fid, veto_output=0,
+                          public_teleport_bits=public)
+
+
+class _Protocol1Sampler(_Sampler):
+    """W plan: the exact branch table is computed once, after which each
+    run only draws classical randomness.
 
     Branches are the joint standard-basis outcome strings of the measuring
     nodes, with exact Born weights and exact conditional (sender, receiver)
-    states; per-branch teleport outcome weights and delivered fidelities
-    are also precomputed.  A run samples a branch, runs the real veto on
-    those outcome bits, and on veto 0 samples the Bell outcome and the
-    masked announcement.
+    states; per-branch teleport plans (Bell-outcome CDF and delivered
+    fidelities) are also precomputed.  A run samples a branch, runs the
+    real veto on those outcome bits, and on veto 0 samples the Bell outcome
+    and the masked announcement; the branch key is the table index.
     """
 
     def __init__(self, config: NetworkConfig):
-        self.config = config
+        self.config, self.outcomes = config, {}
         self.measuring = [i for i in config.live_nodes
                           if i not in (config.sender, config.receiver)]
         k = len(self.measuring)
         if 2**k > 4096:
             raise DenseCapError("branch table too large; lower the node count")
         self.exact_success = None
-        self.branches = []  # (bits, weight, pair, per-m (w, fid), pair fid)
+        self.branches = []  # (bits, weight, pair, teleport plan, pair fid)
         for string in range(2**k):
             bits = tuple((string >> (k - 1 - i)) & 1 for i in range(k))
             raw = pullback_pair(config, dict(zip(self.measuring, bits)),
@@ -552,20 +594,11 @@ class _Protocol1Sampler:
             w = float(np.trace(raw).real)
             if w < 1e-15:
                 continue
-            pair = DensityMatrix(raw / w, PAIR_LABELS)
-            # an outcome incompatible with the message state delivers nothing
-            delivered_by_m = [
-                (bw, _delivered_fidelity(fixed, config.message_state))
-                if bw >= 1e-15 else (0.0, 0.0)
-                for bw, fixed in teleport_branches(
-                    pair, config.message_state, *PAIR_LABELS, resource="psi+")
-            ]
-            self.branches.append((bits, w, pair, delivered_by_m,
-                                  fidelity_with_pure(pair, pair_target("W"))))
+            self.branches.append((bits, w, *_branch_plan(
+                config, DensityMatrix(raw / w, PAIR_LABELS), "W")))
             if not any(bits):
                 self.exact_success = w
         self.branch_cdf = _cdf([b[1] for b in self.branches])
-        self.bell_cdfs = [_cdf([w for w, _ in b[3]]) for b in self.branches]
 
     def run(self, rng: np.random.Generator,
             record_transcript: bool = False) -> RunOutcome:
@@ -575,49 +608,34 @@ class _Protocol1Sampler:
         uniform), so the two paths consume different amounts of
         randomness and are not seed-interchangeable."""
         config = self.config
-        transcript = Transcript()
-        if record_transcript:
-            _protocol1_skeleton(config, transcript)
+        transcript = _protocol1_skeleton(config) if record_transcript else None
         idx = _draw(rng, self.branch_cdf)
-        bits, _, pair, delivered_by_m, ae_fid = self.branches[idx]
-        if record_transcript:
+        bits, _, _, (bell_cdf, _), _ = self.branches[idx]
+        if transcript is None:
+            veto = any(bits) and rng.integers(0, 2, size=config.veto_rounds).any()
+        else:
             for node, b in zip(self.measuring, bits):
                 transcript.add(3, "measurement", node, bytes([b]), _private(node))
-            veto_inputs = {node: b for node, b in zip(self.measuring, bits)}
-            veto_inputs[config.sender] = 0
-            veto_inputs[config.receiver] = 0
-            veto = veto_protocol(veto_inputs, rng, rounds=config.veto_rounds,
-                                 transcript=transcript, start_round=4)
-        elif any(bits):
-            veto = int(rng.integers(0, 2, size=config.veto_rounds).any())
-        else:
-            veto = 0
+            veto = veto_protocol({**dict(zip(self.measuring, bits)),
+                                  config.sender: 0, config.receiver: 0}, rng,
+                                 config.veto_rounds, transcript, start_round=4)
         base = 4 + 2 * config.veto_rounds
-        if veto == 1:
-            if record_transcript:
+        if veto:
+            if transcript is not None:
                 transcript.add(base, "abort", 0, b"\x01")
-            return RunOutcome(
-                aborted=True, delivered_fidelity=None,
-                analytic_success_probability=self.exact_success,
-                transcript=transcript, anonymous_entanglement=None,
-                veto_output=1,
-            )
-        m = _draw(rng, self.bell_cdfs[idx])
-        public = _announce(config, m, rng,
-                           transcript if record_transcript else None, base)
-        return RunOutcome(
-            aborted=False, delivered_fidelity=delivered_by_m[m][1],
-            analytic_success_probability=self.exact_success,
-            transcript=transcript, anonymous_entanglement=pair,
-            ae_fidelity=ae_fid, veto_output=0, public_teleport_bits=public,
-        )
+            return self._finish(None, transcript)
+        m = _draw(rng, bell_cdf)
+        public = _announce(config, m, rng, transcript, base,
+                           exact=transcript is None)
+        return self._finish((idx, m, public), transcript)
 
 
 def sample_protocol1_runs(config: NetworkConfig, n_samples: int,
                           rng: np.random.Generator | None = None,
                           record_transcripts: bool = False) -> tuple[list, dict]:
     """Draw many seeded sampled runs cheaply (the branch table is built
-    once).  Returns the outcomes and an aggregate summary."""
+    once).  Returns the outcomes and an aggregate summary.  Unless recorded,
+    runs with equal results share one read-only outcome (empty transcript)."""
     if rng is None:
         rng = np.random.default_rng(config.seed)
     sampler = _Protocol1Sampler(config)
@@ -641,6 +659,14 @@ def batch_summary(outcomes: Sequence[RunOutcome]) -> dict:
 # GHZ protocol
 
 
+def _ghz_measuring(config: NetworkConfig) -> list:
+    """The X-measuring nodes; a lost node leaves a separable state."""
+    if config.lost_nodes:
+        raise ProtocolImpossibleError("a lost node leaves the GHZ protocol with"
+                                      " a separable state; it cannot be carried out")
+    return [i for i in config.nodes if i not in (config.sender, config.receiver)]
+
+
 def run_ghz_protocol(config: NetworkConfig, rng: np.random.Generator | None = None,
                      mode: str = "exact") -> RunOutcome:
     """Anonymous transmission through a GHZ state.
@@ -650,62 +676,75 @@ def run_ghz_protocol(config: NetworkConfig, rng: np.random.Generator | None = No
     correction, so the protocol never aborts.  A lost node makes the
     protocol impossible outright (the remaining state is separable).
     """
-    if config.lost_nodes:
-        raise ProtocolImpossibleError(
-            "a lost node leaves the GHZ protocol with a separable state;"
-            " it cannot be carried out"
-        )
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    transcript = Transcript()
-    _protocol1_skeleton(config, transcript)
-    measuring = [i for i in config.nodes
-                 if i not in (config.sender, config.receiver)]
-
-    if mode == "exact":
-        # a '-' outcome flips the receiver's phase: with E_± = Φ†(|±><±|),
-        # the even-parity sum over outcome strings is (P + Q)/2 and the odd
-        # one, which gets Z_R, is (P - Q)/2, where P takes E_+ + E_- = Φ†(I)
-        # and Q takes E_+ - E_- = Φ†(X) at every measuring node
-        for node in measuring:
-            transcript.add(3, "measurement", node, b"", _private(node))
-        p, q = (_contract(config, _GHZ, dict.fromkeys(measuring, op),
-                          config.sender, config.receiver, 2)
-                for op in (ID2, PAULI_X))
-        _, ae = _normalized_pair((p + q) / 2 + _Z_R @ (p - q) @ _Z_R / 2)
-        return _teleported(config, ae, "GHZ", transcript, veto_output=0)
-
-    if mode != "sampling":
+    if mode == "sampling":
+        return _GhzSampler(config).run(rng, record_transcript=True)
+    if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    if config.n_nodes > DENSE_CAP:
-        # transcripts grow as the square of the node count per parity run
-        raise DenseCapError(f"GHZ sampling is capped at {DENSE_CAP} nodes")
-    # an outcome prefix x has weight (Π E_x[0,0] + Π E_x[1,1]) / 2, so each
-    # node's '+' probability is an O(1) update of the two products
-    reads, outcome_bits, products = {}, {}, np.ones(2)
+    measuring = _ghz_measuring(config)
+    transcript = _protocol1_skeleton(config)
+    # a '-' outcome flips the receiver's phase: with E_± = Φ†(|±><±|), the
+    # even-parity sum over outcome strings is (P + Q)/2 and the odd one,
+    # which gets Z_R, is (P - Q)/2, where P takes E_+ + E_- = Φ†(I) and Q
+    # takes E_+ - E_- = Φ†(X) at every measuring node
     for node in measuring:
-        e_pm = [_heisenberg(config.channel_for(node), op) for op in _X_READ]
-        w_plus, w_minus = (products @ np.diag(e).real for e in e_pm)
-        bit = int(rng.random() >= w_plus / (w_plus + w_minus))
-        reads[node], outcome_bits[node] = _X_READ[bit], bit
-        products = products * np.diag(e_pm[bit]).real
-        transcript.add(3, "measurement", node, bytes([bit]), _private(node))
-    announce_inputs = {i: outcome_bits.get(i, 0) for i in config.nodes}
-    parity = parity_protocol(announce_inputs, rng, transcript, start_round=4)
-    raw = _contract(config, _GHZ, reads, config.sender, config.receiver, 2)
-    _, ae = _normalized_pair(_Z_R @ raw @ _Z_R if parity else raw)
-    ae_fid = fidelity_with_pure(ae, pair_target("GHZ"))
-    branches = teleport_branches(ae, config.message_state, *PAIR_LABELS,
-                                 resource="phi+")
-    m = _draw(rng, _cdf([w for w, _ in branches]))
-    fid = _delivered_fidelity(branches[m][1], config.message_state)
-    public = _announce(config, m, rng, transcript, start_round=6)
-    return RunOutcome(
-        aborted=False, delivered_fidelity=fid,
-        analytic_success_probability=1.0,
-        transcript=transcript, anonymous_entanglement=ae,
-        ae_fidelity=ae_fid, veto_output=0, public_teleport_bits=public,
-    )
+        transcript.add(3, "measurement", node, b"", _private(node))
+    p, q = (_contract(config, _GHZ, dict.fromkeys(measuring, op),
+                      config.sender, config.receiver, 2)
+            for op in (ID2, PAULI_X))
+    _, ae = _normalized_pair((p + q) / 2 + _Z_R @ (p - q) @ _Z_R / 2)
+    return _teleported(config, ae, "GHZ", transcript, veto_output=0)
+
+
+class _GhzSampler(_Sampler):
+    """GHZ plan: each measuring node's diag(Φ†(|±><±|)) is built once; the
+    corrected pair, its teleport plan and fidelity are memoised per
+    X-outcome string (the branch key).  Recorded or not, a run draws the
+    same stream, the parity shares included."""
+
+    def __init__(self, config: NetworkConfig):
+        self.config, self.outcomes = config, {}
+        self.measuring = _ghz_measuring(config)
+        if config.n_nodes > DENSE_CAP:
+            # transcripts grow as the square of the node count per parity run
+            raise DenseCapError(f"GHZ sampling is capped at {DENSE_CAP} nodes")
+        self.diags = [[np.diag(_heisenberg(config.channel_for(node), op)).real
+                       for op in _X_READ] for node in self.measuring]
+        self.branches, self.exact_success = {}, 1.0
+
+    def run(self, rng: np.random.Generator,
+            record_transcript: bool = False) -> RunOutcome:
+        config = self.config
+        transcript = _protocol1_skeleton(config) if record_transcript else None
+        # an outcome prefix x has weight (Π E_x[0,0] + Π E_x[1,1]) / 2, so
+        # each node's '+' probability is an O(1) update of the two products
+        bits, products = (), np.ones(2)
+        for node, diags in zip(self.measuring, self.diags):
+            w_plus, w_minus = (products @ d for d in diags)
+            bit = int(rng.random() >= w_plus / (w_plus + w_minus))
+            products = products * diags[bit]
+            bits += (bit,)
+            if transcript is not None:
+                transcript.add(3, "measurement", node, bytes([bit]), _private(node))
+        # the announced parity is the XOR of the bits, which fix the pair
+        inputs = dict.fromkeys(config.nodes, 0) | dict(zip(self.measuring, bits))
+        parity_protocol(inputs, rng, transcript, start_round=4)
+        if bits not in self.branches:
+            reads = {node: _X_READ[b] for node, b in zip(self.measuring, bits)}
+            raw = _contract(config, _GHZ, reads, config.sender, config.receiver, 2)
+            _, pair = _normalized_pair(_Z_R @ raw @ _Z_R if sum(bits) % 2 else raw)
+            self.branches[bits] = _branch_plan(config, pair, "GHZ")
+        m = _draw(rng, self.branches[bits][1][0])
+        public = _announce(config, m, rng, transcript, start_round=6)
+        return self._finish((bits, m, public), transcript)
+
+
+def sample_ghz_runs(config: NetworkConfig, n_samples: int) -> tuple[list, dict]:
+    """sample_protocol1_runs for GHZ, with run_ghz_protocol's draws."""
+    sampler, rng = _GhzSampler(config), np.random.default_rng(config.seed)
+    outcomes = [sampler.run(rng) for _ in range(n_samples)]
+    return outcomes, batch_summary(outcomes)
 
 
 # ---------------------------------------------------------------------------

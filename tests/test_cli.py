@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -347,6 +348,48 @@ def test_run_samples_json_matches_plain_encoder(runner, protocol):
     body = json.loads(res.output)
     assert len(body["runs"]) == 40
     assert res.output == json.dumps(body, indent=2) + "\n"
+
+
+# sha256 of the full stdout of `run --mode sampling --samples N --channel
+# depolarizing:q=0.9` before the samplers memoised their outcomes
+PINNED_BATCH_OUTPUTS = [
+    ("W", 8, 2000, 1,
+     "889b9d98c0726ef1ce63d362019f165fa7c9286c92a7565fc5bab7ee336529cd"),
+    ("W", 8, 2000, 2,
+     "4b04524ee107747957e999648298f65cc8b4b49f7a70129182dc28c98e726af5"),
+    ("GHZ", 6, 200, 1,
+     "9a8a1359ba37c0309f49ebb20197aef440cff4868e42060051532836f340adcc"),
+    ("GHZ", 6, 200, 2,
+     "42f9469c3eecf6fb65a58dfe6270a645719a0bee501a8a423e6fce8960283a49"),
+    ("relay", 6, 50, 1,
+     "a99ab8c29c34c4c37a87c1e5317a93446b902af5908234aa5986692e4b3b0368"),
+    ("relay", 6, 50, 2,
+     "e675d4e9f4a6eabd1c679945adec36aea419944a7b5e201f6cad6cafa94507c5"),
+]
+
+
+@pytest.mark.parametrize("protocol, nodes, samples, seed, digest",
+                         PINNED_BATCH_OUTPUTS)
+def test_run_samples_output_pinned(runner, protocol, nodes, samples, seed,
+                                   digest):
+    res = runner.invoke(main, ["run", "--protocol", protocol, "--nodes",
+                               str(nodes), "--channel", "depolarizing:q=0.9",
+                               "--mode", "sampling", "--samples", str(samples),
+                               "--seed", str(seed)])
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.output.encode()).hexdigest() == digest
+
+
+def test_run_transcript_refused_on_batches(runner, tmp_path):
+    tpath = tmp_path / "t.jsonl"
+    res = runner.invoke(main, ["run", "--mode", "sampling", "--samples", "3",
+                               "--transcript", str(tpath)])
+    assert res.exit_code == 2
+    assert "--transcript" in res.output
+    assert not tpath.exists()
+    assert runner.invoke(main, ["run", "--mode", "sampling", "--transcript",
+                                str(tpath)]).exit_code == 0
+    assert tpath.read_text().strip()
 
 
 def test_workers_option_is_hidden_and_changes_nothing(runner):

@@ -29,17 +29,23 @@ from anonqnet.channels import (
     identity_channel,
 )
 from anonqnet.protocols import (
+    _GHZ,
+    _X_READ,
+    _Z_R,
     NetworkConfig,
     ProtocolImpossibleError,
     RunOutcome,
     Transcript,
+    _GhzSampler,
     _Protocol1Sampler,
+    _contract,
     collision_detection,
     parity_protocol,
     receiver_notification,
     run_ghz_protocol,
     run_protocol1,
     run_relay_protocol,
+    sample_ghz_runs,
     sample_protocol1_runs,
     teleport_branches,
     teleport_exact,
@@ -539,6 +545,61 @@ def test_sampled_aborted_run_has_no_delivery():
     assert aborted
     assert all(o.delivered_fidelity is None for o in aborted)
     assert all(o.anonymous_entanglement is None for o in aborted)
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+@pytest.mark.parametrize("mixed", [False, True])
+def test_ghz_sampler_keeps_the_stream(n, mixed):
+    channels = uniform(depolarizing(0.9), n)
+    if mixed:
+        channels.update({1: dephasing(0.8), 3: depolarizing(0.75),
+                         n: dephasing(0.7)})
+    cfg = NetworkConfig(n_nodes=n, sender=n - 1, receiver=2,
+                        per_qubit_channels=channels)
+    sampler = _GhzSampler(cfg)
+    rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+    batch = [sampler.run(rng) for _ in range(60)]
+    recorded = [run_ghz_protocol(cfg, rng=ref_rng, mode="sampling")
+                for _ in range(60)]
+
+    def seen(o):
+        return o.delivered_fidelity, o.ae_fidelity, o.public_teleport_bits
+
+    assert [seen(o) for o in batch] == [seen(o) for o in recorded]
+    assert rng.random() == ref_rng.random()
+    assert len(sampler.branches) > 1
+    for bits, (pair, _, _) in sampler.branches.items():
+        reads = {node: _X_READ[b] for node, b in zip(sampler.measuring, bits)}
+        raw = _contract(cfg, _GHZ, reads, cfg.sender, cfg.receiver, 2)
+        if sum(bits) % 2:
+            raw = _Z_R @ raw @ _Z_R
+        assert np.abs(pair.mat - raw / np.trace(raw).real).max() <= 1e-15
+
+
+@pytest.mark.parametrize("make", [_Protocol1Sampler, _GhzSampler])
+def test_unrecorded_runs_share_one_outcome_per_result(make):
+    cfg = NetworkConfig(n_nodes=6, sender=2, receiver=5,
+                        per_qubit_channels=uniform(depolarizing(0.9), 6))
+    sampler = make(cfg)
+    rng = np.random.default_rng(3)
+    outs = [sampler.run(rng) for _ in range(300)]
+    shared = {id(o): o for o in sampler.outcomes.values()}
+    # every run returns the single outcome stored for its result key
+    assert {id(o) for o in outs} == set(shared)
+    assert len(shared) < len(outs)
+    assert all(o.transcript.events == [] for o in shared.values())
+
+
+def test_recorded_batch_runs_keep_their_own_transcripts():
+    cfg = NetworkConfig(n_nodes=5, sender=1, receiver=2, seed=4,
+                        per_qubit_channels=uniform(depolarizing(0.9), 5))
+    outs, _ = sample_protocol1_runs(cfg, 50, record_transcripts=True)
+    assert len({id(o) for o in outs}) == len({id(o.transcript) for o in outs}
+                                            ) == 50
+    assert all(o.transcript.events for o in outs)
+    ghz, agg = sample_ghz_runs(cfg, 20)
+    assert agg["runs"] == 20 and agg["aborts"] == 0
+    assert all(o.transcript.events == [] for o in ghz)
 
 
 def test_single_sampling_run_records_full_transcript():
