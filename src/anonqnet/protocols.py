@@ -21,7 +21,10 @@ Two execution modes:
 * sampling: one branch is drawn per run with the seeded generator; used
   for transcript-level statistics (abort rates, masking uniformity).  W and
   GHZ samplers plan once per config and memoise per outcome string, so a
-  run only draws randomness; equal unrecorded runs share one outcome.
+  run only draws randomness; equal unrecorded runs share one outcome.  They
+  read raw generator words (_Draws), decoded into exactly the Generator's
+  draws, so seeded outputs are unchanged; PCG64, PCG64DXSM, Philox and
+  SFC64 bit generators are supported.
 
 Classical subroutines follow the additive-sharing constructions: parity is
 XOR secret sharing over pairwise private channels plus broadcast, veto is
@@ -33,8 +36,10 @@ data beyond one public bit / one private bit).
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -394,7 +399,90 @@ def _draw(rng: np.random.Generator, cdf: list) -> int:
     return bisect_right(cdf, rng.random())
 
 
+class _Draws:
+    """Generator.random() and integers(0, 2) calls decoded bit for bit from
+    raw 64-bit words of the Generator's bit generator, read in blocks.
+
+    random() is (word >> 11) * 2**-53.  integers(0, 2) is the top bit of a
+    32-bit draw (numpy's bounded integers never reject a range of 2), which
+    takes a word's low half and buffers its high half for the next one
+    (has_uint32, which MT19937 lacks).  close() leaves the Generator where
+    those calls would have."""
+    TOP_BITS = 0x8000000080000000  # the top bit of each 32-bit half
+
+    def __init__(self, rng: np.random.Generator, block: int = 2048):
+        self.bitgen, self.block = rng.bit_generator, block
+        self.start = self.bitgen.state
+        if "has_uint32" not in self.start:
+            raise ValueError("sampling needs a PCG64, PCG64DXSM, Philox or SFC64"
+                             f" bit generator, not {self.start['bit_generator']}")
+        self.has, self.half = self.start["has_uint32"], self.start["uinteger"]
+        self.words, self.pos, self.fetched = [], 0, 0
+
+    def _take(self, n: int) -> list:
+        """The next n raw words; a block holds at least n."""
+        if self.pos + n > len(self.words):
+            size = max(n, self.block)
+            self.words = self.words[self.pos:] + self.bitgen.random_raw(size).tolist()
+            self.pos, self.fetched = 0, self.fetched + size
+        self.pos += n
+        return self.words[self.pos - n:self.pos]
+
+    def skip(self, k: int) -> list:
+        """Spend the draws of integers(0, 2, size=k); returns their words (a
+        buffered half as one, a last word half-spent cut to its low half)."""
+        head = []
+        if k and self.has:
+            head, self.has, k = [self.half], 0, k - 1
+        words = self._take((k + 1) >> 1)
+        if words:
+            self.half = words[-1] >> 32
+            if k & 1:
+                self.has, words[-1] = 1, words[-1] & 0xFFFFFFFF
+        return head + words
+
+    def random(self) -> float:
+        if self.pos < len(self.words):  # the common case, without a slice
+            self.pos += 1
+            return (self.words[self.pos - 1] >> 11) * 2.0**-53
+        return (self._take(1)[0] >> 11) * 2.0**-53
+
+    def integers(self, low: int, high: int, size=None):
+        """Generator.integers(0, 2, size) for size None, k or (k, k)."""
+        if size is None:
+            return self.skip(1)[0] >> 31
+        k = math.prod(size) if isinstance(size, tuple) else size
+        head = self.has
+        bits = [b for w in self.skip(k) for b in (w >> 31 & 1, w >> 63)]
+        if head and k:  # a buffered half gives one draw, not two
+            del bits[1]
+        return np.array(bits[:k], dtype=np.int64).reshape(size)
+
+    def any_bit(self, k: int) -> bool:
+        """integers(0, 2, size=k).any()"""
+        return any(map(self.TOP_BITS.__and__, self.skip(k)))
+
+    def close(self) -> None:
+        self.bitgen.state = self.start
+        self.bitgen.random_raw(self.fetched - len(self.words) + self.pos,
+                               output=False)
+        self.bitgen.state = {**self.bitgen.state, "has_uint32": self.has,
+                             "uinteger": self.half}
+
+
 _BELL = np.array([bell_state_vector(m) for m in range(4)]).reshape(4, 2, 2)
+
+
+@lru_cache(maxsize=64)
+def _teleport_ops(amps: bytes, resource: str) -> np.ndarray:
+    """The operators W_m of teleport_branches for a message's amplitudes."""
+    flip = PAULI_X if resource == "psi+" else ID2
+    bras = np.einsum("i,mis->ms", np.frombuffer(amps, dtype=complex),
+                     _BELL.conj())
+    ops = np.array([np.kron(v[None, :], c @ flip)
+                    for v, c in zip(bras, BELL_CORRECTIONS)])
+    ops.flags.writeable = False  # one array serves every caller
+    return ops
 
 
 def teleport_branches(pair: DensityMatrix, message: Ket, sender_label,
@@ -414,10 +502,7 @@ def teleport_branches(pair: DensityMatrix, message: Ket, sender_label,
     """
     order = (sender_label, receiver_label)
     rho = pair.mat if pair.labels == order else pair.permuted(order).mat
-    flip = PAULI_X if resource == "psi+" else ID2
-    bras = np.einsum("i,mis->ms", message.amps, _BELL.conj())
-    ops = np.array([np.kron(v[None, :], c @ flip)
-                    for v, c in zip(bras, BELL_CORRECTIONS)])
+    ops = _teleport_ops(message.amps.tobytes(), resource)
     total = pair.weight
     out = []
     for branch in ops @ rho @ ops.conj().transpose(0, 2, 1):
@@ -472,28 +557,28 @@ def _branch_plan(config: NetworkConfig, pair: DensityMatrix, protocol: str) -> t
             fidelity_with_pure(pair, pair_target(protocol)))
 
 
-def _announce(config: NetworkConfig, m: int, rng: np.random.Generator,
+def _announce(config: NetworkConfig, m: int, rng: _Draws,
               transcript: Transcript | None, start_round: int,
-              exact: bool = False) -> tuple:
+              draw_shares: bool = True) -> tuple:
     """Announce Bell outcome m through two masked parity runs (the sender
     inputs a bit of m, the receiver a fresh mask) and hand m to the
-    receiver privately; returns the public bits.  exact takes the parities
-    from their exact output; else shares are drawn, recorded or not."""
+    receiver privately; returns the public bits.  Unrecorded, the parities
+    are their exact outputs, and draw_shares skips the shares' draws."""
     m_bits = (m >> 1 & 1, m & 1)
-    rand = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
-    if exact:
-        return m_bits[0] ^ rand[0], m_bits[1] ^ rand[1]
-    public = []
+    rand = (rng.integers(0, 2), rng.integers(0, 2))
+    public = (m_bits[0] ^ rand[0], m_bits[1] ^ rand[1])  # the parities' outputs
+    if transcript is None:
+        if draw_shares:
+            rng.skip(2 * len(config.live_nodes) ** 2)
+        return public
     for j in range(2):
         inputs = dict.fromkeys(config.live_nodes, 0)
         inputs[config.sender] = m_bits[j]
         inputs[config.receiver] = rand[j]
-        public.append(parity_protocol(inputs, rng, transcript,
-                                      start_round=start_round + 2 * j))
-    if transcript is not None:
-        transcript.add(start_round + 4, "teleport_correction",
-                       config.receiver, bytes([m]), _private(config.receiver))
-    return tuple(public)
+        parity_protocol(inputs, rng, transcript, start_round=start_round + 2 * j)
+    transcript.add(start_round + 4, "teleport_correction",
+                   config.receiver, bytes([m]), _private(config.receiver))
+    return public
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +630,21 @@ class _Sampler:
     """A protocol's sampling plan for one config.  A recorded run gets a fresh
     outcome; an unrecorded one the read-only outcome (empty transcript) of
     its result key: None (abort) or (branch key, Bell outcome, public bits)."""
+
+    def run(self, rng: np.random.Generator,
+            record_transcript: bool = False) -> RunOutcome:
+        return self.batch(1, rng, record_transcript)[0]
+
+    def batch(self, n_samples: int, rng: np.random.Generator | None = None,
+              record_transcripts: bool = False) -> list:
+        """Sampled runs through one _Draws on rng (default: the config's seed)."""
+        if rng is None:
+            rng = np.random.default_rng(self.config.seed)
+        draws = _Draws(rng)
+        try:
+            return [self._run(draws, record_transcripts) for _ in range(n_samples)]
+        finally:
+            draws.close()
 
     def _finish(self, key, transcript: Transcript | None) -> RunOutcome:
         if transcript is None:
@@ -600,8 +700,7 @@ class _Protocol1Sampler(_Sampler):
                 self.exact_success = w
         self.branch_cdf = _cdf([b[1] for b in self.branches])
 
-    def run(self, rng: np.random.Generator,
-            record_transcript: bool = False) -> RunOutcome:
+    def _run(self, rng: _Draws, record_transcript: bool) -> RunOutcome:
         """One sampled run.  Without a transcript, the classical
         subroutines are sampled from their exact output distributions
         instead of share by share (a parity of fresh uniform bits is
@@ -612,7 +711,7 @@ class _Protocol1Sampler(_Sampler):
         idx = _draw(rng, self.branch_cdf)
         bits, _, _, (bell_cdf, _), _ = self.branches[idx]
         if transcript is None:
-            veto = any(bits) and rng.integers(0, 2, size=config.veto_rounds).any()
+            veto = any(bits) and rng.any_bit(config.veto_rounds)
         else:
             for node, b in zip(self.measuring, bits):
                 transcript.add(3, "measurement", node, bytes([b]), _private(node))
@@ -625,8 +724,7 @@ class _Protocol1Sampler(_Sampler):
                 transcript.add(base, "abort", 0, b"\x01")
             return self._finish(None, transcript)
         m = _draw(rng, bell_cdf)
-        public = _announce(config, m, rng, transcript, base,
-                           exact=transcript is None)
+        public = _announce(config, m, rng, transcript, base, draw_shares=False)
         return self._finish((idx, m, public), transcript)
 
 
@@ -636,11 +734,8 @@ def sample_protocol1_runs(config: NetworkConfig, n_samples: int,
     """Draw many seeded sampled runs cheaply (the branch table is built
     once).  Returns the outcomes and an aggregate summary.  Unless recorded,
     runs with equal results share one read-only outcome (empty transcript)."""
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     sampler = _Protocol1Sampler(config)
-    outcomes = [sampler.run(rng, record_transcript=record_transcripts)
-                for _ in range(n_samples)]
+    outcomes = sampler.batch(n_samples, rng, record_transcripts)
     return outcomes, {**batch_summary(outcomes),
                       "exact_success_probability": sampler.exact_success}
 
@@ -700,8 +795,8 @@ def run_ghz_protocol(config: NetworkConfig, rng: np.random.Generator | None = No
 class _GhzSampler(_Sampler):
     """GHZ plan: each measuring node's diag(Φ†(|±><±|)) is built once; the
     corrected pair, its teleport plan and fidelity are memoised per
-    X-outcome string (the branch key).  Recorded or not, a run draws the
-    same stream, the parity shares included."""
+    X-outcome string (the branch key).  Recorded or not, a run spends the
+    same stream: unrecorded, it skips the parity shares' draws."""
 
     def __init__(self, config: NetworkConfig):
         self.config, self.outcomes = config, {}
@@ -713,8 +808,7 @@ class _GhzSampler(_Sampler):
                        for op in _X_READ] for node in self.measuring]
         self.branches, self.exact_success = {}, 1.0
 
-    def run(self, rng: np.random.Generator,
-            record_transcript: bool = False) -> RunOutcome:
+    def _run(self, rng: _Draws, record_transcript: bool) -> RunOutcome:
         config = self.config
         transcript = _protocol1_skeleton(config) if record_transcript else None
         # an outcome prefix x has weight (Π E_x[0,0] + Π E_x[1,1]) / 2, so
@@ -728,8 +822,11 @@ class _GhzSampler(_Sampler):
             if transcript is not None:
                 transcript.add(3, "measurement", node, bytes([bit]), _private(node))
         # the announced parity is the XOR of the bits, which fix the pair
-        inputs = dict.fromkeys(config.nodes, 0) | dict(zip(self.measuring, bits))
-        parity_protocol(inputs, rng, transcript, start_round=4)
+        if transcript is None:  # the shares never change the result
+            rng.skip(config.n_nodes ** 2)
+        else:
+            inputs = dict.fromkeys(config.nodes, 0) | dict(zip(self.measuring, bits))
+            parity_protocol(inputs, rng, transcript, start_round=4)
         if bits not in self.branches:
             reads = {node: _X_READ[b] for node, b in zip(self.measuring, bits)}
             raw = _contract(config, _GHZ, reads, config.sender, config.receiver, 2)
@@ -742,8 +839,7 @@ class _GhzSampler(_Sampler):
 
 def sample_ghz_runs(config: NetworkConfig, n_samples: int) -> tuple[list, dict]:
     """sample_protocol1_runs for GHZ, with run_ghz_protocol's draws."""
-    sampler, rng = _GhzSampler(config), np.random.default_rng(config.seed)
-    outcomes = [sampler.run(rng) for _ in range(n_samples)]
+    outcomes = _GhzSampler(config).batch(n_samples)
     return outcomes, batch_summary(outcomes)
 
 

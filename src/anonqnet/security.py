@@ -208,6 +208,8 @@ def independence_check(views: Sequence[LabeledEnsemble]) -> float:
     distance between attached states.  0 means the coalition's view does
     not depend on the hypothesis at all."""
     worst = 0.0
+    states = [{l: v.state(l) for l in v.labels() if v.weight(l) > _TINY}
+              for v in views]
     for i in range(len(views)):
         for j in range(i + 1, len(views)):
             a, b = views[i], views[j]
@@ -215,9 +217,8 @@ def independence_check(views: Sequence[LabeledEnsemble]) -> float:
             tv = 0.5 * sum(abs(a.weight(l) - b.weight(l)) for l in labels)
             td = 0.0
             for l in labels:
-                wa, wb = a.weight(l), b.weight(l)
-                if wa > _TINY and wb > _TINY:
-                    sa, sb = a.state(l), b.state(l)
+                if l in states[i] and l in states[j]:
+                    sa, sb = states[i][l], states[j][l]
                     if sa.labels != sb.labels:
                         # mismatched registers under one label are
                         # perfectly distinguishable

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import json
+import random
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -36,9 +38,12 @@ from anonqnet.protocols import (
     ProtocolImpossibleError,
     RunOutcome,
     Transcript,
+    _Draws,
     _GhzSampler,
     _Protocol1Sampler,
+    _branch_plan,
     _contract,
+    _normalized_pair,
     collision_detection,
     parity_protocol,
     receiver_notification,
@@ -612,6 +617,129 @@ def test_single_sampling_run_records_full_transcript():
         assert "abort" in kinds
     else:
         assert "teleport_correction" in kinds
+
+
+# ---------------------------------------------------------------------------
+# the raw-word draw reader against numpy's own calls
+
+BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
+                  np.random.SFC64]
+
+
+def fuzz_calls(pick: random.Random, n_calls: int) -> list:
+    """A mix of the calls the samplers make: (name, argument)."""
+    calls = []
+    for _ in range(n_calls):
+        kind = pick.choice(["random", "bit", "k", "kk", "any", "skip"])
+        calls.append((kind, pick.choice([0, 1, 2, 3, 5, 8, 20])))
+    return calls
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+def test_draws_match_generator_calls(bit_generator):
+    for seed in range(40):
+        pick = random.Random(seed)
+        rng, ref = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+        if seed % 2:  # start with a buffered 32-bit half
+            assert rng.integers(0, 2) == ref.integers(0, 2)
+        # a tiny block forces refills inside single calls
+        draws = _Draws(rng, block=pick.choice([1, 2, 3, 2048]))
+        for kind, k in fuzz_calls(pick, 60):
+            if kind == "random":
+                assert draws.random() == ref.random()
+            elif kind == "bit":
+                assert draws.integers(0, 2) == ref.integers(0, 2)
+            elif kind == "k":
+                got, want = draws.integers(0, 2, size=k), ref.integers(0, 2, size=k)
+                assert got.dtype == want.dtype and got.tolist() == want.tolist()
+            elif kind == "kk":
+                got = draws.integers(0, 2, size=(k, k))
+                want = ref.integers(0, 2, size=(k, k))
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tolist() == want.tolist()
+            elif kind == "any":
+                assert draws.any_bit(k) == ref.integers(0, 2, size=k).any()
+            else:
+                draws.skip(k)
+                ref.integers(0, 2, size=k)
+        draws.close()
+        assert rng.random() == ref.random()
+        assert rng.integers(0, 2) == ref.integers(0, 2)
+        assert rng.integers(0, 2) == ref.integers(0, 2)
+
+
+def test_draws_refuse_a_generator_without_the_32_bit_buffer():
+    cfg = NetworkConfig(n_nodes=5, sender=1, receiver=2)
+    for sample in (lambda rng: run_protocol1(cfg, rng=rng, mode="sampling"),
+                   lambda rng: run_ghz_protocol(cfg, rng=rng, mode="sampling"),
+                   lambda rng: sample_protocol1_runs(cfg, 5, rng=rng),
+                   lambda rng: _GhzSampler(cfg).batch(5, rng)):
+        rng = np.random.Generator(np.random.MT19937(1))
+        with pytest.raises(ValueError, match="PCG64, PCG64DXSM, Philox or SFC64"):
+            sample(rng)
+        # nothing was drawn
+        assert rng.random() == np.random.Generator(np.random.MT19937(1)).random()
+    # exact mode draws nothing, so any generator will do
+    run_protocol1(cfg, rng=np.random.Generator(np.random.MT19937(1)))
+
+
+def reference_w_batch(sampler, rng, n_runs):
+    """The W batch loop as Generator calls: (result key or None) per run."""
+    keys = []
+    for _ in range(n_runs):
+        idx = bisect_right(sampler.branch_cdf, rng.random())
+        bits, _, _, (bell_cdf, _), _ = sampler.branches[idx]
+        if any(bits) and rng.integers(0, 2, size=sampler.config.veto_rounds).any():
+            keys.append(None)
+            continue
+        m = bisect_right(bell_cdf, rng.random())
+        rand = int(rng.integers(0, 2)), int(rng.integers(0, 2))
+        keys.append((idx, m, (m >> 1 ^ rand[0], m & 1 ^ rand[1])))
+    return keys
+
+
+def reference_ghz_batch(sampler, rng, n_runs):
+    """The GHZ batch loop as Generator calls, parity shares included."""
+    cfg, keys = sampler.config, []
+    for _ in range(n_runs):
+        bits, products = (), np.ones(2)
+        for diags in sampler.diags:
+            w_plus, w_minus = (products @ d for d in diags)
+            bit = int(rng.random() >= w_plus / (w_plus + w_minus))
+            products, bits = products * diags[bit], bits + (bit,)
+        rng.integers(0, 2, size=(cfg.n_nodes, cfg.n_nodes))
+        if bits not in sampler.branches:
+            reads = {node: _X_READ[b] for node, b in zip(sampler.measuring, bits)}
+            raw = _contract(cfg, _GHZ, reads, cfg.sender, cfg.receiver, 2)
+            _, pair = _normalized_pair(_Z_R @ raw @ _Z_R if sum(bits) % 2 else raw)
+            sampler.branches[bits] = _branch_plan(cfg, pair, "GHZ")
+        m = bisect_right(sampler.branches[bits][1][0], rng.random())
+        rand = int(rng.integers(0, 2)), int(rng.integers(0, 2))
+        for _ in range(2):
+            rng.integers(0, 2, size=(cfg.n_nodes, cfg.n_nodes))
+        keys.append((bits, m, (m >> 1 ^ rand[0], m & 1 ^ rand[1])))
+    return keys
+
+
+@pytest.mark.parametrize("protocol, veto_rounds",
+                         [("W", 1), ("W", 3), ("W", 20), ("GHZ", 20)])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_batches_keep_the_generator_call_stream(protocol, veto_rounds, buffered):
+    cfg = NetworkConfig(n_nodes=6, sender=2, receiver=5, veto_rounds=veto_rounds,
+                        per_qubit_channels=uniform(depolarizing(0.85), 6))
+    make, reference = {"W": (_Protocol1Sampler, reference_w_batch),
+                       "GHZ": (_GhzSampler, reference_ghz_batch)}[protocol]
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    if buffered:  # the batch starts on a buffered 32-bit half
+        assert rng.integers(0, 2) == ref_rng.integers(0, 2)
+    # sample_protocol1_runs and sample_ghz_runs are this batch
+    outs = make(cfg).batch(400, rng)
+    ref = make(cfg)
+    want = [ref._finish(key, None) for key in reference(ref, ref_rng, 400)]
+    assert [o.to_json_dict() for o in outs] == [o.to_json_dict() for o in want]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert rng.random() == ref_rng.random()
+    assert rng.integers(0, 2) == ref_rng.integers(0, 2)
 
 
 # ---------------------------------------------------------------------------
