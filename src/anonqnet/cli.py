@@ -52,12 +52,12 @@ from .analytic import (
 from .protocols import (
     NetworkConfig,
     ProtocolImpossibleError,
-    batch_summary,
     run_ghz_protocol,
     run_protocol1,
     run_relay_protocol,
     sample_ghz_runs,
     sample_protocol1_runs,
+    sample_relay_runs,
     w_loss_branch_average_dense,
 )
 from .qcore import DenseCapError, Ket
@@ -137,9 +137,11 @@ def _emit(text: str, out: str | None = None) -> None:
 
 
 def _dumps_runs(body: dict, outcomes: list) -> str:
-    """json.dumps(body, indent=2) with "runs", the outcomes' transcript-free
-    rows, as its last key: each distinct outcome object (sampled batches
-    share a handful) is encoded once, and indented encoding is pure Python."""
+    """json.dumps(body, indent=2) and a newline, with "runs", the outcomes'
+    transcript-free rows, as its last key: each distinct outcome object
+    (sampled batches share a handful) is encoded once, and indented
+    encoding is pure Python.  The text is built by one join, as a batch's
+    output can run to megabytes."""
     blocks, rows = {}, []
     for o in outcomes:
         if id(o) not in blocks:  # the list keeps every id alive
@@ -148,7 +150,9 @@ def _dumps_runs(body: dict, outcomes: list) -> str:
         rows.append(blocks[id(o)])
     # "runs" is the last key, so the 0 placeholder is the text's last 0
     head, tail = json.dumps({**body, "runs": [0]}, indent=2).rsplit("0", 1)
-    return head + ",\n    ".join(rows) + tail
+    rows[0] = head + rows[0]
+    rows[-1] += tail + "\n"
+    return ",\n    ".join(rows)
 
 
 def _cell(value) -> str:
@@ -515,12 +519,9 @@ def run(protocol, nodes, sender, receiver, channel_spec, channel_overrides,
             if transcript_path:
                 with open(transcript_path, "w") as fh:
                     fh.write(outcome.transcript.to_jsonl() + "\n")
-        elif protocol == "relay":
-            rng = np.random.default_rng(seed)
-            outcomes = [runner(net, rng=rng, mode="sampling") for _ in range(samples)]
-            body["aggregate"] = batch_summary(outcomes)
         else:
-            sample = sample_protocol1_runs if protocol == "W" else sample_ghz_runs
+            sample = {"W": sample_protocol1_runs, "GHZ": sample_ghz_runs,
+                      "relay": sample_relay_runs}[protocol]
             outcomes, body["aggregate"] = sample(net, samples)
     except ProtocolImpossibleError as exc:
         click.echo(f"error: {exc}", err=True)
@@ -528,8 +529,8 @@ def run(protocol, nodes, sender, receiver, channel_spec, channel_overrides,
     except (DenseCapError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
-    _emit((json.dumps(body, indent=2) if samples == 1
-           else _dumps_runs(body, outcomes)) + "\n", out)
+    _emit(json.dumps(body, indent=2) + "\n" if samples == 1
+          else _dumps_runs(body, outcomes), out)
 
 
 # ---------------------------------------------------------------------------

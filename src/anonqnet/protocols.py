@@ -19,9 +19,11 @@ Two execution modes:
   operator on the pair; qcore's dense registers serve only as the tests'
   reference.
 * sampling: one branch is drawn per run with the seeded generator; used
-  for transcript-level statistics (abort rates, masking uniformity).  W and
-  GHZ samplers plan once per config and memoise per outcome string, so a
-  run only draws randomness; equal unrecorded runs share one outcome.  They
+  for transcript-level statistics (abort rates, masking uniformity).  The
+  W, GHZ and relay samplers plan once per config (W and GHZ memoise per
+  outcome string; the relay builds each hop's superoperator once per swap
+  outcome and keeps the registers of the last chain of hops), so a run
+  only draws randomness; equal unrecorded runs share one outcome.  They
   read raw generator words (_Draws), decoded into exactly the Generator's
   draws, so seeded outputs are unchanged; PCG64, PCG64DXSM, Philox and
   SFC64 bit generators are supported.
@@ -647,10 +649,13 @@ class _Sampler:
             draws.close()
 
     def _finish(self, key, transcript: Transcript | None) -> RunOutcome:
-        if transcript is None:
-            if key not in self.outcomes:
-                self.outcomes[key] = self._finish(key, Transcript())
-            return self.outcomes[key]
+        if transcript is not None:
+            return self._outcome(key, transcript)
+        if key not in self.outcomes:
+            self.outcomes[key] = self._outcome(key, Transcript())
+        return self.outcomes[key]
+
+    def _outcome(self, key, transcript: Transcript) -> RunOutcome:
         if key is None:
             return RunOutcome(aborted=True, delivered_fidelity=None,
                               analytic_success_probability=self.exact_success,
@@ -855,15 +860,83 @@ _TRAVEL = 3
 _SWAPS = np.einsum("mta,ab->mbt", _BELL.conj(), _BELL[0])
 _CORRECTIONS = np.array(BELL_CORRECTIONS)
 _SWAP_CDF = _cdf(np.ones(4))
+# a sampled hop's swap branch: none (None) into node 2, else one outcome m,
+# renormalized
+_BRANCHES = {None: (ID2[None], ID2[None])} | {
+    m: (2 * _SWAPS[m:m + 1], _CORRECTIONS[m:m + 1]) for m in range(4)}
 
 
-def _on_qubit(rho: np.ndarray, ops, qubit: int) -> np.ndarray:
-    """Σ_k K_k rho K_k† for 2x2 operators K_k on one qubit of the relay
-    register, summed over k before it touches the state."""
+def _superop(ops) -> np.ndarray:
+    """rho -> Σ_k K_k rho K_k† for 2x2 operators K_k, summed over k."""
     ops = np.asarray(ops)
-    sup = np.einsum("xij,xkl->ikjl", ops, ops.conj())
+    return np.einsum("xij,xkl->ikjl", ops, ops.conj())
+
+
+def _on_qubit(rho: np.ndarray, sup: np.ndarray, qubit: int) -> np.ndarray:
+    """A _superop applied to one qubit of the relay register."""
     r = rho.reshape(2**qubit, 2, 2**(3 - qubit), 2**qubit, 2, 2**(3 - qubit))
     return np.einsum("ikjl,ajbcld->aibckd", sup, r).reshape(16, 16)
+
+
+def _hop(kraus: np.ndarray, swaps, corrections) -> np.ndarray:
+    """A hop's superoperator: a channel's Kraus operators between swap
+    branches and their corrections."""
+    hops = corrections[:, None] @ kraus @ swaps[:, None]
+    return _superop(hops.reshape(-1, 2, 2))
+
+
+_X_SUPS = tuple(_superop([e]) for e in _X_READ)
+_Z_SUP = _superop([PAULI_Z])
+
+
+class _Relay:
+    """The chain 1..n of one config on the relay register."""
+
+    def __init__(self, config: NetworkConfig):
+        if config.n_nodes < 4:
+            raise ValueError("relay needs at least 4 nodes")
+        if config.lost_nodes:
+            raise ValueError("relay does not support lost nodes")
+        self.config, n = config, config.n_nodes
+        self.anc = {config.sender: 1, config.receiver: 2}  # register qubit per node
+        # phase corrections from the closing X measurements land on the anc
+        # that was spliced in first along the chain
+        self.first_anc = self.anc[min(self.anc)]
+        # keep, travel, the ancillas spliced by the last swap and its fresh pair
+        self.max_live = 4 + sum(node < n for node in self.anc)
+        ket = np.zeros((2, 2, 2, 2), dtype=complex)
+        ket[:, 0, 0, :] = _BELL[0]  # Bell(keep, travel), ancillas in |0>
+        self.start = self.splice(np.outer(ket.ravel(), ket.ravel().conj()), 0, 1)
+
+    def splice(self, rho: np.ndarray, control: int, node: int) -> np.ndarray:
+        # CNOT onto the node's |0> ancilla, if any: a permutation of indices
+        if node not in self.anc:
+            return rho
+        idx = np.arange(16)
+        idx ^= (idx >> (3 - control) & 1) << (3 - self.anc[node])
+        return rho[np.ix_(idx, idx)]
+
+    def close(self, rho: np.ndarray, qubit: int) -> tuple:
+        """The two unnormalized branches of a closing X measurement; a '-'
+        outcome flips the phase of first_anc."""
+        plus = _on_qubit(rho, _X_SUPS[0], qubit)
+        minus = _on_qubit(_on_qubit(rho, _X_SUPS[1], qubit), _Z_SUP, self.first_anc)
+        return plus, minus
+
+    def transcript(self, casts: Sequence = ()) -> Transcript:
+        """The pair hand-offs, which both modes record, then the
+        (round, actor, bit) broadcasts of a sampled run's outcomes."""
+        transcript = Transcript()
+        for j in range(1, self.config.n_nodes):
+            transcript.add(0, "private_send", j, b"\x01", _private(j + 1))
+        for round_, actor, bit in casts:
+            transcript.add(round_, "broadcast", actor, bytes([bit]))
+        return transcript
+
+    def delivered(self, rho: np.ndarray, transcript: Transcript) -> RunOutcome:
+        pair = np.einsum("iabjicdj->abcd", rho.reshape((2,) * 8)).reshape(4, 4)
+        return _teleported(self.config, DensityMatrix(pair, PAIR_LABELS), "GHZ",
+                           transcript, max_live_qubits=self.max_live)
 
 
 def run_relay_protocol(config: NetworkConfig,
@@ -880,81 +953,91 @@ def run_relay_protocol(config: NetworkConfig,
     close the chain with X measurements whose parity fixes a final Z.
 
     The register stays at four qubits: node 1's kept half, the two
-    ancillas and the travelling qubit.  A swap is a 2x2 operator on the
-    travelling qubit, applied with the next hop's channel and correction.
-    max_live_qubits counts the protocol's live qubits, the fresh pair
-    during a swap included.
+    ancillas and the travelling qubit.  A hop is one superoperator on the
+    travelling qubit, with the next node's channel between a swap branch
+    and its correction; exact mode mixes all branches, and sampling mode
+    is a run of the relay's sampling plan.  max_live_qubits counts the
+    protocol's live qubits, the fresh pair during a swap included.
     """
-    if config.n_nodes < 4:
-        raise ValueError("relay needs at least 4 nodes")
-    if config.lost_nodes:
-        raise ValueError("relay does not support lost nodes")
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    if mode not in ("exact", "sampling"):
+    if mode == "sampling":
+        return _RelaySampler(config).run(rng, record_transcript=True)
+    if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    sampling = mode == "sampling"
-    n = config.n_nodes
+    relay = _Relay(config)
+    rho, swaps, corrections = relay.start, ID2[None], ID2[None]
+    for j in range(2, config.n_nodes + 1):
+        hop = _hop(np.array(config.channel_for(j).kraus_ops), swaps, corrections)
+        rho = relay.splice(_on_qubit(rho, hop, _TRAVEL), _TRAVEL, j)
+        swaps, corrections = _SWAPS, _CORRECTIONS
+    for qubit in (_TRAVEL, 0):
+        plus, minus = relay.close(rho, qubit)
+        rho = plus + minus
+    return relay.delivered(rho, relay.transcript())
 
-    transcript = Transcript()
-    # pair hand-offs are deterministic, so both modes record them; swap
-    # outcomes are only concrete (and broadcast) in sampling mode
-    for j in range(1, n):
-        transcript.add(0, "private_send", j, b"\x01", _private(j + 1))
-    anc = {config.sender: 1, config.receiver: 2}  # register qubit per node
-    # phase corrections from the closing X measurements land on the anc that
-    # was spliced in first along the chain
-    first_anc = anc[min(anc)]
-    # keep, travel, the ancillas spliced by the last swap and its fresh pair
-    max_live = 4 + sum(node < n for node in anc)
 
-    def splice(rho, control, node):
-        # CNOT onto the node's |0> ancilla: a permutation of basis indices
-        idx = np.arange(16)
-        idx ^= (idx >> (3 - control) & 1) << (3 - anc[node])
-        return rho[np.ix_(idx, idx)]
+class _RelaySampler(_Relay, _Sampler):
+    """Relay plan: a hop's superoperator is built once per (Kraus operators,
+    swap outcome), and equal ones (by bytes) share an id, so a run's chain
+    key is its tuple of hop ids; under a Pauli channel every run has one
+    chain.  Only the current chain is kept: its register and, per prefix of
+    closing X outcomes, the normalized register, p_plus and the two
+    branches.  A new chain gets a new number; the result key is (chain
+    number, X outcomes)."""
 
-    def close(rho, qubit, round_, actor):
-        # X measurements at the chain ends: a '-' outcome flips the phase of
-        # first_anc; sampled outcomes are broadcast, exact ones mixed
-        plus = _on_qubit(rho, _X_READ[:1], qubit)
-        minus = _on_qubit(_on_qubit(rho, _X_READ[1:], qubit), [PAULI_Z],
-                          first_anc)
-        if not sampling:
-            return plus + minus
-        p_plus = min(max(np.trace(plus).real / np.trace(rho).real, 0.0), 1.0)
-        outcome = 0 if rng.random() < p_plus else 1
-        transcript.add(round_, "broadcast", actor, bytes([outcome]))
-        branch = minus if outcome else plus
-        return branch / np.trace(branch).real
+    def __init__(self, config: NetworkConfig):
+        super().__init__(config)
+        canon, built, self.hops, self.outcomes = {}, {}, [], {}
+        for j in range(2, config.n_nodes + 1):
+            kraus, row = np.array(config.channel_for(j).kraus_ops), []
+            for m in [None] if j == 2 else range(4):
+                key = (kraus.tobytes(), m)  # all a hop depends on
+                if key not in built:
+                    sup = _hop(kraus, *_BRANCHES[m])
+                    built[key] = id(canon.setdefault(sup.tobytes(), sup))
+                row.append(built[key])
+            self.hops.append(row)
+        self.sups = {id(s): s for s in canon.values()}
+        self.key, self.chain = None, 0
 
-    ket = np.zeros((2, 2, 2, 2), dtype=complex)
-    ket[:, 0, 0, :] = _BELL[0]  # Bell(keep, travel), ancillas in |0>
-    rho = np.outer(ket.ravel(), ket.ravel().conj())
-    if 1 in anc:
-        rho = splice(rho, 0, 1)
-    # swap branches and their corrections awaiting the next hop
-    swaps, corrections = ID2[None], ID2[None]
-    for j in range(2, n + 1):
-        # the hop's channel acts between a swap branch and its correction
-        kraus = np.array(config.channel_for(j).kraus_ops)
-        hop = corrections[:, None] @ kraus @ swaps[:, None]
-        rho = _on_qubit(rho, hop.reshape(-1, 2, 2), _TRAVEL)
-        if j in anc:
-            rho = splice(rho, _TRAVEL, j)
-        if j < n:
-            if sampling:
-                m = _draw(rng, _SWAP_CDF)
-                transcript.add(j, "broadcast", j, bytes([m]))
-                swaps, corrections = 2 * _SWAPS[m:m + 1], _CORRECTIONS[m:m + 1]
-            else:
-                swaps, corrections = _SWAPS, _CORRECTIONS
-        else:
-            rho = close(rho, _TRAVEL, round_=j, actor=j)
-    rho = close(rho, 0, round_=n + 1, actor=1)
-    pair = np.einsum("iabjicdj->abcd", rho.reshape((2,) * 8)).reshape(4, 4)
-    return _teleported(config, DensityMatrix(pair, PAIR_LABELS), "GHZ",
-                       transcript, max_live_qubits=max_live)
+    def _run(self, rng: _Draws, record_transcript: bool) -> RunOutcome:
+        n = self.config.n_nodes
+        swaps = [_draw(rng, _SWAP_CDF) for _ in range(n - 2)]
+        key = tuple(map(list.__getitem__, self.hops, [0, *swaps]))
+        if key != self.key:
+            rho = self.start
+            for j, hop in enumerate(key, 2):
+                rho = self.splice(_on_qubit(rho, self.sups[hop], _TRAVEL), _TRAVEL, j)
+            self.key, self.chain = key, self.chain + 1
+            self.closed, self.closing = {(): rho}, {}
+        bits = ()
+        for qubit in (_TRAVEL, 0):
+            if bits not in self.closing:
+                rho = self.closed[bits]
+                plus, minus = self.close(rho, qubit)
+                p = np.trace(plus).real / np.trace(rho).real
+                self.closing[bits] = min(max(p, 0.0), 1.0), (plus, minus)
+            p_plus, branches = self.closing[bits]
+            b = 0 if rng.random() < p_plus else 1
+            bits += (b,)
+            if bits not in self.closed:
+                self.closed[bits] = branches[b] / np.trace(branches[b]).real
+        transcript = self.transcript(
+            [*zip(range(2, n), range(2, n), swaps), (n, n, bits[0]),
+             (n + 1, 1, bits[1])]) if record_transcript else None
+        return self._finish((self.chain, bits), transcript)
+
+    def _outcome(self, key, transcript: Transcript) -> RunOutcome:
+        return self.delivered(self.closed[key[1]], transcript)
+
+
+def sample_relay_runs(config: NetworkConfig, n_samples: int,
+                      rng: np.random.Generator | None = None,
+                      record_transcripts: bool = False) -> tuple[list, dict]:
+    """sample_protocol1_runs for the relay, with run_relay_protocol's draws."""
+    outcomes = _RelaySampler(config).batch(n_samples, rng, record_transcripts)
+    return outcomes, batch_summary(outcomes)
 
 
 # ---------------------------------------------------------------------------

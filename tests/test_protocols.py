@@ -41,6 +41,7 @@ from anonqnet.protocols import (
     _Draws,
     _GhzSampler,
     _Protocol1Sampler,
+    _RelaySampler,
     _branch_plan,
     _contract,
     _normalized_pair,
@@ -52,6 +53,7 @@ from anonqnet.protocols import (
     run_relay_protocol,
     sample_ghz_runs,
     sample_protocol1_runs,
+    sample_relay_runs,
     teleport_branches,
     teleport_exact,
     veto_protocol,
@@ -581,7 +583,7 @@ def test_ghz_sampler_keeps_the_stream(n, mixed):
         assert np.abs(pair.mat - raw / np.trace(raw).real).max() <= 1e-15
 
 
-@pytest.mark.parametrize("make", [_Protocol1Sampler, _GhzSampler])
+@pytest.mark.parametrize("make", [_Protocol1Sampler, _GhzSampler, _RelaySampler])
 def test_unrecorded_runs_share_one_outcome_per_result(make):
     cfg = NetworkConfig(n_nodes=6, sender=2, receiver=5,
                         per_qubit_channels=uniform(depolarizing(0.9), 6))
@@ -672,8 +674,10 @@ def test_draws_refuse_a_generator_without_the_32_bit_buffer():
     cfg = NetworkConfig(n_nodes=5, sender=1, receiver=2)
     for sample in (lambda rng: run_protocol1(cfg, rng=rng, mode="sampling"),
                    lambda rng: run_ghz_protocol(cfg, rng=rng, mode="sampling"),
+                   lambda rng: run_relay_protocol(cfg, rng=rng, mode="sampling"),
                    lambda rng: sample_protocol1_runs(cfg, 5, rng=rng),
-                   lambda rng: _GhzSampler(cfg).batch(5, rng)):
+                   lambda rng: _GhzSampler(cfg).batch(5, rng),
+                   lambda rng: sample_relay_runs(cfg, 5, rng=rng)):
         rng = np.random.Generator(np.random.MT19937(1))
         with pytest.raises(ValueError, match="PCG64, PCG64DXSM, Philox or SFC64"):
             sample(rng)
@@ -681,6 +685,7 @@ def test_draws_refuse_a_generator_without_the_32_bit_buffer():
         assert rng.random() == np.random.Generator(np.random.MT19937(1)).random()
     # exact mode draws nothing, so any generator will do
     run_protocol1(cfg, rng=np.random.Generator(np.random.MT19937(1)))
+    run_relay_protocol(cfg, rng=np.random.Generator(np.random.MT19937(1)))
 
 
 def reference_w_batch(sampler, rng, n_runs):
@@ -1065,3 +1070,56 @@ def test_relay_matches_dense_reference_every_placement(n, kind):
             assert out.transcript.to_jsonl() == transcript.to_jsonl()
             assert rng.random() == ref_rng.random()
             assert np.abs(out.anonymous_entanglement.mat - ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("kind", sorted(RELAY_CHANNELS))
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_relay_batch_matches_successive_dense_runs(n, kind):
+    chans = {i: RELAY_CHANNELS[kind](i) for i in range(1, n + 1)}
+    for seed, (s, r) in enumerate([(1, 2), (n, 2), (2, n - 1)]):
+        cfg = NetworkConfig(n_nodes=n, sender=s, receiver=r,
+                            per_qubit_channels=chans)
+        for record in (False, True):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            outs, _ = sample_relay_runs(cfg, 10, rng, record_transcripts=record)
+            for out in outs:
+                ref, transcript, _ = dense_relay(cfg, ref_rng)
+                assert np.abs(out.anonymous_entanglement.mat - ref).max() < 1e-12
+                if record:
+                    assert out.transcript.to_jsonl() == transcript.to_jsonl()
+            assert rng.random() == ref_rng.random()
+
+
+def registers(obj) -> int:
+    """The 16x16 relay registers held in obj, through lists, tuples and dicts."""
+    if isinstance(obj, np.ndarray):
+        return int(obj.shape == (16, 16))
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    return sum(map(registers, obj)) if isinstance(obj, (list, tuple)) else 0
+
+
+def test_relay_plan_keeps_the_registers_of_one_chain():
+    # non-unital channels: nearly every run has its own chain of hops
+    n = 30
+    chans = {i: damp_then_rotate(0.01 * i, 0.4 * i - 1.3, (PAULI_X, PAULI_Z)[i % 2])
+             for i in range(1, n + 1)}
+    cfg = NetworkConfig(n_nodes=n, sender=4, receiver=17, per_qubit_channels=chans)
+    sampler = _RelaySampler(cfg)
+    outs = sampler.batch(500, np.random.default_rng(5))
+    assert len({id(o) for o in outs}) > 400
+    assert registers(vars(sampler)) <= n
+    # reused registers and closing probabilities change no bit of a run
+    ref_rng = np.random.default_rng(5)
+    for out in outs[:60]:
+        ref = _RelaySampler(cfg).run(ref_rng)
+        assert np.array_equal(out.anonymous_entanglement.mat,
+                              ref.anonymous_entanglement.mat)
+
+
+def test_relay_pauli_batch_shares_one_chain():
+    cfg = NetworkConfig(n_nodes=8, sender=3, receiver=6, seed=2,
+                        per_qubit_channels=uniform(depolarizing(0.9), 8))
+    outs, _ = sample_relay_runs(cfg, 1000)
+    # one chain, and two X outcomes closing it
+    assert len({id(o) for o in outs}) <= 4
