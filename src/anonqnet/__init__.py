@@ -82,12 +82,10 @@ from .protocols import (
 )
 from .security import (
     AdversaryScenario,
-    LabeledEnsemble,
     adversary_view,
     epsilon_security_bound,
     guessing_probability,
     independence_check,
-    permutation_invariance_check,
     security_report,
 )
 

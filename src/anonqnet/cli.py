@@ -243,7 +243,8 @@ def _sweep_row(protocol: str, family: str, n: int, q: float, mode: str) -> dict:
 @click.option("--channel", "channel_family",
               type=click.Choice(["dephasing", "depolarizing"]),
               default="depolarizing")
-@click.option("--q", type=float, default=None, help="single noise value")
+@click.option("--q", type=click.FloatRange(0, 1), default=None,
+              help="single noise value")
 @click.option("--q-range", default=None, help="a:b:step grid of q values")
 @click.option("--nodes", type=int, default=None, help="single network size")
 @click.option("--n-range", default=None, help="a:b[:step] grid of sizes")
@@ -340,7 +341,7 @@ def _relay_point(n: int, s: int, r: int, q: float, mode: str) -> dict:
 
 @main.command()
 @click.option("--nodes", type=int, default=6)
-@click.option("--q", "q_values", type=float, multiple=True,
+@click.option("--q", "q_values", type=click.FloatRange(0, 1), multiple=True,
               default=(0.8, 0.95))
 @click.option("--sender", type=int, default=1)
 @click.option("--receiver", type=int, default=None)
@@ -439,10 +440,9 @@ def security(nodes, sender, receiver, adversaries, role, channel_spec,
     try:
         for r in roles:
             rep = security_report(net, adv, role=r, base_channel=base)
-            eps = rep.get("diamond_epsilon_bound",
-                          rep.get("epsilon_bound", 0.0))
             rep["holds"] = (rep["guessing_probability"]
-                            <= rep["uniform_prior"] + eps + 1e-9)
+                            <= rep["uniform_prior"]
+                            + rep["diamond_epsilon_bound"] + 1e-9)
             ok = ok and rep["holds"]
             reports[r] = rep
     except ValueError as exc:

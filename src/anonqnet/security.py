@@ -1,8 +1,9 @@
 """Anonymity analysis for the W-state protocol.
 
-The central object is the adversary view: a labeled ensemble describing
-everything a passive coalition observes in one run, for a hypothesised
-sender (or receiver) identity.  Labels collect the classical data
+The central object is the adversary view: everything a passive coalition
+observes in one run, for a hypothesised sender (or receiver) identity, as
+a plain dict label -> (weight, weight x quantum block).  Labels collect
+the classical data
 
 * the coalition's notification bits,
 * the coalition's own measurement outcomes,
@@ -13,25 +14,28 @@ sender (or receiver) identity.  Labels collect the classical data
 * the masked teleport announcement: the raw Bell outcome when the
   receiver itself is corrupt, otherwise the two public masked bits,
 
-and the attached state is the coalition's quantum side (the receiver's
-carrier qubit when the receiver is corrupt, trivial otherwise).  Shares
-from the XOR-sharing subroutines are excluded: for any coalition missing
-at least one node they are uniform and carry no input dependence.
+and the block is the coalition's quantum side (the receiver's carrier
+qubit when the receiver is corrupt, trivial otherwise).  Shares from the
+XOR-sharing subroutines are excluded: for any coalition missing at least
+one node they are uniform and carry no input dependence.
 
 Anonymity holds when views for different hypotheses coincide; the checks
 below quantify any gap and convert it into a guessing-probability bound.
+When node channels deviate from a common base, the verdict adds the
+diamond-distance perturbation bound, which stays sound for the W state's
+entangled inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .channels import QuantumChannel, channel_distance, diamond_distance
-from .qcore import DensityMatrix, trace_distance
+from .qcore import DensityMatrix
 from .protocols import NetworkConfig, pullback_pair, teleport_branches
 
 _TINY = 1e-14
@@ -57,48 +61,6 @@ class AdversaryScenario:
         object.__setattr__(self, "adversary_set", frozenset(self.adversary_set))
 
 
-@dataclass
-class LabeledEnsemble:
-    """Classical label -> (weight, state) map with weight-merged insertion.
-
-    Internally stores weight-absorbed matrices so that merging two branches
-    with the same label is a plain sum.
-    """
-
-    branches: dict = field(default_factory=dict)  # label -> [weight, w*mat, labels]
-
-    def add(self, label, weight: float, mat: np.ndarray, labels: tuple) -> None:
-        if weight < _TINY:
-            return
-        entry = self.branches.get(label)
-        if entry is None:
-            self.branches[label] = [weight, weight * mat, labels]
-        else:
-            if entry[2] != labels:
-                raise ValueError(f"label {label!r} used with mismatched registers")
-            entry[0] += weight
-            entry[1] = entry[1] + weight * mat
-
-    def labels(self):
-        return set(self.branches)
-
-    def weight(self, label) -> float:
-        entry = self.branches.get(label)
-        return entry[0] if entry else 0.0
-
-    def weighted_mat(self, label) -> np.ndarray | None:
-        entry = self.branches.get(label)
-        return entry[1] if entry else None
-
-    def state(self, label) -> DensityMatrix:
-        w, wmat, labels = self.branches[label]
-        return DensityMatrix(wmat / w, labels)
-
-    @property
-    def total_weight(self) -> float:
-        return float(sum(e[0] for e in self.branches.values()))
-
-
 def effective_roles(config: NetworkConfig, hypothesis: int, role: str
                     ) -> tuple[int, int]:
     """Sender/receiver pair realizing the hypothesis.
@@ -120,13 +82,15 @@ def effective_roles(config: NetworkConfig, hypothesis: int, role: str
 
 
 def adversary_view(config: NetworkConfig, scenario: AdversaryScenario,
-                   hypothesis: int, role: str = "sender") -> LabeledEnsemble:
-    """Exact run-level view of the coalition under one identity hypothesis.
+                   hypothesis: int, role: str = "sender") -> dict:
+    """Exact run-level view of the coalition under one identity hypothesis,
+    as a dict label -> (weight, weight x block).
 
     Enumerates the coalition's measurement outcomes, the honest-side
     all-zero/not-all-zero split (the complement is obtained by subtraction,
     avoiding a 2^N blowup), and the teleport announcement branches.
-    Branch weights over each view sum to 1.
+    Branches with the same label merge by summing.  Branch weights over
+    each view sum to 1.
     """
     if config.n_nodes > ADVERSARY_NODE_CAP:
         raise ValueError(
@@ -149,15 +113,21 @@ def adversary_view(config: NetworkConfig, scenario: AdversaryScenario,
     adv_meas = [i for i in measuring if i in adv]
     honest_meas = [i for i in measuring if i not in adv]
     rn_bits = tuple(int(i == eff_receiver) for i in sorted(adv))
+    view = {}
 
-    def abort_view(mat, weight):
+    def add(label, weight, block):
+        if weight >= _TINY:
+            w, acc = view.get(label, (0.0, 0.0))
+            view[label] = (w + weight, acc + weight * block)
+
+    def abort(label, mat, weight):
         # a corrupt receiver keeps its carrier qubit, anyone else nothing
-        if not receiver_corrupt:
-            return _TRIVIAL, ()
-        carrier = np.trace(mat.reshape(2, 2, 2, 2), axis1=0, axis2=2)
-        return carrier / weight, ("carrier",)
+        if receiver_corrupt:
+            carrier = np.trace(mat.reshape(2, 2, 2, 2), axis1=0, axis2=2)
+            add(label, weight, carrier / weight)
+        else:
+            add(label, weight, _TRIVIAL)
 
-    view = LabeledEnsemble()
     for mu in product((0, 1), repeat=len(adv_meas)):
         coalition = dict(zip(adv_meas, mu))
         # (sender, receiver) pairs with the honest outcomes summed over
@@ -175,88 +145,66 @@ def adversary_view(config: NetworkConfig, scenario: AdversaryScenario,
         base = (rn_bits, mu)
         # honest saw a 1: always abort
         if w_rest > _TINY:
-            view.add(base + (1, 1, None), w_rest,
-                     *abort_view(total - zero, w_rest))
+            abort(base + (1, 1, None), total - zero, w_rest)
         if w_zero < _TINY:
             continue
         if any(mu):
             # coalition outcome forces the abort even though honest side
             # read all zeros
-            view.add(base + (0, 1, None), w_zero, *abort_view(zero, w_zero))
-            continue
-
-        # success: anonymous pair on (eff_sender, eff_receiver), teleport
-        pair = DensityMatrix(zero / w_zero, (eff_sender, eff_receiver))
-        if receiver_corrupt:
-            branches = teleport_branches(pair, config.message_state,
-                                         eff_sender, eff_receiver, "psi+")
-            for m, (w_m, fixed) in enumerate(branches):
-                if w_m < _TINY:
-                    continue
-                view.add(base + (0, 0, ("m", m)), w_zero * w_m,
-                         fixed.mat / w_m, ("carrier",))
+            abort(base + (0, 1, None), zero, w_zero)
+        elif receiver_corrupt:
+            # success: the corrupt receiver sees the raw Bell outcome and
+            # keeps the teleported carrier
+            pair = DensityMatrix(zero / w_zero, (eff_sender, eff_receiver))
+            for m, (w_m, fixed) in enumerate(teleport_branches(
+                    pair, config.message_state, eff_sender, eff_receiver,
+                    "psi+")):
+                if w_m >= _TINY:
+                    add(base + (0, 0, ("m", m)), w_zero * w_m,
+                        fixed.mat / w_m)
         else:
-            # masked announcement: uniform two public bits
+            # success, masked announcement: uniform two public bits
             for t in range(4):
-                view.add(base + (0, 0, ("T", t)), w_zero / 4, _TRIVIAL, ())
+                add(base + (0, 0, ("T", t)), w_zero / 4, _TRIVIAL)
     return view
 
 
-def independence_check(views: Sequence[LabeledEnsemble]) -> float:
+def _aligned(views: Sequence[dict]) -> list:
+    """Each view's (weight, weighted block) over every (label, block shape)
+    key of the views, in first-seen order, zero where a view lacks the key.
+    A label carried on two registers is thus two orthogonal sectors."""
+    keys = dict.fromkeys((label, block.shape) for v in views
+                         for label, (_, block) in v.items())
+    return [[v[label] if label in v and v[label][1].shape == shape
+             else (0.0, np.zeros(shape, dtype=complex))
+             for label, shape in keys] for v in views]
+
+
+def independence_check(views: Sequence[dict]) -> float:
     """Worst pairwise deviation between views: total variation distance of
     the label/weight distributions plus the largest per-label trace
     distance between attached states.  0 means the coalition's view does
     not depend on the hypothesis at all."""
+    aligned = _aligned(views)
     worst = 0.0
-    states = [{l: v.state(l) for l in v.labels() if v.weight(l) > _TINY}
-              for v in views]
-    for i in range(len(views)):
-        for j in range(i + 1, len(views)):
-            a, b = views[i], views[j]
-            labels = a.labels() | b.labels()
-            tv = 0.5 * sum(abs(a.weight(l) - b.weight(l)) for l in labels)
-            td = 0.0
-            for l in labels:
-                if l in states[i] and l in states[j]:
-                    sa, sb = states[i][l], states[j][l]
-                    if sa.labels != sb.labels:
-                        # mismatched registers under one label are
-                        # perfectly distinguishable
-                        td = 1.0
-                    else:
-                        td = max(td, trace_distance(sa, sb))
+    for i, a in enumerate(aligned):
+        for b in aligned[i + 1:]:
+            tv = 0.5 * sum(abs(wa - wb) for (wa, _), (wb, _) in zip(a, b))
+            td = max((0.5 * _tracenorm(ma / wa - mb / wb)
+                      for (wa, ma), (wb, mb) in zip(a, b) if wa and wb),
+                     default=0.0)
             worst = max(worst, tv + td)
     return worst
 
 
-def _pair_helstrom(a: LabeledEnsemble, b: LabeledEnsemble,
-                   pa: float, pb: float) -> float:
-    total = 0.0
-    for l in a.labels() | b.labels():
-        wa = a.weighted_mat(l)
-        wb = b.weighted_mat(l)
-        if wa is None:
-            wa = np.zeros(wb.shape, dtype=complex)
-        if wb is None:
-            wb = np.zeros(wa.shape, dtype=complex)
-        A = pa * wa
-        B = pb * wb
-        if A.shape != B.shape:
-            # different registers under one label: fully distinguishable
-            total += A.trace().real + B.trace().real
-            continue
-        total += 0.5 * (A.trace().real + B.trace().real) + 0.5 * _tracenorm(A - B)
-    return float(total)
-
-
-def guessing_probability(views: Sequence[LabeledEnsemble],
+def guessing_probability(views: Sequence[dict],
                          priors: Sequence[float]) -> tuple[float, str]:
     """Optimal (or safely bounded) identification probability.
 
     * views independent of the hypothesis: the coalition can only output
       the most likely candidate a priori ("state-independence").
     * exactly two candidates: closed-form optimal discrimination over the
-      labeled ensembles ("helstrom").
+      labeled blocks ("helstrom").
     * otherwise: max prior plus the prior-weighted trace-norm deviation of
       each view from the prior-averaged view, a valid upper bound
       ("bound-only").
@@ -264,9 +212,8 @@ def guessing_probability(views: Sequence[LabeledEnsemble],
     return _guessing_probability(views, priors, independence_check(views))
 
 
-def _guessing_probability(views: Sequence[LabeledEnsemble],
-                          priors: Sequence[float], dev: float
-                          ) -> tuple[float, str]:
+def _guessing_probability(views: Sequence[dict], priors: Sequence[float],
+                          dev: float) -> tuple[float, str]:
     """guessing_probability given the views' independence deviation."""
     if len(views) != len(priors) or not views:
         raise ValueError("need one prior per view")
@@ -275,30 +222,19 @@ def _guessing_probability(views: Sequence[LabeledEnsemble],
         raise ValueError("priors must form a distribution")
     if dev <= 1e-9:
         return max(priors), "state-independence"
+    blocks = [[m for _, m in v] for v in _aligned(views)]
     if len(views) == 2:
-        return _pair_helstrom(views[0], views[1], priors[0], priors[1]), "helstrom"
-    # registers of different shape under one label are orthogonal sectors
-    sectors = set()
-    for v in views:
-        for l in v.labels():
-            sectors.add((l, v.weighted_mat(l).shape))
-    reference = {}
-    for l, shape in sectors:
-        acc = np.zeros(shape, dtype=complex)
-        for v, p in zip(views, priors):
-            m = v.weighted_mat(l)
-            if m is not None and m.shape == shape:
-                acc += p * m
-        reference[(l, shape)] = acc
+        (pa, pb), total = priors, 0.0
+        for ma, mb in zip(*blocks):
+            a, b = pa * ma, pb * mb
+            total += (0.5 * (a.trace().real + b.trace().real)
+                      + 0.5 * _tracenorm(a - b))
+        return float(total), "helstrom"
+    reference = [sum(p * m for p, m in zip(priors, col))
+                 for col in zip(*blocks)]
     bound = max(priors)
-    for v, p in zip(views, priors):
-        deviation = 0.0
-        for (l, shape), ref in reference.items():
-            m = v.weighted_mat(l)
-            if m is None or m.shape != shape:
-                m = np.zeros(shape, dtype=complex)
-            deviation += _tracenorm(m - ref)
-        bound += p * deviation
+    for v, p in zip(blocks, priors):
+        bound += p * sum(_tracenorm(m - ref) for m, ref in zip(v, reference))
     return float(bound), "bound-only"
 
 
@@ -317,33 +253,14 @@ def epsilon_security_bound(base: QuantumChannel,
     return len(per_node) * worst
 
 
-def permutation_invariance_check(rho: DensityMatrix, subset: Sequence) -> float:
-    """Largest trace distance between the state and any transposition of
-    two subset qubits; 0 certifies permutation invariance over the subset."""
-    subset = list(subset)
-    for q in subset:
-        if q not in rho.labels:
-            raise ValueError(f"{q!r} is not a register label")
-    worst = 0.0
-    for i in range(len(subset)):
-        for j in range(i + 1, len(subset)):
-            order = list(rho.labels)
-            ia, ib = order.index(subset[i]), order.index(subset[j])
-            order[ia], order[ib] = order[ib], order[ia]
-            swapped = DensityMatrix(rho.permuted(tuple(order)).mat, rho.labels)
-            worst = max(worst, trace_distance(rho, swapped))
-    return worst
-
-
 def security_report(config: NetworkConfig, adversaries: Sequence[int],
                     role: str = "sender",
                     base_channel: QuantumChannel | None = None) -> dict:
     """Full anonymity audit for a coalition: per-hypothesis views, the
     independence deviation, the guessing probability under the uniform
     prior, and (when a base channel is named) the perturbation bounds:
-    epsilon_bound from the unstabilized channel distance and, when every
-    channel is a Pauli channel, diamond_epsilon_bound from the diamond
-    distance."""
+    epsilon_bound from the unstabilized channel distance, and the sound
+    diamond_epsilon_bound from the diamond distance bound."""
     scenario = AdversaryScenario(frozenset(adversaries))
     candidates = [i for i in config.live_nodes if i not in scenario.adversary_set]
     candidates = [c for c in candidates
@@ -363,16 +280,14 @@ def security_report(config: NetworkConfig, adversaries: Sequence[int],
         "independence_deviation": dev,
         "guessing_probability": p_guess,
         "certificate": certificate,
-        "view_total_weights": [v.total_weight for v in views],
+        "view_total_weights": [float(sum(w for w, _ in v.values()))
+                               for v in views],
     }
     if base_channel is not None:
         per_node = {i: config.channel_for(i) for i in config.live_nodes}
         eps = epsilon_security_bound(base_channel, per_node)
         report["epsilon_bound"] = eps
         report["bounded_guessing_probability"] = priors[0] + eps
-        try:
-            report["diamond_epsilon_bound"] = epsilon_security_bound(
-                base_channel, per_node, diamond_distance)
-        except ValueError:
-            pass  # a non-Pauli channel: no sound value, so none is reported
+        report["diamond_epsilon_bound"] = epsilon_security_bound(
+            base_channel, per_node, diamond_distance)
     return report

@@ -235,13 +235,58 @@ def test_diamond_distance_matches_choi_trace_norm():
         assert got >= channel_distance(a, b) - 1e-12
 
 
-def test_diamond_distance_refuses_non_pauli_channels():
+# rows I, X, Y, Z: Pauli weight = row . (1, Mxx, Myy, Mzz) / 4
+PAULI_SIGNS = np.array([[1, 1, 1, 1], [1, 1, -1, -1],
+                        [1, -1, 1, -1], [1, -1, -1, 1]])
+
+
+def pauli_weight_distance(a, b):
+    """l1 distance of the Pauli weights of two Pauli channels, read off
+    the diagonal M_ii = 1/2 tr(sigma_i Phi(sigma_i)): their exact diamond
+    distance, as the Choi matrices are Bell-diagonal."""
+    def weights(channel):
+        diag = [0.5 * np.trace(p @ channel(p)).real
+                for p in (PAULI_X, PAULI_Y, PAULI_Z)]
+        return PAULI_SIGNS @ np.append(1.0, diag) / 4
+    return np.abs(weights(a) - weights(b)).sum()
+
+
+def test_diamond_distance_matches_pauli_weight_distance():
+    rng = np.random.default_rng(5)
+    pairs = [(depolarizing(0.8), depolarizing(0.83)),
+             (dephasing(0.9), identity_channel()),
+             (dephasing(0.6), depolarizing(0.7))]
+    pairs += [(pauli_channel(rng.dirichlet(np.ones(4))),
+               pauli_channel(rng.dirichlet(np.ones(4)))) for _ in range(200)]
+    for a, b in pairs:
+        assert abs(diamond_distance(a, b) - pauli_weight_distance(a, b)) \
+            <= 1e-12
+
+
+def random_kraus_channel(rng, n_ops):
+    """Kraus operators cut from a random complex 2 n_ops x 2 isometry."""
+    g = rng.normal(size=(2 * n_ops, 2)) + 1j * rng.normal(size=(2 * n_ops, 2))
+    iso, _ = np.linalg.qr(g)
+    return QuantumChannel(list(iso.reshape(n_ops, 2, 2)))
+
+
+def test_diamond_distance_bounds_general_channels():
+    rng = np.random.default_rng(11)
     rotated = framed(depolarizing(0.9), rotation(0.3, PAULI_X), np.eye(2))
-    for other in (damping(0.2), damp_then_rotate(0.3, 0.7), rotated):
-        with pytest.raises(ValueError):
-            diamond_distance(depolarizing(0.9), other)
-        with pytest.raises(ValueError):
-            diamond_distance(other, other)
+    channels = [damping(0.2), damp_then_rotate(0.3, 0.7), rotated,
+                depolarizing(0.9)]
+    channels += [random_kraus_channel(rng, n) for n in (1, 2, 3, 4)
+                 for _ in range(5)]
+    for i, a in enumerate(channels):
+        assert diamond_distance(a, a) == 0.0
+        for b in channels[i + 1:]:
+            got = diamond_distance(a, b)
+            # the maximally entangled input and inputs without an ancilla
+            # give lower bounds on the diamond norm
+            entangled = np.abs(np.linalg.eigvalsh(choi(a) - choi(b))).sum()
+            assert got >= entangled - 1e-12
+            assert got >= channel_distance(a, b) - 1e-12
+            assert got <= 2.0
 
 
 def test_parse_channel_spec():

@@ -230,23 +230,41 @@ def test_security_reports_sound_diamond_bound(runner):
     assert rep["diamond_epsilon_bound"] == pytest.approx(5 * 0.045, abs=1e-12)
 
 
-@pytest.mark.parametrize("diamond, code", [(0.15, 0), (None, 1)])
+@pytest.mark.parametrize("diamond, code", [(0.15, 0), (0.05, 1)])
 def test_security_verdict_uses_diamond_bound(runner, monkeypatch, diamond,
                                              code):
-    # a guess above prior + epsilon_bound but within prior + the diamond
-    # bound holds; without a diamond bound the unstabilized one decides
+    # the guess exceeds the prior by 0.1 and epsilon_bound mirrors the
+    # diamond bound about that margin, so the two bounds disagree: the
+    # diamond bound alone decides the verdict
     def fake_report(*args, **kwargs):
-        rep = {"guessing_probability": 0.5, "uniform_prior": 0.4,
-               "epsilon_bound": 0.05}
-        if diamond is not None:
-            rep["diamond_epsilon_bound"] = diamond
-        return rep
+        return {"guessing_probability": 0.5, "uniform_prior": 0.4,
+                "epsilon_bound": 0.2 - diamond,
+                "diamond_epsilon_bound": diamond}
 
     monkeypatch.setattr(cli, "security_report", fake_report)
     res = runner.invoke(main, ["security", "--nodes", "5", "--adversaries",
                                "4"])
     assert res.exit_code == code
     assert json.loads(res.output)["holds"] is (code == 0)
+
+
+def test_security_output_independent_of_hash_seed():
+    # labels are walked in first-seen order, never as a set, so the
+    # floating-point sums and hence the printed digits are fixed
+    src = os.path.dirname(os.path.dirname(anonqnet.__file__))
+    argv = [sys.executable, "-m", "anonqnet.cli", "security", "--nodes", "7",
+            "--adversaries", "3,5", "--channel", "depolarizing:q=0.9",
+            "--channel-node", "4=depolarizing:q=0.86", "--role", "both"]
+    outs = []
+    for seed in ("0", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(
+                   [src, os.environ.get("PYTHONPATH", "")])}
+        outs.append(subprocess.run(argv, env=env, check=True,
+                                   capture_output=True, timeout=120).stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["reports"]["sender"]["certificate"] == \
+        "bound-only"
 
 
 def test_security_usage_errors(runner):
@@ -403,6 +421,23 @@ def test_workers_option_is_hidden_and_changes_nothing(runner):
         assert one.output == four.output
         assert "--workers" not in runner.invoke(main, [argv[0], "--help"]
                                                 ).output
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["sweep", "--q", "1.5", "--nodes", "5"], None),
+    (["relay", "--q", "1.5"], None),
+    (["relay", "--q", "1.5", "--mode", "exact"], None),
+    (["sweep"], "nodes = 5\nq = 1.5\n"),
+    (["relay"], "q = 0.8,1.5\n"),
+], ids=["sweep", "relay", "relay-exact", "sweep-config", "relay-config"])
+def test_q_outside_unit_interval_exits_2(runner, tmp_path, argv, config):
+    if config is not None:
+        cfg = tmp_path / "q.conf"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 2
+    assert "0<=x<=1" in res.output
 
 
 # ---------------------------------------------------------------------------

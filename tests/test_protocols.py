@@ -890,11 +890,11 @@ def test_adversary_view_matches_dense_enumeration_corrupt_receiver():
         for m, (w_m, fixed) in enumerate(teleport_branches(
                 pair, cfg.message_state, HS, HR, "psi+")):
             add(base + (0, 0, ("m", m)), w * fixed.mat)
-    assert view.labels() == set(expected)
+    assert set(view) == set(expected)
     for label, weighted in expected.items():
-        assert view.weight(label) == pytest.approx(np.trace(weighted).real,
-                                                   abs=1e-12)
-        assert np.abs(view.weighted_mat(label) - weighted).max() < 1e-12
+        weight, block = view[label]
+        assert weight == pytest.approx(np.trace(weighted).real, abs=1e-12)
+        assert np.abs(block - weighted).max() < 1e-12
 
 
 def test_exact_routes_build_no_density_matrix_wider_than_three(monkeypatch):

@@ -8,16 +8,13 @@ from anonqnet.channels import (
     identity_channel,
 )
 from anonqnet.protocols import NetworkConfig
-from anonqnet.qcore import DensityMatrix, make_w_state
 from anonqnet.security import (
     AdversaryScenario,
-    LabeledEnsemble,
     adversary_view,
     effective_roles,
     epsilon_security_bound,
     guessing_probability,
     independence_check,
-    permutation_invariance_check,
     security_report,
 )
 
@@ -30,25 +27,11 @@ def uniform(channel, n):
 
 
 def single_label(mat):
-    v = LabeledEnsemble()
-    v.add("x", 1.0, mat, ("carrier",))
-    return v
+    return {"x": (1.0, mat)}
 
 
 # ---------------------------------------------------------------------------
-# ensembles and measures
-
-
-def test_labeled_ensemble_merges_same_label():
-    v = LabeledEnsemble()
-    v.add("a", 0.25, KET0, ("carrier",))
-    v.add("a", 0.25, MIXED, ("carrier",))
-    assert v.weight("a") == pytest.approx(0.5)
-    merged = v.state("a").mat
-    assert np.allclose(merged, (KET0 + MIXED) / 2)
-    assert v.total_weight == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        v.add("a", 0.1, np.array([[1.0]]), ())
+# views and measures
 
 
 def test_independence_zero_for_identical_views():
@@ -56,12 +39,8 @@ def test_independence_zero_for_identical_views():
 
 
 def test_independence_sees_weight_and_state_gaps():
-    a = LabeledEnsemble()
-    a.add("x", 0.5, KET0, ("carrier",))
-    a.add("y", 0.5, KET0, ("carrier",))
-    b = LabeledEnsemble()
-    b.add("x", 0.7, KET0, ("carrier",))
-    b.add("y", 0.3, MIXED, ("carrier",))
+    a = {"x": (0.5, 0.5 * KET0), "y": (0.5, 0.5 * KET0)}
+    b = {"x": (0.7, 0.7 * KET0), "y": (0.3, 0.3 * MIXED)}
     # tv = 0.2, worst per-label trace distance = 0.5
     assert independence_check([a, b]) == pytest.approx(0.7, abs=1e-12)
 
@@ -72,6 +51,16 @@ def test_guessing_probability_helstrom_anchor():
         [single_label(KET0), single_label(MIXED)], [0.5, 0.5])
     assert cert == "helstrom"
     assert p == pytest.approx(0.75, abs=1e-12)
+
+
+def test_label_on_two_registers_is_two_orthogonal_sectors():
+    # one label on a trivial block in one view and on a qubit in the other:
+    # the registers themselves tell the views apart
+    views = [single_label(np.ones((1, 1), dtype=complex)), single_label(MIXED)]
+    assert independence_check(views) == pytest.approx(1.0, abs=1e-12)
+    p, cert = guessing_probability(views, [0.5, 0.5])
+    assert cert == "helstrom"
+    assert p == pytest.approx(1.0, abs=1e-12)
 
 
 def test_guessing_probability_orthogonal_states_certain():
@@ -131,7 +120,7 @@ def test_adversary_view_weights_sum_to_one():
     cfg = NetworkConfig(n_nodes=5, sender=1, receiver=2,
                         per_qubit_channels=uniform(depolarizing(0.8), 5))
     view = adversary_view(cfg, AdversaryScenario(frozenset({3, 4})), 5)
-    assert view.total_weight == pytest.approx(1.0, abs=1e-10)
+    assert sum(w for w, _ in view.values()) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_adversary_view_validation():
@@ -174,7 +163,7 @@ def test_corrupt_receiver_still_independent_under_uniform_noise():
     assert rep["guessing_probability"] == pytest.approx(1 / 4, abs=1e-12)
     # carrier branches are actually present for a corrupt receiver
     view = adversary_view(cfg, AdversaryScenario(frozenset({2})), 3)
-    assert any(lbl[-1] and lbl[-1][0] == "m" for lbl in view.labels())
+    assert any(lbl[-1] and lbl[-1][0] == "m" for lbl in view)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +236,7 @@ def test_diamond_bound_reported_for_pauli_channels():
     assert "diamond_epsilon_bound" not in security_report(cfg, [4])
 
 
-def test_diamond_bound_absent_for_non_pauli_channel():
+def test_diamond_bound_reported_for_non_pauli_channel():
     gamma = 0.1
     damping = QuantumChannel(
         [np.array([[1, 0], [0, np.sqrt(1 - gamma)]]),
@@ -258,7 +247,8 @@ def test_diamond_bound_absent_for_non_pauli_channel():
                         per_qubit_channels=chans)
     rep = security_report(cfg, [4], base_channel=dephasing(0.9))
     assert rep["epsilon_bound"] > 0
-    assert "diamond_epsilon_bound" not in rep
+    # the stabilized bound can only exceed the unstabilized one
+    assert rep["diamond_epsilon_bound"] >= rep["epsilon_bound"] - 1e-12
 
 
 def test_epsilon_bound_looks_up_channel_distance_per_call(monkeypatch):
@@ -282,20 +272,3 @@ def test_epsilon_bound_closed_forms():
         depolarizing(0.8), {i: depolarizing(0.75) for i in range(1, 4)})
     assert got == pytest.approx(3 * 0.05, abs=1e-5)
 
-
-# ---------------------------------------------------------------------------
-# permutation invariance
-
-
-def test_w_state_is_permutation_invariant():
-    rho = make_w_state(4, ("a", "b", "c", "d")).to_density()
-    assert permutation_invariance_check(rho, ["a", "b", "c", "d"]) <= 1e-12
-
-
-def test_asymmetric_state_flagged():
-    mat = np.zeros((4, 4), dtype=complex)
-    mat[1, 1] = 1.0  # |01> on (a, b)
-    rho = DensityMatrix(mat, ("a", "b"))
-    assert permutation_invariance_check(rho, ["a", "b"]) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        permutation_invariance_check(rho, ["a", "z"])
