@@ -60,7 +60,7 @@ from .protocols import (
     sample_relay_runs,
     w_loss_branch_average_dense,
 )
-from .qcore import DenseCapError, Ket
+from .qcore import Ket
 from .security import security_report
 
 
@@ -80,6 +80,8 @@ def _parse_steps(text: str, what: str, integer: bool = False) -> list:
         raise click.UsageError(f"bad {what} range {text!r}")
     if step <= 0 or b < a:
         raise click.UsageError(f"bad {what} range {text!r}")
+    if integer and not all(x.is_integer() for x in (a, b, step)):
+        raise click.UsageError(f"bad {what} range {text!r}; expected whole numbers")
     count = int(round((b - a) / step)) + 1
     vals = [a + i * step for i in range(count) if a + i * step <= b + 1e-9]
     if integer:
@@ -261,6 +263,8 @@ def sweep(protocol, channel_family, q, q_range, nodes, n_range, mode, seed,
     """Tabulate pair fidelity and success probability over (N, q)."""
 
     qs = [q] if q is not None else _parse_steps(q_range or "0:1:0.1", "q")
+    if not all(0 <= qq <= 1 for qq in qs):
+        raise click.UsageError(f"--q-range {q_range!r} leaves [0, 1]")
     ns = [nodes] if nodes is not None else _parse_steps(
         n_range or "4:8", "nodes", integer=True)
     protocols = ["W", "GHZ", "W_loss"] if protocol == "all" else [protocol]
@@ -526,7 +530,7 @@ def run(protocol, nodes, sender, receiver, channel_spec, channel_overrides,
     except ProtocolImpossibleError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    except (DenseCapError, ValueError) as exc:
+    except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     _emit(json.dumps(body, indent=2) + "\n" if samples == 1

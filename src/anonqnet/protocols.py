@@ -19,14 +19,14 @@ Two execution modes:
   operator on the pair; qcore's dense registers serve only as the tests'
   reference.
 * sampling: one branch is drawn per run with the seeded generator; used
-  for transcript-level statistics (abort rates, masking uniformity).  The
-  W, GHZ and relay samplers plan once per config (W and GHZ memoise per
-  outcome string; the relay builds each hop's superoperator once per swap
-  outcome and keeps the registers of the last chain of hops), so a run
-  only draws randomness; equal unrecorded runs share one outcome.  They
-  read raw generator words (_Draws), decoded into exactly the Generator's
-  draws, so seeded outputs are unchanged; PCG64, PCG64DXSM, Philox and
-  SFC64 bit generators are supported.
+  for transcript-level statistics (abort rates, masking uniformity).  W
+  and GHZ draw the outcome string node by node on the transfer engine and
+  memoise each string's pair; the relay builds each hop's superoperator
+  once per swap outcome.  Equal unrecorded runs share one outcome, and a
+  recording over a transcript event budget is refused.  Draws read raw
+  generator words (_Draws), decoded into exactly the Generator's draws, so
+  seeded outputs are unchanged; PCG64, PCG64DXSM, Philox and SFC64 bit
+  generators are supported.
 
 Classical subroutines follow the additive-sharing constructions: parity is
 XOR secret sharing over pairwise private channels plus broadcast, veto is
@@ -49,8 +49,6 @@ import numpy as np
 from .channels import QuantumChannel, identity_channel
 from .qcore import (
     BELL_CORRECTIONS,
-    DENSE_CAP,
-    DenseCapError,
     DensityMatrix,
     HADAMARD,
     ID2,
@@ -124,8 +122,8 @@ class NetworkConfig:
     per_qubit_channels maps node id (1-based) to its arrival channel;
     missing nodes get the identity.  lost_nodes stop responding before the
     source distributes anything: their qubit is traced out and they stay
-    silent in every classical subroutine.  Exact W and GHZ runs take any
-    node count; GHZ sampling is capped at qcore.DENSE_CAP nodes.
+    silent in every classical subroutine.  Every route takes any node
+    count; recorded sampled runs have a transcript budget (see _Sampler).
     """
 
     n_nodes: int
@@ -632,6 +630,7 @@ class _Sampler:
     """A protocol's sampling plan for one config.  A recorded run gets a fresh
     outcome; an unrecorded one the read-only outcome (empty transcript) of
     its result key: None (abort) or (branch key, Bell outcome, public bits)."""
+    TRANSCRIPT_BUDGET = 2**18  # events a recording may hold; ~1.5 KiB each printed
 
     def run(self, rng: np.random.Generator,
             record_transcript: bool = False) -> RunOutcome:
@@ -640,6 +639,10 @@ class _Sampler:
     def batch(self, n_samples: int, rng: np.random.Generator | None = None,
               record_transcripts: bool = False) -> list:
         """Sampled runs through one _Draws on rng (default: the config's seed)."""
+        events = n_samples * self.events_per_run  # an upper bound
+        if record_transcripts and events > self.TRANSCRIPT_BUDGET:
+            raise ValueError(f"recording {n_samples} run(s) may take {events} transcript"
+                             f" events, over the budget of {self.TRANSCRIPT_BUDGET}")
         if rng is None:
             rng = np.random.default_rng(self.config.seed)
         draws = _Draws(rng)
@@ -662,8 +665,7 @@ class _Sampler:
                               transcript=transcript, anonymous_entanglement=None,
                               veto_output=1)
         branch, m, public = key
-        # every branch entry ends with (pair, teleport plan, pair fidelity)
-        *_, pair, (_, fids), ae_fid = self.branches[branch]
+        pair, (_, fids), ae_fid = self.branches[branch]
         return RunOutcome(aborted=False, delivered_fidelity=fids[m],
                           analytic_success_probability=self.exact_success,
                           transcript=transcript, anonymous_entanglement=pair,
@@ -672,52 +674,50 @@ class _Sampler:
 
 
 class _Protocol1Sampler(_Sampler):
-    """W plan: the exact branch table is computed once, after which each
-    run only draws classical randomness.
-
-    Branches are the joint standard-basis outcome strings of the measuring
-    nodes, with exact Born weights and exact conditional (sender, receiver)
-    states; per-branch teleport plans (Bell-outcome CDF and delivered
-    fidelities) are also precomputed.  A run samples a branch, runs the
-    real veto on those outcome bits, and on veto 0 samples the Bell outcome
-    and the masked announcement; the branch key is the table index.
+    """W plan: a run draws one u and walks the measuring nodes in order; a
+    node reads 0 while u is below lo, the mass of the strings passed, plus
+    its 0-branch's share (a pullback_pair trace; a walk costs O(k n)).  So
+    it draws what Generator.choice would from the lexicographic table of
+    all k-bit outcome strings, up to an ulp at its boundaries.  Unrecorded
+    runs take the veto's and the parities' exact outputs instead of drawing
+    every share, so they spend less randomness than recorded runs.
     """
 
     def __init__(self, config: NetworkConfig):
-        self.config, self.outcomes = config, {}
+        self.config, self.outcomes, self.branches = config, {}, {}
         self.measuring = [i for i in config.live_nodes
                           if i not in (config.sender, config.receiver)]
-        k = len(self.measuring)
-        if 2**k > 4096:
-            raise DenseCapError("branch table too large; lower the node count")
-        self.exact_success = None
-        self.branches = []  # (bits, weight, pair, teleport plan, pair fid)
-        for string in range(2**k):
-            bits = tuple((string >> (k - 1 - i)) & 1 for i in range(k))
-            raw = pullback_pair(config, dict(zip(self.measuring, bits)),
-                                config.sender, config.receiver)
-            w = float(np.trace(raw).real)
-            if w < 1e-15:
-                continue
-            self.branches.append((bits, w, *_branch_plan(
-                config, DensityMatrix(raw / w, PAIR_LABELS), "W")))
-            if not any(bits):
-                self.exact_success = w
-        self.branch_cdf = _cdf([b[1] for b in self.branches])
+        live = len(config.live_nodes)
+        self.events_per_run = (config.veto_rounds + 2) * live * (live + 1) + 3 * live
+        self.zeros = (0,) * len(self.measuring)
+        weights = [float(np.trace(self._raw(self.zeros[:j])).real)
+                   for j in range(len(self.zeros) + 1)]
+        self.total, w = weights[0], weights[-1]
+        self.exact_success = w if w >= 1e-15 else None
+        self.zero_cut = min(weights[1:]) / self.total  # below it, the walk reads zeros
+
+    def _raw(self, bits: tuple) -> np.ndarray:
+        """pullback_pair after the first len(bits) measuring nodes read bits."""
+        return pullback_pair(self.config, dict(zip(self.measuring, bits)),
+                             self.config.sender, self.config.receiver)
+
+    def _walk(self, u: float) -> tuple:
+        bits, lo = (), 0.0
+        for _ in self.measuring:
+            step = float(np.trace(self._raw(bits + (0,))).real) / self.total
+            bit = int(u >= lo + step)
+            bits, lo = bits + (bit,), lo + bit * step
+        return bits
 
     def _run(self, rng: _Draws, record_transcript: bool) -> RunOutcome:
-        """One sampled run.  Without a transcript, the classical
-        subroutines are sampled from their exact output distributions
-        instead of share by share (a parity of fresh uniform bits is
-        uniform), so the two paths consume different amounts of
-        randomness and are not seed-interchangeable."""
         config = self.config
         transcript = _protocol1_skeleton(config) if record_transcript else None
-        idx = _draw(rng, self.branch_cdf)
-        bits, _, _, (bell_cdf, _), _ = self.branches[idx]
-        if transcript is None:
-            veto = any(bits) and rng.any_bit(config.veto_rounds)
+        u = rng.random()
+        if transcript is None:  # all zeros come first; a veto miss walks
+            veto = u >= self.zero_cut and rng.any_bit(config.veto_rounds)
+            bits = self.zeros if u < self.zero_cut else None if veto else self._walk(u)
         else:
+            bits = self._walk(u)
             for node, b in zip(self.measuring, bits):
                 transcript.add(3, "measurement", node, bytes([b]), _private(node))
             veto = veto_protocol({**dict(zip(self.measuring, bits)),
@@ -728,17 +728,20 @@ class _Protocol1Sampler(_Sampler):
             if transcript is not None:
                 transcript.add(base, "abort", 0, b"\x01")
             return self._finish(None, transcript)
-        m = _draw(rng, bell_cdf)
+        if bits not in self.branches:
+            _, pair = _normalized_pair(self._raw(bits))
+            self.branches[bits] = _branch_plan(config, pair, "W")
+        m = _draw(rng, self.branches[bits][1][0])
         public = _announce(config, m, rng, transcript, base, draw_shares=False)
-        return self._finish((idx, m, public), transcript)
+        return self._finish((bits, m, public), transcript)
 
 
 def sample_protocol1_runs(config: NetworkConfig, n_samples: int,
                           rng: np.random.Generator | None = None,
                           record_transcripts: bool = False) -> tuple[list, dict]:
-    """Draw many seeded sampled runs cheaply (the branch table is built
-    once).  Returns the outcomes and an aggregate summary.  Unless recorded,
-    runs with equal results share one read-only outcome (empty transcript)."""
+    """Draw many seeded sampled runs cheaply (each delivered outcome string
+    is planned once).  Returns the outcomes and an aggregate summary.
+    Unrecorded runs with equal results share one outcome (empty transcript)."""
     sampler = _Protocol1Sampler(config)
     outcomes = sampler.batch(n_samples, rng, record_transcripts)
     return outcomes, {**batch_summary(outcomes),
@@ -806,9 +809,7 @@ class _GhzSampler(_Sampler):
     def __init__(self, config: NetworkConfig):
         self.config, self.outcomes = config, {}
         self.measuring = _ghz_measuring(config)
-        if config.n_nodes > DENSE_CAP:
-            # transcripts grow as the square of the node count per parity run
-            raise DenseCapError(f"GHZ sampling is capped at {DENSE_CAP} nodes")
+        self.events_per_run = 3 * config.n_nodes * (config.n_nodes + 2)
         self.diags = [[np.diag(_heisenberg(config.channel_for(node), op)).real
                        for op in _X_READ] for node in self.measuring]
         self.branches, self.exact_success = {}, 1.0
@@ -999,6 +1000,7 @@ class _RelaySampler(_Relay, _Sampler):
                 row.append(built[key])
             self.hops.append(row)
         self.sups = {id(s): s for s in canon.values()}
+        self.events_per_run = 2 * config.n_nodes
         self.key, self.chain = None, 0
 
     def _run(self, rng: _Draws, record_transcript: bool) -> RunOutcome:

@@ -116,6 +116,40 @@ def test_sweep_rejects_bad_range_and_small_network(runner):
         main, ["sweep", "--protocol", "W", "--nodes", "3"]).exit_code == 2
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["sweep", "--nodes", "4", "--q-range", "-0.05:0:0.05"], None),
+    (["sweep", "--nodes", "5", "--protocol", "GHZ", "--q-range", "1.5:2:0.5"],
+     None),
+    (["sweep", "--nodes", "4", "--q-range", "0.9:1.1:0.1", "--mode", "exact"],
+     None),
+    (["sweep"], "nodes = 4\nq_range = -0.05:0:0.05\n"),
+], ids=["below", "above", "exact-past-one", "config"])
+def test_sweep_q_range_outside_unit_interval_exits_2(runner, tmp_path, argv,
+                                                      config):
+    if config is not None:
+        cfg = tmp_path / "q.conf"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 2
+    assert "leaves [0, 1]" in res.output
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--n-range", "4.5:8"],
+    ["sweep", "--n-range", "4:8:1.5"],
+    ["threshold", "--n-range", "4:6:0.5"],
+    ["threshold", "--n-range", "4:6.5"],
+])
+def test_fractional_node_ranges_exit_2(runner, argv):
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 2
+    assert "expected whole numbers" in res.output
+    # whole numbers written as floats are still a node range
+    assert runner.invoke(main, ["threshold", "--n-range", "4.0:6:2.0"]
+                         ).exit_code == 0
+
+
 def test_sweep_exact_past_twelve_nodes_and_underflow_exits_2(runner):
     res = runner.invoke(main, ["sweep", "--protocol", "all", "--nodes", "13",
                                "--mode", "both"])
@@ -317,12 +351,18 @@ def test_run_sampling_aggregate(runner):
     assert "transcript" not in body["runs"][0]
 
 
-def test_run_ghz_sampling_past_dense_cap_exits_2(runner):
-    res = runner.invoke(main, ["run", "--protocol", "GHZ", "--nodes", "13",
+def test_run_recording_over_the_transcript_budget_exits_2(runner):
+    # one recorded W run at 183 nodes would hold 22 parity runs of 183 x 184
+    # events; batches record nothing, so they run at any size
+    res = runner.invoke(main, ["run", "--protocol", "W", "--nodes", "183",
                                "--mode", "sampling"])
     assert res.exit_code == 2
-    assert runner.invoke(main, ["run", "--protocol", "GHZ", "--nodes", "13"]
-                         ).exit_code == 0
+    assert "over the budget of 262144" in res.output
+    for protocol, nodes, samples in (("GHZ", 13, 1), ("W", 183, 200)):
+        res = runner.invoke(main, ["run", "--protocol", protocol, "--nodes",
+                                   str(nodes), "--channel", "depolarizing:q=0.9",
+                                   "--mode", "sampling", "--samples", str(samples)])
+        assert res.exit_code == 0
 
 
 def test_in_process_run_releases_redirected_stdout():

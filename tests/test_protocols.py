@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -42,11 +43,14 @@ from anonqnet.protocols import (
     _GhzSampler,
     _Protocol1Sampler,
     _RelaySampler,
+    _Sampler,
     _branch_plan,
+    _cdf,
     _contract,
     _normalized_pair,
     collision_detection,
     parity_protocol,
+    pullback_pair,
     receiver_notification,
     run_ghz_protocol,
     run_protocol1,
@@ -61,11 +65,9 @@ from anonqnet.protocols import (
 )
 from anonqnet.qcore import (
     BELL_CORRECTIONS,
-    DENSE_CAP,
     ID2,
     PAULI_X,
     PAULI_Z,
-    DenseCapError,
     DensityMatrix,
     Ket,
     apply_op_dense,
@@ -324,17 +326,67 @@ def test_ghz_identity_perfect():
     assert out.delivered_fidelity == pytest.approx(1.0, abs=1e-12)
 
 
-def test_sampled_routes_keep_their_caps():
-    # sampled transcripts grow as the square of the node count, and the W
-    # sampler tabulates all 2^k outcome strings of its k measuring nodes
-    cfg = NetworkConfig(n_nodes=DENSE_CAP + 1, sender=1, receiver=2)
-    with pytest.raises(DenseCapError):
-        run_ghz_protocol(cfg, mode="sampling")
-    assert run_ghz_protocol(cfg, mode="exact").ae_fidelity == pytest.approx(
-        1.0, abs=1e-12)
-    with pytest.raises(DenseCapError):
-        run_protocol1(NetworkConfig(n_nodes=15, sender=1, receiver=2),
-                      mode="sampling")
+def test_recordings_over_the_transcript_budget_are_refused_before_any_draw():
+    # a recorded parity run over k nodes holds k (k + 1) events, so a
+    # recording's size grows as the square of the node count
+    budget = _Sampler.TRANSCRIPT_BUDGET
+    small = NetworkConfig(n_nodes=6, sender=1, receiver=2)
+    # W at 6 nodes: 22 parity runs of 6 x 7 events, and 18 others
+    over = budget // (22 * 42 + 18) + 1
+    for sample in (
+            lambda rng: run_protocol1(
+                NetworkConfig(n_nodes=109, sender=1, receiver=2), rng=rng,
+                mode="sampling"),
+            lambda rng: run_ghz_protocol(
+                NetworkConfig(n_nodes=295, sender=1, receiver=2), rng=rng,
+                mode="sampling"),
+            lambda rng: sample_protocol1_runs(small, over, rng=rng,
+                                              record_transcripts=True),
+            lambda rng: sample_relay_runs(small, budget // 12 + 1, rng=rng,
+                                          record_transcripts=True)):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="over the budget of 262144"):
+            sample(rng)
+        assert rng.bit_generator.state == state
+    # the largest recordings admitted: W at 108 live nodes and 20 veto
+    # rounds, GHZ at 294 nodes
+    for sampler in (_Protocol1Sampler(NetworkConfig(n_nodes=108, sender=1,
+                                                    receiver=2)),
+                    _Protocol1Sampler(NetworkConfig(n_nodes=109, sender=1,
+                                                    receiver=2, lost_nodes={5})),
+                    _GhzSampler(NetworkConfig(n_nodes=294, sender=1, receiver=2))):
+        assert budget - 4000 < sampler.events_per_run <= budget
+    # unrecorded batches hold no transcript, and no sampled route has a
+    # node cap any more
+    assert sample_protocol1_runs(small, over)[1]["runs"] == over
+    cfg = NetworkConfig(n_nodes=13, sender=1, receiver=2, seed=2)
+    assert run_ghz_protocol(cfg, mode="sampling").delivered_fidelity == (
+        pytest.approx(1.0, abs=1e-12))
+    out = run_protocol1(NetworkConfig(n_nodes=50, sender=1, receiver=2, seed=3,
+                                      per_qubit_channels=uniform(depolarizing(0.9), 50)),
+                        mode="sampling")
+    assert 0 < len(out.transcript.events) <= budget
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_events_per_run_bounds_recorded_transcripts(n):
+    channels = uniform(depolarizing(0.9), n)
+    cfg = NetworkConfig(n_nodes=n, sender=n - 1, receiver=2,
+                        per_qubit_channels=channels, seed=n)
+    for sampler in (_GhzSampler(cfg), _RelaySampler(cfg)):
+        outs = sampler.batch(3, record_transcripts=True)
+        assert max(len(o.transcript.events) for o in outs) <= sampler.events_per_run
+    delivered = 0
+    for veto_rounds in range(1, 21):
+        for lost in ((), (n,)):
+            sampler = _Protocol1Sampler(NetworkConfig(
+                n_nodes=n, sender=n - 1, receiver=2, per_qubit_channels=channels,
+                veto_rounds=veto_rounds, lost_nodes=lost, seed=veto_rounds))
+            outs = sampler.batch(2, record_transcripts=True)
+            assert max(len(o.transcript.events) for o in outs) <= sampler.events_per_run
+            delivered += sum(not o.aborted for o in outs)
+    assert delivered  # the bound covers the teleport's two parity runs
 
 
 def test_ghz_loss_impossible():
@@ -489,6 +541,17 @@ def test_sampled_abort_rate_tracks_success_probability():
     assert p == pytest.approx(0.4, abs=1e-12)
     sigma = np.sqrt(p * (1 - p) / 4000)
     assert abs((1 - agg["abort_rate"]) - p) < 3 * sigma
+
+
+@pytest.mark.parametrize("n", [50, 183])
+def test_unrecorded_w_batches_at_network_scale(n):
+    q, runs = 0.9, 10_000
+    cfg = NetworkConfig(n_nodes=n, sender=1, receiver=2, seed=n,
+                        per_qubit_channels=uniform(depolarizing(q), n))
+    _, agg = sample_protocol1_runs(cfg, runs)
+    p = p_success_w("depolarizing", q, n)
+    assert agg["exact_success_probability"] == pytest.approx(p, abs=1e-12)
+    assert abs((1 - agg["abort_rate"]) - p) < 4 * np.sqrt(p * (1 - p) / runs)
 
 
 def test_sampled_runs_reproducible_for_fixed_seed():
@@ -689,17 +752,27 @@ def test_draws_refuse_a_generator_without_the_32_bit_buffer():
 
 
 def reference_w_batch(sampler, rng, n_runs):
-    """The W batch loop as Generator calls: (result key or None) per run."""
+    """The W batch loop as Generator calls, drawing from the table of all
+    2^k outcome strings: (result key or None) per run."""
+    cfg, table = sampler.config, []
+    for bits in itertools.product((0, 1), repeat=len(sampler.measuring)):
+        raw = pullback_pair(cfg, dict(zip(sampler.measuring, bits)), cfg.sender,
+                            cfg.receiver)
+        if np.trace(raw).real >= 1e-15:
+            table.append((bits, raw))
+    cdf = _cdf([np.trace(raw).real for _, raw in table])
     keys = []
     for _ in range(n_runs):
-        idx = bisect_right(sampler.branch_cdf, rng.random())
-        bits, _, _, (bell_cdf, _), _ = sampler.branches[idx]
-        if any(bits) and rng.integers(0, 2, size=sampler.config.veto_rounds).any():
+        bits, raw = table[bisect_right(cdf, rng.random())]
+        if any(bits) and rng.integers(0, 2, size=cfg.veto_rounds).any():
             keys.append(None)
             continue
-        m = bisect_right(bell_cdf, rng.random())
+        if bits not in sampler.branches:
+            _, pair = _normalized_pair(raw)
+            sampler.branches[bits] = _branch_plan(cfg, pair, "W")
+        m = bisect_right(sampler.branches[bits][1][0], rng.random())
         rand = int(rng.integers(0, 2)), int(rng.integers(0, 2))
-        keys.append((idx, m, (m >> 1 ^ rand[0], m & 1 ^ rand[1])))
+        keys.append((bits, m, (m >> 1 ^ rand[0], m & 1 ^ rand[1])))
     return keys
 
 
@@ -847,22 +920,51 @@ def test_ghz_exact_matches_dense_under_complex_nonunital_noise():
                   ).max() < 1e-12
 
 
+class MissedVeto:
+    """Stands in for a sampler's _Draws: random() returns u, and every bit
+    drawn is 0, so the veto misses and the run is delivered."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+    def any_bit(self, k):
+        return False
+
+    def integers(self, low, high, size=None):
+        return 0
+
+
 def test_sampler_branches_match_dense_under_complex_nonunital_noise():
     sampler = _Protocol1Sampler(hetero_config())
     rho = dense_noisy(make_w_state)
     assert sampler.measuring == [1, 3, 5, 6]
-    expected = []
-    for string in range(16):
-        bits = tuple((string >> (3 - i)) & 1 for i in range(4))
+    table = []  # the dense table of outcome strings, in lexicographic order
+    for bits in itertools.product((0, 1), repeat=4):
         ref = as_pair(dense_measure(rho, dict(zip(sampler.measuring, bits))))
         if np.trace(ref).real >= 1e-15:
-            expected.append((bits, ref))
-    assert [b[0] for b in sampler.branches] == [bits for bits, _ in expected]
-    for (bits, w, pair, _, ae_fid), (_, ref) in zip(sampler.branches,
-                                                    expected):
-        assert w == pytest.approx(np.trace(ref).real, abs=1e-12)
-        assert np.abs(pair.mat - ref / w).max() < 1e-12
+            table.append((bits, ref))
+    assert len(table) == 16
+    weights = [np.trace(ref).real for _, ref in table]
+    assert sampler.exact_success == pytest.approx(weights[0], abs=1e-12)
+    cdf = _cdf(weights)
+    # each string's memoised pair and fidelity, from a run whose draw lands
+    # inside the string's interval
+    for i, (bits, ref) in enumerate(table):
+        out = sampler._run(MissedVeto((cdf[i] + (cdf[i - 1] if i else 0)) / 2),
+                           record_transcript=False)
+        pair, _, ae_fid = sampler.branches[bits]
+        assert np.abs(pair.mat - ref / np.trace(ref).real).max() < 1e-12
         assert ae_fid == fidelity_with_pure(pair, pair_target("W"))
+        assert out.anonymous_entanglement is pair and out.ae_fidelity == ae_fid
+    assert list(sampler.branches) == [bits for bits, _ in table]
+    # the walk draws the dense table's string (prefix weights memoised here)
+    sampler._raw = functools.lru_cache(maxsize=None)(sampler._raw)
+    for u in np.random.default_rng(6).random(10_000):
+        assert sampler._walk(u) == table[bisect_right(cdf, u)][0]
+        assert (u < sampler.zero_cut) == (sampler._walk(u) == sampler.zeros)
 
 
 def test_adversary_view_matches_dense_enumeration_corrupt_receiver():
