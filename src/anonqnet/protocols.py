@@ -111,6 +111,9 @@ class Transcript:
         return t
 
 
+_IDENTITY = identity_channel()  # one object, so memos keyed on channels hit
+
+
 def _private(node: int) -> str:
     return f"private-to({node})"
 
@@ -167,7 +170,7 @@ class NetworkConfig:
         return tuple(i for i in self.nodes if i not in self.lost_nodes)
 
     def channel_for(self, node: int) -> QuantumChannel:
-        return self.per_qubit_channels.get(node) or identity_channel()
+        return self.per_qubit_channels.get(node) or _IDENTITY
 
 
 @dataclass
@@ -343,10 +346,12 @@ def _heisenberg(channel: QuantumChannel, op: np.ndarray) -> np.ndarray:
 
 
 def _contract(config: NetworkConfig, mps: _Mps, reads: Mapping, sender: int,
-              receiver: int, norm: float) -> np.ndarray:
+              receiver: int, norm: float, transfers: dict | None = None
+              ) -> np.ndarray:
     """(Φ_S ⊗ Φ_R) of the unnormalized (sender, receiver) state after each
-    node in reads reads its observable; every other node is traced out."""
-    env, transfers = mps.left, {}  # one per distinct (channel, observable)
+    node in reads reads its observable; every other node is traced out.
+    transfers memoises a transfer per (channel, observable) if given."""
+    env, transfers = mps.left, {} if transfers is None else transfers
     for node in config.nodes:
         if node in (sender, receiver):
             env = (env @ mps.open).reshape(-1, 4)
@@ -372,6 +377,55 @@ def pullback_pair(config: NetworkConfig, outcomes: Mapping[int, int],
     Born weight.  Every other node (lost, or summed over) is traced out."""
     reads = {node: _READ[bit] for node, bit in outcomes.items()}
     return _contract(config, _W, reads, sender, receiver, config.n_nodes)
+
+
+def outcome_transfers(config: NetworkConfig,
+                      strings: Sequence[Mapping[int, int]]) -> np.ndarray:
+    """B x n x 4 x 4 W transfer strings for pullback_pairs: node i reads the
+    standard-basis bit strings[b][i], or is traced out without one.  Each
+    (channel, bit) transfer is built once."""
+    @lru_cache(maxsize=None)
+    def transfer(channel, bit):
+        return (_W.identity if bit is None
+                else _W.transfer(_heisenberg(channel, _READ[bit])))
+    return np.array([[transfer(config.channel_for(i), s.get(i))
+                      for i in config.nodes] for s in strings])
+
+
+def pullback_pairs(config: NetworkConfig, transfers: np.ndarray, fixed: int,
+                   opens: Sequence[int]) -> np.ndarray:
+    """pullback_pair(config, ·, open, fixed) of B transfer strings (B x n x 4
+    x 4, see outcome_transfers; entries at fixed and opens unread) for every
+    open node at once: B x len(opens) x 4 x 4.  One O(n) sweep builds each
+    site's left and right environments, which carry the fixed site's (p, q)
+    index once past it (Schollwöck, arXiv:1008.3477, §4); each (open
+    channel, fixed channel) gets one 16x16 pair superoperator."""
+    b, f = len(transfers), fixed - 1
+    site = _W.open.reshape(4, 4, 4)  # (ket, bra) bond in, (p, q), bond out
+    lefts, env = [], np.broadcast_to(_W.left, (b, 1, 4))
+    for k in range(config.n_nodes):
+        lefts.append(env)
+        env = ((env @ _W.open).reshape(b, 4, 4) if k == f
+               else env @ transfers[:, k])
+    rights, env = lefts[:], np.broadcast_to(_W.right[:, None], (b, 4, 1))
+    for k in reversed(range(config.n_nodes)):
+        rights[k] = env
+        env = (np.einsum("apc,bc->bap", site, env[..., 0]) if k == f
+               else transfers[:, k] @ env)
+    out, sups = np.empty((b, len(opens), 4, 4), dtype=complex), {}
+    for j, node in enumerate(opens):
+        x = np.einsum("bia,apc,bcj->bipj", lefts[node - 1], site,
+                      rights[node - 1]).reshape(b, 2, 2, 2, 2)
+        # (p, q) of the earlier site first -> row-major (p_o p_f, q_o q_f)
+        x = x.transpose((0, 1, 3, 2, 4) if node < fixed else (0, 3, 1, 4, 2))
+        key = (config.channel_for(node), config.channel_for(fixed))
+        if key not in sups:  # Φ_open ⊗ Φ_fixed, transposed, over the norm
+            t_o, t_f = (np.einsum("aip,akq->ikpq", k, k.conj())
+                        for k in (np.array(ch.kraus_ops) for ch in key))
+            sups[key] = np.einsum("ikpr,jlqs->pqrsijkl", t_o, t_f).reshape(
+                16, 16) / config.n_nodes
+        out[:, j] = (x.reshape(b, 16) @ sups[key]).reshape(b, 4, 4)
+    return out
 
 
 def _normalized_pair(raw: np.ndarray) -> tuple[float, DensityMatrix]:
@@ -694,19 +748,27 @@ class _Protocol1Sampler(_Sampler):
                    for j in range(len(self.zeros) + 1)]
         self.total, w = weights[0], weights[-1]
         self.exact_success = w if w >= 1e-15 else None
-        self.zero_cut = min(weights[1:]) / self.total  # below it, the walk reads zeros
+        # below zero_cut, the walk reads zeros
+        self.zero_cut = min(map(self._step, weights, weights[1:]))
 
     def _raw(self, bits: tuple) -> np.ndarray:
         """pullback_pair after the first len(bits) measuring nodes read bits."""
         return pullback_pair(self.config, dict(zip(self.measuring, bits)),
                              self.config.sender, self.config.receiver)
 
+    def _step(self, prefix: float, zero: float) -> float:
+        """Where a prefix's 0-branch ends past lo; no branch under 1e-15."""
+        if min(zero, prefix - zero) >= 1e-15:
+            return zero / self.total
+        return math.inf if zero >= prefix - zero else -math.inf
+
     def _walk(self, u: float) -> tuple:
-        bits, lo = (), 0.0
+        bits, lo, prefix = (), 0.0, self.total
         for _ in self.measuring:
-            step = float(np.trace(self._raw(bits + (0,))).real) / self.total
-            bit = int(u >= lo + step)
-            bits, lo = bits + (bit,), lo + bit * step
+            zero = float(np.trace(self._raw(bits + (0,))).real)
+            bit = int(u >= lo + self._step(prefix, zero))
+            bits, lo = bits + (bit,), lo + bit * zero / self.total
+            prefix = prefix - zero if bit else zero
         return bits
 
     def _run(self, rng: _Draws, record_transcript: bool) -> RunOutcome:
@@ -812,7 +874,7 @@ class _GhzSampler(_Sampler):
         self.events_per_run = 3 * config.n_nodes * (config.n_nodes + 2)
         self.diags = [[np.diag(_heisenberg(config.channel_for(node), op)).real
                        for op in _X_READ] for node in self.measuring]
-        self.branches, self.exact_success = {}, 1.0
+        self.branches, self.exact_success, self.transfers = {}, 1.0, {}
 
     def _run(self, rng: _Draws, record_transcript: bool) -> RunOutcome:
         config = self.config
@@ -835,7 +897,8 @@ class _GhzSampler(_Sampler):
             parity_protocol(inputs, rng, transcript, start_round=4)
         if bits not in self.branches:
             reads = {node: _X_READ[b] for node, b in zip(self.measuring, bits)}
-            raw = _contract(config, _GHZ, reads, config.sender, config.receiver, 2)
+            raw = _contract(config, _GHZ, reads, config.sender, config.receiver, 2,
+                            self.transfers)
             _, pair = _normalized_pair(_Z_R @ raw @ _Z_R if sum(bits) % 2 else raw)
             self.branches[bits] = _branch_plan(config, pair, "GHZ")
         m = _draw(rng, self.branches[bits][1][0])

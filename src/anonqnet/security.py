@@ -19,11 +19,13 @@ qubit when the receiver is corrupt, trivial otherwise).  Shares from the
 XOR-sharing subroutines are excluded: for any coalition missing at least
 one node they are uniform and carry no input dependence.
 
-Anonymity holds when views for different hypotheses coincide; the checks
-below quantify any gap and convert it into a guessing-probability bound.
-When node channels deviate from a common base, the verdict adds the
-diamond-distance perturbation bound, which stays sound for the W state's
-entangled inputs.
+Views for all hypotheses come from one pullback_pairs sweep per coalition
+outcome (adversary_views).  Anonymity holds when views for different
+hypotheses coincide; the checks below quantify any gap over all views at
+once, with closed-form trace norms, and convert it into a
+guessing-probability bound.  When node channels deviate from a common
+base, the verdict adds the diamond-distance perturbation bound, which
+stays sound for the W state's entangled inputs.
 """
 
 from __future__ import annotations
@@ -36,16 +38,12 @@ import numpy as np
 
 from .channels import QuantumChannel, channel_distance, diamond_distance
 from .qcore import DensityMatrix
-from .protocols import NetworkConfig, pullback_pair, teleport_branches
+from .protocols import (NetworkConfig, outcome_transfers, pullback_pairs,
+                        teleport_branches)
 
 _TINY = 1e-14
 
-ADVERSARY_NODE_CAP = 7
-
-
-def _tracenorm(x: np.ndarray) -> float:
-    sym = (x + x.conj().T) / 2
-    return float(np.abs(np.linalg.eigvalsh(sym)).sum())
+ADVERSARY_NODE_CAP = 7  # guards no cost now; bench/tests pins the refusal
 
 
 _TRIVIAL = np.array([[1.0 + 0j]])
@@ -81,16 +79,17 @@ def effective_roles(config: NetworkConfig, hypothesis: int, role: str
     raise ValueError(f"unknown role {role!r}")
 
 
-def adversary_view(config: NetworkConfig, scenario: AdversaryScenario,
-                   hypothesis: int, role: str = "sender") -> dict:
-    """Exact run-level view of the coalition under one identity hypothesis,
-    as a dict label -> (weight, weight x block).
+def adversary_views(config: NetworkConfig, scenario: AdversaryScenario,
+                    hypotheses: Sequence[int], role: str = "sender") -> list:
+    """Exact run-level views of the coalition, one per identity hypothesis,
+    each a dict label -> (weight, weight x block).
 
     Enumerates the coalition's measurement outcomes, the honest-side
     all-zero/not-all-zero split (the complement is obtained by subtraction,
     avoiding a 2^N blowup), and the teleport announcement branches.
     Branches with the same label merge by summing.  Branch weights over
-    each view sum to 1.
+    each view sum to 1.  Hypotheses sharing the other role's site take one
+    pullback_pairs sweep per coalition outcome.
     """
     if config.n_nodes > ADVERSARY_NODE_CAP:
         raise ValueError(
@@ -99,19 +98,49 @@ def adversary_view(config: NetworkConfig, scenario: AdversaryScenario,
     adv = scenario.adversary_set
     if not adv <= set(config.live_nodes):
         raise ValueError("adversaries must be live nodes")
-    if hypothesis in adv:
-        raise ValueError("hypothesis must be a non-adversary node")
-    if hypothesis not in config.live_nodes:
-        raise ValueError("hypothesis must be a live node")
-    eff_sender, eff_receiver = effective_roles(config, hypothesis, role)
-    if eff_sender in adv:
-        raise ValueError("a corrupt sender knows its own identity already")
+    groups = {}  # the other effective role's site -> hypotheses
+    for h in hypotheses:
+        if h in adv:
+            raise ValueError("hypothesis must be a non-adversary node")
+        if h not in config.live_nodes:
+            raise ValueError("hypothesis must be a live node")
+        eff_sender, eff_receiver = effective_roles(config, h, role)
+        if eff_sender in adv:
+            raise ValueError("a corrupt sender knows its own identity already")
+        groups.setdefault(eff_receiver if h == eff_sender else eff_sender,
+                          []).append(h)
+    views = {}
+    for fixed, opens in groups.items():
+        adv_meas = [i for i in config.live_nodes if i in adv and i != fixed]
+        honest = [i for i in config.live_nodes if i not in adv and i != fixed]
+        mus = list(product((0, 1), repeat=len(adv_meas)))
+        # per outcome mu: the honest outcomes summed over (total), all zero
+        strings = []
+        for mu in mus:
+            coalition = dict(zip(adv_meas, mu))
+            strings += [coalition, {**coalition, **dict.fromkeys(honest, 0)}]
+        pairs = pullback_pairs(config, outcome_transfers(config, strings),
+                               fixed, opens)
+        if role == "receiver":  # (receiver, sender) -> (sender, receiver)
+            pairs = pairs.reshape(-1, len(opens), 2, 2, 2, 2).transpose(
+                0, 1, 3, 2, 5, 4).reshape(pairs.shape)
+        for j, h in enumerate(opens):
+            views[h] = _view(config, adv, effective_roles(config, h, role),
+                             mus, pairs[0::2, j], pairs[1::2, j])
+    return [views[h] for h in hypotheses]
 
+
+def adversary_view(config: NetworkConfig, scenario: AdversaryScenario,
+                   hypothesis: int, role: str = "sender") -> dict:
+    """adversary_views for one hypothesis."""
+    return adversary_views(config, scenario, [hypothesis], role)[0]
+
+
+def _view(config: NetworkConfig, adv: frozenset, roles: tuple, mus: list,
+          totals: np.ndarray, zeros: np.ndarray) -> dict:
+    """One hypothesis's view from its pairs per coalition outcome mu."""
+    eff_sender, eff_receiver = roles
     receiver_corrupt = eff_receiver in adv
-    live = config.live_nodes
-    measuring = [i for i in live if i not in (eff_sender, eff_receiver)]
-    adv_meas = [i for i in measuring if i in adv]
-    honest_meas = [i for i in measuring if i not in adv]
     rn_bits = tuple(int(i == eff_receiver) for i in sorted(adv))
     view = {}
 
@@ -128,17 +157,10 @@ def adversary_view(config: NetworkConfig, scenario: AdversaryScenario,
         else:
             add(label, weight, _TRIVIAL)
 
-    for mu in product((0, 1), repeat=len(adv_meas)):
-        coalition = dict(zip(adv_meas, mu))
-        # (sender, receiver) pairs with the honest outcomes summed over
-        # (total) and all zero
-        total = pullback_pair(config, coalition, eff_sender, eff_receiver)
+    for mu, total, zero in zip(mus, totals, zeros):
         w_mu = float(np.trace(total).real)
         if w_mu < _TINY:
             continue
-        zero = pullback_pair(config, {**coalition,
-                                      **dict.fromkeys(honest_meas, 0)},
-                             eff_sender, eff_receiver)
         w_zero = float(np.trace(zero).real)
         w_rest = w_mu - w_zero
 
@@ -169,15 +191,32 @@ def adversary_view(config: NetworkConfig, scenario: AdversaryScenario,
     return view
 
 
-def _aligned(views: Sequence[dict]) -> list:
-    """Each view's (weight, weighted block) over every (label, block shape)
-    key of the views, in first-seen order, zero where a view lacks the key.
-    A label carried on two registers is thus two orthogonal sectors."""
+def _stacked(views: Sequence[dict]) -> tuple[np.ndarray, np.ndarray]:
+    """The views over every (label, block shape) key, in first-seen order:
+    C x K weights and C x K x d x d weighted blocks (a 1x1 block in the
+    corner when d = 2), zero where a view lacks the key.  A label carried
+    on two registers is thus two orthogonal sectors."""
     keys = dict.fromkeys((label, block.shape) for v in views
                          for label, (_, block) in v.items())
-    return [[v[label] if label in v and v[label][1].shape == shape
-             else (0.0, np.zeros(shape, dtype=complex))
-             for label, shape in keys] for v in views]
+    d = max((shape[0] for _, shape in keys), default=1)
+    weights = np.zeros((len(views), len(keys)))
+    blocks = np.zeros((len(views), len(keys), d, d), dtype=complex)
+    for c, v in enumerate(views):
+        for k, (label, (r, s)) in enumerate(keys):
+            if label in v and v[label][1].shape == (r, s):
+                weights[c, k] = v[label][0]
+                blocks[c, k, :r, :s] = v[label][1]
+    return weights, blocks
+
+
+def _trace_norms(x: np.ndarray) -> np.ndarray:
+    """Trace norms of the Hermitian parts of stacked 1x1 or 2x2 blocks, in
+    closed form: |a|, or max(|a + d|, sqrt((a - d)^2 + 4|b|^2))."""
+    a = x[..., 0, 0].real
+    if x.shape[-1] == 1:
+        return np.abs(a)
+    d, b = x[..., 1, 1].real, (x[..., 0, 1] + x[..., 1, 0].conj()) / 2
+    return np.maximum(np.abs(a + d), np.hypot(a - d, 2 * np.abs(b)))
 
 
 def independence_check(views: Sequence[dict]) -> float:
@@ -185,16 +224,13 @@ def independence_check(views: Sequence[dict]) -> float:
     the label/weight distributions plus the largest per-label trace
     distance between attached states.  0 means the coalition's view does
     not depend on the hypothesis at all."""
-    aligned = _aligned(views)
-    worst = 0.0
-    for i, a in enumerate(aligned):
-        for b in aligned[i + 1:]:
-            tv = 0.5 * sum(abs(wa - wb) for (wa, _), (wb, _) in zip(a, b))
-            td = max((0.5 * _tracenorm(ma / wa - mb / wb)
-                      for (wa, ma), (wb, mb) in zip(a, b) if wa and wb),
-                     default=0.0)
-            worst = max(worst, tv + td)
-    return worst
+    weights, blocks = _stacked(views)
+    states = blocks / np.where(weights > 0, weights, 1.0)[..., None, None]
+    tv = 0.5 * np.abs(weights[:, None] - weights[None]).sum(-1)
+    both = (weights[:, None] > 0) & (weights[None] > 0)
+    td = 0.5 * np.where(both, _trace_norms(states[:, None] - states[None]),
+                        0.0).max(-1, initial=0.0)
+    return float((tv + td).max(initial=0.0))
 
 
 def guessing_probability(views: Sequence[dict],
@@ -217,24 +253,18 @@ def _guessing_probability(views: Sequence[dict], priors: Sequence[float],
     """guessing_probability given the views' independence deviation."""
     if len(views) != len(priors) or not views:
         raise ValueError("need one prior per view")
-    priors = [float(p) for p in priors]
-    if abs(sum(priors) - 1.0) > 1e-9 or min(priors) < 0:
+    priors = np.asarray(priors, dtype=float)
+    if abs(priors.sum() - 1.0) > 1e-9 or priors.min() < 0:
         raise ValueError("priors must form a distribution")
     if dev <= 1e-9:
-        return max(priors), "state-independence"
-    blocks = [[m for _, m in v] for v in _aligned(views)]
+        return float(priors.max()), "state-independence"
+    _, blocks = _stacked(views)
     if len(views) == 2:
-        (pa, pb), total = priors, 0.0
-        for ma, mb in zip(*blocks):
-            a, b = pa * ma, pb * mb
-            total += (0.5 * (a.trace().real + b.trace().real)
-                      + 0.5 * _tracenorm(a - b))
-        return float(total), "helstrom"
-    reference = [sum(p * m for p, m in zip(priors, col))
-                 for col in zip(*blocks)]
-    bound = max(priors)
-    for v, p in zip(blocks, priors):
-        bound += p * sum(_tracenorm(m - ref) for m, ref in zip(v, reference))
+        a, b = priors[:, None, None, None] * blocks
+        return (float(0.5 * np.trace(a + b, axis1=1, axis2=2).real.sum()
+                      + 0.5 * _trace_norms(a - b).sum()), "helstrom")
+    reference = np.einsum("c,ckij->kij", priors, blocks)
+    bound = priors.max() + priors @ _trace_norms(blocks - reference).sum(-1)
     return float(bound), "bound-only"
 
 
@@ -245,11 +275,12 @@ def epsilon_security_bound(base: QuantumChannel,
     common base: (number of nodes) x (largest single-channel distance),
     channel_distance unless another distance is given.  With
     diamond_distance the bound is sound for inputs entangled with the
-    other nodes, as the W state's are."""
-    if not per_node:
-        return 0.0
+    other nodes, as the W state's are.  Each distinct channel object is
+    measured once; one with the base's Kraus operators is at distance 0."""
     distance = distance or channel_distance  # looked up per call
-    worst = max(distance(base, ch) for ch in per_node.values())
+    worst = max((distance(base, ch) for ch in dict.fromkeys(per_node.values())
+                 if not np.array_equal(ch.kraus_ops, base.kraus_ops)),
+                default=0.0)
     return len(per_node) * worst
 
 
@@ -268,7 +299,7 @@ def security_report(config: NetworkConfig, adversaries: Sequence[int],
                   scenario.adversary_set]
     if not candidates:
         raise ValueError("no admissible hypotheses for this coalition")
-    views = [adversary_view(config, scenario, c, role) for c in candidates]
+    views = adversary_views(config, scenario, candidates, role)
     priors = [1.0 / len(candidates)] * len(candidates)
     dev = independence_check(views)
     p_guess, certificate = _guessing_probability(views, priors, dev)

@@ -49,8 +49,10 @@ from anonqnet.protocols import (
     _contract,
     _normalized_pair,
     collision_detection,
+    outcome_transfers,
     parity_protocol,
     pullback_pair,
+    pullback_pairs,
     receiver_notification,
     run_ghz_protocol,
     run_protocol1,
@@ -1225,3 +1227,96 @@ def test_relay_pauli_batch_shares_one_chain():
     outs, _ = sample_relay_runs(cfg, 1000)
     # one chain, and two X outcomes closing it
     assert len({id(o) for o in outs}) <= 4
+
+
+# ---------------------------------------------------------------------------
+# the batched sweep behind the anonymity audit
+
+
+def random_channel(rng, kraus=2):
+    """A random complex qubit channel: the blocks of a random isometry."""
+    z = rng.normal(size=(2 * kraus, 2)) + 1j * rng.normal(size=(2 * kraus, 2))
+    q, _ = np.linalg.qr(z)
+    return QuantumChannel(list(q.reshape(kraus, 2, 2)), name="random")
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_pullback_pairs_match_pullback_pair(n):
+    rng = np.random.default_rng(n)
+    mixed = [lambda i: RELAY_CHANNELS["nonunital"](i),
+             lambda i: RELAY_CHANNELS["pauli"](i),
+             lambda i: random_channel(rng, 1 + i % 3)]
+    chans = {i: mixed[i % 3](i) for i in range(1, n + 1)}
+    lost = frozenset({n - 1}) if n % 2 else frozenset()
+    cfg = NetworkConfig(n_nodes=n, sender=1, receiver=2,
+                        per_qubit_channels=chans, lost_nodes=lost)
+    live = cfg.live_nodes
+    strings = [{}, dict.fromkeys(live, 0),
+               *({i: int(b) for i, b in zip(live, rng.integers(0, 2, len(live)))
+                  if rng.random() < 0.7} for _ in range(4))]
+    # fixed at an end and in the middle: open sites on both sides of it
+    for fixed in (live[0], live[len(live) // 2], live[-1]):
+        opens = [i for i in live if i != fixed]
+        pairs = pullback_pairs(cfg, outcome_transfers(cfg, strings), fixed, opens)
+        assert pairs.shape == (len(strings), len(opens), 4, 4)
+        for b, outcomes in enumerate(strings):
+            for j, node in enumerate(opens):
+                reads = {i: v for i, v in outcomes.items() if i not in (node, fixed)}
+                ref = pullback_pair(cfg, reads, node, fixed)
+                assert np.abs(pairs[b, j] - ref).max() < 1e-12
+
+
+def test_w_walk_never_lands_on_a_weight_zero_string():
+    # u at each boundary of the lexicographic table, as the walk computes
+    # it, and one ulp either side: a boundary after an empty 1-branch used
+    # to let the walk read a string of weight 0 ("Born weight 0 underflows")
+    families = [lambda i: dephasing(0.9), lambda i: dephasing(0.8 + 0.02 * i),
+                RELAY_CHANNELS["nonunital"]]
+    probes = 0
+    for family in families:
+        for n in range(4, 10):
+            for s, r in ((1, 2), (n, 2)):
+                cfg = NetworkConfig(n_nodes=n, sender=s, receiver=r,
+                                    per_qubit_channels={i: family(i) for i in
+                                                        range(1, n + 1)})
+                sampler = _Protocol1Sampler(cfg)
+                sampler._raw = functools.lru_cache(maxsize=None)(sampler._raw)
+                bounds = {}
+
+                def tree(bits, lo):
+                    if len(bits) == len(sampler.measuring):
+                        return
+                    step = float(np.trace(sampler._raw(bits + (0,))).real
+                                 ) / sampler.total
+                    bounds[lo + step] = None
+                    tree(bits + (0,), lo)
+                    tree(bits + (1,), lo + step)
+
+                tree((), 0.0)
+                for b in bounds:
+                    for u in (np.nextafter(b, 0), b, np.nextafter(b, 2)):
+                        if not 0 <= u < 1:
+                            continue
+                        probes += 1
+                        out = sampler._run(MissedVeto(float(u)), False)
+                        bits = sampler._walk(u)
+                        assert np.trace(sampler._raw(bits)).real >= 1e-15
+                        assert (u < sampler.zero_cut) == (bits == sampler.zeros)
+                        assert out.anonymous_entanglement is sampler.branches[bits][0]
+    assert probes > 1000
+
+
+def test_ghz_sampler_keeps_its_transfers(monkeypatch):
+    import anonqnet.protocols as protocols
+
+    cfg = NetworkConfig(n_nodes=12, sender=3, receiver=9, seed=4,
+                        per_qubit_channels=uniform(depolarizing(0.9), 12))
+    sampler = _GhzSampler(cfg)
+    calls = []
+    real = protocols._heisenberg
+    monkeypatch.setattr(protocols, "_heisenberg",
+                        lambda ch, op: calls.append(1) or real(ch, op))
+    sampler.batch(300)
+    assert len(sampler.branches) > 50
+    # one transfer per (channel, X outcome), whatever the outcome strings
+    assert len(sampler.transfers) == len(calls) == 2

@@ -1,5 +1,9 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from anonqnet.channels import (
     QuantumChannel,
@@ -7,10 +11,13 @@ from anonqnet.channels import (
     depolarizing,
     identity_channel,
 )
+from anonqnet.cli import main
 from anonqnet.protocols import NetworkConfig
 from anonqnet.security import (
     AdversaryScenario,
+    _trace_norms,
     adversary_view,
+    adversary_views,
     effective_roles,
     epsilon_security_bound,
     guessing_probability,
@@ -90,6 +97,23 @@ def test_guessing_probability_bound_only_three_views():
     assert p >= 1 / 3
 
 
+def test_closed_form_trace_norm_matches_eigvalsh():
+    rng = np.random.default_rng(13)
+    for d in (1, 2):
+        x = (rng.normal(size=(1000, d, d))
+             + 1j * rng.normal(size=(1000, d, d))) * rng.choice(
+                 [1e-6, 1.0, 3.0], size=(1000, 1, 1))
+        sym = (x + x.conj().transpose(0, 2, 1)) / 2
+        ref = np.abs(np.linalg.eigvalsh(sym)).sum(-1)
+        assert np.abs(_trace_norms(x) - ref).max() < 1e-12
+        # a difference of two states, as the checks form it
+        states = sym @ sym.conj().transpose(0, 2, 1)
+        states /= np.trace(states, axis1=1, axis2=2)[:, None, None]
+        diff = states[:500] - states[500:]
+        ref = np.abs(np.linalg.eigvalsh(diff)).sum(-1)
+        assert np.abs(_trace_norms(diff) - ref).max() < 1e-12
+
+
 def test_guessing_probability_prior_validation():
     with pytest.raises(ValueError):
         guessing_probability([single_label(KET0)], [0.5, 0.5])
@@ -138,6 +162,25 @@ def test_adversary_view_validation():
     big = NetworkConfig(n_nodes=8, sender=1, receiver=2)
     with pytest.raises(ValueError):
         adversary_view(big, AdversaryScenario(frozenset({3})), 4)
+
+
+@pytest.mark.parametrize("role", ["sender", "receiver"])
+def test_adversary_views_match_one_view_at_a_time(role):
+    # each view alone is a sweep over one candidate: the batched groups
+    # (one per fixed site, the swapped hypothesis on its own) agree with it
+    chans = uniform(depolarizing(0.9), 6)
+    chans[3], chans[5] = dephasing(0.8), depolarizing(0.75)
+    cfg = NetworkConfig(n_nodes=6, sender=1, receiver=2,
+                        per_qubit_channels=chans, lost_nodes={6})
+    scenario = AdversaryScenario(frozenset({4}))
+    candidates = [1, 2, 3, 5]
+    views = adversary_views(cfg, scenario, candidates, role)
+    for c, view in zip(candidates, views):
+        alone = adversary_view(cfg, scenario, c, role)
+        assert list(view) == list(alone)
+        for label, (w, block) in alone.items():
+            assert view[label][0] == pytest.approx(w, abs=1e-14)
+            assert np.abs(view[label][1] - block).max() < 1e-14
 
 
 @pytest.mark.parametrize("role", ["sender", "receiver"])
@@ -263,6 +306,23 @@ def test_epsilon_bound_looks_up_channel_distance_per_call(monkeypatch):
     assert calls == [1]
 
 
+def test_epsilon_bound_measures_each_distinct_channel_once(monkeypatch):
+    import anonqnet.security as security
+
+    seen = []
+    real = security.channel_distance
+    monkeypatch.setattr(security, "channel_distance",
+                        lambda a, b: seen.append(b) or real(a, b))
+    base, drift = dephasing(0.9), dephasing(0.85)
+    per_node = {1: base, 2: drift, 3: dephasing(0.9), 4: drift, 5: base}
+    got = epsilon_security_bound(base, per_node)
+    assert got == pytest.approx(5 * 2 * 0.05, abs=1e-5)
+    # the base, and a copy with its Kraus operators, are at distance 0
+    assert seen == [drift]
+    assert epsilon_security_bound(base, {1: base, 2: dephasing(0.9)}) == 0.0
+    assert seen == [drift]
+
+
 def test_epsilon_bound_closed_forms():
     assert epsilon_security_bound(dephasing(0.9), {}) == 0.0
     got = epsilon_security_bound(
@@ -272,3 +332,43 @@ def test_epsilon_bound_closed_forms():
         depolarizing(0.8), {i: depolarizing(0.75) for i in range(1, 4)})
     assert got == pytest.approx(3 * 0.05, abs=1e-5)
 
+
+
+# ---------------------------------------------------------------------------
+# golden audits: reports recorded before the audit ran on pullback_pairs
+# (seed-1 bench audits, a corrupt receiver, lost nodes, a 3-node coalition,
+# sender 4, two-candidate Helstrom audits and the receiver role)
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "security_golden.json")
+                    .read_text())
+
+
+def assert_close(got, want, path="reports"):
+    if isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            assert_close(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_close(g, w, f"{path}[{i}]")
+    elif isinstance(want, float) and not isinstance(got, bool):
+        assert abs(got - want) <= 1e-12, (path, got, want)
+    else:
+        assert got == want and type(got) is type(want), (path, got, want)
+
+
+@pytest.mark.parametrize("args", list(GOLDEN))
+def test_security_golden_audit(args):
+    want = GOLDEN[args]
+    res = CliRunner().invoke(main, ["security", *args.split()])
+    assert res.exit_code == want["exit_code"], res.output
+    body = json.loads(res.output)
+    assert body["holds"] is want["holds"]
+    assert_close(body["reports"], want["reports"])
+
+
+def test_security_nine_nodes_still_refused():
+    res = CliRunner().invoke(main, ["security", "--nodes", "9",
+                                    "--adversaries", "3"])
+    assert res.exit_code == 2
