@@ -133,23 +133,36 @@ def _emit(text: str, out: str | None = None) -> None:
         with open(out, "w") as fh:
             fh.write(text)
     else:
-        # an explicit file keeps click from caching the stream, which would
-        # keep every redirected output alive
-        click.echo(text, nl=False, file=sys.stdout)
+        # the current sys.stdout, not click.echo: click would scan the text
+        # for ANSI codes, which JSON and CSV never hold, and caching a stream
+        # it resolved itself would keep every redirected output alive
+        sys.stdout.write(text)
+        sys.stdout.flush()
 
 
 def _dumps_runs(body: dict, outcomes: list) -> str:
     """json.dumps(body, indent=2) and a newline, with "runs", the outcomes'
-    transcript-free rows, as its last key: each distinct outcome object
-    (sampled batches share a handful) is encoded once, and indented
-    encoding is pure Python.  The text is built by one join, as a batch's
-    output can run to megabytes."""
-    blocks, rows = {}, []
+    transcript-free rows, as its last key.  Indented encoding is pure
+    Python, so each distinct outcome object (sampled batches share a
+    handful) is encoded once, and so is each distinct pair state, the bulk
+    of a row.  The text is built by one join, as a batch's output can run
+    to megabytes."""
+    pairs, blocks, rows = {}, {}, []
     for o in outcomes:
         if id(o) not in blocks:  # the list keeps every id alive
-            row = json.dumps(o.to_json_dict(include_transcript=False), indent=2)
-            blocks[id(o)] = row.replace("\n", "\n    ")
+            row, pair = o.to_json_dict(include_transcript=False), o.anonymous_entanglement
+            if pair is None:
+                text = json.dumps(row, indent=2)
+            else:  # the pair is the last key, so its 0 placeholder the last 0
+                if id(pair) not in pairs:
+                    pairs[id(pair)] = json.dumps(row["anonymous_entanglement"],
+                                                 indent=2).replace("\n", "\n  ")
+                head, tail = json.dumps({**row, "anonymous_entanglement": 0},
+                                        indent=2).rsplit("0", 1)
+                text = head + pairs[id(pair)] + tail
+            blocks[id(o)] = text.replace("\n", "\n    ")
         rows.append(blocks[id(o)])
+    del pairs  # copied into the rows; freed before the join
     # "runs" is the last key, so the 0 placeholder is the text's last 0
     head, tail = json.dumps({**body, "runs": [0]}, indent=2).rsplit("0", 1)
     rows[0] = head + rows[0]

@@ -24,9 +24,12 @@ Two execution modes:
   memoise each string's pair; the relay builds each hop's superoperator
   once per swap outcome.  Equal unrecorded runs share one outcome, and a
   recording over a transcript event budget is refused.  Draws read raw
-  generator words (_Draws), decoded into exactly the Generator's draws, so
-  seeded outputs are unchanged; PCG64, PCG64DXSM, Philox and SFC64 bit
-  generators are supported.
+  generator words, decoded into exactly the Generator's draws, so seeded
+  outputs are unchanged; PCG64, PCG64DXSM, Philox and SFC64 bit generators
+  are supported.  Unrecorded W and GHZ batches decode bounded chunks of
+  words as arrays: a run's word count is fixed by its type and by whether
+  a 32-bit half is buffered when it starts.  Recorded runs and the relay
+  draw run by run (_Draws).
 
 Classical subroutines follow the additive-sharing constructions: parity is
 XOR secret sharing over pairwise private channels plus broadcast, veto is
@@ -462,7 +465,6 @@ class _Draws:
     takes a word's low half and buffers its high half for the next one
     (has_uint32, which MT19937 lacks).  close() leaves the Generator where
     those calls would have."""
-    TOP_BITS = 0x8000000080000000  # the top bit of each 32-bit half
 
     def __init__(self, rng: np.random.Generator, block: int = 2048):
         self.bitgen, self.block = rng.bit_generator, block
@@ -511,10 +513,6 @@ class _Draws:
         if head and k:  # a buffered half gives one draw, not two
             del bits[1]
         return np.array(bits[:k], dtype=np.int64).reshape(size)
-
-    def any_bit(self, k: int) -> bool:
-        """integers(0, 2, size=k).any()"""
-        return any(map(self.TOP_BITS.__and__, self.skip(k)))
 
     def close(self) -> None:
         self.bitgen.state = self.start
@@ -612,19 +610,13 @@ def _branch_plan(config: NetworkConfig, pair: DensityMatrix, protocol: str) -> t
 
 
 def _announce(config: NetworkConfig, m: int, rng: _Draws,
-              transcript: Transcript | None, start_round: int,
-              draw_shares: bool = True) -> tuple:
+              transcript: Transcript, start_round: int) -> tuple:
     """Announce Bell outcome m through two masked parity runs (the sender
     inputs a bit of m, the receiver a fresh mask) and hand m to the
-    receiver privately; returns the public bits.  Unrecorded, the parities
-    are their exact outputs, and draw_shares skips the shares' draws."""
+    receiver privately; returns the public bits."""
     m_bits = (m >> 1 & 1, m & 1)
     rand = (rng.integers(0, 2), rng.integers(0, 2))
     public = (m_bits[0] ^ rand[0], m_bits[1] ^ rand[1])  # the parities' outputs
-    if transcript is None:
-        if draw_shares:
-            rng.skip(2 * len(config.live_nodes) ** 2)
-        return public
     for j in range(2):
         inputs = dict.fromkeys(config.live_nodes, 0)
         inputs[config.sender] = m_bits[j]
@@ -680,11 +672,19 @@ def _protocol1_exact(config: NetworkConfig) -> RunOutcome:
     return _teleported(config, ae, "W", transcript, weight, veto_output=0)
 
 
+def _halves(has: int, k: int) -> tuple:
+    """(words read, has_uint32 after) of k >= 1 integers(0, 2) draws."""
+    return (k - has + 1) >> 1, (k - has) & 1
+
+
 class _Sampler:
     """A protocol's sampling plan for one config.  A recorded run gets a fresh
     outcome; an unrecorded one the read-only outcome (empty transcript) of
-    its result key: None (abort) or (branch key, Bell outcome, public bits)."""
+    its result key: None (abort) or (branch key, Bell outcome, public bits).
+    Unrecorded W and GHZ runs are decoded from chunks of raw words as
+    arrays; recorded runs and the relay draw run by run through _Draws."""
     TRANSCRIPT_BUDGET = 2**18  # events a recording may hold; ~1.5 KiB each printed
+    CHUNK_WORDS = 2**14  # the most raw words a chunk of runs may read
 
     def run(self, rng: np.random.Generator,
             record_transcript: bool = False) -> RunOutcome:
@@ -701,9 +701,53 @@ class _Sampler:
             rng = np.random.default_rng(self.config.seed)
         draws = _Draws(rng)
         try:
-            return [self._run(draws, record_transcripts) for _ in range(n_samples)]
+            if record_transcripts:
+                return [self._run(draws) for _ in range(n_samples)]
+            return self._unrecorded(draws, n_samples)
         finally:
             draws.close()
+
+    def _unrecorded(self, draws: _Draws, n: int) -> list:
+        """n unrecorded runs.  words[0] is the last word split into 32-bit
+        halves (its high half the buffered one), p the next run's first
+        word and h has_uint32.  _decode(words, p, h, runs) returns the
+        result codes of up to runs runs (see _codes; -1 is an abort), their
+        branch keys, and the next p, h and words[0]."""
+        out, h, p = [], draws.has, 1
+        words = np.array([draws.half << 32], dtype=np.uint64)
+        while len(out) < n:
+            runs = min(self.chunk, n - len(out))
+            size = self._words(runs, h)
+            words = np.concatenate([words, draws.bitgen.random_raw(size)])
+            draws.fetched += size
+            codes, bkeys, p, h, last = self._decode(words, p, h, runs)
+            codes = codes.tolist()
+            shared = {c: self._finish(None if c < 0 else (
+                bkeys[c >> 4], c >> 2 & 3, (c >> 1 & 1, c & 1)), None)
+                for c in dict.fromkeys(codes)}
+            out += map(shared.__getitem__, codes)
+            words, p = words[last:], p - last
+        draws.fetched -= len(words) - p  # fetched, never read
+        draws.has, draws.half = h, int(words[0] >> 32)
+        return out
+
+    def _plan(self, bits: tuple) -> tuple:
+        """The memoised _branch_plan of a branch key."""
+        if bits not in self.branches:
+            self.branches[bits] = _branch_plan(self.config, self._pair(bits),
+                                               self.protocol)
+        return self.branches[bits]
+
+    def _codes(self, words, bkeys, bidx, q, hm) -> np.ndarray:
+        """Result codes 16 * branch + 4 * m + public bits of delivered runs:
+        a run takes branch bkeys[bidx], draws its Bell outcome m from word q
+        and its masks from the halves after it, the first one buffered (from
+        word q - hm) if hm > 0."""
+        cdfs = np.array([self._plan(bits)[1][0] for bits in bkeys])
+        m = (cdfs[bidx] <= ((words[q] >> 11) * 2.0**-53)[:, None]).sum(axis=1)
+        low, high = ((words[q + 1] >> b & 1).astype(np.intp) for b in (31, 63))
+        r0 = np.where(hm, (words[q - hm] >> 63).astype(np.intp), low)
+        return bidx << 4 | m << 2 | (m >> 1 ^ r0) << 1 | (m & 1 ^ np.where(hm, low, high))
 
     def _finish(self, key, transcript: Transcript | None) -> RunOutcome:
         if transcript is not None:
@@ -732,10 +776,16 @@ class _Protocol1Sampler(_Sampler):
     node reads 0 while u is below lo, the mass of the strings passed, plus
     its 0-branch's share (a pullback_pair trace; a walk costs O(k n)).  So
     it draws what Generator.choice would from the lexicographic table of
-    all k-bit outcome strings, up to an ulp at its boundaries.  Unrecorded
-    runs take the veto's and the parities' exact outputs instead of drawing
-    every share, so they spend less randomness than recorded runs.
-    """
+    all k-bit outcome strings, up to an ulp at its boundaries.
+
+    Unrecorded runs take the veto's and the parities' exact outputs, so a
+    run's word count is fixed by its type and by h, whether a half is
+    buffered when it starts (full words never touch it).  An accept (u
+    below zero_cut: all zeros) reads u, the Bell-outcome word and two
+    halves; an abort reads u and veto_rounds halves; a veto miss (every
+    veto bit 0) reads those, walks, then reads the Bell-outcome word and
+    two halves."""
+    protocol = "W"
 
     def __init__(self, config: NetworkConfig):
         self.config, self.outcomes, self.branches = config, {}, {}
@@ -750,11 +800,24 @@ class _Protocol1Sampler(_Sampler):
         self.exact_success = w if w >= 1e-15 else None
         # below zero_cut, the walk reads zeros
         self.zero_cut = min(map(self._step, weights, weights[1:]))
+        s, accept = config.veto_rounds, min(max(self.zero_cut, 0.0), 1.0)
+        self.cut = math.ceil(accept * 2**53)  # u < zero_cut iff word >> 11 < cut
+        self.mean_words = 3 * accept + (1 - accept) * (1 + s / 2 + 2.0**(1 - s))
+        self.max_words = 3 + _halves(0, s)[0]  # a veto miss from h = 0
+        self.chunk = max(1, self.CHUNK_WORDS // self.max_words)
+        # 2 * words + h after - h before of a veto miss, an accept and an
+        # abort, indexed by 4 * h before + accept + 2 * veto hit
+        self.moves = np.array([[2 * vw + 6 + after - h, 6, 2 * vw + 2 + after - h, 6]
+                               for h, (vw, after) in enumerate(_halves(h, s) for h in (0, 1))],
+                              np.int32).ravel()
 
     def _raw(self, bits: tuple) -> np.ndarray:
         """pullback_pair after the first len(bits) measuring nodes read bits."""
         return pullback_pair(self.config, dict(zip(self.measuring, bits)),
                              self.config.sender, self.config.receiver)
+
+    def _pair(self, bits: tuple) -> DensityMatrix:
+        return _normalized_pair(self._raw(bits))[1]
 
     def _step(self, prefix: float, zero: float) -> float:
         """Where a prefix's 0-branch ends past lo; no branch under 1e-15."""
@@ -771,31 +834,59 @@ class _Protocol1Sampler(_Sampler):
             prefix = prefix - zero if bit else zero
         return bits
 
-    def _run(self, rng: _Draws, record_transcript: bool) -> RunOutcome:
+    def _run(self, rng: _Draws) -> RunOutcome:
         config = self.config
-        transcript = _protocol1_skeleton(config) if record_transcript else None
-        u = rng.random()
-        if transcript is None:  # all zeros come first; a veto miss walks
-            veto = u >= self.zero_cut and rng.any_bit(config.veto_rounds)
-            bits = self.zeros if u < self.zero_cut else None if veto else self._walk(u)
-        else:
-            bits = self._walk(u)
-            for node, b in zip(self.measuring, bits):
-                transcript.add(3, "measurement", node, bytes([b]), _private(node))
-            veto = veto_protocol({**dict(zip(self.measuring, bits)),
-                                  config.sender: 0, config.receiver: 0}, rng,
-                                 config.veto_rounds, transcript, start_round=4)
+        transcript = _protocol1_skeleton(config)
+        bits = self._walk(rng.random())
+        for node, b in zip(self.measuring, bits):
+            transcript.add(3, "measurement", node, bytes([b]), _private(node))
+        veto = veto_protocol({**dict(zip(self.measuring, bits)),
+                              config.sender: 0, config.receiver: 0}, rng,
+                             config.veto_rounds, transcript, start_round=4)
         base = 4 + 2 * config.veto_rounds
         if veto:
-            if transcript is not None:
-                transcript.add(base, "abort", 0, b"\x01")
-            return self._finish(None, transcript)
-        if bits not in self.branches:
-            _, pair = _normalized_pair(self._raw(bits))
-            self.branches[bits] = _branch_plan(config, pair, "W")
-        m = _draw(rng, self.branches[bits][1][0])
-        public = _announce(config, m, rng, transcript, base, draw_shares=False)
-        return self._finish((bits, m, public), transcript)
+            transcript.add(base, "abort", 0, b"\x01")
+            return self._outcome(None, transcript)
+        m = _draw(rng, self._plan(bits)[1][0])
+        public = _announce(config, m, rng, transcript, base)
+        return self._outcome((bits, m, public), transcript)
+
+    def _words(self, runs: int, h: int) -> int:
+        """The mean count, plus about two deviations and one longest run."""
+        return math.ceil(runs * self.mean_words) + self.max_words * (math.isqrt(runs) + 1)
+
+    def _decode(self, words: np.ndarray, p: int, h: int, runs: int) -> tuple:
+        s, fits = self.config.veto_rounds, len(words) - self.max_words + 1
+        # each 32-bit half's top bit in draw order (low half first) and the
+        # running count of ones: the veto reads halves from word p + 1 on
+        ones = (words.astype("<u8", copy=False).view("<u4") >> 31).cumsum(dtype=np.uint32)
+        accept = words[:fits] >> 11 < self.cut
+        hits = np.stack([ones[1 + s - has::2][:fits] > ones[1::2][:fits] for has in (0, 1)],
+                        axis=1)  # a veto bit set, from h = 0 and 1
+        hits[1:, 1] |= ones[1:2 * fits - 1:2] > ones[:2 * fits - 2:2]  # word p - 1's high
+        kinds = accept[:, None] + 2 * hits.view(np.int8) + np.array([0, 4], np.int8)
+        moves = memoryview(self.moves[kinds].ravel())
+        state, end, starts = 2 * p + h, 2 * fits, []
+        for _ in range(runs):  # the one sequential step: where each run starts
+            if state >= end:
+                break
+            starts.append(state)
+            state += moves[state]
+        ps, hs = np.divmod(np.array(starts), 2)  # one run at least fits
+        acc = accept[ps]
+        live = acc | ~hits[ps, hs]  # not aborted
+        miss = live & ~acc
+        walks = [self._walk(u) for u in ((words[ps[miss]] >> 11) * 2.0**-53).tolist()]
+        bkeys = list(dict.fromkeys([self.zeros] * bool(acc.any()) + walks))
+        bidx = np.zeros(len(ps), dtype=np.intp)
+        bidx[miss] = [bkeys.index(bits) for bits in walks]
+        codes = np.full(len(ps), -1)
+        codes[live] = self._codes(words, bkeys, bidx[live],
+                                  np.where(acc, ps + 1, ps + 1 + ((s - hs + 1) >> 1))[live],
+                                  np.where(acc, 2 * hs, (s - hs) & 1)[live])
+        p = state >> 1
+        # a one-word run (an abort on the buffered half alone) splits no word
+        return codes, bkeys, p, state & 1, p - 1 - (p - starts[-1] // 2 == 1)
 
 
 def sample_protocol1_runs(config: NetworkConfig, n_samples: int,
@@ -866,7 +957,11 @@ class _GhzSampler(_Sampler):
     """GHZ plan: each measuring node's diag(Φ†(|±><±|)) is built once; the
     corrected pair, its teleport plan and fidelity are memoised per
     X-outcome string (the branch key).  Recorded or not, a run spends the
-    same stream: unrecorded, it skips the parity shares' draws."""
+    same stream, so an unrecorded run reads a fixed number of words: the
+    walk's, the parity's shares, the Bell-outcome word, the masks and the
+    announcing parities' shares.  The n^2 shares flip the buffered half
+    when n is odd, so runs alternate between two strides."""
+    protocol = "GHZ"
 
     def __init__(self, config: NetworkConfig):
         self.config, self.outcomes = config, {}
@@ -875,35 +970,58 @@ class _GhzSampler(_Sampler):
         self.diags = [[np.diag(_heisenberg(config.channel_for(node), op)).real
                        for op in _X_READ] for node in self.measuring]
         self.branches, self.exact_success, self.transfers = {}, 1.0, {}
+        shares = config.n_nodes ** 2
+        self.flip = shares & 1
+        # words before the Bell-outcome word, and words per run, from h
+        self.skips = len(self.measuring) + np.array([_halves(h, shares)[0] for h in (0, 1)])
+        self.strides = self.skips + 1 + np.array(
+            [_halves(h ^ self.flip, 2 + 2 * shares)[0] for h in (0, 1)])
+        self.chunk = max(1, self.CHUNK_WORDS // int(self.strides.max()))
 
-    def _run(self, rng: _Draws, record_transcript: bool) -> RunOutcome:
+    def _pair(self, bits: tuple) -> DensityMatrix:
+        reads = {node: _X_READ[b] for node, b in zip(self.measuring, bits)}
+        raw = _contract(self.config, _GHZ, reads, self.config.sender,
+                        self.config.receiver, 2, self.transfers)
+        return _normalized_pair(_Z_R @ raw @ _Z_R if sum(bits) % 2 else raw)[1]
+
+    def _walks(self, u: np.ndarray) -> tuple:
+        """The X-outcome strings of runs drawing u (runs x k): the distinct
+        strings and each run's index into them.  An outcome prefix x has
+        weight (Π E_x[0,0] + Π E_x[1,1]) / 2, so each node's '+' probability
+        is an O(1) update of the two products, made once per prefix."""
+        idx, prefixes = np.zeros(len(u), dtype=np.intp), [((), np.ones(2))]
+        for j, diags in enumerate(self.diags):
+            plus = np.array([w_plus / (w_plus + w_minus) for w_plus, w_minus in
+                             ((products @ d for d in diags) for _, products in prefixes)])
+            pairs, idx = np.unique(2 * idx + (u[:, j] >= plus[idx]), return_inverse=True)
+            prefixes = [(prefixes[i >> 1][0] + (i & 1,), prefixes[i >> 1][1] * diags[i & 1])
+                        for i in pairs.tolist()]
+        return [bits for bits, _ in prefixes], idx
+
+    def _run(self, rng: _Draws) -> RunOutcome:
         config = self.config
-        transcript = _protocol1_skeleton(config) if record_transcript else None
-        # an outcome prefix x has weight (Π E_x[0,0] + Π E_x[1,1]) / 2, so
-        # each node's '+' probability is an O(1) update of the two products
-        bits, products = (), np.ones(2)
-        for node, diags in zip(self.measuring, self.diags):
-            w_plus, w_minus = (products @ d for d in diags)
-            bit = int(rng.random() >= w_plus / (w_plus + w_minus))
-            products = products * diags[bit]
-            bits += (bit,)
-            if transcript is not None:
-                transcript.add(3, "measurement", node, bytes([bit]), _private(node))
+        transcript = _protocol1_skeleton(config)
+        (bits,), _ = self._walks(np.array([[rng.random() for _ in self.measuring]]))
+        for node, bit in zip(self.measuring, bits):
+            transcript.add(3, "measurement", node, bytes([bit]), _private(node))
         # the announced parity is the XOR of the bits, which fix the pair
-        if transcript is None:  # the shares never change the result
-            rng.skip(config.n_nodes ** 2)
-        else:
-            inputs = dict.fromkeys(config.nodes, 0) | dict(zip(self.measuring, bits))
-            parity_protocol(inputs, rng, transcript, start_round=4)
-        if bits not in self.branches:
-            reads = {node: _X_READ[b] for node, b in zip(self.measuring, bits)}
-            raw = _contract(config, _GHZ, reads, config.sender, config.receiver, 2,
-                            self.transfers)
-            _, pair = _normalized_pair(_Z_R @ raw @ _Z_R if sum(bits) % 2 else raw)
-            self.branches[bits] = _branch_plan(config, pair, "GHZ")
-        m = _draw(rng, self.branches[bits][1][0])
+        inputs = dict.fromkeys(config.nodes, 0) | dict(zip(self.measuring, bits))
+        parity_protocol(inputs, rng, transcript, start_round=4)
+        m = _draw(rng, self._plan(bits)[1][0])
         public = _announce(config, m, rng, transcript, start_round=6)
-        return self._finish((bits, m, public), transcript)
+        return self._outcome((bits, m, public), transcript)
+
+    def _words(self, runs: int, h: int) -> int:
+        return int(self.strides[h ^ (np.arange(runs) & self.flip)].sum())
+
+    def _decode(self, words: np.ndarray, p: int, h: int, runs: int) -> tuple:
+        hs = h ^ (np.arange(runs) & self.flip)
+        starts = p + np.cumsum(self.strides[hs]) - self.strides[hs]
+        bkeys, bidx = self._walks(
+            (words[starts[:, None] + np.arange(len(self.measuring))] >> 11) * 2.0**-53)
+        codes = self._codes(words, bkeys, bidx, starts + self.skips[hs], hs ^ self.flip)
+        p = int(starts[-1] + self.strides[hs[-1]])
+        return codes, bkeys, p, h ^ (runs & self.flip), p - 1
 
 
 def sample_ghz_runs(config: NetworkConfig, n_samples: int) -> tuple[list, dict]:
@@ -1066,7 +1184,10 @@ class _RelaySampler(_Relay, _Sampler):
         self.events_per_run = 2 * config.n_nodes
         self.key, self.chain = None, 0
 
-    def _run(self, rng: _Draws, record_transcript: bool) -> RunOutcome:
+    def _unrecorded(self, draws: _Draws, n: int) -> list:
+        return [self._run(draws, False) for _ in range(n)]
+
+    def _run(self, rng: _Draws, record_transcript: bool = True) -> RunOutcome:
         n = self.config.n_nodes
         swaps = [_draw(rng, _SWAP_CDF) for _ in range(n - 2)]
         key = tuple(map(list.__getitem__, self.hops, [0, *swaps]))

@@ -423,6 +423,16 @@ PINNED_BATCH_OUTPUTS = [
      "a99ab8c29c34c4c37a87c1e5317a93446b902af5908234aa5986692e4b3b0368"),
     ("relay", 6, 50, 2,
      "e675d4e9f4a6eabd1c679945adec36aea419944a7b5e201f6cad6cafa94507c5"),
+    # the benchmark's sampling commands (its GHZ one is pinned above),
+    # recorded before unrecorded batches decoded their draws as arrays
+    ("W", 8, 20000, 1,
+     "8c11cd8e388ed94cb0e5c7c7e011798f2466dfefca4388893ee15b1fbbe7c62b"),
+    ("W", 8, 20000, 2,
+     "a92c15f645b1cb8a58e62076d6def9aea70414c53466adc0a3824802b8dc7b7d"),
+    ("relay", 8, 100, 1,
+     "c612eea6b46348f6ce69a77a43b84c1a5c38bea8533a5e640fdc93b2ceedb638"),
+    ("relay", 8, 100, 2,
+     "5afe3b5c5301af882a72aef868e5ff9b50f3bb61da79348a64e754b8d847b887"),
 ]
 
 

@@ -697,7 +697,7 @@ def fuzz_calls(pick: random.Random, n_calls: int) -> list:
     """A mix of the calls the samplers make: (name, argument)."""
     calls = []
     for _ in range(n_calls):
-        kind = pick.choice(["random", "bit", "k", "kk", "any", "skip"])
+        kind = pick.choice(["random", "bit", "k", "kk", "skip"])
         calls.append((kind, pick.choice([0, 1, 2, 3, 5, 8, 20])))
     return calls
 
@@ -724,8 +724,6 @@ def test_draws_match_generator_calls(bit_generator):
                 want = ref.integers(0, 2, size=(k, k))
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tolist() == want.tolist()
-            elif kind == "any":
-                assert draws.any_bit(k) == ref.integers(0, 2, size=k).any()
             else:
                 draws.skip(k)
                 ref.integers(0, 2, size=k)
@@ -820,6 +818,44 @@ def test_batches_keep_the_generator_call_stream(protocol, veto_rounds, buffered)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert rng.random() == ref_rng.random()
     assert rng.integers(0, 2) == ref_rng.integers(0, 2)
+
+
+def same_state(a, b) -> bool:
+    """Bit generator states equal, arrays (Philox) included."""
+    return a.keys() == b.keys() and all(
+        same_state(a[k], b[k]) if isinstance(a[k], dict) else np.array_equal(a[k], b[k])
+        for k in a)
+
+
+@pytest.mark.parametrize("protocol, param", [("W", s) for s in (1, 2, 3, 7, 20)]
+                         + [("GHZ", n) for n in range(4, 8)])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_array_batches_match_generator_calls(protocol, param, buffered):
+    # W: param is veto_rounds (1 makes half the non-zero strings veto
+    # misses); GHZ: param is n, odd n alternating the run's stride
+    n, veto_rounds = (6, param) if protocol == "W" else (param, 20)
+    cfg = NetworkConfig(n_nodes=n, sender=2, receiver=n - 1, veto_rounds=veto_rounds,
+                        per_qubit_channels=uniform(depolarizing(0.85), n))
+    make, reference = {"W": (_Protocol1Sampler, reference_w_batch),
+                       "GHZ": (_GhzSampler, reference_ghz_batch)}[protocol]
+    sampler = make(cfg)
+    if protocol == "W":  # prefix weights memoised for the veto misses' walks
+        sampler._raw = functools.lru_cache(maxsize=None)(sampler._raw)
+    c = sampler.chunk
+    for i, runs in enumerate((1, c - 1, c, c + 1, 3 * c + 7)):
+        rng, ref_rng = (np.random.Generator(BIT_GENERATORS[i % 4](runs)) for _ in range(2))
+        if buffered:  # the batch starts on a buffered 32-bit half
+            assert rng.integers(0, 2) == ref_rng.integers(0, 2)
+        outs = sampler.batch(runs, rng)
+        ref = make(cfg)
+        keys = reference(ref, ref_rng, runs)
+        key_of = {id(o): key for key, o in sampler.outcomes.items()}
+        assert [key_of[id(o)] for o in outs] == keys
+        for o, key in {id(o): (o, key) for o, key in zip(outs, keys)}.values():
+            assert o.to_json_dict() == ref._finish(key, None).to_json_dict()
+        assert same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
+        assert rng.random() == ref_rng.random()
+        assert rng.integers(0, 2) == ref_rng.integers(0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -932,11 +968,8 @@ class MissedVeto:
     def random(self):
         return self.u
 
-    def any_bit(self, k):
-        return False
-
     def integers(self, low, high, size=None):
-        return 0
+        return 0 if size is None else np.zeros(size, dtype=np.int64)
 
 
 def test_sampler_branches_match_dense_under_complex_nonunital_noise():
@@ -955,8 +988,7 @@ def test_sampler_branches_match_dense_under_complex_nonunital_noise():
     # each string's memoised pair and fidelity, from a run whose draw lands
     # inside the string's interval
     for i, (bits, ref) in enumerate(table):
-        out = sampler._run(MissedVeto((cdf[i] + (cdf[i - 1] if i else 0)) / 2),
-                           record_transcript=False)
+        out = sampler._run(MissedVeto((cdf[i] + (cdf[i - 1] if i else 0)) / 2))
         pair, _, ae_fid = sampler.branches[bits]
         assert np.abs(pair.mat - ref / np.trace(ref).real).max() < 1e-12
         assert ae_fid == fidelity_with_pure(pair, pair_target("W"))
@@ -1298,7 +1330,7 @@ def test_w_walk_never_lands_on_a_weight_zero_string():
                         if not 0 <= u < 1:
                             continue
                         probes += 1
-                        out = sampler._run(MissedVeto(float(u)), False)
+                        out = sampler._run(MissedVeto(float(u)))
                         bits = sampler._walk(u)
                         assert np.trace(sampler._raw(bits)).real >= 1e-15
                         assert (u < sampler.zero_cut) == (bits == sampler.zeros)
