@@ -383,6 +383,7 @@ def relay(nodes, q_values, sender, receiver, mode, workers, as_json, out):
                                  or receiver == sender):
         raise click.UsageError("receiver must be a distinct chain position")
 
+    q_values = tuple(dict.fromkeys(q_values))  # a repeated --q is one column
     pairs = ([(sender, receiver)] if receiver is not None
              else [(sender, r) for r in range(1, nodes + 1) if r != sender])
     table = {(s, r): {qq: _relay_point(nodes, s, r, qq, mode)
@@ -437,7 +438,7 @@ def security(nodes, sender, receiver, adversaries, role, channel_spec,
              channel_overrides, lost, seed, out):
     """Audit anonymity against a passive coalition; exit 1 on violation."""
 
-    adv = _parse_node_list(adversaries)
+    adv = sorted(set(_parse_node_list(adversaries)))
     if not adv:
         raise click.UsageError("need at least one adversary node")
     channels = _per_node_channels(channel_spec, channel_overrides, nodes)
@@ -468,7 +469,7 @@ def security(nodes, sender, receiver, adversaries, role, channel_spec,
     body = {
         "tool": "anonqnet", "version": __version__,
         "config": {"nodes": nodes, "sender": sender, "receiver": receiver,
-                   "adversaries": sorted(adv), "channel": channel_spec,
+                   "adversaries": adv, "channel": channel_spec,
                    "overrides": list(channel_overrides), "lost": lost or ""},
         "reports": reports,
         "holds": ok,

@@ -23,13 +23,13 @@ Two execution modes:
   and GHZ draw the outcome string node by node on the transfer engine and
   memoise each string's pair; the relay builds each hop's superoperator
   once per swap outcome.  Equal unrecorded runs share one outcome, and a
-  recording over a transcript event budget is refused.  Draws read raw
-  generator words, decoded into exactly the Generator's draws, so seeded
-  outputs are unchanged; PCG64, PCG64DXSM, Philox and SFC64 bit generators
-  are supported.  Unrecorded W and GHZ batches decode bounded chunks of
-  words as arrays: a run's word count is fixed by its type and by whether
-  a 32-bit half is buffered when it starts.  Recorded runs and the relay
-  draw run by run (_Draws).
+  recording over a transcript event budget is refused.  Recorded runs call
+  the Generator itself, and a relay run makes one random(n) call.
+  Unrecorded W and GHZ batches decode bounded chunks of raw generator words
+  as arrays, into exactly the Generator's draws, so seeded outputs are
+  unchanged: a run's word count is fixed by its type and by whether a
+  32-bit half is buffered when it starts.  PCG64, PCG64DXSM, Philox and
+  SFC64 bit generators are supported.
 
 Classical subroutines follow the additive-sharing constructions: parity is
 XOR secret sharing over pairwise private channels plus broadcast, veto is
@@ -456,72 +456,6 @@ def _draw(rng: np.random.Generator, cdf: list) -> int:
     return bisect_right(cdf, rng.random())
 
 
-class _Draws:
-    """Generator.random() and integers(0, 2) calls decoded bit for bit from
-    raw 64-bit words of the Generator's bit generator, read in blocks.
-
-    random() is (word >> 11) * 2**-53.  integers(0, 2) is the top bit of a
-    32-bit draw (numpy's bounded integers never reject a range of 2), which
-    takes a word's low half and buffers its high half for the next one
-    (has_uint32, which MT19937 lacks).  close() leaves the Generator where
-    those calls would have."""
-
-    def __init__(self, rng: np.random.Generator, block: int = 2048):
-        self.bitgen, self.block = rng.bit_generator, block
-        self.start = self.bitgen.state
-        if "has_uint32" not in self.start:
-            raise ValueError("sampling needs a PCG64, PCG64DXSM, Philox or SFC64"
-                             f" bit generator, not {self.start['bit_generator']}")
-        self.has, self.half = self.start["has_uint32"], self.start["uinteger"]
-        self.words, self.pos, self.fetched = [], 0, 0
-
-    def _take(self, n: int) -> list:
-        """The next n raw words; a block holds at least n."""
-        if self.pos + n > len(self.words):
-            size = max(n, self.block)
-            self.words = self.words[self.pos:] + self.bitgen.random_raw(size).tolist()
-            self.pos, self.fetched = 0, self.fetched + size
-        self.pos += n
-        return self.words[self.pos - n:self.pos]
-
-    def skip(self, k: int) -> list:
-        """Spend the draws of integers(0, 2, size=k); returns their words (a
-        buffered half as one, a last word half-spent cut to its low half)."""
-        head = []
-        if k and self.has:
-            head, self.has, k = [self.half], 0, k - 1
-        words = self._take((k + 1) >> 1)
-        if words:
-            self.half = words[-1] >> 32
-            if k & 1:
-                self.has, words[-1] = 1, words[-1] & 0xFFFFFFFF
-        return head + words
-
-    def random(self) -> float:
-        if self.pos < len(self.words):  # the common case, without a slice
-            self.pos += 1
-            return (self.words[self.pos - 1] >> 11) * 2.0**-53
-        return (self._take(1)[0] >> 11) * 2.0**-53
-
-    def integers(self, low: int, high: int, size=None):
-        """Generator.integers(0, 2, size) for size None, k or (k, k)."""
-        if size is None:
-            return self.skip(1)[0] >> 31
-        k = math.prod(size) if isinstance(size, tuple) else size
-        head = self.has
-        bits = [b for w in self.skip(k) for b in (w >> 31 & 1, w >> 63)]
-        if head and k:  # a buffered half gives one draw, not two
-            del bits[1]
-        return np.array(bits[:k], dtype=np.int64).reshape(size)
-
-    def close(self) -> None:
-        self.bitgen.state = self.start
-        self.bitgen.random_raw(self.fetched - len(self.words) + self.pos,
-                               output=False)
-        self.bitgen.state = {**self.bitgen.state, "has_uint32": self.has,
-                             "uinteger": self.half}
-
-
 _BELL = np.array([bell_state_vector(m) for m in range(4)]).reshape(4, 2, 2)
 
 
@@ -609,13 +543,13 @@ def _branch_plan(config: NetworkConfig, pair: DensityMatrix, protocol: str) -> t
             fidelity_with_pure(pair, pair_target(protocol)))
 
 
-def _announce(config: NetworkConfig, m: int, rng: _Draws,
+def _announce(config: NetworkConfig, m: int, rng: np.random.Generator,
               transcript: Transcript, start_round: int) -> tuple:
     """Announce Bell outcome m through two masked parity runs (the sender
     inputs a bit of m, the receiver a fresh mask) and hand m to the
     receiver privately; returns the public bits."""
     m_bits = (m >> 1 & 1, m & 1)
-    rand = (rng.integers(0, 2), rng.integers(0, 2))
+    rand = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
     public = (m_bits[0] ^ rand[0], m_bits[1] ^ rand[1])  # the parities' outputs
     for j in range(2):
         inputs = dict.fromkeys(config.live_nodes, 0)
@@ -682,7 +616,7 @@ class _Sampler:
     outcome; an unrecorded one the read-only outcome (empty transcript) of
     its result key: None (abort) or (branch key, Bell outcome, public bits).
     Unrecorded W and GHZ runs are decoded from chunks of raw words as
-    arrays; recorded runs and the relay draw run by run through _Draws."""
+    arrays; recorded runs and the relay call the Generator."""
     TRANSCRIPT_BUDGET = 2**18  # events a recording may hold; ~1.5 KiB each printed
     CHUNK_WORDS = 2**14  # the most raw words a chunk of runs may read
 
@@ -692,34 +626,39 @@ class _Sampler:
 
     def batch(self, n_samples: int, rng: np.random.Generator | None = None,
               record_transcripts: bool = False) -> list:
-        """Sampled runs through one _Draws on rng (default: the config's seed)."""
+        """Sampled runs drawn from rng (default: the config's seed), which
+        is left where the runs' Generator calls leave it."""
         events = n_samples * self.events_per_run  # an upper bound
         if record_transcripts and events > self.TRANSCRIPT_BUDGET:
             raise ValueError(f"recording {n_samples} run(s) may take {events} transcript"
                              f" events, over the budget of {self.TRANSCRIPT_BUDGET}")
         if rng is None:
             rng = np.random.default_rng(self.config.seed)
-        draws = _Draws(rng)
-        try:
-            if record_transcripts:
-                return [self._run(draws) for _ in range(n_samples)]
-            return self._unrecorded(draws, n_samples)
-        finally:
-            draws.close()
+        state = rng.bit_generator.state
+        if "has_uint32" not in state:  # the unrecorded decoders need the buffer
+            raise ValueError("sampling needs a PCG64, PCG64DXSM, Philox or SFC64"
+                             f" bit generator, not {state['bit_generator']}")
+        if record_transcripts:
+            return [self._run(rng) for _ in range(n_samples)]
+        return self._unrecorded(rng, n_samples)
 
-    def _unrecorded(self, draws: _Draws, n: int) -> list:
-        """n unrecorded runs.  words[0] is the last word split into 32-bit
-        halves (its high half the buffered one), p the next run's first
-        word and h has_uint32.  _decode(words, p, h, runs) returns the
-        result codes of up to runs runs (see _codes; -1 is an abort), their
-        branch keys, and the next p, h and words[0]."""
-        out, h, p = [], draws.has, 1
-        words = np.array([draws.half << 32], dtype=np.uint64)
+    def _unrecorded(self, rng: np.random.Generator, n: int) -> list:
+        """n unrecorded runs, decoded from raw words: random() is (word >> 11)
+        * 2**-53, integers(0, 2) the top bit of a 32-bit half (a range of 2
+        is never rejected), low half first.  words[0] is the last word split
+        into halves (its high half the buffered one), p the next run's first
+        word and h has_uint32.  _decode(words, p, h, runs) returns the result
+        codes of up to runs runs (see _codes; -1 is an abort), their branch
+        keys, and the next p, h and words[0].  rng ends past the words read."""
+        bitgen = rng.bit_generator
+        start = bitgen.state
+        out, h, p, fetched = [], start["has_uint32"], 1, 0
+        words = np.array([start["uinteger"] << 32], dtype=np.uint64)
         while len(out) < n:
             runs = min(self.chunk, n - len(out))
             size = self._words(runs, h)
-            words = np.concatenate([words, draws.bitgen.random_raw(size)])
-            draws.fetched += size
+            words = np.concatenate([words, bitgen.random_raw(size)])
+            fetched += size
             codes, bkeys, p, h, last = self._decode(words, p, h, runs)
             codes = codes.tolist()
             shared = {c: self._finish(None if c < 0 else (
@@ -727,8 +666,9 @@ class _Sampler:
                 for c in dict.fromkeys(codes)}
             out += map(shared.__getitem__, codes)
             words, p = words[last:], p - last
-        draws.fetched -= len(words) - p  # fetched, never read
-        draws.has, draws.half = h, int(words[0] >> 32)
+        bitgen.state = start
+        bitgen.random_raw(fetched - (len(words) - p), output=False)  # the words read
+        bitgen.state = {**bitgen.state, "has_uint32": h, "uinteger": int(words[0] >> 32)}
         return out
 
     def _plan(self, bits: tuple) -> tuple:
@@ -834,7 +774,7 @@ class _Protocol1Sampler(_Sampler):
             prefix = prefix - zero if bit else zero
         return bits
 
-    def _run(self, rng: _Draws) -> RunOutcome:
+    def _run(self, rng: np.random.Generator) -> RunOutcome:
         config = self.config
         transcript = _protocol1_skeleton(config)
         bits = self._walk(rng.random())
@@ -998,10 +938,10 @@ class _GhzSampler(_Sampler):
                         for i in pairs.tolist()]
         return [bits for bits, _ in prefixes], idx
 
-    def _run(self, rng: _Draws) -> RunOutcome:
+    def _run(self, rng: np.random.Generator) -> RunOutcome:
         config = self.config
         transcript = _protocol1_skeleton(config)
-        (bits,), _ = self._walks(np.array([[rng.random() for _ in self.measuring]]))
+        (bits,), _ = self._walks(rng.random((1, len(self.measuring))))
         for node, bit in zip(self.measuring, bits):
             transcript.add(3, "measurement", node, bytes([bit]), _private(node))
         # the announced parity is the XOR of the bits, which fix the pair
@@ -1184,12 +1124,13 @@ class _RelaySampler(_Relay, _Sampler):
         self.events_per_run = 2 * config.n_nodes
         self.key, self.chain = None, 0
 
-    def _unrecorded(self, draws: _Draws, n: int) -> list:
-        return [self._run(draws, False) for _ in range(n)]
+    def _unrecorded(self, rng: np.random.Generator, n: int) -> list:
+        return [self._run(rng, False) for _ in range(n)]
 
-    def _run(self, rng: _Draws, record_transcript: bool = True) -> RunOutcome:
+    def _run(self, rng: np.random.Generator, record_transcript: bool = True) -> RunOutcome:
         n = self.config.n_nodes
-        swaps = [_draw(rng, _SWAP_CDF) for _ in range(n - 2)]
+        *swap_us, u_close, u_open = rng.random(n).tolist()
+        swaps = [bisect_right(_SWAP_CDF, u) for u in swap_us]
         key = tuple(map(list.__getitem__, self.hops, [0, *swaps]))
         if key != self.key:
             rho = self.start
@@ -1198,14 +1139,14 @@ class _RelaySampler(_Relay, _Sampler):
             self.key, self.chain = key, self.chain + 1
             self.closed, self.closing = {(): rho}, {}
         bits = ()
-        for qubit in (_TRAVEL, 0):
+        for qubit, u in ((_TRAVEL, u_close), (0, u_open)):
             if bits not in self.closing:
                 rho = self.closed[bits]
                 plus, minus = self.close(rho, qubit)
                 p = np.trace(plus).real / np.trace(rho).real
                 self.closing[bits] = min(max(p, 0.0), 1.0), (plus, minus)
             p_plus, branches = self.closing[bits]
-            b = 0 if rng.random() < p_plus else 1
+            b = 0 if u < p_plus else 1
             bits += (b,)
             if bits not in self.closed:
                 self.closed[bits] = branches[b] / np.trace(branches[b]).real

@@ -218,6 +218,25 @@ def test_relay_both_mode_matches(runner):
     assert row["F_q0.8_exact"] == pytest.approx(row["F_q0.8"], abs=1e-10)
 
 
+def test_relay_repeated_q_is_one_column(runner):
+    res = runner.invoke(main, ["relay", "--nodes", "6", "--sender", "1",
+                               "--receiver", "4", "--q", "0.95", "--q", "0.8",
+                               "--q", "0.95"])
+    assert res.exit_code == 0
+    # each q once, in first-seen order
+    assert res.output == """\
+# anonqnet 0.1.0
+# command = relay
+# channel = depolarizing
+# nodes = 6
+# mode = analytic
+# baseline q=0.95: F_W=0.8828506098 F_GHZ=0.8431709453
+# baseline q=0.8: F_W=0.6136363636 F_GHZ=0.541072
+sender,receiver,F_q0.95,F_q0.8
+1,4,0.8512342187,0.54184
+"""
+
+
 def test_relay_rejects_bad_placement(runner):
     assert runner.invoke(main, ["relay", "--nodes", "6", "--sender", "7"]
                          ).exit_code == 2
@@ -299,6 +318,17 @@ def test_security_output_independent_of_hash_seed():
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["reports"]["sender"]["certificate"] == \
         "bound-only"
+
+
+def test_security_echoes_the_deduplicated_coalition(runner):
+    argv = ["security", "--nodes", "5", "--channel", "depolarizing:q=0.8",
+            "--adversaries"]
+    res = runner.invoke(main, argv + ["4,3,4"])
+    assert res.exit_code == 0
+    body = json.loads(res.output)
+    assert body["config"]["adversaries"] == [3, 4]
+    assert body["reports"]["sender"]["adversaries"] == [3, 4]
+    assert res.output == runner.invoke(main, argv + ["3,4"]).output
 
 
 def test_security_usage_errors(runner):
