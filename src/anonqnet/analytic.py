@@ -19,10 +19,10 @@ from .qcore import DensityMatrix, Ket, fidelity_with_pure, make_bell_pair
 
 PAIR_LABELS = ("sender", "receiver")
 
-W_DEPOL = "W_depol"
-GHZ_DEPOL = "GHZ_depol"
-W_DEPH = "W_deph"
-GHZ_DEPH = "GHZ_deph"
+W_DEPOL = ("W", "depolarizing")
+GHZ_DEPOL = ("GHZ", "depolarizing")
+W_DEPH = ("W", "dephasing")
+GHZ_DEPH = ("GHZ", "dephasing")
 
 
 @dataclass(frozen=True)
@@ -239,42 +239,34 @@ def ghz_postselected_pair(channel: QuantumChannel, n: int) -> tuple[DensityMatri
     return state, weight
 
 
-def fidelity_report(protocol: str, channel: str, q: float, n: int) -> FidelityReport:
-    """Closed-form FidelityReport for the named protocol/channel families."""
-    if protocol == "W":
-        if channel == "dephasing":
-            f = f_ae_w_dephasing(q)
-        elif channel == "depolarizing":
-            f = f_ae_w_depolarizing(q, n)
-        else:
-            raise ValueError(f"unsupported channel {channel!r}")
-        p = p_success_w(channel, q, n)
-    elif protocol == "GHZ":
-        if channel == "dephasing":
-            f = f_ae_ghz_dephasing(q, n)
-        elif channel == "depolarizing":
-            f = f_ae_ghz_depolarizing(q, n)
-        else:
-            raise ValueError(f"unsupported channel {channel!r}")
-        p = 1.0  # deterministic: every measurement branch is corrected
-    elif protocol == "W_loss":
-        f = f_ae_w_loss(channel, q, n)
-        p = p_success_w_loss(channel, q, n)
-    else:
-        raise ValueError(f"unsupported protocol {protocol!r}")
-    return FidelityReport(protocol, f"{channel}:q={q:g}", n, f, p)
-
-
+# pair fidelity (q, n) -> F per (protocol, channel family)
 _FORMULAS = {
-    W_DEPOL: lambda q, n: f_ae_w_depolarizing(q, n),
-    GHZ_DEPOL: lambda q, n: f_ae_ghz_depolarizing(q, n),
+    W_DEPOL: f_ae_w_depolarizing,
+    GHZ_DEPOL: f_ae_ghz_depolarizing,
     W_DEPH: lambda q, n: f_ae_w_dephasing(q),
-    GHZ_DEPH: lambda q, n: f_ae_ghz_dephasing(q, n),
+    GHZ_DEPH: f_ae_ghz_dephasing,
 }
 
 
-def threshold_q(formula: str, n: int, tol: float = 1e-12) -> float:
+def fidelity_report(protocol: str, channel: str, q: float, n: int) -> FidelityReport:
+    """Closed-form FidelityReport for the named protocol/channel families."""
+    if protocol == "W_loss":
+        f, p = f_ae_w_loss(channel, q, n), p_success_w_loss(channel, q, n)
+    elif (protocol, channel) in _FORMULAS:
+        f = _FORMULAS[protocol, channel](q, n)
+        # GHZ is deterministic: every measurement branch is corrected
+        p = p_success_w(channel, q, n) if protocol == "W" else 1.0
+    else:
+        raise ValueError(f"unsupported protocol {protocol!r} or channel {channel!r}")
+    return FidelityReport(protocol, f"{channel}:q={q:g}", n, f, p)
+
+
+def threshold_q(formula: tuple, n: int, tol: float = 1e-12) -> float:
     """Smallest q in [0.5, 1] with pair fidelity 1/2 (usefulness threshold).
+
+    ``formula`` is a (protocol, channel family) pair such as W_DEPOL, i.e.
+    ("W", "depolarizing"); the four pairs of W or GHZ with dephasing or
+    depolarizing noise are supported.
 
     All supported formulas are nondecreasing in q on [0.5, 1], so when the
     left edge already sits at or above 1/2 (the dephasing forms touch 1/2

@@ -29,13 +29,12 @@ from .channels import (
     QuantumChannel,
     dephasing,
     depolarizing,
+    identity_channel,
     parse_channel_map,
     parse_channel_spec,
 )
 from .analytic import (
-    GHZ_DEPH,
     GHZ_DEPOL,
-    W_DEPH,
     W_DEPOL,
     crossover_n,
     f_ae_ghz_dephasing,
@@ -195,8 +194,12 @@ def _emit_table(meta: dict, rows: list, cols: list, as_json: bool,
     _emit("\n".join(lines) + "\n", out)
 
 
-def _uniform_channels(channel: QuantumChannel, n: int) -> dict:
-    return {i: channel for i in range(1, n + 1)}
+def _uniform(n: int, channel: QuantumChannel, sender: int = 1,
+             receiver: int = 2, **kw) -> NetworkConfig:
+    """An n-node network with the same channel on every qubit."""
+    return NetworkConfig(n_nodes=n, sender=sender, receiver=receiver,
+                         per_qubit_channels=dict.fromkeys(range(1, n + 1), channel),
+                         **kw)
 
 
 def _per_node_channels(base_spec: str, overrides, n: int) -> dict:
@@ -231,9 +234,7 @@ def _sweep_row(protocol: str, family: str, n: int, q: float, mode: str) -> dict:
         row["useful"] = rep.useful
     if mode in ("exact", "both"):
         channel = (dephasing if family == "dephasing" else depolarizing)(q)
-        cfg = NetworkConfig(n_nodes=n, sender=1, receiver=2,
-                            per_qubit_channels=_uniform_channels(channel, n),
-                            lost_nodes={n} if protocol == "W_loss" else ())
+        cfg = _uniform(n, channel, lost_nodes={n} if protocol == "W_loss" else ())
         if protocol == "GHZ":
             f_exact = run_ghz_protocol(cfg, mode="exact").ae_fidelity
             p_exact = 1.0
@@ -321,16 +322,11 @@ def threshold(n_range, channel_family, as_json, out):
     if any(n < 4 for n in ns):
         raise click.UsageError("thresholds start at 4 nodes")
 
-    if channel_family == "depolarizing":
-        w_key, g_key = W_DEPOL, GHZ_DEPOL
-        cross = crossover_n()
-    else:
-        w_key, g_key = W_DEPH, GHZ_DEPH
-        cross = None
+    cross = crossover_n() if channel_family == "depolarizing" else None
     rows = []
     for n in ns:
-        qw = threshold_q(w_key, n)
-        qg = threshold_q(g_key, n)
+        qw = threshold_q(("W", channel_family), n)
+        qg = threshold_q(("GHZ", channel_family), n)
         rows.append({"N": n, "qstar_W": qw, "qstar_GHZ": qg,
                      "W_better": qw < qg})
     notes = ([] if cross is None else
@@ -345,15 +341,15 @@ def threshold(n_range, channel_family, as_json, out):
 
 
 def _relay_point(n: int, s: int, r: int, q: float, mode: str) -> dict:
-    vals = {}
+    """One placement's cells at one q, keyed by column label."""
+    label, cells = f"F_q{_fnum(q)}", {}
     if mode in ("analytic", "both"):
-        vals["analytic"] = f_ae_relay_depolarizing(q, n, s, r)
+        cells[label] = f_ae_relay_depolarizing(q, n, s, r)
     if mode in ("exact", "both"):
-        channel = depolarizing(q)
-        cfg = NetworkConfig(n_nodes=n, sender=s, receiver=r,
-                            per_qubit_channels=_uniform_channels(channel, n))
-        vals["exact"] = run_relay_protocol(cfg, mode="exact").ae_fidelity
-    return vals
+        cfg = _uniform(n, depolarizing(q), s, r)
+        cells[label + "_exact" if mode == "both" else label] = (
+            run_relay_protocol(cfg, mode="exact").ae_fidelity)
+    return cells
 
 
 @main.command()
@@ -383,36 +379,24 @@ def relay(nodes, q_values, sender, receiver, mode, workers, as_json, out):
                                  or receiver == sender):
         raise click.UsageError("receiver must be a distinct chain position")
 
-    q_values = tuple(dict.fromkeys(q_values))  # a repeated --q is one column
+    by_label = {}  # a --q that prints like an earlier one is the same column
+    for qq in q_values:
+        by_label.setdefault(_fnum(qq), qq)
     pairs = ([(sender, receiver)] if receiver is not None
              else [(sender, r) for r in range(1, nodes + 1) if r != sender])
-    table = {(s, r): {qq: _relay_point(nodes, s, r, qq, mode)
-                      for qq in q_values} for (s, r) in pairs}
-
     rows = []
-    for (s, r), per_q in table.items():
+    for s, r in pairs:
         row = {"sender": s, "receiver": r}
-        for qq in q_values:
-            vals = per_q[qq]
-            if "analytic" in vals:
-                row[f"F_q{_fnum(qq)}"] = vals["analytic"]
-            if "exact" in vals:
-                key = (f"F_q{_fnum(qq)}_exact" if mode == "both"
-                       else f"F_q{_fnum(qq)}")
-                row[key] = vals["exact"]
+        for qq in by_label.values():
+            row.update(_relay_point(nodes, s, r, qq, mode))
         rows.append(row)
-    notes = [f"# baseline q={_fnum(qq)}:"
+    notes = [f"# baseline q={label}:"
              f" F_W={_fnum(f_ae_w_depolarizing(qq, nodes))}"
              f" F_GHZ={_fnum(f_ae_ghz_depolarizing(qq, nodes))}"
-             for qq in q_values]
-    cols = ["sender", "receiver"]
-    for qq in q_values:
-        cols.append(f"F_q{_fnum(qq)}")
-        if mode == "both":
-            cols.append(f"F_q{_fnum(qq)}_exact")
+             for label, qq in by_label.items()]
     meta = {"command": "relay", "channel": "depolarizing", "nodes": nodes,
             "mode": mode}
-    _emit_table(meta, rows, cols, as_json, out, notes=notes)
+    _emit_table(meta, rows, list(rows[0]), as_json, out, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -555,103 +539,55 @@ def run(protocol, nodes, sender, receiver, channel_spec, channel_overrides,
 # oracle-check
 
 
-def _oracle_checks():
-    checks = []
-
-    def check(name):
-        def wrap(fn):
-            checks.append((name, fn))
-            return fn
-        return wrap
-
-    @check("w-depolarizing-closed-vs-dense")
-    def _():
-        q, n = 0.9, 5
-        cfgu = _uniform_channels(depolarizing(q), n)
-        cfg = NetworkConfig(n_nodes=n, sender=1, receiver=2,
-                            per_qubit_channels=cfgu)
-        got = run_protocol1(cfg, mode="exact").ae_fidelity
-        want = f_ae_w_depolarizing(q, n)
-        return abs(got - want), 1e-10
-
-    @check("w-dephasing-closed-vs-dense")
-    def _():
-        q, n = 0.85, 4
-        cfg = NetworkConfig(n_nodes=n, sender=1, receiver=2,
-                            per_qubit_channels=_uniform_channels(dephasing(q), n))
-        got = run_protocol1(cfg, mode="exact").ae_fidelity
-        return abs(got - f_ae_w_dephasing(q)), 1e-10
-
-    @check("ghz-depolarizing-closed-vs-structured")
-    def _():
-        q, n = 0.9, 5
-        got = structured_fidelity("GHZ", depolarizing(q), n)
-        return abs(got - f_ae_ghz_depolarizing(q, n)), 1e-10
-
-    @check("ghz-dephasing-closed-vs-dense")
-    def _():
-        q, n = 0.8, 6
-        cfg = NetworkConfig(n_nodes=n, sender=1, receiver=2,
-                            per_qubit_channels=_uniform_channels(dephasing(q), n))
-        got = run_ghz_protocol(cfg, mode="exact").ae_fidelity
-        return abs(got - f_ae_ghz_dephasing(q, n)), 1e-10
-
-    @check("w-success-probability-depolarizing")
-    def _():
-        q, n = 0.7, 6
-        cfg = NetworkConfig(n_nodes=n, sender=1, receiver=2,
-                            per_qubit_channels=_uniform_channels(depolarizing(q), n))
-        got = run_protocol1(cfg, mode="exact").analytic_success_probability
-        return abs(got - p_success_w("depolarizing", q, n)), 1e-12
-
-    @check("w-success-probability-dephasing-2-over-n")
-    def _():
-        q, n = 0.6, 5
-        cfg = NetworkConfig(n_nodes=n, sender=1, receiver=2,
-                            per_qubit_channels=_uniform_channels(dephasing(q), n))
-        got = run_protocol1(cfg, mode="exact").analytic_success_probability
-        return abs(got - 2 / n), 1e-12
-
-    @check("relay-closed-vs-dense")
-    def _():
-        q, n, s, r = 0.9, 5, 2, 4
-        cfg = NetworkConfig(n_nodes=n, sender=s, receiver=r,
-                            per_qubit_channels=_uniform_channels(depolarizing(q), n))
-        got = run_relay_protocol(cfg, mode="exact").ae_fidelity
-        return abs(got - f_ae_relay_depolarizing(q, n, s, r)), 1e-10
-
-    @check("teleport-noiseless-delivery")
-    def _():
-        cfg = NetworkConfig(n_nodes=4, sender=1, receiver=3)
-        got = run_protocol1(cfg, mode="exact").delivered_fidelity
-        return abs(got - 1.0), 1e-12
-
-    @check("loss-noiseless-conditional-two-thirds")
-    def _():
-        cfg = NetworkConfig(n_nodes=5, sender=1, receiver=2,
-                            lost_nodes=frozenset({5}))
-        got = run_protocol1(cfg, mode="exact").ae_fidelity
-        return abs(got - 2 / 3), 1e-12
-
-    @check("w-loss-closed-vs-dense-average")
-    def _():
-        q, n = 0.9, 5
-        got = w_loss_branch_average_dense(depolarizing(q), n)
-        return abs(got - f_ae_w_loss("depolarizing", q, n)), 1e-9
-
+# name -> (computed value, reference value, tolerance on their distance);
+# each value is a thunk, so a check that raises fails alone
+_ORACLE_CHECKS = {
+    "w-depolarizing-closed-vs-dense": (
+        lambda: run_protocol1(_uniform(5, depolarizing(0.9)), mode="exact").ae_fidelity,
+        lambda: f_ae_w_depolarizing(0.9, 5), 1e-10),
+    "w-dephasing-closed-vs-dense": (
+        lambda: run_protocol1(_uniform(4, dephasing(0.85)), mode="exact").ae_fidelity,
+        lambda: f_ae_w_dephasing(0.85), 1e-10),
+    "ghz-depolarizing-closed-vs-structured": (
+        lambda: structured_fidelity("GHZ", depolarizing(0.9), 5),
+        lambda: f_ae_ghz_depolarizing(0.9, 5), 1e-10),
+    "ghz-dephasing-closed-vs-dense": (
+        lambda: run_ghz_protocol(_uniform(6, dephasing(0.8)), mode="exact").ae_fidelity,
+        lambda: f_ae_ghz_dephasing(0.8, 6), 1e-10),
+    "w-success-probability-depolarizing": (
+        lambda: run_protocol1(_uniform(6, depolarizing(0.7)),
+                              mode="exact").analytic_success_probability,
+        lambda: p_success_w("depolarizing", 0.7, 6), 1e-12),
+    "w-success-probability-dephasing-2-over-n": (
+        lambda: run_protocol1(_uniform(5, dephasing(0.6)),
+                              mode="exact").analytic_success_probability,
+        lambda: 2 / 5, 1e-12),
+    "relay-closed-vs-dense": (
+        lambda: run_relay_protocol(_uniform(5, depolarizing(0.9), 2, 4),
+                                   mode="exact").ae_fidelity,
+        lambda: f_ae_relay_depolarizing(0.9, 5, 2, 4), 1e-10),
+    "teleport-noiseless-delivery": (
+        lambda: run_protocol1(_uniform(4, identity_channel(), receiver=3),
+                              mode="exact").delivered_fidelity,
+        lambda: 1.0, 1e-12),
+    "loss-noiseless-conditional-two-thirds": (
+        lambda: run_protocol1(_uniform(5, identity_channel(), lost_nodes={5}),
+                              mode="exact").ae_fidelity,
+        lambda: 2 / 3, 1e-12),
+    "w-loss-closed-vs-dense-average": (
+        lambda: w_loss_branch_average_dense(depolarizing(0.9), 5),
+        lambda: f_ae_w_loss("depolarizing", 0.9, 5), 1e-9),
     # at the usefulness threshold the exact pair fidelity is 1/2; N = 183 is
     # the W/GHZ crossover
-    for family, key, runner in (("w", W_DEPOL, run_protocol1),
-                                ("ghz", GHZ_DEPOL, run_ghz_protocol)):
-        @check(f"{family}-threshold-183-exact-half")
-        def _(key=key, runner=runner):
-            n = 183
-            channels = _uniform_channels(depolarizing(threshold_q(key, n)), n)
-            cfg = NetworkConfig(n_nodes=n, sender=1, receiver=2,
-                                per_qubit_channels=channels)
-            return abs(runner(cfg, mode="exact").ae_fidelity - 0.5), 1e-10
-
-    return checks
+    "w-threshold-183-exact-half": (
+        lambda: run_protocol1(_uniform(183, depolarizing(threshold_q(W_DEPOL, 183))),
+                              mode="exact").ae_fidelity,
+        lambda: 0.5, 1e-10),
+    "ghz-threshold-183-exact-half": (
+        lambda: run_ghz_protocol(_uniform(183, depolarizing(threshold_q(GHZ_DEPOL, 183))),
+                                 mode="exact").ae_fidelity,
+        lambda: 0.5, 1e-10),
+}
 
 
 @main.command("oracle-check")
@@ -659,9 +595,9 @@ def oracle_check():
     """Cross-check closed forms against the exact simulator; exit 1 on
     any disagreement."""
     failures = 0
-    for name, fn in _oracle_checks():
+    for name, (computed, reference, tol) in _ORACLE_CHECKS.items():
         try:
-            delta, tol = fn()
+            delta = abs(computed() - reference())
         except Exception as exc:  # a crashed check is a failed check
             _emit(f"FAIL {name}: {exc}\n")
             failures += 1

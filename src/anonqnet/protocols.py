@@ -584,10 +584,9 @@ def run_protocol1(config: NetworkConfig, rng: np.random.Generator | None = None,
     source distribution through each node's channel, standard-basis
     measurement by every non-S/R live node, veto on the outcomes (abort on
     1), then teleportation of the message with the Bell outcome announced
-    through two masked parity runs.
+    through two masked parity runs.  rng is read only in sampling mode,
+    where it defaults to a Generator seeded with the config's seed.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     if mode == "exact":
         return _protocol1_exact(config)
     if mode == "sampling":
@@ -620,7 +619,7 @@ class _Sampler:
     TRANSCRIPT_BUDGET = 2**18  # events a recording may hold; ~1.5 KiB each printed
     CHUNK_WORDS = 2**14  # the most raw words a chunk of runs may read
 
-    def run(self, rng: np.random.Generator,
+    def run(self, rng: np.random.Generator | None,
             record_transcript: bool = False) -> RunOutcome:
         return self.batch(1, rng, record_transcript)[0]
 
@@ -844,8 +843,8 @@ def sample_protocol1_runs(config: NetworkConfig, n_samples: int,
 def batch_summary(outcomes: Sequence[RunOutcome]) -> dict:
     """Run count, aborts, abort rate and mean delivered fidelity of a batch
     of sampled runs."""
-    aborts = sum(1 for o in outcomes if o.aborted)
     fids = [o.delivered_fidelity for o in outcomes if not o.aborted]
+    aborts = len(outcomes) - len(fids)
     return {"runs": len(outcomes), "aborts": aborts,
             "abort_rate": aborts / len(outcomes) if outcomes else 0.0,
             "mean_delivered_fidelity": float(np.mean(fids)) if fids else None}
@@ -870,10 +869,10 @@ def run_ghz_protocol(config: NetworkConfig, rng: np.random.Generator | None = No
     Non-S/R nodes measure in the X basis; the parity of their outcomes is
     announced through a parity run and the receiver applies the matching Z
     correction, so the protocol never aborts.  A lost node makes the
-    protocol impossible outright (the remaining state is separable).
+    protocol impossible outright (the remaining state is separable).  rng
+    is read only in sampling mode, where it defaults to a Generator seeded
+    with the config's seed.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     if mode == "sampling":
         return _GhzSampler(config).run(rng, record_transcript=True)
     if mode != "exact":
@@ -1079,10 +1078,10 @@ def run_relay_protocol(config: NetworkConfig,
     travelling qubit, with the next node's channel between a swap branch
     and its correction; exact mode mixes all branches, and sampling mode
     is a run of the relay's sampling plan.  max_live_qubits counts the
-    protocol's live qubits, the fresh pair during a swap included.
+    protocol's live qubits, the fresh pair during a swap included.  rng is
+    read only in sampling mode, where it defaults to a Generator seeded
+    with the config's seed.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     if mode == "sampling":
         return _RelaySampler(config).run(rng, record_transcript=True)
     if mode != "exact":

@@ -235,6 +235,27 @@ def test_relay_repeated_q_is_one_column(runner):
 sender,receiver,F_q0.95,F_q0.8
 1,4,0.8512342187,0.54184
 """
+    # two values that print the same 10-digit label are one column too,
+    # computed at the first
+    argv = ["relay", "--nodes", "5", "--sender", "1", "--receiver", "3",
+            "--q", "0.9", "--q", "0.90000000001"]
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 0
+    assert res.output == """\
+# anonqnet 0.1.0
+# command = relay
+# channel = depolarizing
+# nodes = 5
+# mode = analytic
+# baseline q=0.9: F_W=0.7982317073 F_GHZ=0.747745
+sender,receiver,F_q0.9
+1,3,0.78055
+"""
+    res = runner.invoke(main, argv + ["--json"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["rows"] == [
+        {"sender": 1, "receiver": 3,
+         "F_q0.9": f_ae_relay_depolarizing(0.9, 5, 1, 3)}]
 
 
 def test_relay_rejects_bad_placement(runner):
@@ -599,6 +620,21 @@ def test_oracle_check_passes(runner):
     assert "ok   w-threshold-183-exact-half" in res.output
     assert "ok   ghz-threshold-183-exact-half" in res.output
     assert not [l for l in lines if l.startswith("FAIL")]
+    # every check by name, in order
+    assert [l.split()[1] for l in lines[:-1]] == [
+        "w-depolarizing-closed-vs-dense",
+        "w-dephasing-closed-vs-dense",
+        "ghz-depolarizing-closed-vs-structured",
+        "ghz-dephasing-closed-vs-dense",
+        "w-success-probability-depolarizing",
+        "w-success-probability-dephasing-2-over-n",
+        "relay-closed-vs-dense",
+        "teleport-noiseless-delivery",
+        "loss-noiseless-conditional-two-thirds",
+        "w-loss-closed-vs-dense-average",
+        "w-threshold-183-exact-half",
+        "ghz-threshold-183-exact-half",
+    ]
 
 
 def test_version_flag(runner):
@@ -621,3 +657,39 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_exact_commands_load_no_numpy_random():
+    # only sampling draws random numbers; numpy.random costs start-up time
+    # and memory, so exact commands leave it unimported
+    src = os.path.dirname(os.path.dirname(anonqnet.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    code = """\
+import contextlib, io, sys
+import numpy
+if "numpy.random" in sys.modules:
+    print("skip")
+    sys.exit()
+from anonqnet.cli import main
+channel = "depolarizing:q=0.9"
+for argv in (
+        ["sweep", "--protocol", "all", "--n-range", "4:5", "--q", "0.9",
+         "--mode", "both"],
+        ["threshold", "--n-range", "4:6"],
+        ["relay", "--nodes", "5", "--mode", "both"],
+        ["security", "--nodes", "5", "--adversaries", "3", "--channel",
+         channel, "--role", "both"],
+        ["oracle-check"],
+        ["run", "--protocol", "W", "--channel", channel],
+        ["run", "--protocol", "GHZ", "--channel", channel],
+        ["run", "--protocol", "relay", "--channel", channel]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        main.main(args=argv, standalone_mode=False)
+print("numpy.random" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    if out.stdout.strip() == "skip":
+        pytest.skip("importing numpy already loads numpy.random")
+    assert out.stdout.strip() == "False"

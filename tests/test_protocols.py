@@ -250,7 +250,9 @@ def test_exact_routes_past_twelve_nodes_and_underflow_refusal():
 
 
 @pytest.mark.parametrize("formula, runner", [(W_DEPOL, run_protocol1),
-                                             (GHZ_DEPOL, run_ghz_protocol)])
+                                             (GHZ_DEPOL, run_ghz_protocol)],
+                         ids=["W_depol-run_protocol1",
+                              "GHZ_depol-run_ghz_protocol"])
 def test_exact_pair_fidelity_is_half_at_threshold_n183(formula, runner):
     # N = 183 is the W/GHZ crossover; the exact engine reaches it directly
     n = 183
