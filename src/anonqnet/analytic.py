@@ -151,18 +151,9 @@ class ChannelMoments:
 
 
 def channel_moments(channel: QuantumChannel) -> ChannelMoments:
-    units = {}
-    for x in range(2):
-        for y in range(2):
-            e = np.zeros((2, 2), dtype=complex)
-            e[x, y] = 1.0
-            units[(x, y)] = channel(e)
-    return ChannelMoments(
-        out00=units[(0, 0)], out01=units[(0, 1)],
-        out10=units[(1, 0)], out11=units[(1, 1)],
-        tr00=complex(units[(0, 0)][0, 0]), tr01=complex(units[(0, 1)][0, 0]),
-        tr10=complex(units[(1, 0)][0, 0]), tr11=complex(units[(1, 1)][0, 0]),
-    )
+    # out00, out01, out10, out11, then their <0|.|0> entries
+    outs = [channel(np.eye(4, dtype=complex)[k].reshape(2, 2)) for k in range(4)]
+    return ChannelMoments(*outs, *(complex(o[0, 0]) for o in outs))
 
 
 def w_postselected_pair(moments: ChannelMoments, n: int) -> tuple[DensityMatrix, float]:
@@ -224,16 +215,9 @@ def ghz_postselected_pair(channel: QuantumChannel, n: int) -> tuple[DensityMatri
     if n < 3:
         raise ValueError("need n >= 3")
     m = channel_moments(channel)
-    units = {(0, 0): m.out00, (0, 1): m.out01, (1, 0): m.out10,
-             (1, 1): m.out11}
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    p = {k: complex(plus.conj() @ v @ plus) for k, v in units.items()}
-    acc = 0.5 * (
-        p[(0, 0)] ** (n - 2) * np.kron(units[(0, 0)], units[(0, 0)])
-        + p[(0, 1)] ** (n - 2) * np.kron(units[(0, 1)], units[(0, 1)])
-        + p[(1, 0)] ** (n - 2) * np.kron(units[(1, 0)], units[(1, 0)])
-        + p[(1, 1)] ** (n - 2) * np.kron(units[(1, 1)], units[(1, 1)])
-    )
+    acc = 0.5 * sum(complex(plus.conj() @ u @ plus) ** (n - 2) * np.kron(u, u)
+                    for u in (m.out00, m.out01, m.out10, m.out11))
     weight = float(np.real(np.trace(acc)))
     state = DensityMatrix(acc / weight, PAIR_LABELS)
     return state, weight
@@ -261,7 +245,7 @@ def fidelity_report(protocol: str, channel: str, q: float, n: int) -> FidelityRe
     return FidelityReport(protocol, f"{channel}:q={q:g}", n, f, p)
 
 
-def threshold_q(formula: tuple, n: int, tol: float = 1e-12) -> float:
+def threshold_q(formula: tuple, n, tol: float = 1e-12):
     """Smallest q in [0.5, 1] with pair fidelity 1/2 (usefulness threshold).
 
     ``formula`` is a (protocol, channel family) pair such as W_DEPOL, i.e.
@@ -275,28 +259,32 @@ def threshold_q(formula: tuple, n: int, tol: float = 1e-12) -> float:
     [0.5, 1] because the dephasing-W formula is symmetric about q=0.5 and
     the interesting regime is high q.
 
-    ``n`` is the node count: the source prepares an n-qubit resource state
-    and each qubit crosses one channel.  A dense n-node run at the returned
-    q gives a pair fidelity of 1/2 (checked against the dense simulator).
+    ``n`` is the node count, an int (giving a float) or an integer array
+    (giving an array): the source prepares an n-qubit resource state and
+    each qubit crosses one channel.  An array is bisected in one pass with
+    a lone size's bracket, midpoint and ``tol``, so each value has the bits
+    it has alone.  A dense n-node run at the returned q gives a pair
+    fidelity of 1/2 (checked against the dense simulator).
     """
-    if n < 3:
+    ns = np.atleast_1d(n)
+    if np.any(ns < 3):
         raise ValueError("need n >= 3")
     if formula not in _FORMULAS:
         raise ValueError(f"unknown formula {formula!r}")
     f = _FORMULAS[formula]
-    g = lambda q: f(q, n) - 0.5
-    if g(1.0) < 0:
+    if np.any(f(np.ones(ns.shape), ns) < 0.5):
         raise ValueError("fidelity below 1/2 at q=1; no usefulness threshold")
-    lo, hi = 0.5, 1.0
-    if g(lo) >= -1e-12:
-        return 0.5
-    while hi - lo > tol:
+    qs = np.full(ns.shape, 0.5)
+    inner = f(qs, ns) - 0.5 < -1e-12  # the rest sit at the edge q=0.5
+    m = ns[inner].astype(float)  # cast once, not in every step
+    lo, hi = np.full(m.shape, 0.5), np.ones(m.shape)
+    # every bracket starts at [0.5, 1] and halves exactly, so widths agree
+    while m.size and hi[0] - lo[0] > tol:
         mid = (lo + hi) / 2
-        if g(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+        below = f(mid, m) <= 0.5
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    qs[inner] = (lo + hi) / 2
+    return float(qs[0]) if np.ndim(n) == 0 else qs
 
 
 def crossover_n(n_max: int = 400) -> int:
@@ -305,11 +293,14 @@ def crossover_n(n_max: int = 400) -> int:
 
     The size is the node count of :func:`threshold_q`: an n-qubit resource
     state with one channel per qubit, checked against the dense simulator.
+    Both families are bisected once over all sizes 4..n_max, with the same
+    bits as one size at a time.
     """
-    for n in range(4, n_max + 1):
-        if threshold_q(W_DEPOL, n) > threshold_q(GHZ_DEPOL, n):
-            return n
-    raise RuntimeError(f"no crossover found up to n={n_max}")
+    ns = np.arange(4, n_max + 1)
+    later = np.flatnonzero(threshold_q(W_DEPOL, ns) > threshold_q(GHZ_DEPOL, ns))
+    if not later.size:
+        raise RuntimeError(f"no crossover found up to n={n_max}")
+    return int(ns[later[0]])
 
 
 def pair_target(protocol: str) -> Ket:

@@ -67,8 +67,12 @@ def _fnum(x) -> str:
     return format(float(x), ".10g")
 
 
+MAX_GRID_POINTS = 10_000
+
+
 def _parse_steps(text: str, what: str, integer: bool = False) -> list:
-    """Parse 'a:b' or 'a:b:step' into an inclusive grid."""
+    """Parse 'a:b' or 'a:b:step' into an inclusive grid of at most
+    MAX_GRID_POINTS points, checked before the grid is built."""
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise click.UsageError(f"bad {what} range {text!r}; expected a:b[:step]")
@@ -77,11 +81,15 @@ def _parse_steps(text: str, what: str, integer: bool = False) -> list:
         step = float(parts[2]) if len(parts) == 3 else 1.0
     except ValueError:
         raise click.UsageError(f"bad {what} range {text!r}")
-    if step <= 0 or b < a:
+    if not (step > 0 and b >= a):  # nan fails too
         raise click.UsageError(f"bad {what} range {text!r}")
     if integer and not all(x.is_integer() for x in (a, b, step)):
         raise click.UsageError(f"bad {what} range {text!r}; expected whole numbers")
-    count = int(round((b - a) / step)) + 1
+    span = (b - a) / step
+    if not span <= MAX_GRID_POINTS - 1:  # an infinite bound fails too
+        raise click.UsageError(f"{what} range {text!r} has over "
+                               f"{MAX_GRID_POINTS} points")
+    count = int(round(span)) + 1
     vals = [a + i * step for i in range(count) if a + i * step <= b + 1e-9]
     if integer:
         return [int(round(v)) for v in vals]
@@ -281,6 +289,8 @@ def sweep(protocol, channel_family, q, q_range, nodes, n_range, mode, seed,
         raise click.UsageError(f"--q-range {q_range!r} leaves [0, 1]")
     ns = [nodes] if nodes is not None else _parse_steps(
         n_range or "4:8", "nodes", integer=True)
+    if len(ns) * len(qs) > MAX_GRID_POINTS:
+        raise click.UsageError(f"the (N, q) grid has over {MAX_GRID_POINTS} points")
     protocols = ["W", "GHZ", "W_loss"] if protocol == "all" else [protocol]
     for p in protocols:
         lo = 4 if p != "GHZ" else 3
@@ -323,12 +333,10 @@ def threshold(n_range, channel_family, as_json, out):
         raise click.UsageError("thresholds start at 4 nodes")
 
     cross = crossover_n() if channel_family == "depolarizing" else None
-    rows = []
-    for n in ns:
-        qw = threshold_q(("W", channel_family), n)
-        qg = threshold_q(("GHZ", channel_family), n)
-        rows.append({"N": n, "qstar_W": qw, "qstar_GHZ": qg,
-                     "W_better": qw < qg})
+    qw, qg = (threshold_q((p, channel_family), np.array(ns)).tolist()
+              for p in ("W", "GHZ"))
+    rows = [{"N": n, "qstar_W": w, "qstar_GHZ": g, "W_better": w < g}
+            for n, w, g in zip(ns, qw, qg)]
     notes = ([] if cross is None else
              [f"# crossover: smallest N with qstar_W > qstar_GHZ = {cross}"])
     _emit_table({"command": "threshold", "channel": channel_family}, rows,

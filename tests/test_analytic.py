@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anonqnet import analytic
 from anonqnet.analytic import (
     GHZ_DEPH,
     GHZ_DEPOL,
@@ -143,15 +146,51 @@ def test_threshold_dephasing_degenerate_at_half():
 
 
 def test_threshold_frozen_values_near_crossover():
-    # frozen from the bisection oracle at tol 1e-12
-    assert threshold_q(W_DEPOL, 182) == pytest.approx(
-        0.9789472681109146, abs=1e-9)
-    assert threshold_q(GHZ_DEPOL, 182) == pytest.approx(
-        0.9789524119037196, abs=1e-9)
-    assert threshold_q(W_DEPOL, 183) == pytest.approx(
-        0.9790574934081633, abs=1e-9)
-    assert threshold_q(GHZ_DEPOL, 183) == pytest.approx(
-        0.9790433054208734, abs=1e-9)
+    # frozen from the bisection oracle at tol 1e-12, bit for bit
+    assert threshold_q(W_DEPOL, 182) == 0.9789472681109146
+    assert threshold_q(GHZ_DEPOL, 182) == 0.9789524119037196
+    assert threshold_q(W_DEPOL, 183) == 0.9790574934081633
+    assert threshold_q(GHZ_DEPOL, 183) == 0.9790433054208734
+
+
+# sha256 of the float64 bytes of [threshold_q(f, n) for n in 4..400], taken
+# when every size was bisected on its own
+THRESHOLD_SHA256 = {
+    W_DEPOL: "f5055826229546fa56af860c3bedbfeaf6cd18fe3f06c5a4d2cdc460fa6db7c6",
+    GHZ_DEPOL: "01be4b179c650d4704f91116eec2cc2c8f0eb16d47e942dd31a31db37829a859",
+    W_DEPH: "7c1a00d52b9f641c4c73ba80f735090f57eb7ddb46c36517e85f787c229c62fe",
+    GHZ_DEPH: "7c1a00d52b9f641c4c73ba80f735090f57eb7ddb46c36517e85f787c229c62fe",
+}
+
+
+@pytest.mark.parametrize("formula", list(THRESHOLD_SHA256),
+                         ids=lambda f: "-".join(f))
+def test_threshold_array_is_bitwise_the_scalar_bisection(formula):
+    ns = np.arange(4, 401)
+    qs = threshold_q(formula, ns)
+    assert qs.dtype == np.float64 and qs.shape == ns.shape
+    one_by_one = [threshold_q(formula, int(n)) for n in ns]
+    assert all(type(q) is float for q in one_by_one)
+    assert qs.tobytes() == np.array(one_by_one).tobytes()
+    assert hashlib.sha256(qs.tobytes()).hexdigest() == THRESHOLD_SHA256[formula]
+
+
+def test_threshold_array_errors_and_edge(monkeypatch):
+    with pytest.raises(ValueError, match="n >= 3"):
+        threshold_q(W_DEPOL, np.array([4, 2, 5]))
+    with pytest.raises(RuntimeError, match="no crossover"):
+        crossover_n(182)
+    # sizes already at the edge q=0.5 are never bisected: the q=1 check
+    # and the edge check are the only two evaluations of a dephasing table
+    calls = []
+    f = analytic._FORMULAS[GHZ_DEPH]
+    monkeypatch.setitem(analytic._FORMULAS, GHZ_DEPH,
+                        lambda q, n: calls.append(q.size) or f(q, n))
+    assert (threshold_q(GHZ_DEPH, np.arange(4, 51)) == 0.5).all()
+    assert calls == [47, 47]
+    monkeypatch.setitem(analytic._FORMULAS, GHZ_DEPH, lambda q, n: 0.4 * q)
+    with pytest.raises(ValueError, match="no usefulness threshold"):
+        threshold_q(GHZ_DEPH, np.array([4, 5]))
 
 
 def test_crossover_is_first_sign_change():

@@ -4,8 +4,10 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 import weakref
 
 import pytest
@@ -150,6 +152,47 @@ def test_fractional_node_ranges_exit_2(runner, argv):
                          ).exit_code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["threshold", "--n-range", "4:1e12"],
+    ["sweep", "--mode", "analytic", "--n-range", "4:1e12"],
+    ["sweep", "--q-range", "0:1:1e-300"],
+])
+def test_huge_grids_exit_2_before_building(argv):
+    # a regression would build a 1e12-element list: cap the child's memory
+    src = os.path.dirname(os.path.dirname(anonqnet.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH":
+           os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+    start = time.perf_counter()
+    res = subprocess.run([sys.executable, "-m", "anonqnet.cli", *argv], env=env,
+                         preexec_fn=cap, capture_output=True, text=True,
+                         timeout=60)
+    assert res.returncode == 2
+    assert f"has over {cli.MAX_GRID_POINTS} points" in res.stderr
+    assert time.perf_counter() - start < 30
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "--q-range", "nan:1"], "bad q range"),
+    (["sweep", "--q-range", "0:inf"], "has over 10000 points"),
+    (["threshold", "--n-range", "4:10004"], "has over 10000 points"),
+    (["sweep", "--nodes", "4", "--q-range", "0:1:0.0001"],
+     "has over 10000 points"),
+    (["sweep", "--n-range", "4:103", "--q-range", "0:1:0.001"],
+     "(N, q) grid has over 10000 points"),
+])
+def test_unbounded_or_oversized_grids_exit_2(runner, argv, message):
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 2
+    assert message in res.output
+
+
+def test_grid_at_the_point_cap_runs(runner):
+    res = runner.invoke(main, ["threshold", "--n-range", "4:10003"])
+    assert res.exit_code == 0
+    assert len(res.output.splitlines()) == 5 + cli.MAX_GRID_POINTS
+
+
 def test_sweep_exact_past_twelve_nodes_and_underflow_exits_2(runner):
     res = runner.invoke(main, ["sweep", "--protocol", "all", "--nodes", "13",
                                "--mode", "both"])
@@ -174,6 +217,26 @@ def test_threshold_golden_output(runner):
     res = runner.invoke(main, ["threshold", "--n-range", "180:185"])
     assert res.exit_code == 0
     assert res.output == THRESHOLD_GOLDEN
+
+
+# sha256 of the stdout of `threshold` over larger grids, taken when every
+# size was bisected on its own
+THRESHOLD_DIGESTS = [
+    (["--n-range", "4:400"],
+     "cf884786c1deaa059e74af714ceb1dca6641e24cf686810124b4c5e0804c6557"),
+    (["--n-range", "4:400", "--json"],
+     "a21fb34987c3a3b6dbdfcca2eb11fa691ff1517534a673d025fd17aefb915c98"),
+    (["--channel", "dephasing", "--n-range", "4:50", "--json"],
+     "1d3980848a2667381bb710fc1274e152fac0187a9b8fecf59b96c7e9444af167"),
+]
+
+
+@pytest.mark.parametrize("args,digest", THRESHOLD_DIGESTS,
+                         ids=["4:400", "4:400-json", "dephasing-4:50-json"])
+def test_threshold_output_pinned(runner, args, digest):
+    res = runner.invoke(main, ["threshold", *args])
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.output.encode()).hexdigest() == digest
 
 
 def test_threshold_dephasing_all_half(runner):
