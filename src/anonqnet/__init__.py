@@ -69,6 +69,7 @@ from .protocols import (
     Transcript,
     TranscriptEvent,
     collision_detection,
+    exact_pair,
     parity_protocol,
     receiver_notification,
     run_ghz_protocol,

@@ -287,27 +287,33 @@ def threshold_q(formula: tuple, n, tol: float = 1e-12):
     return float(qs[0]) if np.ndim(n) == 0 else qs
 
 
-def crossover_n(n_max: int = 400) -> int:
+def crossover_n(n_max: int = 400, table: tuple | None = None) -> int:
     """Smallest network size at which the W protocol's depolarizing
     usefulness threshold exceeds the GHZ protocol's.
 
     The size is the node count of :func:`threshold_q`: an n-qubit resource
     state with one channel per qubit, checked against the dense simulator.
     Both families are bisected once over all sizes 4..n_max, with the same
-    bits as one size at a time.
+    bits as one size at a time, unless table gives (ascending sizes, W
+    thresholds, GHZ thresholds) already bisected over sizes covering them.
     """
-    ns = np.arange(4, n_max + 1)
-    later = np.flatnonzero(threshold_q(W_DEPOL, ns) > threshold_q(GHZ_DEPOL, ns))
+    if table is None:
+        ns = np.arange(4, n_max + 1)
+        table = ns, threshold_q(W_DEPOL, ns), threshold_q(GHZ_DEPOL, ns)
+    ns, qw, qg = table
+    later = np.flatnonzero((qw > qg) & (ns <= n_max))
     if not later.size:
         raise RuntimeError(f"no crossover found up to n={n_max}")
     return int(ns[later[0]])
 
 
+_TARGETS = {kind: make_bell_pair(PAIR_LABELS, kind=kind) for kind in ("psi+", "phi+")}
+
+
 def pair_target(protocol: str) -> Ket:
     """Maximally entangled target the fidelity is measured against:
     (|01>+|10>)/sqrt(2) for the W protocol, (|00>+|11>)/sqrt(2) otherwise."""
-    kind = "psi+" if protocol == "W" or protocol == "W_loss" else "phi+"
-    return make_bell_pair(PAIR_LABELS, kind=kind)
+    return _TARGETS["psi+" if protocol == "W" or protocol == "W_loss" else "phi+"]
 
 
 def f_ae_relay_depolarizing(q: float, n: int, sender: int, receiver: int) -> float:

@@ -45,12 +45,14 @@ from .analytic import (
     f_ae_w_loss,
     fidelity_report,
     p_success_w,
+    pair_target,
     structured_fidelity,
     threshold_q,
 )
 from .protocols import (
     NetworkConfig,
     ProtocolImpossibleError,
+    exact_pair,
     run_ghz_protocol,
     run_protocol1,
     run_relay_protocol,
@@ -59,7 +61,7 @@ from .protocols import (
     sample_relay_runs,
     w_loss_branch_average_dense,
 )
-from .qcore import Ket
+from .qcore import Ket, fidelity_with_pure
 from .security import security_report
 
 
@@ -233,7 +235,9 @@ def main():
 # sweep
 
 
-def _sweep_row(protocol: str, family: str, n: int, q: float, mode: str) -> dict:
+def _sweep_row(protocol: str, channel: QuantumChannel, n: int, mode: str) -> dict:
+    """One (protocol, N, q) row; the exact columns read the engine's pair."""
+    family, q = channel.name, channel.params["q"]
     row = {"protocol": protocol, "channel": family, "N": n, "q": q, "mode": mode}
     if mode in ("analytic", "both"):
         rep = fidelity_report(protocol, family, q, n)
@@ -241,16 +245,10 @@ def _sweep_row(protocol: str, family: str, n: int, q: float, mode: str) -> dict:
         row["P_success"] = rep.success_probability
         row["useful"] = rep.useful
     if mode in ("exact", "both"):
-        channel = (dephasing if family == "dephasing" else depolarizing)(q)
         cfg = _uniform(n, channel, lost_nodes={n} if protocol == "W_loss" else ())
-        if protocol == "GHZ":
-            f_exact = run_ghz_protocol(cfg, mode="exact").ae_fidelity
-            p_exact = 1.0
-        else:
-            outcome = run_protocol1(cfg, mode="exact")
-            p_exact = outcome.analytic_success_probability
-            f_exact = (w_loss_branch_average_dense(channel, n)
-                       if protocol == "W_loss" else outcome.ae_fidelity)
+        p_exact, pair = exact_pair(cfg, "GHZ" if protocol == "GHZ" else "W")
+        f_exact = (w_loss_branch_average_dense(channel, n) if protocol == "W_loss"
+                   else fidelity_with_pure(pair, pair_target(protocol)))
         if mode == "exact":
             row["F_AE"] = f_exact
             row["P_success"] = p_exact
@@ -298,9 +296,11 @@ def sweep(protocol, channel_family, q, q_range, nodes, n_range, mode, seed,
             if n < lo:
                 raise click.UsageError(f"{p} needs at least {lo} nodes")
 
+    make = dephasing if channel_family == "dephasing" else depolarizing
+    channels = [make(qq) for qq in qs]
     try:
-        rows = [_sweep_row(p, channel_family, n, qq, mode)
-                for p in protocols for n in ns for qq in qs]
+        rows = [_sweep_row(p, channel, n, mode)
+                for p in protocols for n in ns for channel in channels]
     except ValueError as exc:  # a Born weight below double precision
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
@@ -332,11 +332,15 @@ def threshold(n_range, channel_family, as_json, out):
     if any(n < 4 for n in ns):
         raise click.UsageError("thresholds start at 4 nodes")
 
-    cross = crossover_n() if channel_family == "depolarizing" else None
-    qw, qg = (threshold_q((p, channel_family), np.array(ns)).tolist()
-              for p in ("W", "GHZ"))
+    depol = channel_family == "depolarizing"
+    # one bisection per family serves the table and the crossover's 4..400
+    # (a set union: np.union1d would load numpy.ma)
+    grid = np.array(sorted({*ns, *range(4, 401 if depol else 4)}))
+    qw, qg = (threshold_q((p, channel_family), grid) for p in ("W", "GHZ"))
+    cross = crossover_n(table=(grid, qw, qg)) if depol else None
+    at = np.searchsorted(grid, ns)
     rows = [{"N": n, "qstar_W": w, "qstar_GHZ": g, "W_better": w < g}
-            for n, w, g in zip(ns, qw, qg)]
+            for n, w, g in zip(ns, qw[at].tolist(), qg[at].tolist())]
     notes = ([] if cross is None else
              [f"# crossover: smallest N with qstar_W > qstar_GHZ = {cross}"])
     _emit_table({"command": "threshold", "channel": channel_family}, rows,
@@ -348,15 +352,17 @@ def threshold(n_range, channel_family, as_json, out):
 # relay
 
 
-def _relay_point(n: int, s: int, r: int, q: float, mode: str) -> dict:
-    """One placement's cells at one q, keyed by column label."""
+def _relay_point(n: int, s: int, r: int, channel: QuantumChannel, mode: str) -> dict:
+    """One placement's cells at one channel, keyed by column label; the
+    exact cell reads the engine's pair."""
+    q = channel.params["q"]
     label, cells = f"F_q{_fnum(q)}", {}
     if mode in ("analytic", "both"):
         cells[label] = f_ae_relay_depolarizing(q, n, s, r)
     if mode in ("exact", "both"):
-        cfg = _uniform(n, depolarizing(q), s, r)
+        _, pair = exact_pair(_uniform(n, channel, s, r), "relay")
         cells[label + "_exact" if mode == "both" else label] = (
-            run_relay_protocol(cfg, mode="exact").ae_fidelity)
+            fidelity_with_pure(pair, pair_target("GHZ")))
     return cells
 
 
@@ -392,11 +398,12 @@ def relay(nodes, q_values, sender, receiver, mode, workers, as_json, out):
         by_label.setdefault(_fnum(qq), qq)
     pairs = ([(sender, receiver)] if receiver is not None
              else [(sender, r) for r in range(1, nodes + 1) if r != sender])
+    channels = [depolarizing(qq) for qq in by_label.values()]
     rows = []
     for s, r in pairs:
         row = {"sender": s, "receiver": r}
-        for qq in by_label.values():
-            row.update(_relay_point(nodes, s, r, qq, mode))
+        for channel in channels:
+            row.update(_relay_point(nodes, s, r, channel, mode))
         rows.append(row)
     notes = [f"# baseline q={label}:"
              f" F_W={_fnum(f_ae_w_depolarizing(qq, nodes))}"

@@ -15,9 +15,11 @@ Two execution modes:
   bond-dimension-2 matrix product state, with each node's measurement
   effect in one O(n) pass of 4x4 transfer matrices (pullback_pair), so
   they run at any node count.  The relay holds a fixed four-qubit
-  register for any chain length, and a teleport branch is one 2x4
-  operator on the pair; qcore's dense registers serve only as the tests'
-  reference.
+  register for any chain length and builds one hop superoperator per
+  distinct channel, and a teleport branch is one 2x4 operator on the
+  pair; qcore's dense registers serve only as the tests' reference.
+  exact_pair stops at the pair and its Born weight: the exact tables
+  print nothing of the transcript or the teleport.
 * sampling: one branch is drawn per run with the seeded generator; used
   for transcript-level statistics (abort rates, masking uniformity).  W
   and GHZ draw the outcome string node by node on the transfer engine and
@@ -115,6 +117,7 @@ class Transcript:
 
 
 _IDENTITY = identity_channel()  # one object, so memos keyed on channels hit
+_PLUS = Ket(np.array([1, 1], dtype=complex) / np.sqrt(2), ("message",))  # default message
 
 
 def _private(node: int) -> str:
@@ -159,8 +162,7 @@ class NetworkConfig:
         if self.veto_rounds < 1:
             raise ValueError("veto needs at least one round")
         if self.message_state is None:
-            plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-            self.message_state = Ket(plus, ("message",))
+            self.message_state = _PLUS
         if self.message_state.n_qubits != 1:
             raise ValueError("message must be a single qubit")
 
@@ -565,7 +567,9 @@ def _announce(config: NetworkConfig, m: int, rng: np.random.Generator,
 # Protocol 1 (W state)
 
 
-def _protocol1_skeleton(config: NetworkConfig) -> Transcript:
+def _protocol1_skeleton(config: NetworkConfig, bits: Sequence | None = None) -> Transcript:
+    """Collision detection, receiver notification, qubit hand-offs and each
+    measuring node's private outcome record (empty in exact mode: no bits)."""
     transcript = Transcript()
     wish = {i: int(i == config.sender) for i in config.live_nodes}
     collision_detection(wish, transcript, start_round=0)
@@ -573,6 +577,9 @@ def _protocol1_skeleton(config: NetworkConfig) -> Transcript:
                           transcript, start_round=1)
     for node in config.live_nodes:
         transcript.add(2, "private_send", 0, b"\x01", _private(node))  # qubit hand-off
+    for i, node in enumerate(_measuring(config)):
+        transcript.add(3, "measurement", node, b"" if bits is None else bytes([bits[i]]),
+                       _private(node))
     return transcript
 
 
@@ -588,21 +595,45 @@ def run_protocol1(config: NetworkConfig, rng: np.random.Generator | None = None,
     where it defaults to a Generator seeded with the config's seed.
     """
     if mode == "exact":
-        return _protocol1_exact(config)
+        return _exact_run(config, "W")
     if mode == "sampling":
         return _Protocol1Sampler(config).run(rng, record_transcript=True)
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _protocol1_exact(config: NetworkConfig) -> RunOutcome:
-    transcript = _protocol1_skeleton(config)
-    measuring = [i for i in config.live_nodes
-                 if i not in (config.sender, config.receiver)]
-    for node in measuring:
-        transcript.add(3, "measurement", node, b"", _private(node))
-    weight, ae = _normalized_pair(pullback_pair(
-        config, dict.fromkeys(measuring, 0), config.sender, config.receiver))
-    return _teleported(config, ae, "W", transcript, weight, veto_output=0)
+def _measuring(config: NetworkConfig) -> list:
+    """The live nodes other than sender and receiver, which measure."""
+    return [i for i in config.live_nodes if i not in (config.sender, config.receiver)]
+
+
+def exact_pair(config: NetworkConfig, protocol: str) -> tuple[float, DensityMatrix]:
+    """Born weight and normalized (sender, receiver) pair of the success
+    branch of an exact "W", "GHZ" or "relay" run, without its transcript or
+    teleport; GHZ and the relay never abort, so their weight is 1."""
+    if protocol == "W":
+        return _normalized_pair(pullback_pair(
+            config, dict.fromkeys(_measuring(config), 0), config.sender, config.receiver))
+    if protocol == "relay":
+        relay = _Relay(config)
+        return 1.0, relay.pair(relay.mixed())
+    if protocol != "GHZ":
+        raise ValueError(f"unknown protocol {protocol!r}")
+    # a '-' outcome flips the receiver's phase: with E_± = Φ†(|±><±|), the
+    # even-parity sum over outcome strings is (P + Q)/2 and the odd one,
+    # which gets Z_R, is (P - Q)/2, where P takes E_+ + E_- = Φ†(I) and Q
+    # takes E_+ - E_- = Φ†(X) at every measuring node
+    measuring = _ghz_measuring(config)
+    p, q = (_contract(config, _GHZ, dict.fromkeys(measuring, op),
+                      config.sender, config.receiver, 2)
+            for op in (ID2, PAULI_X))
+    return 1.0, _normalized_pair((p + q) / 2 + _Z_R @ (p - q) @ _Z_R / 2)[1]
+
+
+def _exact_run(config: NetworkConfig, protocol: str) -> RunOutcome:
+    """A W or GHZ run in exact mode: the exact_pair, teleported."""
+    weight, ae = exact_pair(config, protocol)
+    return _teleported(config, ae, protocol, _protocol1_skeleton(config), weight,
+                       veto_output=0)
 
 
 def _halves(has: int, k: int) -> tuple:
@@ -728,8 +759,7 @@ class _Protocol1Sampler(_Sampler):
 
     def __init__(self, config: NetworkConfig):
         self.config, self.outcomes, self.branches = config, {}, {}
-        self.measuring = [i for i in config.live_nodes
-                          if i not in (config.sender, config.receiver)]
+        self.measuring = _measuring(config)
         live = len(config.live_nodes)
         self.events_per_run = (config.veto_rounds + 2) * live * (live + 1) + 3 * live
         self.zeros = (0,) * len(self.measuring)
@@ -775,10 +805,8 @@ class _Protocol1Sampler(_Sampler):
 
     def _run(self, rng: np.random.Generator) -> RunOutcome:
         config = self.config
-        transcript = _protocol1_skeleton(config)
         bits = self._walk(rng.random())
-        for node, b in zip(self.measuring, bits):
-            transcript.add(3, "measurement", node, bytes([b]), _private(node))
+        transcript = _protocol1_skeleton(config, bits)
         veto = veto_protocol({**dict(zip(self.measuring, bits)),
                               config.sender: 0, config.receiver: 0}, rng,
                              config.veto_rounds, transcript, start_round=4)
@@ -859,7 +887,7 @@ def _ghz_measuring(config: NetworkConfig) -> list:
     if config.lost_nodes:
         raise ProtocolImpossibleError("a lost node leaves the GHZ protocol with"
                                       " a separable state; it cannot be carried out")
-    return [i for i in config.nodes if i not in (config.sender, config.receiver)]
+    return _measuring(config)
 
 
 def run_ghz_protocol(config: NetworkConfig, rng: np.random.Generator | None = None,
@@ -877,19 +905,7 @@ def run_ghz_protocol(config: NetworkConfig, rng: np.random.Generator | None = No
         return _GhzSampler(config).run(rng, record_transcript=True)
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    measuring = _ghz_measuring(config)
-    transcript = _protocol1_skeleton(config)
-    # a '-' outcome flips the receiver's phase: with E_± = Φ†(|±><±|), the
-    # even-parity sum over outcome strings is (P + Q)/2 and the odd one,
-    # which gets Z_R, is (P - Q)/2, where P takes E_+ + E_- = Φ†(I) and Q
-    # takes E_+ - E_- = Φ†(X) at every measuring node
-    for node in measuring:
-        transcript.add(3, "measurement", node, b"", _private(node))
-    p, q = (_contract(config, _GHZ, dict.fromkeys(measuring, op),
-                      config.sender, config.receiver, 2)
-            for op in (ID2, PAULI_X))
-    _, ae = _normalized_pair((p + q) / 2 + _Z_R @ (p - q) @ _Z_R / 2)
-    return _teleported(config, ae, "GHZ", transcript, veto_output=0)
+    return _exact_run(config, "GHZ")
 
 
 class _GhzSampler(_Sampler):
@@ -939,10 +955,8 @@ class _GhzSampler(_Sampler):
 
     def _run(self, rng: np.random.Generator) -> RunOutcome:
         config = self.config
-        transcript = _protocol1_skeleton(config)
         (bits,), _ = self._walks(rng.random((1, len(self.measuring))))
-        for node, bit in zip(self.measuring, bits):
-            transcript.add(3, "measurement", node, bytes([bit]), _private(node))
+        transcript = _protocol1_skeleton(config, bits)
         # the announced parity is the XOR of the bits, which fix the pair
         inputs = dict.fromkeys(config.nodes, 0) | dict(zip(self.measuring, bits))
         parity_protocol(inputs, rng, transcript, start_round=4)
@@ -981,9 +995,9 @@ _TRAVEL = 3
 _SWAPS = np.einsum("mta,ab->mbt", _BELL.conj(), _BELL[0])
 _CORRECTIONS = np.array(BELL_CORRECTIONS)
 _SWAP_CDF = _cdf(np.ones(4))
-# a sampled hop's swap branch: none (None) into node 2, else one outcome m,
-# renormalized
-_BRANCHES = {None: (ID2[None], ID2[None])} | {
+# a hop's swap branch: none (None) into node 2, one outcome m renormalized
+# (sampling), or all four mixed (exact)
+_BRANCHES = {None: (ID2[None], ID2[None]), "mixed": (_SWAPS, _CORRECTIONS)} | {
     m: (2 * _SWAPS[m:m + 1], _CORRECTIONS[m:m + 1]) for m in range(4)}
 
 
@@ -1028,6 +1042,34 @@ class _Relay:
         ket = np.zeros((2, 2, 2, 2), dtype=complex)
         ket[:, 0, 0, :] = _BELL[0]  # Bell(keep, travel), ancillas in |0>
         self.start = self.splice(np.outer(ket.ravel(), ket.ravel().conj()), 0, 1)
+        self.built, self.sups = {}, {}  # (Kraus bytes, branch) -> id -> (id, superop)
+
+    def hop(self, node: int, branch) -> bytes:
+        """The id of the hop into node on a swap branch of _BRANCHES: its
+        superoperator's bytes, built once per (Kraus bytes, branch).  Equal
+        superoperators share one id object, so equal chains compare fast."""
+        kraus = np.array(self.config.channel_for(node).kraus_ops)
+        key = (kraus.tobytes(), branch)  # all a hop depends on
+        if key not in self.built:
+            sup = _hop(kraus, *_BRANCHES[branch])
+            data = sup.tobytes()
+            self.built[key] = self.sups.setdefault(data, (data, sup))[0]
+        return self.built[key]
+
+    def register(self, hops: Sequence) -> np.ndarray:
+        """The register after the hops (ids) into nodes 2..n."""
+        rho = self.start
+        for j, hop in enumerate(hops, 2):
+            rho = self.splice(_on_qubit(rho, self.sups[hop][1], _TRAVEL), _TRAVEL, j)
+        return rho
+
+    def mixed(self) -> np.ndarray:
+        """The exact register: every swap and closing branch mixed."""
+        rho = self.register([self.hop(j, None if j == 2 else "mixed")
+                             for j in range(2, self.config.n_nodes + 1)])
+        for qubit in (_TRAVEL, 0):
+            rho = np.add(*self.close(rho, qubit))
+        return rho
 
     def splice(self, rho: np.ndarray, control: int, node: int) -> np.ndarray:
         # CNOT onto the node's |0> ancilla, if any: a permutation of indices
@@ -1054,10 +1096,14 @@ class _Relay:
             transcript.add(round_, "broadcast", actor, bytes([bit]))
         return transcript
 
-    def delivered(self, rho: np.ndarray, transcript: Transcript) -> RunOutcome:
+    def pair(self, rho: np.ndarray) -> DensityMatrix:
+        """The (sender, receiver) ancillas of a closed register."""
         pair = np.einsum("iabjicdj->abcd", rho.reshape((2,) * 8)).reshape(4, 4)
-        return _teleported(self.config, DensityMatrix(pair, PAIR_LABELS), "GHZ",
-                           transcript, max_live_qubits=self.max_live)
+        return DensityMatrix(pair, PAIR_LABELS)
+
+    def delivered(self, rho: np.ndarray, transcript: Transcript) -> RunOutcome:
+        return _teleported(self.config, self.pair(rho), "GHZ", transcript,
+                           max_live_qubits=self.max_live)
 
 
 def run_relay_protocol(config: NetworkConfig,
@@ -1087,40 +1133,21 @@ def run_relay_protocol(config: NetworkConfig,
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
     relay = _Relay(config)
-    rho, swaps, corrections = relay.start, ID2[None], ID2[None]
-    for j in range(2, config.n_nodes + 1):
-        hop = _hop(np.array(config.channel_for(j).kraus_ops), swaps, corrections)
-        rho = relay.splice(_on_qubit(rho, hop, _TRAVEL), _TRAVEL, j)
-        swaps, corrections = _SWAPS, _CORRECTIONS
-    for qubit in (_TRAVEL, 0):
-        plus, minus = relay.close(rho, qubit)
-        rho = plus + minus
-    return relay.delivered(rho, relay.transcript())
+    return relay.delivered(relay.mixed(), relay.transcript())
 
 
 class _RelaySampler(_Relay, _Sampler):
-    """Relay plan: a hop's superoperator is built once per (Kraus operators,
-    swap outcome), and equal ones (by bytes) share an id, so a run's chain
-    key is its tuple of hop ids; under a Pauli channel every run has one
-    chain.  Only the current chain is kept: its register and, per prefix of
-    closing X outcomes, the normalized register, p_plus and the two
-    branches.  A new chain gets a new number; the result key is (chain
-    number, X outcomes)."""
+    """Relay plan: a run's chain key is its tuple of hop ids, one per swap
+    outcome; under a Pauli channel every run has one chain.  Only the
+    current chain is kept: its register and, per prefix of closing X
+    outcomes, the normalized register, p_plus and the two branches.  A new
+    chain gets a new number; the result key is (chain number, X outcomes)."""
 
     def __init__(self, config: NetworkConfig):
         super().__init__(config)
-        canon, built, self.hops, self.outcomes = {}, {}, [], {}
-        for j in range(2, config.n_nodes + 1):
-            kraus, row = np.array(config.channel_for(j).kraus_ops), []
-            for m in [None] if j == 2 else range(4):
-                key = (kraus.tobytes(), m)  # all a hop depends on
-                if key not in built:
-                    sup = _hop(kraus, *_BRANCHES[m])
-                    built[key] = id(canon.setdefault(sup.tobytes(), sup))
-                row.append(built[key])
-            self.hops.append(row)
-        self.sups = {id(s): s for s in canon.values()}
-        self.events_per_run = 2 * config.n_nodes
+        self.hops = [[self.hop(j, m) for m in ([None] if j == 2 else range(4))]
+                     for j in range(2, config.n_nodes + 1)]
+        self.events_per_run, self.outcomes = 2 * config.n_nodes, {}
         self.key, self.chain = None, 0
 
     def _unrecorded(self, rng: np.random.Generator, n: int) -> list:
@@ -1132,11 +1159,8 @@ class _RelaySampler(_Relay, _Sampler):
         swaps = [bisect_right(_SWAP_CDF, u) for u in swap_us]
         key = tuple(map(list.__getitem__, self.hops, [0, *swaps]))
         if key != self.key:
-            rho = self.start
-            for j, hop in enumerate(key, 2):
-                rho = self.splice(_on_qubit(rho, self.sups[hop], _TRAVEL), _TRAVEL, j)
             self.key, self.chain = key, self.chain + 1
-            self.closed, self.closing = {(): rho}, {}
+            self.closed, self.closing = {(): self.register(key)}, {}
         bits = ()
         for qubit, u in ((_TRAVEL, u_close), (0, u_open)):
             if bits not in self.closing:
@@ -1182,9 +1206,7 @@ def w_loss_branch_average_dense(channel: QuantumChannel, n: int) -> float:
     """
     cfg = NetworkConfig(n_nodes=n, sender=1, receiver=2,
                         per_qubit_channels={i: channel for i in range(1, n + 1)})
-    _, pair = _normalized_pair(
-        pullback_pair(cfg, dict.fromkeys(range(3, n + 1), 0), 1, 2))
-    f_noloss = fidelity_with_pure(pair, pair_target("W"))
+    f_noloss = fidelity_with_pure(exact_pair(cfg, "W")[1], pair_target("W"))
     vac = channel(np.array([[1, 0], [0, 0]], dtype=complex))
     pair_lost = DensityMatrix(np.kron(vac, vac), PAIR_LABELS)
     f_lost = fidelity_with_pure(pair_lost, pair_target("W"))

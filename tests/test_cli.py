@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import anonqnet
-from anonqnet import cli
+from anonqnet import cli, protocols
 from anonqnet.analytic import f_ae_relay_depolarizing, f_ae_w_dephasing
 from anonqnet.cli import main
 
@@ -248,6 +248,27 @@ def test_threshold_dephasing_all_half(runner):
     for row in body["rows"]:
         assert row["qstar_W"] == pytest.approx(0.5, abs=1e-9)
         assert row["qstar_GHZ"] == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("args", [["--n-range", "4:200"], ["--n-range", "300:600:7"],
+                                  ["--n-range", "180:185", "--json"],
+                                  ["--channel", "dephasing"]],
+                         ids=["4:200", "300:600:7", "180:185-json", "dephasing"])
+def test_threshold_bisects_each_family_once(runner, monkeypatch, args):
+    import anonqnet.analytic as analytic
+
+    families, real = [], analytic.threshold_q
+    def counted(formula, n, *rest):
+        families.append(formula[0])
+        return real(formula, n, *rest)
+    monkeypatch.setattr(analytic, "threshold_q", counted)
+    monkeypatch.setattr(cli, "threshold_q", counted)
+    res = runner.invoke(main, ["threshold", *args])
+    assert res.exit_code == 0
+    # the table's sizes and the crossover's 4..400 share one bisection
+    assert families == ["W", "GHZ"]
+    if "dephasing" not in args:
+        assert "qstar_GHZ = 183\n" in res.output or '"crossover_n": 183' in res.output
 
 
 # ---------------------------------------------------------------------------
@@ -602,6 +623,68 @@ def test_q_outside_unit_interval_exits_2(runner, tmp_path, argv, config):
     res = runner.invoke(main, argv)
     assert res.exit_code == 2
     assert "0<=x<=1" in res.output
+
+
+# ---------------------------------------------------------------------------
+# exact tables and exact runs
+
+
+# sha256 of the stdout of exact-mode commands, taken when every exact table
+# point ran the whole protocol (transcript and teleport included)
+EXACT_DIGESTS = {
+    "sweep --protocol all --channel depolarizing --n-range 4:9 --mode both --q 0.834":
+        "cf1d9fd19cddea362aa408d638ede9cbb822aa6364d7627d329863f17eb29020",
+    "sweep --protocol all --channel dephasing --n-range 4:9 --mode both --q 0.834 --json":
+        "14cea5fba7ae95393d99b34279a7f7afa3aeb759f8969d274f845c22fff57c53",
+    "sweep --protocol all --mode exact --n-range 4:40:3 --q-range 0.8:1:0.05 --json":
+        "a04c4279f0f310ce6ba32569b1ee1da30bdeb7c592b33d2c632ca7a24fac6719",
+    "relay --nodes 8 --mode both --q 0.834 --q 0.945 --json":
+        "417cd616e85d4eae12b43ed58d4eeee16431a08acadfa1b2a4b715222e680573",
+    "relay --nodes 12 --mode exact --sender 3":
+        "494e56780f8832695934027b830450e23329427b94513a2c3988c0e288d27ea5",
+    "run --protocol W --nodes 6 --channel depolarizing:q=0.9":
+        "25563dab7554789a92790564a657bef607924e1f60110b75f15ac3a14027c09d",
+    "run --protocol W --nodes 6 --channel depolarizing:q=0.9 --lost 5":
+        "8c567ee6f3203215ee3e179ba46bf5acf453730d03c31d0fc893e2bf97383f94",
+    "run --protocol GHZ --nodes 6 --channel depolarizing:q=0.9":
+        "e6364cff1c422e4fd71d232c2cfec8c4964d210ccc8896a405da886e0c2dc132",
+    "run --protocol relay --nodes 6 --channel depolarizing:q=0.9":
+        "8d63f94420f6a259aaef5afd31e3ea08871f90014f61be33298d3c08272bb14b",
+}
+# the exact tables among them, whose points build no transcript
+EXACT_TABLES = [args for args in EXACT_DIGESTS if args.split()[0] != "run"]
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("args", EXACT_DIGESTS)
+def test_exact_outputs_pinned(runner, args):
+    res = runner.invoke(main, args.split())
+    assert res.exit_code == 0
+    assert _digest(res.output) == EXACT_DIGESTS[args]
+
+
+def test_exact_run_transcript_file_pinned(runner, tmp_path):
+    tpath = tmp_path / "transcript.jsonl"
+    res = runner.invoke(main, ["run", "--protocol", "W", "--nodes", "6", "--channel",
+                               "depolarizing:q=0.9", "--transcript", str(tpath)])
+    assert res.exit_code == 0
+    assert _digest(res.output) == EXACT_DIGESTS[
+        "run --protocol W --nodes 6 --channel depolarizing:q=0.9"]
+    assert _digest(tpath.read_text()) == (
+        "df992e3e378e424ae8564081a03e76179aaa858d52e2fd089573c02fc6e31b19")
+
+
+@pytest.mark.parametrize("args", EXACT_TABLES)
+def test_exact_tables_build_no_transcript(runner, monkeypatch, args):
+    def add(*_):
+        raise AssertionError("an exact table point recorded a transcript")
+    monkeypatch.setattr(protocols.Transcript, "add", add)
+    res = runner.invoke(main, args.split())
+    assert res.exit_code == 0, res.output
+    assert _digest(res.output) == EXACT_DIGESTS[args]
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from anonqnet.protocols import (
     _contract,
     _normalized_pair,
     collision_detection,
+    exact_pair,
     outcome_transfers,
     parity_protocol,
     pullback_pair,
@@ -217,6 +218,22 @@ def test_protocol1_exact_mixed_channels_runs():
     out = run_protocol1(cfg, mode="exact")
     assert 0 < out.analytic_success_probability < 1
     assert 0 <= out.ae_fidelity <= 1
+
+
+@pytest.mark.parametrize("protocol,run,lost", [
+    ("W", run_protocol1, ()), ("W", run_protocol1, (2, 6)),
+    ("GHZ", run_ghz_protocol, ()), ("relay", run_relay_protocol, ())])
+def test_exact_pair_is_the_exact_runs_pair(protocol, run, lost):
+    chans = {i: (dephasing, depolarizing)[i % 2](0.99 - 0.02 * i) for i in range(1, 8)}
+    cfg = NetworkConfig(n_nodes=7, sender=5, receiver=3, per_qubit_channels=chans,
+                        lost_nodes=lost)
+    weight, pair = exact_pair(cfg, protocol)
+    out = run(cfg, mode="exact")
+    assert weight == out.analytic_success_probability
+    assert pair.labels == out.anonymous_entanglement.labels
+    assert np.array_equal(pair.mat, out.anonymous_entanglement.mat)
+    with pytest.raises(ValueError, match="unknown protocol"):
+        exact_pair(cfg, "W_loss")
 
 
 def test_protocol1_transcript_hides_roles():
@@ -448,6 +465,27 @@ def test_relay_exact_matches_closed_form_various_placements():
         out = run_relay_protocol(cfg, mode="exact")
         assert out.ae_fidelity == pytest.approx(
             f_ae_relay_depolarizing(q, n, s, r), abs=1e-10), (n, s, r, q)
+
+
+def test_uniform_exact_relay_builds_two_hops(monkeypatch):
+    import anonqnet.protocols as protocols
+
+    built, real = [], protocols._hop
+    monkeypatch.setattr(protocols, "_hop", lambda *a: built.append(1) or real(*a))
+    cfg = NetworkConfig(n_nodes=12, sender=3, receiver=8,
+                        per_qubit_channels=uniform(depolarizing(0.9), 12))
+    out = run_relay_protocol(cfg, mode="exact")
+    # the hop into node 2 (no swap before it) and the mixed swap hop
+    assert len(built) == 2
+    _, pair = exact_pair(cfg, "relay")
+    assert len(built) == 4
+    assert np.array_equal(pair.mat, out.anonymous_entanglement.mat)
+    # one hop per distinct channel past node 2
+    cfg = NetworkConfig(n_nodes=12, sender=3, receiver=8,
+                        per_qubit_channels={i: RELAY_CHANNELS["pauli"](i % 2)
+                                            for i in range(1, 13)})
+    run_relay_protocol(cfg, mode="exact")
+    assert len(built) == 4 + 3
 
 
 def test_relay_live_register_capped_at_six():
