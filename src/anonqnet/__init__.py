@@ -28,7 +28,6 @@ from .qcore import (
     partial_trace,
     postselect,
     tensor,
-    trace_distance,
 )
 from .channels import (
     QuantumChannel,
@@ -43,9 +42,7 @@ from .channels import (
 )
 from .analytic import (
     FidelityReport,
-    ChannelMoments,
     PAIR_LABELS,
-    channel_moments,
     crossover_n,
     f_ae_ghz_dephasing,
     f_ae_ghz_depolarizing,
@@ -83,7 +80,6 @@ from .protocols import (
 )
 from .security import (
     AdversaryScenario,
-    adversary_view,
     epsilon_security_bound,
     guessing_probability,
     independence_check,

@@ -120,45 +120,17 @@ def p_success_w_loss(channel: str, q: float, n: int) -> float:
     return (n - 1) / n * p_success_w(channel, q, n - 1) + tr00_pow / n
 
 
-@dataclass(frozen=True)
-class ChannelMoments:
-    """Action of a single-qubit channel on the four basis matrix units.
-
-    out_xy is the channel output on |x><y|; tr_xy its <0|.|0> entry.  These
-    eight numbers/matrices are all the structured evaluators need, so any
-    user-defined channel works, not only the named ones.
-    """
-
-    out00: np.ndarray
-    out01: np.ndarray
-    out10: np.ndarray
-    out11: np.ndarray
-    tr00: complex
-    tr01: complex
-    tr10: complex
-    tr11: complex
-
-    def __post_init__(self):
-        for mat, tr in ((self.out00, self.tr00), (self.out01, self.tr01),
-                        (self.out10, self.tr10), (self.out11, self.tr11)):
-            if abs(mat[0, 0] - tr) > 1e-12:
-                raise ValueError("tr_xy must equal <0|out_xy|0>")
-        for mat in (self.out00, self.out11):
-            if abs(np.trace(mat) - 1) > 1e-12:
-                raise ValueError("out00/out11 must be unit trace")
-            if np.min(np.linalg.eigvalsh((mat + mat.conj().T) / 2)) < -1e-10:
-                raise ValueError("out00/out11 must be positive semidefinite")
+def _outputs(channel: QuantumChannel) -> list:
+    """The channel's outputs on |0><0|, |0><1|, |1><0| and |1><1|: all the
+    structured evaluators need, so any user-defined channel works, not
+    only the named ones."""
+    return [channel(np.eye(4, dtype=complex)[k].reshape(2, 2)) for k in range(4)]
 
 
-def channel_moments(channel: QuantumChannel) -> ChannelMoments:
-    # out00, out01, out10, out11, then their <0|.|0> entries
-    outs = [channel(np.eye(4, dtype=complex)[k].reshape(2, 2)) for k in range(4)]
-    return ChannelMoments(*outs, *(complex(o[0, 0]) for o in outs))
-
-
-def w_postselected_pair(moments: ChannelMoments, n: int) -> tuple[DensityMatrix, float]:
+def w_postselected_pair(channel: QuantumChannel, n: int) -> tuple[DensityMatrix, float]:
     """Sender-receiver pair state after the W protocol's post-selection,
-    assembled combinatorially from channel moments.
+    assembled combinatorially from the channel's outputs out_xy on |x><y|
+    and their <0|.|0> entries tr_xy.
 
     The W state has one excitation spread over n qubits; conditioning the
     n-2 measured qubits on |0> leaves six families of terms, indexed by
@@ -179,19 +151,19 @@ def w_postselected_pair(moments: ChannelMoments, n: int) -> tuple[DensityMatrix,
     """
     if n < 4:
         raise ValueError("structured evaluation needs n >= 4; use the dense oracle")
-    m = moments
-    t00 = m.tr00
-    acc = (n - 2) * (n - 3) * m.tr01 * m.tr10 * t00 ** (n - 4) * np.kron(m.out00, m.out00)
-    acc = acc + (n - 2) * m.tr10 * t00 ** (n - 3) * (
-        np.kron(m.out01, m.out00) + np.kron(m.out00, m.out01)
+    out00, out01, out10, out11 = outs = _outputs(channel)
+    tr00, tr01, tr10, tr11 = (complex(o[0, 0]) for o in outs)
+    acc = (n - 2) * (n - 3) * tr01 * tr10 * tr00 ** (n - 4) * np.kron(out00, out00)
+    acc = acc + (n - 2) * tr10 * tr00 ** (n - 3) * (
+        np.kron(out01, out00) + np.kron(out00, out01)
     )
-    acc = acc + (n - 2) * m.tr01 * t00 ** (n - 3) * (
-        np.kron(m.out10, m.out00) + np.kron(m.out00, m.out10)
+    acc = acc + (n - 2) * tr01 * tr00 ** (n - 3) * (
+        np.kron(out10, out00) + np.kron(out00, out10)
     )
-    acc = acc + (n - 2) * m.tr11 * t00 ** (n - 3) * np.kron(m.out00, m.out00)
-    acc = acc + t00 ** (n - 2) * (
-        np.kron(m.out01, m.out10) + np.kron(m.out10, m.out01)
-        + np.kron(m.out00, m.out11) + np.kron(m.out11, m.out00)
+    acc = acc + (n - 2) * tr11 * tr00 ** (n - 3) * np.kron(out00, out00)
+    acc = acc + tr00 ** (n - 2) * (
+        np.kron(out01, out10) + np.kron(out10, out01)
+        + np.kron(out00, out11) + np.kron(out11, out00)
     )
     acc = acc / n
     weight = float(np.real(np.trace(acc)))
@@ -209,15 +181,15 @@ def ghz_postselected_pair(channel: QuantumChannel, n: int) -> tuple[DensityMatri
               + p10^(n-2) out10 x out10 + p11^(n-2) out11 x out11 ]
 
     with p_xy = <+|channel(|x><y|)|+>.  The returned weight is that of the
-    single all-|+> branch; the protocol corrects every other branch onto the
-    same state, so the protocol-level success probability is 1.
+    single all-|+> branch; for a channel that commutes with Z conjugation
+    (Pauli channels, amplitude damping) the protocol corrects every other
+    branch onto the same state, so its success probability is 1.
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    m = channel_moments(channel)
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
     acc = 0.5 * sum(complex(plus.conj() @ u @ plus) ** (n - 2) * np.kron(u, u)
-                    for u in (m.out00, m.out01, m.out10, m.out11))
+                    for u in _outputs(channel))
     weight = float(np.real(np.trace(acc)))
     state = DensityMatrix(acc / weight, PAIR_LABELS)
     return state, weight
@@ -340,7 +312,7 @@ def f_ae_relay_depolarizing(q: float, n: int, sender: int, receiver: int) -> flo
 def structured_fidelity(protocol: str, channel: QuantumChannel, n: int) -> float:
     """Fidelity of the structured pair state against the protocol target."""
     if protocol == "W":
-        state, _ = w_postselected_pair(channel_moments(channel), n)
+        state, _ = w_postselected_pair(channel, n)
     elif protocol == "GHZ":
         state, _ = ghz_postselected_pair(channel, n)
     else:

@@ -164,25 +164,26 @@ def diamond_distance(a: QuantumChannel, b: QuantumChannel) -> float:
 
 def parse_channel_spec(spec: str) -> QuantumChannel:
     """Parse a channel spec string: `identity`, `dephasing:q=0.9`,
-    `depolarizing:q=0.8`."""
+    `depolarizing:q=0.8`.  A missing, unknown or repeated parameter is an
+    error naming the spec."""
     spec = spec.strip()
     if spec == "identity":
         return identity_channel()
     if ":" not in spec:
         raise ValueError(f"malformed channel spec {spec!r}")
     name, _, args = spec.partition(":")
-    params = {}
+    params = []
     for part in args.split(","):
         key, _, val = part.partition("=")
         if not val:
             raise ValueError(f"malformed channel parameter {part!r} in {spec!r}")
-        params[key.strip()] = float(val)
+        params.append((key.strip(), float(val)))
     name = name.strip()
-    if name == "dephasing":
-        return dephasing(params.pop("q"))
-    if name == "depolarizing":
-        return depolarizing(params.pop("q"))
-    raise ValueError(f"unknown channel {name!r}")
+    if name not in ("dephasing", "depolarizing"):
+        raise ValueError(f"unknown channel {name!r}")
+    if [key for key, _ in params] != ["q"]:
+        raise ValueError(f"channel spec {spec!r} must set q once and nothing else")
+    return (dephasing if name == "dephasing" else depolarizing)(params[0][1])
 
 
 def parse_channel_map(base_spec: str, overrides, nodes) -> dict:

@@ -212,9 +212,16 @@ def _uniform(n: int, channel: QuantumChannel, sender: int = 1,
                          **kw)
 
 
-def _per_node_channels(base_spec: str, overrides, n: int) -> dict:
+def _network(nodes: int, sender: int, receiver: int, channel_spec: str,
+             overrides, lost: str, seed: int, **kw) -> NetworkConfig:
+    """The network of a command's options: the channel map, then the lost
+    nodes, then the configuration are checked, and a bad one is a usage
+    error."""
     try:
-        return parse_channel_map(base_spec, overrides, range(1, n + 1))
+        channels = parse_channel_map(channel_spec, overrides, range(1, nodes + 1))
+        return NetworkConfig(n_nodes=nodes, sender=sender, receiver=receiver,
+                             per_qubit_channels=channels, seed=seed,
+                             lost_nodes=frozenset(_parse_node_list(lost)), **kw)
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
@@ -225,7 +232,20 @@ _config_option = click.option(
     help="key = value defaults file")
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group.  Every command's refusals reach its invoke as
+    exceptions and leave as `error: <message>`: exit 1 when the protocol
+    cannot run at all, 2 for any other rejected input."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (ProtocolImpossibleError, ValueError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1 if isinstance(exc, ProtocolImpossibleError) else 2)
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__, prog_name="anonqnet")
 def main():
     """Simulation and analysis of anonymous quantum transmission."""
@@ -298,12 +318,8 @@ def sweep(protocol, channel_family, q, q_range, nodes, n_range, mode, seed,
 
     make = dephasing if channel_family == "dephasing" else depolarizing
     channels = [make(qq) for qq in qs]
-    try:
-        rows = [_sweep_row(p, channel, n, mode)
-                for p in protocols for n in ns for channel in channels]
-    except ValueError as exc:  # a Born weight below double precision
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    rows = [_sweep_row(p, channel, n, mode)
+            for p in protocols for n in ns for channel in channels]
 
     meta = {"command": "sweep", "channel": channel_family,
             "protocol": protocol, "mode": mode, "seed": seed}
@@ -440,31 +456,20 @@ def security(nodes, sender, receiver, adversaries, role, channel_spec,
     adv = sorted(set(_parse_node_list(adversaries)))
     if not adv:
         raise click.UsageError("need at least one adversary node")
-    channels = _per_node_channels(channel_spec, channel_overrides, nodes)
+    net = _network(nodes, sender, receiver, channel_spec, channel_overrides,
+                   lost, seed)
     base = parse_channel_spec(channel_spec)  # valid: parsed just above
-    try:
-        net = NetworkConfig(
-            n_nodes=nodes, sender=sender, receiver=receiver,
-            per_qubit_channels=channels, seed=seed,
-            lost_nodes=frozenset(_parse_node_list(lost)),
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
 
     roles = ["sender", "receiver"] if role == "both" else [role]
     reports = {}
     ok = True
-    try:
-        for r in roles:
-            rep = security_report(net, adv, role=r, base_channel=base)
-            rep["holds"] = (rep["guessing_probability"]
-                            <= rep["uniform_prior"]
-                            + rep["diamond_epsilon_bound"] + 1e-9)
-            ok = ok and rep["holds"]
-            reports[r] = rep
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    for r in roles:
+        rep = security_report(net, adv, role=r, base_channel=base)
+        rep["holds"] = (rep["guessing_probability"]
+                        <= rep["uniform_prior"]
+                        + rep["diamond_epsilon_bound"] + 1e-9)
+        ok = ok and rep["holds"]
+        reports[r] = rep
     body = {
         "tool": "anonqnet", "version": __version__,
         "config": {"nodes": nodes, "sender": sender, "receiver": receiver,
@@ -514,38 +519,23 @@ def run(protocol, nodes, sender, receiver, channel_spec, channel_overrides,
     amps = {"plus": np.array([1, 1]) / np.sqrt(2),
             "zero": np.array([1, 0]),
             "one": np.array([0, 1])}[message].astype(complex)
-    channels = _per_node_channels(channel_spec, channel_overrides, nodes)
-    try:
-        net = NetworkConfig(
-            n_nodes=nodes, sender=sender, receiver=receiver,
-            per_qubit_channels=channels, seed=seed,
-            message_state=Ket(amps, ("message",)),
-            lost_nodes=frozenset(_parse_node_list(lost)),
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    net = _network(nodes, sender, receiver, channel_spec, channel_overrides,
+                   lost, seed, message_state=Ket(amps, ("message",)))
 
     runner = {"W": run_protocol1, "GHZ": run_ghz_protocol,
               "relay": run_relay_protocol}[protocol]
     body = {"tool": "anonqnet", "version": __version__, "protocol": protocol,
             "seed": seed, "mode": mode}
-    try:
-        if samples == 1:
-            outcome = runner(net, mode=mode)
-            body["outcome"] = outcome.to_json_dict()
-            if transcript_path:
-                with open(transcript_path, "w") as fh:
-                    fh.write(outcome.transcript.to_jsonl() + "\n")
-        else:
-            sample = {"W": sample_protocol1_runs, "GHZ": sample_ghz_runs,
-                      "relay": sample_relay_runs}[protocol]
-            outcomes, body["aggregate"] = sample(net, samples)
-    except ProtocolImpossibleError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    if samples == 1:
+        outcome = runner(net, mode=mode)
+        body["outcome"] = outcome.to_json_dict()
+        if transcript_path:
+            with open(transcript_path, "w") as fh:
+                fh.write(outcome.transcript.to_jsonl() + "\n")
+    else:
+        sample = {"W": sample_protocol1_runs, "GHZ": sample_ghz_runs,
+                  "relay": sample_relay_runs}[protocol]
+        outcomes, body["aggregate"] = sample(net, samples)
     _emit(json.dumps(body, indent=2) + "\n" if samples == 1
           else _dumps_runs(body, outcomes), out)
 

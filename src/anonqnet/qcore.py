@@ -289,15 +289,6 @@ def fidelity_with_pure(dm: DensityMatrix, target: Ket) -> float:
     return float(val)
 
 
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """(1/2) * sum of |eigenvalues| of (a - b)."""
-    if set(a.labels) != set(b.labels):
-        raise ValueError("label sets differ")
-    bb = b if b.labels == a.labels else b.permuted(a.labels)
-    eig = np.linalg.eigvalsh(a.mat - bb.mat)
-    return float(0.5 * np.sum(np.abs(eig)))
-
-
 def bell_project(
     dm: DensityMatrix, q1, q2, m: int
 ) -> tuple[DensityMatrix, float]:

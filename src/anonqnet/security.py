@@ -130,12 +130,6 @@ def adversary_views(config: NetworkConfig, scenario: AdversaryScenario,
     return [views[h] for h in hypotheses]
 
 
-def adversary_view(config: NetworkConfig, scenario: AdversaryScenario,
-                   hypothesis: int, role: str = "sender") -> dict:
-    """adversary_views for one hypothesis."""
-    return adversary_views(config, scenario, [hypothesis], role)[0]
-
-
 def _view(config: NetworkConfig, adv: frozenset, roles: tuple, mus: list,
           totals: np.ndarray, zeros: np.ndarray) -> dict:
     """One hypothesis's view from its pairs per coalition outcome mu."""

@@ -14,7 +14,6 @@ from scipy.stats import chisquare
 from anonqnet.analytic import (
     GHZ_DEPOL,
     W_DEPOL,
-    channel_moments,
     crossover_n,
     f_ae_ghz_dephasing,
     f_ae_ghz_depolarizing,
@@ -93,7 +92,7 @@ def test_criterion_2_fidelity_grid_matches_closed_forms():
                       else f_ae_ghz_depolarizing(q, n))
                 assert abs(w.ae_fidelity - fw) <= 1e-10, (family, n, q)
                 assert abs(g.ae_fidelity - fg) <= 1e-10, (family, n, q)
-                ws, _ = w_postselected_pair(channel_moments(ch), n)
+                ws, _ = w_postselected_pair(ch, n)
                 gs, _ = ghz_postselected_pair(ch, n)
                 assert np.max(np.abs(
                     w.anonymous_entanglement.mat - ws.mat)) <= 1e-10

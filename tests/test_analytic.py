@@ -12,9 +12,7 @@ from anonqnet.analytic import (
     PAIR_LABELS,
     W_DEPH,
     W_DEPOL,
-    ChannelMoments,
     FidelityReport,
-    channel_moments,
     crossover_n,
     f_ae_ghz_dephasing,
     f_ae_ghz_depolarizing,
@@ -31,8 +29,14 @@ from anonqnet.analytic import (
     threshold_q,
     w_postselected_pair,
 )
-from anonqnet.channels import dephasing, depolarizing, identity_channel
-from anonqnet.qcore import fidelity_with_pure
+from anonqnet.channels import (
+    QuantumChannel,
+    dephasing,
+    depolarizing,
+    identity_channel,
+)
+from anonqnet.protocols import NetworkConfig, exact_pair
+from anonqnet.qcore import PAULI_Z, fidelity_with_pure
 
 
 def test_noiseless_limits():
@@ -71,15 +75,21 @@ def test_p_success_values():
         p_success_w("amplitude", 0.9, 5)
 
 
-def test_channel_moments_consistency():
-    mom = channel_moments(depolarizing(0.8))
-    assert isinstance(mom, ChannelMoments)
-    assert mom.tr00 == pytest.approx(0.9, abs=1e-12)  # (1+q)/2
-    assert mom.tr11 == pytest.approx(0.1, abs=1e-12)
-    assert np.trace(mom.out00).real == pytest.approx(1.0, abs=1e-12)
-    mom_deph = channel_moments(dephasing(0.6))
-    assert mom_deph.tr00 == pytest.approx(1.0, abs=1e-12)
-    assert mom_deph.tr01 == pytest.approx(0.0, abs=1e-12)
+def unit(x, y):
+    """The matrix unit |x><y|."""
+    mat = np.zeros((2, 2), dtype=complex)
+    mat[x, y] = 1
+    return mat
+
+
+def test_channel_outputs_on_matrix_units():
+    # the <0|.|0> entries the structured W evaluator reads
+    depol, deph = depolarizing(0.8), dephasing(0.6)
+    assert depol(unit(0, 0))[0, 0] == pytest.approx(0.9, abs=1e-12)  # (1+q)/2
+    assert depol(unit(1, 1))[0, 0] == pytest.approx(0.1, abs=1e-12)
+    assert np.trace(depol(unit(0, 0))).real == pytest.approx(1.0, abs=1e-12)
+    assert deph(unit(0, 0))[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert deph(unit(0, 1))[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_w_postselected_pair_matches_closed_forms():
@@ -87,7 +97,7 @@ def test_w_postselected_pair_matches_closed_forms():
         (depolarizing(0.85), 0.85, f_ae_w_depolarizing(0.85, 6)),
         (dephasing(0.7), 0.7, f_ae_w_dephasing(0.7)),
     ]:
-        state, weight = w_postselected_pair(channel_moments(chan), 6)
+        state, weight = w_postselected_pair(chan, 6)
         fid = fidelity_with_pure(state, pair_target("W"))
         assert fid == pytest.approx(closed, abs=1e-12)
         assert weight == pytest.approx(
@@ -95,7 +105,7 @@ def test_w_postselected_pair_matches_closed_forms():
 
 
 def test_w_postselected_pair_frozen_point():
-    state, weight = w_postselected_pair(channel_moments(depolarizing(0.85)), 6)
+    state, weight = w_postselected_pair(depolarizing(0.85), 6)
     assert weight == pytest.approx(0.2836040364583332, abs=1e-12)
     assert fidelity_with_pure(state, pair_target("W")) == pytest.approx(
         0.6910610465116277, abs=1e-12)
@@ -110,6 +120,31 @@ def test_ghz_postselected_pair_weight_is_branch_weight():
     assert weight == pytest.approx(0.125, abs=1e-12)
     assert fidelity_with_pure(state, pair_target("GHZ")) == pytest.approx(
         0.515625, abs=1e-12)
+
+
+def damping(gamma, theta=0.0):
+    """Amplitude damping, then a rotation by theta about z: non-unital, with
+    complex Kraus operators for theta != 0, and covariant under Z."""
+    u = np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * PAULI_Z
+    return QuantumChannel([u @ np.array([[1, 0], [0, np.sqrt(1 - gamma)]]),
+                           u @ np.array([[0, np.sqrt(gamma)], [0, 0]])],
+                          name="damping")
+
+
+@pytest.mark.parametrize("channel", [damping(0.2), damping(0.35, 0.8)],
+                         ids=["amplitude-damping", "damping-z-rotation"])
+def test_structured_pairs_match_engine_on_non_pauli_channels(channel):
+    for n in range(4, 13):
+        cfg = NetworkConfig(n_nodes=n, sender=1, receiver=2,
+                            per_qubit_channels=dict.fromkeys(range(1, n + 1),
+                                                             channel))
+        w_weight, w_pair = exact_pair(cfg, "W")
+        _, ghz_pair = exact_pair(cfg, "GHZ")
+        state, weight = w_postselected_pair(channel, n)
+        assert np.abs(state.mat - w_pair.mat).max() <= 1e-12, n
+        assert abs(weight - w_weight) <= 1e-12, n
+        state, _ = ghz_postselected_pair(channel, n)
+        assert np.abs(state.mat - ghz_pair.mat).max() <= 1e-12, n
 
 
 def test_structured_fidelity_dispatch():
@@ -254,7 +289,7 @@ def test_w_depolarizing_fidelity_in_unit_interval(q, n):
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.0, 1.0), st.integers(4, 10))
 def test_structured_weight_equals_formula(q, n):
-    _, weight = w_postselected_pair(channel_moments(depolarizing(q)), n)
+    _, weight = w_postselected_pair(depolarizing(q), n)
     assert weight == pytest.approx(p_success_w("depolarizing", q, n),
                                    abs=1e-12)
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -300,6 +302,11 @@ def test_parse_channel_spec():
         parse_channel_spec("amplitude:q=0.5")
     with pytest.raises(ValueError):
         parse_channel_spec("depolarizing:q=1.5")
+    # a missing, unknown or repeated parameter names the spec
+    for spec in ("dephasing:p=0.9", "dephasing:q=0.9,x=1",
+                 "depolarizing:q=0.9,q=0.5"):
+        with pytest.raises(ValueError, match=re.escape(repr(spec))):
+            parse_channel_spec(spec)
 
 
 def test_parse_channel_map_overrides():

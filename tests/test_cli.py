@@ -445,6 +445,51 @@ def test_security_usage_errors(runner):
 
 
 # ---------------------------------------------------------------------------
+# refusals
+
+
+# (argv, exit code, last line of stderr), recorded before the refusals were
+# mapped to exit codes in one place
+REFUSALS = [
+    ("sweep --protocol W --nodes 3000 --q 0.5 --mode exact", 2,
+     "error: Born weight 0 underflows double precision; use the closed-form"
+     " evaluators"),
+    ("security --nodes 8 --adversaries 3", 2,
+     "error: adversary analysis is capped at 7 nodes"),
+    ("security --nodes 5 --adversaries 9", 2,
+     "error: adversaries must be live nodes"),
+    ("run --protocol GHZ --nodes 5 --lost 4", 1,
+     "error: a lost node leaves the GHZ protocol with a separable state; it"
+     " cannot be carried out"),
+    ("run --protocol relay --nodes 5 --lost 3", 2,
+     "error: relay does not support lost nodes"),
+    ("run --protocol W --nodes 183 --mode sampling", 2,
+     "error: recording 1 run(s) may take 741333 transcript events, over the"
+     " budget of 262144"),
+    ("run --nodes 5 --sender 1 --receiver 1", 2,
+     "Error: sender and receiver must differ"),
+    ("security --nodes 5 --adversaries 3 --lost 9", 2,
+     "Error: lost_nodes must be node ids"),
+]
+
+
+@pytest.mark.parametrize("args, code, last", REFUSALS)
+def test_refusal_exit_code_and_message(runner, args, code, last):
+    res = runner.invoke(main, args.split())
+    assert res.exit_code == code
+    assert res.stdout == ""
+    assert res.stderr.strip().splitlines()[-1] == last
+
+
+@pytest.mark.parametrize("command", [["run"], ["security", "--adversaries", "3"]])
+def test_malformed_channel_parameter_exits_2(runner, command):
+    res = runner.invoke(main, command + ["--channel", "dephasing:p=0.9"])
+    assert res.exit_code == 2
+    assert "Traceback" not in res.stderr
+    assert "'dephasing:p=0.9'" in res.stderr.strip().splitlines()[-1]
+
+
+# ---------------------------------------------------------------------------
 # run
 
 

@@ -81,7 +81,7 @@ from anonqnet.qcore import (
     postselect,
     tensor,
 )
-from anonqnet.security import AdversaryScenario, adversary_view
+from anonqnet.security import AdversaryScenario, adversary_views
 
 
 def uniform(channel, n):
@@ -1003,7 +1003,7 @@ def test_adversary_view_matches_dense_enumeration_corrupt_receiver():
     # coalition {2, 5}: node 2 is the receiver, node 5 measures; the dense
     # reference enumerates every outcome string instead of subtracting
     cfg = hetero_config()
-    view = adversary_view(cfg, AdversaryScenario(frozenset({2, 5})), HS)
+    view = adversary_views(cfg, AdversaryScenario(frozenset({2, 5})), [HS])[0]
     rho = dense_noisy(make_w_state)
     expected = {}
 
@@ -1052,9 +1052,9 @@ def test_exact_routes_build_no_density_matrix_wider_than_three(monkeypatch):
                                    per_qubit_channels=chans),
                      rng=np.random.default_rng(0), mode="sampling")
     w_loss_branch_average_dense(depolarizing(0.9), 9)
-    adversary_view(NetworkConfig(n_nodes=7, sender=1, receiver=2,
-                                 per_qubit_channels=uniform(dephasing(0.9), 7)),
-                   AdversaryScenario(frozenset({2, 4})), 3)
+    adversary_views(NetworkConfig(n_nodes=7, sender=1, receiver=2,
+                                  per_qubit_channels=uniform(dephasing(0.9), 7)),
+                    AdversaryScenario(frozenset({2, 4})), [3])[0]
     assert widest and max(widest) <= 3
 
 

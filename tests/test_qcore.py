@@ -22,7 +22,6 @@ from anonqnet.qcore import (
     partial_trace,
     postselect,
     tensor,
-    trace_distance,
 )
 
 
@@ -155,13 +154,6 @@ def test_bell_project_probabilities_sum():
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
     reduced, _ = bell_project(rho, 0, 1, 0)
     assert reduced.labels == (2,)
-
-
-def test_trace_distance_extremes():
-    zero = Ket(np.array([1, 0], dtype=complex), ("a",)).to_density()
-    one = Ket(np.array([0, 1], dtype=complex), ("a",)).to_density()
-    assert trace_distance(zero, one) == pytest.approx(1.0, abs=1e-12)
-    assert trace_distance(zero, zero) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_permuted_reorders_representation():

@@ -16,7 +16,6 @@ from anonqnet.protocols import NetworkConfig
 from anonqnet.security import (
     AdversaryScenario,
     _trace_norms,
-    adversary_view,
     adversary_views,
     effective_roles,
     epsilon_security_bound,
@@ -143,25 +142,25 @@ def test_effective_roles_swap_rule():
 def test_adversary_view_weights_sum_to_one():
     cfg = NetworkConfig(n_nodes=5, sender=1, receiver=2,
                         per_qubit_channels=uniform(depolarizing(0.8), 5))
-    view = adversary_view(cfg, AdversaryScenario(frozenset({3, 4})), 5)
+    view = adversary_views(cfg, AdversaryScenario(frozenset({3, 4})), [5])[0]
     assert sum(w for w, _ in view.values()) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_adversary_view_validation():
     cfg = NetworkConfig(n_nodes=5, sender=1, receiver=2)
     with pytest.raises(ValueError):
-        adversary_view(cfg, AdversaryScenario(frozenset({3})), 3)
+        adversary_views(cfg, AdversaryScenario(frozenset({3})), [3])[0]
     with pytest.raises(ValueError):
-        adversary_view(NetworkConfig(n_nodes=5, sender=1, receiver=2,
-                                     lost_nodes={5}),
-                       AdversaryScenario(frozenset({5})), 3)
+        adversary_views(NetworkConfig(n_nodes=5, sender=1, receiver=2,
+                                      lost_nodes={5}),
+                        AdversaryScenario(frozenset({5})), [3])[0]
     # receiver hypotheses need an honest sender
     with pytest.raises(ValueError):
-        adversary_view(cfg, AdversaryScenario(frozenset({1})), 3,
-                       role="receiver")
+        adversary_views(cfg, AdversaryScenario(frozenset({1})), [3],
+                        role="receiver")[0]
     big = NetworkConfig(n_nodes=8, sender=1, receiver=2)
     with pytest.raises(ValueError):
-        adversary_view(big, AdversaryScenario(frozenset({3})), 4)
+        adversary_views(big, AdversaryScenario(frozenset({3})), [4])[0]
 
 
 @pytest.mark.parametrize("role", ["sender", "receiver"])
@@ -176,7 +175,7 @@ def test_adversary_views_match_one_view_at_a_time(role):
     candidates = [1, 2, 3, 5]
     views = adversary_views(cfg, scenario, candidates, role)
     for c, view in zip(candidates, views):
-        alone = adversary_view(cfg, scenario, c, role)
+        alone = adversary_views(cfg, scenario, [c], role)[0]
         assert list(view) == list(alone)
         for label, (w, block) in alone.items():
             assert view[label][0] == pytest.approx(w, abs=1e-14)
@@ -193,7 +192,7 @@ def test_uniform_network_views_are_hypothesis_independent(role, channel):
     scenario = AdversaryScenario(frozenset({4}))
     candidates = [c for c in cfg.live_nodes if c != 4
                   if effective_roles(cfg, c, role)[0] != 4]
-    views = [adversary_view(cfg, scenario, c, role) for c in candidates]
+    views = [adversary_views(cfg, scenario, [c], role)[0] for c in candidates]
     assert independence_check(views) <= 1e-10
 
 
@@ -205,7 +204,7 @@ def test_corrupt_receiver_still_independent_under_uniform_noise():
     assert rep["certificate"] == "state-independence"
     assert rep["guessing_probability"] == pytest.approx(1 / 4, abs=1e-12)
     # carrier branches are actually present for a corrupt receiver
-    view = adversary_view(cfg, AdversaryScenario(frozenset({2})), 3)
+    view = adversary_views(cfg, AdversaryScenario(frozenset({2})), [3])[0]
     assert any(lbl[-1] and lbl[-1][0] == "m" for lbl in view)
 
 
