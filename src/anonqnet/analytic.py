@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import QuantumChannel
-from .qcore import DensityMatrix, Ket, fidelity_with_pure, make_bell_pair
+from .qcore import PAULI_Z, DensityMatrix, Ket, fidelity_with_pure, make_bell_pair
 
 PAIR_LABELS = ("sender", "receiver")
 
@@ -180,16 +180,21 @@ def ghz_postselected_pair(channel: QuantumChannel, n: int) -> tuple[DensityMatri
         (1/2) [ p00^(n-2) out00 x out00 + p01^(n-2) out01 x out01
               + p10^(n-2) out10 x out10 + p11^(n-2) out11 x out11 ]
 
-    with p_xy = <+|channel(|x><y|)|+>.  The returned weight is that of the
-    single all-|+> branch; for a channel that commutes with Z conjugation
-    (Pauli channels, amplitude damping) the protocol corrects every other
-    branch onto the same state, so its success probability is 1.
+    with p_xy = <+|channel(|x><y|)|+>: the all-|+> branch and its weight.
+    The channel must commute with Z conjugation, Z out_xy Z = (-1)^(x+y)
+    out_xy to 1e-12 (Pauli channels, amplitude damping): the protocol then
+    corrects every other branch onto this state, so it always succeeds.
     """
     if n < 3:
         raise ValueError("need n >= 3")
+    outs = _outputs(channel)
+    if any(np.abs(PAULI_Z @ u @ PAULI_Z - sign * u).max() > 1e-12
+           for u, sign in zip(outs, (1, -1, -1, 1))):
+        raise ValueError("the structured GHZ pair needs a channel that commutes"
+                         " with Z conjugation; use protocols.exact_pair")
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
     acc = 0.5 * sum(complex(plus.conj() @ u @ plus) ** (n - 2) * np.kron(u, u)
-                    for u in _outputs(channel))
+                    for u in outs)
     weight = float(np.real(np.trace(acc)))
     state = DensityMatrix(acc / weight, PAIR_LABELS)
     return state, weight

@@ -12,7 +12,7 @@ channels and exact for Pauli channels.
 
 from __future__ import annotations
 
-from typing import List, Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,19 +24,19 @@ class QuantumChannel:
 
     Args:
         kraus_ops: list of 2x2 complex arrays K_i with sum K_i† K_i = I
-            (checked to 1e-12).
+            (checked to 1e-12), kept as one read-only k x 2 x 2 array.
         name: short descriptor, e.g. "dephasing".
         params: named real parameters, e.g. {"q": 0.9}.
     """
 
-    def __init__(self, kraus_ops: List[np.ndarray], name: str = "custom",
+    def __init__(self, kraus_ops: Sequence[np.ndarray], name: str = "custom",
                  params: Mapping[str, float] | None = None):
-        if not kraus_ops:
+        self.kraus_ops = np.array(kraus_ops, dtype=complex)
+        if not self.kraus_ops.size:
             raise ValueError("need at least one Kraus operator")
-        self.kraus_ops = [np.asarray(k, dtype=complex) for k in kraus_ops]
-        for k in self.kraus_ops:
-            if k.shape != (2, 2):
-                raise ValueError("Kraus operators must be 2x2")
+        if self.kraus_ops.shape[1:] != (2, 2):
+            raise ValueError("Kraus operators must be 2x2")
+        self.kraus_ops.flags.writeable = False  # memos key on the channel
         total = sum(k.conj().T @ k for k in self.kraus_ops)
         if not np.allclose(total, ID2, atol=1e-12):
             raise ValueError("Kraus set is not trace preserving")
@@ -109,7 +109,7 @@ def _bloch_affine(channel: QuantumChannel) -> np.ndarray:
     Entry (i, j) is 1/2 tr(sigma_i Phi(sigma_j)) with sigma_0 = I, so
     Phi((I + r.sigma)/2) = (I + (t + M r).sigma)/2.
     """
-    k = np.array(channel.kraus_ops)
+    k = channel.kraus_ops
     return 0.5 * np.einsum("iab,kbc,jcd,kad->ij",
                            _PAULIS[1:], k, _PAULIS, k.conj()).real
 

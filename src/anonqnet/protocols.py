@@ -346,7 +346,7 @@ _X_READ = tuple(np.outer(v, v) for v in HADAMARD)  # |±><±|
 
 def _heisenberg(channel: QuantumChannel, op: np.ndarray) -> np.ndarray:
     """Φ†(op) = Σ K† op K."""
-    ks = np.array(channel.kraus_ops)
+    ks = channel.kraus_ops
     return np.einsum("kji,jl,klm->im", ks.conj(), op, ks)
 
 
@@ -369,8 +369,7 @@ def _contract(config: NetworkConfig, mps: _Mps, reads: Mapping, sender: int,
             env = env @ transfers[key]
     x = (env @ mps.right).reshape(2, 2, 2, 2) / norm  # (p, q) per open node
     x = x.transpose((0, 2, 1, 3) if sender < receiver else (2, 0, 3, 1))
-    ks, kr = (np.array(config.channel_for(node).kraus_ops)
-              for node in (sender, receiver))
+    ks, kr = (config.channel_for(node).kraus_ops for node in (sender, receiver))
     return np.einsum("asi,brj,ijkl,atk,bul->srtu", ks, kr, x, ks.conj(),
                      kr.conj()).reshape(4, 4)
 
@@ -425,8 +424,8 @@ def pullback_pairs(config: NetworkConfig, transfers: np.ndarray, fixed: int,
         x = x.transpose((0, 1, 3, 2, 4) if node < fixed else (0, 3, 1, 4, 2))
         key = (config.channel_for(node), config.channel_for(fixed))
         if key not in sups:  # Φ_open ⊗ Φ_fixed, transposed, over the norm
-            t_o, t_f = (np.einsum("aip,akq->ikpq", k, k.conj())
-                        for k in (np.array(ch.kraus_ops) for ch in key))
+            t_o, t_f = (np.einsum("aip,akq->ikpq", ch.kraus_ops,
+                                  ch.kraus_ops.conj()) for ch in key)
             sups[key] = np.einsum("ikpr,jlqs->pqrsijkl", t_o, t_f).reshape(
                 16, 16) / config.n_nodes
         out[:, j] = (x.reshape(b, 16) @ sups[key]).reshape(b, 4, 4)
@@ -1048,7 +1047,7 @@ class _Relay:
         """The id of the hop into node on a swap branch of _BRANCHES: its
         superoperator's bytes, built once per (Kraus bytes, branch).  Equal
         superoperators share one id object, so equal chains compare fast."""
-        kraus = np.array(self.config.channel_for(node).kraus_ops)
+        kraus = self.config.channel_for(node).kraus_ops
         key = (kraus.tobytes(), branch)  # all a hop depends on
         if key not in self.built:
             sup = _hop(kraus, *_BRANCHES[branch])

@@ -19,13 +19,13 @@ qubit when the receiver is corrupt, trivial otherwise).  Shares from the
 XOR-sharing subroutines are excluded: for any coalition missing at least
 one node they are uniform and carry no input dependence.
 
-Views for all hypotheses come from one pullback_pairs sweep per coalition
-outcome (adversary_views).  Anonymity holds when views for different
-hypotheses coincide; the checks below quantify any gap over all views at
-once, with closed-form trace norms, and convert it into a
-guessing-probability bound.  When node channels deviate from a common
-base, the verdict adds the diamond-distance perturbation bound, which
-stays sound for the W state's entangled inputs.
+With an honest sender every hypothesis shares one site, so one
+pullback_pairs sweep gives all views (adversary_views).  Anonymity holds
+when views for different hypotheses coincide; the checks below quantify any
+gap over all views at once, with closed-form trace norms, and convert it
+into a guessing-probability bound.  security_report's verdict adds, when
+node channels deviate from a common base, the diamond-distance perturbation
+bound, which stays sound for the W state's entangled inputs.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ ADVERSARY_NODE_CAP = 7  # guards no cost now; bench/tests pins the refusal
 
 
 _TRIVIAL = np.array([[1.0 + 0j]])
+_CORRUPT_SENDER = "a corrupt sender knows its own identity already"
 
 
 @dataclass(frozen=True)
@@ -88,8 +89,8 @@ def adversary_views(config: NetworkConfig, scenario: AdversaryScenario,
     all-zero/not-all-zero split (the complement is obtained by subtraction,
     avoiding a 2^N blowup), and the teleport announcement branches.
     Branches with the same label merge by summing.  Branch weights over
-    each view sum to 1.  Hypotheses sharing the other role's site take one
-    pullback_pairs sweep per coalition outcome.
+    each view sum to 1.  The sender must be honest, so all hypotheses share
+    one fixed site and one pullback_pairs sweep reads every pair.
     """
     if config.n_nodes > ADVERSARY_NODE_CAP:
         raise ValueError(
@@ -98,36 +99,33 @@ def adversary_views(config: NetworkConfig, scenario: AdversaryScenario,
     adv = scenario.adversary_set
     if not adv <= set(config.live_nodes):
         raise ValueError("adversaries must be live nodes")
-    groups = {}  # the other effective role's site -> hypotheses
+    roles = []
     for h in hypotheses:
-        if h in adv:
-            raise ValueError("hypothesis must be a non-adversary node")
-        if h not in config.live_nodes:
-            raise ValueError("hypothesis must be a live node")
-        eff_sender, eff_receiver = effective_roles(config, h, role)
-        if eff_sender in adv:
-            raise ValueError("a corrupt sender knows its own identity already")
-        groups.setdefault(eff_receiver if h == eff_sender else eff_sender,
-                          []).append(h)
-    views = {}
-    for fixed, opens in groups.items():
-        adv_meas = [i for i in config.live_nodes if i in adv and i != fixed]
-        honest = [i for i in config.live_nodes if i not in adv and i != fixed]
-        mus = list(product((0, 1), repeat=len(adv_meas)))
-        # per outcome mu: the honest outcomes summed over (total), all zero
-        strings = []
-        for mu in mus:
-            coalition = dict(zip(adv_meas, mu))
-            strings += [coalition, {**coalition, **dict.fromkeys(honest, 0)}]
-        pairs = pullback_pairs(config, outcome_transfers(config, strings),
-                               fixed, opens)
-        if role == "receiver":  # (receiver, sender) -> (sender, receiver)
-            pairs = pairs.reshape(-1, len(opens), 2, 2, 2, 2).transpose(
-                0, 1, 3, 2, 5, 4).reshape(pairs.shape)
-        for j, h in enumerate(opens):
-            views[h] = _view(config, adv, effective_roles(config, h, role),
-                             mus, pairs[0::2, j], pairs[1::2, j])
-    return [views[h] for h in hypotheses]
+        if h in adv or h not in config.live_nodes:
+            raise ValueError("hypothesis must be a live non-adversary node")
+        roles.append(effective_roles(config, h, role))
+    if config.sender in adv or any(s in adv for s, _ in roles):
+        raise ValueError(_CORRUPT_SENDER)
+    if not roles:
+        return []
+    fixed = config.receiver if role == "sender" else config.sender
+    adv_meas = [i for i in config.live_nodes if i in adv and i != fixed]
+    honest = [i for i in config.live_nodes if i not in adv and i != fixed]
+    mus = list(product((0, 1), repeat=len(adv_meas)))
+    # per outcome mu: the honest outcomes summed over (total), all zero
+    strings = []
+    for mu in mus:
+        coalition = dict(zip(adv_meas, mu))
+        strings += [coalition, {**coalition, **dict.fromkeys(honest, 0)}]
+    pairs = pullback_pairs(config, outcome_transfers(config, strings), fixed,
+                           [r if s == fixed else s for s, r in roles])
+    views = []
+    for j, (s, r) in enumerate(roles):
+        x = pairs[:, j]
+        if s == fixed:  # (open, fixed) = (receiver, sender): swap
+            x = x[:, [0, 2, 1, 3]][..., [0, 2, 1, 3]]
+        views.append(_view(config, adv, (s, r), mus, x[0::2], x[1::2]))
+    return views
 
 
 def _view(config: NetworkConfig, adv: frozenset, roles: tuple, mus: list,
@@ -285,12 +283,14 @@ def security_report(config: NetworkConfig, adversaries: Sequence[int],
     independence deviation, the guessing probability under the uniform
     prior, and (when a base channel is named) the perturbation bounds:
     epsilon_bound from the unstabilized channel distance, and the sound
-    diamond_epsilon_bound from the diamond distance bound."""
+    diamond_epsilon_bound from the diamond distance bound.  Last comes the
+    verdict holds: guess <= prior + diamond bound (0 with no base channel)."""
     scenario = AdversaryScenario(frozenset(adversaries))
-    candidates = [i for i in config.live_nodes if i not in scenario.adversary_set]
-    candidates = [c for c in candidates
-                  if effective_roles(config, c, role)[0] not in
-                  scenario.adversary_set]
+    adv = scenario.adversary_set
+    if config.sender in adv:
+        raise ValueError(_CORRUPT_SENDER)
+    candidates = [c for c in config.live_nodes if c not in adv
+                  and effective_roles(config, c, role)[0] not in adv]
     if not candidates:
         raise ValueError("no admissible hypotheses for this coalition")
     views = adversary_views(config, scenario, candidates, role)
@@ -299,7 +299,7 @@ def security_report(config: NetworkConfig, adversaries: Sequence[int],
     p_guess, certificate = _guessing_probability(views, priors, dev)
     report = {
         "role": role,
-        "adversaries": sorted(scenario.adversary_set),
+        "adversaries": sorted(adv),
         "candidates": candidates,
         "uniform_prior": priors[0],
         "independence_deviation": dev,
@@ -315,4 +315,6 @@ def security_report(config: NetworkConfig, adversaries: Sequence[int],
         report["bounded_guessing_probability"] = priors[0] + eps
         report["diamond_epsilon_bound"] = epsilon_security_bound(
             base_channel, per_node, diamond_distance)
+    report["holds"] = (p_guess <= priors[0]
+                       + report.get("diamond_epsilon_bound", 0.0) + 1e-9)
     return report

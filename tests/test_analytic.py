@@ -147,6 +147,18 @@ def test_structured_pairs_match_engine_on_non_pauli_channels(channel):
         assert np.abs(state.mat - ghz_pair.mat).max() <= 1e-12, n
 
 
+@pytest.mark.parametrize("n", [4, 5, 8])
+def test_structured_ghz_pair_refuses_channels_not_covariant_under_z(n):
+    # damp_then_rotate(0.2, 0.7) of test_channels: the all-|+> branch is not
+    # the protocol's pair (0.4463 against the engine's 0.5763 at n = 5)
+    u = np.cos(0.35) * np.eye(2) - 1j * np.sin(0.35) * np.array([[0, 1], [1, 0]])
+    channel = QuantumChannel([u @ k for k in damping(0.2).kraus_ops])
+    with pytest.raises(ValueError, match="exact_pair"):
+        ghz_postselected_pair(channel, n)
+    with pytest.raises(ValueError, match="exact_pair"):
+        structured_fidelity("GHZ", channel, n)
+
+
 def test_structured_fidelity_dispatch():
     assert structured_fidelity("W", depolarizing(0.9), 5) == pytest.approx(
         f_ae_w_depolarizing(0.9, 5), abs=1e-12)

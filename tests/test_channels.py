@@ -31,6 +31,17 @@ def test_kraus_completeness_enforced():
         QuantumChannel(bad, name="broken")
 
 
+def test_kraus_ops_are_one_read_only_array():
+    channel = dephasing(0.9)
+    assert channel.kraus_ops.shape == (2, 2, 2)
+    assert channel.kraus_ops.dtype == complex
+    with pytest.raises(ValueError):  # memos are keyed on the channel object
+        channel.kraus_ops[1, 0, 0] = 0
+    for bad in ([], [np.eye(2), np.eye(3)], [np.eye(3)], [[1, 0]]):
+        with pytest.raises(ValueError):
+            QuantumChannel(bad)
+
+
 def test_identity_channel_is_noop():
     rho = np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]], dtype=complex)
     assert np.allclose(identity_channel()(rho), rho)

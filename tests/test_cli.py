@@ -388,22 +388,25 @@ def test_security_reports_sound_diamond_bound(runner):
     assert rep["diamond_epsilon_bound"] == pytest.approx(5 * 0.045, abs=1e-12)
 
 
-@pytest.mark.parametrize("diamond, code", [(0.15, 0), (0.05, 1)])
-def test_security_verdict_uses_diamond_bound(runner, monkeypatch, diamond,
-                                             code):
-    # the guess exceeds the prior by 0.1 and epsilon_bound mirrors the
-    # diamond bound about that margin, so the two bounds disagree: the
-    # diamond bound alone decides the verdict
-    def fake_report(*args, **kwargs):
-        return {"guessing_probability": 0.5, "uniform_prior": 0.4,
-                "epsilon_bound": 0.2 - diamond,
-                "diamond_epsilon_bound": diamond}
+@pytest.mark.parametrize("verdicts, code", [((True, True), 0),
+                                             ((True, False), 1),
+                                             ((False, True), 1)])
+def test_security_exit_follows_report_verdicts(runner, monkeypatch, verdicts,
+                                               code):
+    # security_report decides each role's verdict; the CLI only collects
+    # the reports, and its exit code and top-level holds follow theirs
+    holds = dict(zip(("sender", "receiver"), verdicts))
+
+    def fake_report(net, adv, role, base_channel):
+        return {"role": role, "holds": holds[role]}
 
     monkeypatch.setattr(cli, "security_report", fake_report)
     res = runner.invoke(main, ["security", "--nodes", "5", "--adversaries",
-                               "4"])
+                               "4", "--role", "both"])
     assert res.exit_code == code
-    assert json.loads(res.output)["holds"] is (code == 0)
+    body = json.loads(res.output)
+    assert body["holds"] is (code == 0)
+    assert {r: rep["holds"] for r, rep in body["reports"].items()} == holds
 
 
 def test_security_output_independent_of_hash_seed():
@@ -470,6 +473,13 @@ REFUSALS = [
      "Error: sender and receiver must differ"),
     ("security --nodes 5 --adversaries 3 --lost 9", 2,
      "Error: lost_nodes must be node ids"),
+    # a coalition holding the configured sender, in every role
+    ("security --nodes 5 --adversaries 1", 2,
+     "error: a corrupt sender knows its own identity already"),
+    ("security --nodes 5 --adversaries 1 --role receiver", 2,
+     "error: a corrupt sender knows its own identity already"),
+    ("security --nodes 5 --adversaries 1 --role both", 2,
+     "error: a corrupt sender knows its own identity already"),
 ]
 
 
@@ -564,6 +574,23 @@ def test_in_process_run_releases_redirected_stdout():
 def test_run_samples_require_sampling_mode(runner):
     res = runner.invoke(main, ["run", "--samples", "5"])
     assert res.exit_code == 2
+
+
+def test_run_samples_over_the_cap_exit_2_before_sampling(runner, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    for name in ("sample_protocol1_runs", "sample_ghz_runs",
+                 "sample_relay_runs", "run_protocol1", "run_ghz_protocol",
+                 "run_relay_protocol"):
+        monkeypatch.setattr(cli, name, refuse)
+    over = str(cli.MAX_SAMPLES + 1)
+    for protocol in ("W", "GHZ", "relay"):
+        res = runner.invoke(main, ["run", "--protocol", protocol, "--mode",
+                                   "sampling", "--samples", over])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert over in res.stderr.strip().splitlines()[-1]
 
 
 def test_run_relay_message_delivery(runner):

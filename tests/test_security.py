@@ -165,8 +165,9 @@ def test_adversary_view_validation():
 
 @pytest.mark.parametrize("role", ["sender", "receiver"])
 def test_adversary_views_match_one_view_at_a_time(role):
-    # each view alone is a sweep over one candidate: the batched groups
-    # (one per fixed site, the swapped hypothesis on its own) agree with it
+    # each view alone is a sweep over one candidate: the batched sweep
+    # (one fixed site, the swapped hypothesis read from its other end)
+    # agrees with it
     chans = uniform(depolarizing(0.9), 6)
     chans[3], chans[5] = dephasing(0.8), depolarizing(0.75)
     cfg = NetworkConfig(n_nodes=6, sender=1, receiver=2,
@@ -180,6 +181,35 @@ def test_adversary_views_match_one_view_at_a_time(role):
         for label, (w, block) in alone.items():
             assert view[label][0] == pytest.approx(w, abs=1e-14)
             assert np.abs(view[label][1] - block).max() < 1e-14
+
+
+@pytest.mark.parametrize("role", ["sender", "receiver"])
+def test_adversary_views_take_one_sweep(monkeypatch, role):
+    # 2 is the swapped sender hypothesis and 1 the swapped receiver
+    # hypothesis: both share the role's fixed site with the others
+    import anonqnet.security as security
+
+    fixed_sites = []
+    real = security.pullback_pairs
+    monkeypatch.setattr(security, "pullback_pairs",
+                        lambda *args: fixed_sites.append(args[2]) or real(*args))
+    chans = uniform(depolarizing(0.9), 6)
+    chans[3] = dephasing(0.8)
+    cfg = NetworkConfig(n_nodes=6, sender=1, receiver=2,
+                        per_qubit_channels=chans)
+    views = adversary_views(cfg, AdversaryScenario(frozenset({4})),
+                            [1, 2, 3, 5, 6], role)
+    assert len(views) == 5
+    assert fixed_sites == [2 if role == "sender" else 1]
+
+
+@pytest.mark.parametrize("role", ["sender", "receiver"])
+def test_coalition_holding_the_sender_is_refused(role):
+    cfg = NetworkConfig(n_nodes=5, sender=1, receiver=2)
+    with pytest.raises(ValueError, match="corrupt sender"):
+        security_report(cfg, [1, 3], role)
+    with pytest.raises(ValueError, match="corrupt sender"):
+        adversary_views(cfg, AdversaryScenario(frozenset({1})), [3], role)
 
 
 @pytest.mark.parametrize("role", ["sender", "receiver"])
@@ -247,6 +277,33 @@ def test_security_report_checks_independence_once(monkeypatch):
     rep = security_report(cfg, [4])
     assert calls == [1]
     assert rep["certificate"] == "state-independence"
+
+
+@pytest.mark.parametrize("role", ["sender", "receiver"])
+@pytest.mark.parametrize("slack, holds", [(0.05, True), (-0.05, False)])
+def test_security_report_verdict_uses_diamond_bound(monkeypatch, role, slack,
+                                                    holds):
+    import anonqnet.security as security
+
+    chans = uniform(depolarizing(0.9), 5)
+    chans[3] = depolarizing(0.3)
+    cfg = NetworkConfig(n_nodes=5, sender=1, receiver=2,
+                        per_qubit_channels=chans)
+    rep = security_report(cfg, [4], role)
+    margin = rep["guessing_probability"] - rep["uniform_prior"]
+    assert margin > 0.05 and rep["holds"] is False  # no base channel: eps 0
+    # 5 nodes x the one deviating channel's distance: epsilon_bound mirrors
+    # the diamond bound about the margin, so the two bounds disagree and
+    # the diamond bound alone decides the verdict
+    monkeypatch.setattr(security, "diamond_distance",
+                        lambda a, b: (margin + slack) / 5)
+    monkeypatch.setattr(security, "channel_distance",
+                        lambda a, b: (margin - slack) / 5)
+    rep = security_report(cfg, [4], role, base_channel=depolarizing(0.9))
+    assert rep["diamond_epsilon_bound"] == pytest.approx(margin + slack)
+    assert rep["epsilon_bound"] == pytest.approx(margin - slack)
+    assert list(rep)[-1] == "holds"
+    assert rep["holds"] is holds
 
 
 def test_perturbed_network_respects_epsilon_bound():
