@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import QuantumChannel
-from .qcore import PAULI_Z, DensityMatrix, Ket, fidelity_with_pure, make_bell_pair
+from .channels import QuantumChannel, z_defect
+from .qcore import DensityMatrix, Ket, fidelity_with_pure, make_bell_pair
 
 PAIR_LABELS = ("sender", "receiver")
 
@@ -182,19 +182,18 @@ def ghz_postselected_pair(channel: QuantumChannel, n: int) -> tuple[DensityMatri
 
     with p_xy = <+|channel(|x><y|)|+>: the all-|+> branch and its weight.
     The channel must commute with Z conjugation, Z out_xy Z = (-1)^(x+y)
-    out_xy to 1e-12 (Pauli channels, amplitude damping): the protocol then
-    corrects every other branch onto this state, so it always succeeds.
+    out_xy (Pauli channels, amplitude damping): the protocol then corrects
+    every other branch onto this state, so it always succeeds.  A z_defect
+    up to 1e-12 passes: approximate, where _GhzSampler's gate is exact.
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    outs = _outputs(channel)
-    if any(np.abs(PAULI_Z @ u @ PAULI_Z - sign * u).max() > 1e-12
-           for u, sign in zip(outs, (1, -1, -1, 1))):
+    if z_defect(channel) > 1e-12:
         raise ValueError("the structured GHZ pair needs a channel that commutes"
                          " with Z conjugation; use protocols.exact_pair")
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
     acc = 0.5 * sum(complex(plus.conj() @ u @ plus) ** (n - 2) * np.kron(u, u)
-                    for u in outs)
+                    for u in _outputs(channel))
     weight = float(np.real(np.trace(acc)))
     state = DensityMatrix(acc / weight, PAIR_LABELS)
     return state, weight

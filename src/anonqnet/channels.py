@@ -58,6 +58,12 @@ class QuantumChannel:
         return f"QuantumChannel({self.spec_string()})"
 
 
+def z_defect(channel: QuantumChannel) -> float:
+    """max |Z out_xy Z - (-1)^(x+y) out_xy| over out_xy = channel(|x><y|)."""
+    outs, signs = channel(np.eye(4).reshape(4, 2, 2)), np.array([1, -1, -1, 1])
+    return float(np.abs(PAULI_Z @ outs @ PAULI_Z - signs[:, None, None] * outs).max())
+
+
 def identity_channel() -> QuantumChannel:
     return QuantumChannel([ID2], name="identity")
 

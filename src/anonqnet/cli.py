@@ -70,8 +70,8 @@ def _fnum(x) -> str:
 
 
 MAX_GRID_POINTS = 10_000
-# a sampled run costs up to ~7 KiB of peak memory (GHZ, where every run is
-# a distinct outcome), so the largest batch peaks under ~450 MiB
+# a sampled run costs up to ~7.5 KiB of peak memory (GHZ on an API-built
+# channel that is not Z-covariant: an outcome per run), so under ~450 MiB
 MAX_SAMPLES = 50_000
 
 

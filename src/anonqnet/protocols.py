@@ -51,7 +51,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channels import QuantumChannel, identity_channel
+from .channels import QuantumChannel, identity_channel, z_defect
 from .qcore import (
     BELL_CORRECTIONS,
     DensityMatrix,
@@ -911,10 +911,11 @@ class _GhzSampler(_Sampler):
     """GHZ plan: each measuring node's diag(Φ†(|±><±|)) is built once; the
     corrected pair, its teleport plan and fidelity are memoised per
     X-outcome string (the branch key).  Recorded or not, a run spends the
-    same stream, so an unrecorded run reads a fixed number of words: the
-    walk's, the parity's shares, the Bell-outcome word, the masks and the
-    announcing parities' shares.  The n^2 shares flip the buffered half
-    when n is odd, so runs alternate between two strides."""
+    same words, in order: the walk's, the parity's shares, the Bell-outcome
+    word, the masks and the announcing parities' shares (n^2 shares flip
+    the buffered half for odd n, so two strides alternate).  With z_defect
+    exactly 0 at every measuring node and R, every string's Z-corrected
+    pair is the all-'+' one, bit for bit: unrecorded runs skip the walk."""
     protocol = "GHZ"
 
     def __init__(self, config: NetworkConfig):
@@ -931,6 +932,8 @@ class _GhzSampler(_Sampler):
         self.strides = self.skips + 1 + np.array(
             [_halves(h ^ self.flip, 2 + 2 * shares)[0] for h in (0, 1)])
         self.chunk = max(1, self.CHUNK_WORDS // int(self.strides.max()))
+        self.one_pair = all(z_defect(channel) == 0 for channel in
+                            set(map(config.channel_for, [*self.measuring, config.receiver])))
 
     def _pair(self, bits: tuple) -> DensityMatrix:
         reads = {node: _X_READ[b] for node, b in zip(self.measuring, bits)}
@@ -969,16 +972,18 @@ class _GhzSampler(_Sampler):
     def _decode(self, words: np.ndarray, p: int, h: int, runs: int) -> tuple:
         hs = h ^ (np.arange(runs) & self.flip)
         starts = p + np.cumsum(self.strides[hs]) - self.strides[hs]
-        bkeys, bidx = self._walks(
+        bkeys, bidx = ([(0,) * len(self.measuring)], 0) if self.one_pair else self._walks(
             (words[starts[:, None] + np.arange(len(self.measuring))] >> 11) * 2.0**-53)
         codes = self._codes(words, bkeys, bidx, starts + self.skips[hs], hs ^ self.flip)
         p = int(starts[-1] + self.strides[hs[-1]])
         return codes, bkeys, p, h ^ (runs & self.flip), p - 1
 
 
-def sample_ghz_runs(config: NetworkConfig, n_samples: int) -> tuple[list, dict]:
+def sample_ghz_runs(config: NetworkConfig, n_samples: int,
+                    rng: np.random.Generator | None = None,
+                    record_transcripts: bool = False) -> tuple[list, dict]:
     """sample_protocol1_runs for GHZ, with run_ghz_protocol's draws."""
-    outcomes = _GhzSampler(config).batch(n_samples)
+    outcomes = _GhzSampler(config).batch(n_samples, rng, record_transcripts)
     return outcomes, batch_summary(outcomes)
 
 

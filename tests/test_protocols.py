@@ -1,3 +1,4 @@
+import collections
 import functools
 import hashlib
 import itertools
@@ -18,6 +19,7 @@ from anonqnet.analytic import (
     f_ae_w_dephasing,
     f_ae_w_depolarizing,
     f_ae_w_loss,
+    ghz_postselected_pair,
     p_success_w,
     p_success_w_loss,
     pair_target,
@@ -29,6 +31,7 @@ from anonqnet.channels import (
     dephasing,
     depolarizing,
     identity_channel,
+    z_defect,
 )
 from anonqnet.protocols import (
     _GHZ,
@@ -658,12 +661,15 @@ def test_sampled_aborted_run_has_no_delivery():
 
 
 @pytest.mark.parametrize("n", range(4, 8))
-@pytest.mark.parametrize("mixed", [False, True])
+@pytest.mark.parametrize("mixed", [False, True, "damp-x"])
 def test_ghz_sampler_keeps_the_stream(n, mixed):
     channels = uniform(depolarizing(0.9), n)
     if mixed:
         channels.update({1: dephasing(0.8), 3: depolarizing(0.75),
                          n: dephasing(0.7)})
+    if mixed == "damp-x":  # not covariant under Z: unrecorded runs keep the walk
+        channels.update(dict.fromkeys(set(channels) - {n - 1, 2},
+                                      damp_then_rotate(0.2, 0.7)))
     cfg = NetworkConfig(n_nodes=n, sender=n - 1, receiver=2,
                         per_qubit_channels=channels)
     sampler = _GhzSampler(cfg)
@@ -677,7 +683,10 @@ def test_ghz_sampler_keeps_the_stream(n, mixed):
 
     assert [seen(o) for o in batch] == [seen(o) for o in recorded]
     assert rng.random() == ref_rng.random()
-    assert len(sampler.branches) > 1
+    if mixed == "damp-x":
+        assert len(sampler.branches) > 1
+    else:  # covariant: every unrecorded run reads the all-'+' pair
+        assert list(sampler.branches) == [(0,) * len(sampler.measuring)]
     for bits, (pair, _, _) in sampler.branches.items():
         reads = {node: _X_READ[b] for node, b in zip(sampler.measuring, bits)}
         raw = _contract(cfg, _GHZ, reads, cfg.sender, cfg.receiver, 2)
@@ -710,6 +719,13 @@ def test_recorded_batch_runs_keep_their_own_transcripts():
     ghz, agg = sample_ghz_runs(cfg, 20)
     assert agg["runs"] == 20 and agg["aborts"] == 0
     assert all(o.transcript.events == [] for o in ghz)
+    again, _ = sample_ghz_runs(cfg, 20, np.random.default_rng(cfg.seed))
+    assert [o.to_json_dict() for o in again] == [o.to_json_dict() for o in ghz]
+    recorded, agg = sample_ghz_runs(cfg, 20, record_transcripts=True)
+    assert agg["runs"] == 20
+    assert len({id(o) for o in recorded}) == len(
+        {id(o.transcript) for o in recorded}) == 20
+    assert all(o.transcript.events for o in recorded)
 
 
 def test_single_sampling_run_records_full_transcript():
@@ -775,7 +791,9 @@ def reference_w_batch(sampler, rng, n_runs):
 
 
 def reference_ghz_batch(sampler, rng, n_runs):
-    """The GHZ batch loop as Generator calls, parity shares included."""
+    """The GHZ batch loop as Generator calls, parity shares included.  A
+    one-pair sampler keys every string as all '+', with the pair of the
+    first string drawn."""
     cfg, keys = sampler.config, []
     for _ in range(n_runs):
         bits, products = (), np.ones(2)
@@ -784,16 +802,17 @@ def reference_ghz_batch(sampler, rng, n_runs):
             bit = int(rng.random() >= w_plus / (w_plus + w_minus))
             products, bits = products * diags[bit], bits + (bit,)
         rng.integers(0, 2, size=(cfg.n_nodes, cfg.n_nodes))
-        if bits not in sampler.branches:
+        key = (0,) * len(bits) if sampler.one_pair else bits
+        if key not in sampler.branches:
             reads = {node: _X_READ[b] for node, b in zip(sampler.measuring, bits)}
             raw = _contract(cfg, _GHZ, reads, cfg.sender, cfg.receiver, 2)
             _, pair = _normalized_pair(_Z_R @ raw @ _Z_R if sum(bits) % 2 else raw)
-            sampler.branches[bits] = _branch_plan(cfg, pair, "GHZ")
-        m = bisect_right(sampler.branches[bits][1][0], rng.random())
+            sampler.branches[key] = _branch_plan(cfg, pair, "GHZ")
+        m = bisect_right(sampler.branches[key][1][0], rng.random())
         rand = int(rng.integers(0, 2)), int(rng.integers(0, 2))
         for _ in range(2):
             rng.integers(0, 2, size=(cfg.n_nodes, cfg.n_nodes))
-        keys.append((bits, m, (m >> 1 ^ rand[0], m & 1 ^ rand[1])))
+        keys.append((key, m, (m >> 1 ^ rand[0], m & 1 ^ rand[1])))
     return keys
 
 
@@ -826,19 +845,29 @@ def same_state(a, b) -> bool:
 
 
 @pytest.mark.parametrize("protocol, param", [("W", s) for s in (1, 2, 3, 7, 20)]
-                         + [("GHZ", n) for n in range(4, 8)])
+                         + [("GHZ", n) for n in range(4, 8)]
+                         + [("GHZ-damp-x", n) for n in (5, 6)])
 @pytest.mark.parametrize("buffered", [False, True])
 def test_array_batches_match_generator_calls(protocol, param, buffered):
     # W: param is veto_rounds (1 makes half the non-zero strings veto
-    # misses); GHZ: param is n, odd n alternating the run's stride
+    # misses); GHZ: param is n, odd n alternating the run's stride;
+    # GHZ-damp-x: damping then an X rotation at the measuring nodes, which
+    # fails the one-pair gate, so the runs walk their strings
     n, veto_rounds = (6, param) if protocol == "W" else (param, 20)
+    channels = uniform(depolarizing(0.85), n)
+    if protocol == "GHZ-damp-x":
+        channels.update(dict.fromkeys(set(channels) - {2, n - 1},
+                                      damp_then_rotate(0.2, 0.7)))
     cfg = NetworkConfig(n_nodes=n, sender=2, receiver=n - 1, veto_rounds=veto_rounds,
-                        per_qubit_channels=uniform(depolarizing(0.85), n))
+                        per_qubit_channels=channels)
     make, reference = {"W": (_Protocol1Sampler, reference_w_batch),
-                       "GHZ": (_GhzSampler, reference_ghz_batch)}[protocol]
+                       "GHZ": (_GhzSampler, reference_ghz_batch),
+                       "GHZ-damp-x": (_GhzSampler, reference_ghz_batch)}[protocol]
     sampler = make(cfg)
     if protocol == "W":  # prefix weights memoised for the veto misses' walks
         sampler._raw = functools.lru_cache(maxsize=None)(sampler._raw)
+    else:
+        assert sampler.one_pair == (protocol == "GHZ")
     c = sampler.chunk
     for i, runs in enumerate((1, c - 1, c, c + 1, 3 * c + 7)):
         rng, ref_rng = (np.random.Generator(BIT_GENERATORS[i % 4](runs)) for _ in range(2))
@@ -1344,14 +1373,125 @@ def test_w_walk_never_lands_on_a_weight_zero_string():
 def test_ghz_sampler_keeps_its_transfers(monkeypatch):
     import anonqnet.protocols as protocols
 
-    cfg = NetworkConfig(n_nodes=12, sender=3, receiver=9, seed=4,
-                        per_qubit_channels=uniform(depolarizing(0.9), 12))
-    sampler = _GhzSampler(cfg)
     calls = []
     real = protocols._heisenberg
     monkeypatch.setattr(protocols, "_heisenberg",
                         lambda ch, op: calls.append(1) or real(ch, op))
-    sampler.batch(300)
-    assert len(sampler.branches) > 50
-    # one transfer per (channel, X outcome), whatever the outcome strings
-    assert len(sampler.transfers) == len(calls) == 2
+    # damping then an X rotation fails the one-pair gate, so the runs walk
+    for channel, one_pair in ((damp_then_rotate(0.2, 0.7), False),
+                              (depolarizing(0.9), True)):
+        cfg = NetworkConfig(n_nodes=12, sender=3, receiver=9, seed=4,
+                            per_qubit_channels=uniform(channel, 12))
+        sampler = _GhzSampler(cfg)
+        calls.clear()
+        sampler.batch(300)
+        assert sampler.one_pair == one_pair
+        if not one_pair:
+            assert len(sampler.branches) > 50
+            # one transfer per (channel, X outcome), whatever the outcome strings
+            assert len(sampler.transfers) == len(calls) == 2
+        else:  # one pair, contracted on the all-'+' string
+            assert len(sampler.branches) == len(sampler.transfers) == len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# GHZ's one-pair route
+
+# per-node channels that commute with Z conjugation, z_defect exactly 0
+COVARIANT_MIXES = {
+    "depolarizing": lambda i: depolarizing(0.9),
+    "depolarizing-dephasing": lambda i: depolarizing(0.9) if i % 2 else dephasing(0.8),
+    "random-depolarizing": lambda i: depolarizing(np.random.default_rng(i).uniform(0.7, 1)),
+    "damping": lambda i: damp_then_rotate(0.2, 0.0),
+    "damping-z": lambda i: (damp_then_rotate(0.05 * i, 0.4 * i - 1.3, PAULI_Z),
+                            damp_then_rotate(0.2, 0.0), depolarizing(0.85))[i % 3],
+}
+
+
+def covariant_config(mix, n, **kw):
+    """n nodes, S = n - 1 and R = 2, on a COVARIANT_MIXES mix; a "+x-sender"
+    suffix gives S damping then an X rotation, which is not covariant."""
+    name, _, x_sender = mix.partition("+")
+    channels = {i: COVARIANT_MIXES[name](i) for i in range(1, n + 1)}
+    if x_sender:
+        channels[n - 1] = damp_then_rotate(0.3, 0.9)
+    return NetworkConfig(n_nodes=n, sender=n - 1, receiver=2,
+                         per_qubit_channels=channels, **kw)
+
+
+def string_pairs(sampler) -> set:
+    """The bytes of every X-outcome string's corrected pair."""
+    return {sampler._pair(bits).mat.tobytes() for bits in
+            itertools.product((0, 1), repeat=len(sampler.measuring))}
+
+
+@pytest.mark.parametrize("mix", [*COVARIANT_MIXES, "damping-z+x-sender"])
+def test_covariant_ghz_strings_share_one_corrected_pair(mix):
+    for n in range(4, 13):
+        sampler = _GhzSampler(covariant_config(mix, n))
+        assert sampler.one_pair, n
+        assert len(string_pairs(sampler)) == 1, n
+
+
+def test_one_pair_gate_is_exact():
+    # damping then an X rotation by 1e-13 passes ghz_postselected_pair's
+    # 1e-12 check, yet its strings' corrected pairs differ in the last bits
+    near = damp_then_rotate(0.2, 1e-13)
+    assert 0 < z_defect(near) <= 1e-12
+    ghz_postselected_pair(near, 6)
+    for n in (4, 6, 9):
+        cfg = NetworkConfig(n_nodes=n, sender=n - 1, receiver=2, seed=n,
+                            per_qubit_channels=uniform(near, n))
+        sampler = _GhzSampler(cfg)
+        assert not sampler.one_pair
+        assert len(string_pairs(sampler)) > 1
+        rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+        outs = sampler.batch(300, rng)
+        ref = _GhzSampler(cfg)
+        ref.one_pair = False
+        want = [ref._finish(key, None) for key in reference_ghz_batch(ref, ref_rng, 300)]
+        assert [o.to_json_dict() for o in outs] == [o.to_json_dict() for o in want]
+        assert rng.random() == ref_rng.random()
+    # the gate reads R's channel as well as the measuring nodes'
+    channels = uniform(damp_then_rotate(0.2, 0.0), 6) | {2: damp_then_rotate(0.3, 0.9)}
+    sampler = _GhzSampler(NetworkConfig(n_nodes=6, sender=5, receiver=2,
+                                        per_qubit_channels=channels))
+    assert not sampler.one_pair
+    assert len(string_pairs(sampler)) > 1
+
+
+@pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.Philox, np.random.SFC64])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_one_pair_batches_equal_the_walk(bitgen, buffered):
+    cfg = covariant_config("damping-z+x-sender", 7)
+    fast, walk = _GhzSampler(cfg), _GhzSampler(cfg)
+    assert fast.one_pair
+    walk.one_pair = False  # the gate switched off: every run walks its string
+    rng, ref_rng = (np.random.Generator(bitgen(5)) for _ in range(2))
+    if buffered:  # the batch starts on a buffered 32-bit half
+        assert rng.integers(0, 2) == ref_rng.integers(0, 2)
+    runs = 2 * fast.chunk + 3
+    outs, want = fast.batch(runs, rng), walk.batch(runs, ref_rng)
+    assert [o.to_json_dict() for o in outs] == [o.to_json_dict() for o in want]
+    assert len(fast.branches) == 1 and len(walk.branches) > 1
+    assert same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
+    assert rng.random() == ref_rng.random()
+
+
+def test_one_pair_batch_reads_one_pair(monkeypatch):
+    import anonqnet.protocols as protocols
+
+    calls = collections.Counter()
+
+    def counted(name, real):
+        return lambda *args: calls.update([name]) or real(*args)
+
+    for name in ("_contract", "z_defect"):
+        monkeypatch.setattr(protocols, name, counted(name, getattr(protocols, name)))
+    monkeypatch.setattr(_GhzSampler, "_walks", counted("_walks", _GhzSampler._walks))
+    cfg = NetworkConfig(n_nodes=50, sender=7, receiver=31, seed=2,
+                        per_qubit_channels=uniform(depolarizing(0.9), 50))
+    outs, agg = sample_ghz_runs(cfg, 2000)
+    assert calls == {"z_defect": 1, "_contract": 1}  # one channel, one pair
+    assert agg["runs"] == 2000
+    assert len({id(o) for o in outs}) <= 16
