@@ -73,6 +73,8 @@ MAX_GRID_POINTS = 10_000
 # a sampled run costs up to ~7.5 KiB of peak memory (GHZ on an API-built
 # channel that is not Z-covariant: an outcome per run), so under ~450 MiB
 MAX_SAMPLES = 50_000
+# 50,000 sampled relay runs at 10,000 nodes peaked at 196 MiB, under ~450 MiB
+MAX_NODES = 10_000
 
 
 def _parse_steps(text: str, what: str, integer: bool = False) -> list:
@@ -312,6 +314,8 @@ def sweep(protocol, channel_family, q, q_range, nodes, n_range, mode, seed,
         n_range or "4:8", "nodes", integer=True)
     if len(ns) * len(qs) > MAX_GRID_POINTS:
         raise click.UsageError(f"the (N, q) grid has over {MAX_GRID_POINTS} points")
+    if mode != "analytic" and max(ns) > MAX_NODES:
+        raise click.UsageError(f"exact tables are capped at {MAX_NODES} nodes")
     protocols = ["W", "GHZ", "W_loss"] if protocol == "all" else [protocol]
     for p in protocols:
         lo = 4 if p != "GHZ" else 3
@@ -386,7 +390,7 @@ def _relay_point(n: int, s: int, r: int, channel: QuantumChannel, mode: str) -> 
 
 
 @main.command()
-@click.option("--nodes", type=int, default=6)
+@click.option("--nodes", type=click.IntRange(4, MAX_NODES), default=6)
 @click.option("--q", "q_values", type=click.FloatRange(0, 1), multiple=True,
               default=(0.8, 0.95))
 @click.option("--sender", type=int, default=1)
@@ -404,8 +408,6 @@ def relay(nodes, q_values, sender, receiver, mode, workers, as_json, out):
     Without --receiver, sweeps every placement for the given sender.
     Uniform depolarizing noise; analytic mode uses the closed form.
     """
-    if nodes < 4:
-        raise click.UsageError("relay needs at least 4 nodes")
     if not 1 <= sender <= nodes:
         raise click.UsageError("sender outside the chain")
     if receiver is not None and (not 1 <= receiver <= nodes
@@ -438,7 +440,7 @@ def relay(nodes, q_values, sender, receiver, mode, workers, as_json, out):
 
 
 @main.command()
-@click.option("--nodes", type=int, default=5)
+@click.option("--nodes", type=click.IntRange(max=MAX_NODES), default=5)
 @click.option("--sender", type=int, default=1)
 @click.option("--receiver", type=int, default=2)
 @click.option("--adversaries", default="", help="comma-separated node ids")
@@ -485,7 +487,7 @@ def security(nodes, sender, receiver, adversaries, role, channel_spec,
 @main.command()
 @click.option("--protocol", type=click.Choice(["W", "GHZ", "relay"]),
               default="W")
-@click.option("--nodes", type=int, default=5)
+@click.option("--nodes", type=click.IntRange(max=MAX_NODES), default=5)
 @click.option("--sender", type=int, default=1)
 @click.option("--receiver", type=int, default=2)
 @click.option("--channel", "channel_spec", default="identity")

@@ -23,15 +23,16 @@ Two execution modes:
 * sampling: one branch is drawn per run with the seeded generator; used
   for transcript-level statistics (abort rates, masking uniformity).  W
   and GHZ draw the outcome string node by node on the transfer engine and
-  memoise each string's pair; the relay builds each hop's superoperator
-  once per swap outcome.  Equal unrecorded runs share one outcome, and a
-  recording over a transcript event budget is refused.  Recorded runs call
-  the Generator itself, and a relay run makes one random(n) call.
-  Unrecorded W and GHZ batches decode bounded chunks of raw generator words
-  as arrays, into exactly the Generator's draws, so seeded outputs are
-  unchanged: a run's word count is fixed by its type and by whether a
-  32-bit half is buffered when it starts.  PCG64, PCG64DXSM, Philox and
-  SFC64 bit generators are supported.
+  memoise each string's pair (an unrecorded GHZ batch whose strings all
+  give one corrected pair draws none); the relay builds each hop's
+  superoperator once per swap outcome.  Equal unrecorded runs share one
+  outcome, and a recording over a transcript event budget is refused.
+  Recorded runs call the Generator itself, and a relay run makes one
+  random(n) call.  Unrecorded W and GHZ batches decode chunks of raw
+  generator words as arrays, into exactly the Generator's draws, so seeded
+  outputs are unchanged: a run's word count is fixed by its type and by
+  whether a 32-bit half is buffered when it starts.  PCG64, PCG64DXSM,
+  Philox and SFC64 bit generators are supported.
 
 Classical subroutines follow the additive-sharing constructions: parity is
 XOR secret sharing over pairwise private channels plus broadcast, veto is
@@ -647,7 +648,7 @@ class _Sampler:
     Unrecorded W and GHZ runs are decoded from chunks of raw words as
     arrays; recorded runs and the relay call the Generator."""
     TRANSCRIPT_BUDGET = 2**18  # events a recording may hold; ~1.5 KiB each printed
-    CHUNK_WORDS = 2**14  # the most raw words a chunk of runs may read
+    CHUNK_WORDS = 2**14  # bounds runs * max_words per chunk; one run if max_words exceeds it
 
     def run(self, rng: np.random.Generator | None,
             record_transcript: bool = False) -> RunOutcome:
@@ -676,16 +677,18 @@ class _Sampler:
         * 2**-53, integers(0, 2) the top bit of a 32-bit half (a range of 2
         is never rejected), low half first.  words[0] is the last word split
         into halves (its high half the buffered one), p the next run's first
-        word and h has_uint32.  _decode(words, p, h, runs) returns the result
-        codes of up to runs runs (see _codes; -1 is an abort), their branch
-        keys, and the next p, h and words[0].  rng ends past the words read."""
+        word and h has_uint32.  A chunk tops its unread words up to runs *
+        max_words, the most its runs spend, so _decode(words, p, h, runs)
+        returns the result codes of exactly runs runs (see _codes; -1 is an
+        abort), their branch keys, and the next p, h and words[0]; unread
+        words carry over.  rng ends past the words read."""
         bitgen = rng.bit_generator
         start = bitgen.state
         out, h, p, fetched = [], start["has_uint32"], 1, 0
         words = np.array([start["uinteger"] << 32], dtype=np.uint64)
         while len(out) < n:
             runs = min(self.chunk, n - len(out))
-            size = self._words(runs, h)
+            size = max(0, runs * self.max_words - (len(words) - p))
             words = np.concatenate([words, bitgen.random_raw(size)])
             fetched += size
             codes, bkeys, p, h, last = self._decode(words, p, h, runs)
@@ -770,7 +773,6 @@ class _Protocol1Sampler(_Sampler):
         self.zero_cut = min(map(self._step, weights, weights[1:]))
         s, accept = config.veto_rounds, min(max(self.zero_cut, 0.0), 1.0)
         self.cut = math.ceil(accept * 2**53)  # u < zero_cut iff word >> 11 < cut
-        self.mean_words = 3 * accept + (1 - accept) * (1 + s / 2 + 2.0**(1 - s))
         self.max_words = 3 + _halves(0, s)[0]  # a veto miss from h = 0
         self.chunk = max(1, self.CHUNK_WORDS // self.max_words)
         # 2 * words + h after - h before of a veto miss, an accept and an
@@ -817,10 +819,6 @@ class _Protocol1Sampler(_Sampler):
         public = _announce(config, m, rng, transcript, base)
         return self._outcome((bits, m, public), transcript)
 
-    def _words(self, runs: int, h: int) -> int:
-        """The mean count, plus about two deviations and one longest run."""
-        return math.ceil(runs * self.mean_words) + self.max_words * (math.isqrt(runs) + 1)
-
     def _decode(self, words: np.ndarray, p: int, h: int, runs: int) -> tuple:
         s, fits = self.config.veto_rounds, len(words) - self.max_words + 1
         # each 32-bit half's top bit in draw order (low half first) and the
@@ -832,13 +830,11 @@ class _Protocol1Sampler(_Sampler):
         hits[1:, 1] |= ones[1:2 * fits - 1:2] > ones[:2 * fits - 2:2]  # word p - 1's high
         kinds = accept[:, None] + 2 * hits.view(np.int8) + np.array([0, 4], np.int8)
         moves = memoryview(self.moves[kinds].ravel())
-        state, end, starts = 2 * p + h, 2 * fits, []
+        state, starts = 2 * p + h, []
         for _ in range(runs):  # the one sequential step: where each run starts
-            if state >= end:
-                break
             starts.append(state)
             state += moves[state]
-        ps, hs = np.divmod(np.array(starts), 2)  # one run at least fits
+        ps, hs = np.divmod(np.array(starts), 2)
         acc = accept[ps]
         live = acc | ~hits[ps, hs]  # not aborted
         miss = live & ~acc
@@ -931,9 +927,12 @@ class _GhzSampler(_Sampler):
         self.skips = len(self.measuring) + np.array([_halves(h, shares)[0] for h in (0, 1)])
         self.strides = self.skips + 1 + np.array(
             [_halves(h ^ self.flip, 2 + 2 * shares)[0] for h in (0, 1)])
-        self.chunk = max(1, self.CHUNK_WORDS // int(self.strides.max()))
+        self.max_words = int(self.strides.max())
+        self.chunk = max(1, self.CHUNK_WORDS // self.max_words)
         self.one_pair = all(z_defect(channel) == 0 for channel in
                             set(map(config.channel_for, [*self.measuring, config.receiver])))
+        if self.one_pair:  # an underflowing pair is refused before a draw
+            self._plan((0,) * len(self.measuring))
 
     def _pair(self, bits: tuple) -> DensityMatrix:
         reads = {node: _X_READ[b] for node, b in zip(self.measuring, bits)}
@@ -965,9 +964,6 @@ class _GhzSampler(_Sampler):
         m = _draw(rng, self._plan(bits)[1][0])
         public = _announce(config, m, rng, transcript, start_round=6)
         return self._outcome((bits, m, public), transcript)
-
-    def _words(self, runs: int, h: int) -> int:
-        return int(self.strides[h ^ (np.arange(runs) & self.flip)].sum())
 
     def _decode(self, words: np.ndarray, p: int, h: int, runs: int) -> tuple:
         hs = h ^ (np.arange(runs) & self.flip)

@@ -193,6 +193,36 @@ def test_grid_at_the_point_cap_runs(runner):
     assert len(res.output.splitlines()) == 5 + cli.MAX_GRID_POINTS
 
 
+@pytest.mark.parametrize("args", [
+    "relay --nodes 100000000",
+    "security --nodes 100000000 --adversaries 3",
+    "run --nodes 10000000",
+    "run --protocol GHZ --nodes 10000000",
+    "sweep --protocol GHZ --nodes 100000000 --q 0.9 --mode exact",
+    "run --protocol relay --nodes 10000000 --mode sampling --samples 2",
+])
+def test_oversized_networks_exit_2_before_building(args):
+    # each used to die in MemoryError under this limit on the child
+    src = os.path.dirname(os.path.dirname(anonqnet.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH":
+           os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+    start = time.perf_counter()
+    res = subprocess.run([sys.executable, "-m", "anonqnet.cli", *args.split()],
+                         env=env, preexec_fn=cap, capture_output=True, text=True,
+                         timeout=60)
+    assert res.returncode == 2
+    assert str(cli.MAX_NODES) in res.stderr.strip().splitlines()[-1]
+    assert time.perf_counter() - start < 5
+
+
+def test_network_at_the_node_cap_runs(runner):
+    for args in (["run", "--protocol", "GHZ"],
+                 ["sweep", "--protocol", "GHZ", "--q", "0.9", "--mode", "exact"]):
+        res = runner.invoke(main, args + ["--nodes", str(cli.MAX_NODES)])
+        assert res.exit_code == 0
+
+
 def test_sweep_exact_past_twelve_nodes_and_underflow_exits_2(runner):
     res = runner.invoke(main, ["sweep", "--protocol", "all", "--nodes", "13",
                                "--mode", "both"])
@@ -489,6 +519,47 @@ def test_refusal_exit_code_and_message(runner, args, code, last):
     assert res.exit_code == code
     assert res.stdout == ""
     assert res.stderr.strip().splitlines()[-1] == last
+
+
+def _failing_oracle(monkeypatch, tmp_path):
+    def crash():
+        raise ArithmeticError("crashed")
+
+    monkeypatch.setattr(cli, "_ORACLE_CHECKS", {
+        "misses": (lambda: 1.0, lambda: 0.0, 0.5), "raises": (crash, lambda: 0.0, 0.5)})
+    return ["oracle-check"]
+
+
+def _config_line_without_equals(monkeypatch, tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("# comment-only lines are skipped\n\n  # indented\nnodes 5\n")
+    return ["run", "--config", str(path)]
+
+
+@pytest.mark.parametrize("make_args, code, last_lines", [
+    pytest.param(_failing_oracle, 1, ["FAIL misses (delta 1 > 0.5)",
+                                      "FAIL raises: crashed", "2 check(s) failed"],
+                 id="oracle-check-failures"),
+    pytest.param(_config_line_without_equals, 2, ["bad.cfg:4: expected key = value"],
+                 id="config-line-without-equals"),
+    pytest.param(lambda *_: ["sweep", "--q-range", "0.5"], 2,
+                 ["Error: bad q range '0.5'; expected a:b[:step]"], id="range-without-colon"),
+    pytest.param(lambda *_: ["sweep", "--q-range", "a:b"], 2,
+                 ["Error: bad q range 'a:b'"], id="range-not-numbers"),
+    pytest.param(lambda *_: ["security", "--adversaries", "3,x"], 2,
+                 ["Error: bad node list '3,x'"], id="node-list-not-numbers"),
+    pytest.param(lambda *_: ["threshold", "--n-range", "3:5"], 2,
+                 ["Error: thresholds start at 4 nodes"], id="threshold-below-4-nodes"),
+    pytest.param(lambda *_: ["relay", "--nodes", "3"], 2,
+                 [f"3 is not in the range 4<=x<={cli.MAX_NODES}."], id="relay-below-4-nodes"),
+])
+def test_failures_and_malformed_inputs_exit_with_their_codes(
+        runner, monkeypatch, tmp_path, make_args, code, last_lines):
+    res = runner.invoke(main, make_args(monkeypatch, tmp_path))
+    assert res.exit_code == code
+    tail = res.output.splitlines()[-len(last_lines):]
+    assert len(tail) == len(last_lines)
+    assert all(line.endswith(want) for line, want in zip(tail, last_lines))
 
 
 @pytest.mark.parametrize("command", [["run"], ["security", "--adversaries", "3"]])

@@ -848,7 +848,7 @@ def same_state(a, b) -> bool:
                          + [("GHZ", n) for n in range(4, 8)]
                          + [("GHZ-damp-x", n) for n in (5, 6)])
 @pytest.mark.parametrize("buffered", [False, True])
-def test_array_batches_match_generator_calls(protocol, param, buffered):
+def test_array_batches_match_generator_calls(monkeypatch, protocol, param, buffered):
     # W: param is veto_rounds (1 makes half the non-zero strings veto
     # misses); GHZ: param is n, odd n alternating the run's stride;
     # GHZ-damp-x: damping then an X rotation at the measuring nodes, which
@@ -863,26 +863,43 @@ def test_array_batches_match_generator_calls(protocol, param, buffered):
     make, reference = {"W": (_Protocol1Sampler, reference_w_batch),
                        "GHZ": (_GhzSampler, reference_ghz_batch),
                        "GHZ-damp-x": (_GhzSampler, reference_ghz_batch)}[protocol]
-    sampler = make(cfg)
-    if protocol == "W":  # prefix weights memoised for the veto misses' walks
-        sampler._raw = functools.lru_cache(maxsize=None)(sampler._raw)
-    else:
-        assert sampler.one_pair == (protocol == "GHZ")
-    c = sampler.chunk
-    for i, runs in enumerate((1, c - 1, c, c + 1, 3 * c + 7)):
-        rng, ref_rng = (np.random.Generator(BIT_GENERATORS[i % 4](runs)) for _ in range(2))
-        if buffered:  # the batch starts on a buffered 32-bit half
+    # the default chunk, and one below a run's word bound: one run per
+    # chunk, as in every GHZ batch from 74 nodes up
+    for chunk_words in (2**14, 3):
+        monkeypatch.setattr(_Sampler, "CHUNK_WORDS", chunk_words)
+        sampler = make(cfg)
+        if protocol == "W":  # prefix weights memoised for the veto misses' walks
+            sampler._raw = functools.lru_cache(maxsize=None)(sampler._raw)
+        else:
+            assert sampler.one_pair == (protocol == "GHZ")
+        assert (sampler.chunk == 1) == (chunk_words == 3)
+        decode, decoded = sampler._decode, []
+
+        def counted(words, p, h, runs):
+            codes, *rest = decode(words, p, h, runs)
+            assert len(codes) == runs  # a chunk decodes exactly its runs
+            decoded.append(runs)
+            return codes, *rest
+
+        sampler._decode = counted
+        c = sampler.chunk
+        for i, runs in enumerate((1, c - 1, c, c + 1, 3 * c + 7)):
+            rng, ref_rng = (np.random.Generator(BIT_GENERATORS[i % 4](runs))
+                            for _ in range(2))
+            if buffered:  # the batch starts on a buffered 32-bit half
+                assert rng.integers(0, 2) == ref_rng.integers(0, 2)
+            decoded.clear()
+            outs = sampler.batch(runs, rng)
+            assert sum(decoded) == runs
+            ref = make(cfg)
+            keys = reference(ref, ref_rng, runs)
+            key_of = {id(o): key for key, o in sampler.outcomes.items()}
+            assert [key_of[id(o)] for o in outs] == keys
+            for o, key in {id(o): (o, key) for o, key in zip(outs, keys)}.values():
+                assert o.to_json_dict() == ref._finish(key, None).to_json_dict()
+            assert same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
+            assert rng.random() == ref_rng.random()
             assert rng.integers(0, 2) == ref_rng.integers(0, 2)
-        outs = sampler.batch(runs, rng)
-        ref = make(cfg)
-        keys = reference(ref, ref_rng, runs)
-        key_of = {id(o): key for key, o in sampler.outcomes.items()}
-        assert [key_of[id(o)] for o in outs] == keys
-        for o, key in {id(o): (o, key) for o, key in zip(outs, keys)}.values():
-            assert o.to_json_dict() == ref._finish(key, None).to_json_dict()
-        assert same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
-        assert rng.random() == ref_rng.random()
-        assert rng.integers(0, 2) == ref_rng.integers(0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -1390,8 +1407,9 @@ def test_ghz_sampler_keeps_its_transfers(monkeypatch):
             assert len(sampler.branches) > 50
             # one transfer per (channel, X outcome), whatever the outcome strings
             assert len(sampler.transfers) == len(calls) == 2
-        else:  # one pair, contracted on the all-'+' string
-            assert len(sampler.branches) == len(sampler.transfers) == len(calls) == 1
+        else:  # one pair, contracted on the all-'+' string at construction
+            assert len(sampler.branches) == len(sampler.transfers) == 1
+            assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -1476,6 +1494,21 @@ def test_one_pair_batches_equal_the_walk(bitgen, buffered):
     assert len(fast.branches) == 1 and len(walk.branches) > 1
     assert same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
     assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("channel", [identity_channel(), depolarizing(0.9)])
+def test_underflowing_one_pair_batch_draws_nothing(channel):
+    # the all-'+' raw weight underflows from 1,024 nodes; the sampler
+    # contracts its one pair before a batch fetches a word
+    cfg = NetworkConfig(n_nodes=1024, sender=1, receiver=2,
+                        per_qubit_channels=uniform(channel, 1024))
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="underflows"):
+        sample_ghz_runs(cfg, 2, rng)
+    assert rng.bit_generator.state == state
+    sample_ghz_runs(NetworkConfig(n_nodes=1023, sender=1, receiver=2,
+                                  per_qubit_channels=uniform(channel, 1023)), 1, rng)
 
 
 def test_one_pair_batch_reads_one_pair(monkeypatch):
