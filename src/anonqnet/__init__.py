@@ -79,7 +79,6 @@ from .protocols import (
     w_loss_branch_average_dense,
 )
 from .security import (
-    AdversaryScenario,
     epsilon_security_bound,
     guessing_probability,
     independence_check,

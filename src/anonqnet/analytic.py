@@ -77,7 +77,7 @@ def p_success_w(channel: str, q: float, n: int) -> float:
     if channel == "dephasing":
         return 2.0 / n
     if channel == "depolarizing":
-        return (q + 1) ** (n - 3) * (n * (1 - q) + 4 * q) / (n * 2 ** (n - 2))
+        return ((q + 1) / 2) ** (n - 3) * (n * (1 - q) + 4 * q) / (2 * n)
     raise ValueError(f"unsupported channel {channel!r}")
 
 

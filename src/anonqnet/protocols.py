@@ -764,15 +764,7 @@ class _Protocol1Sampler(_Sampler):
         self.measuring = _measuring(config)
         live = len(config.live_nodes)
         self.events_per_run = (config.veto_rounds + 2) * live * (live + 1) + 3 * live
-        self.zeros = (0,) * len(self.measuring)
-        weights = [float(np.trace(self._raw(self.zeros[:j])).real)
-                   for j in range(len(self.zeros) + 1)]
-        self.total, w = weights[0], weights[-1]
-        self.exact_success = w if w >= 1e-15 else None
-        # below zero_cut, the walk reads zeros
-        self.zero_cut = min(map(self._step, weights, weights[1:]))
-        s, accept = config.veto_rounds, min(max(self.zero_cut, 0.0), 1.0)
-        self.cut = math.ceil(accept * 2**53)  # u < zero_cut iff word >> 11 < cut
+        self.zeros, s = (0,) * len(self.measuring), config.veto_rounds
         self.max_words = 3 + _halves(0, s)[0]  # a veto miss from h = 0
         self.chunk = max(1, self.CHUNK_WORDS // self.max_words)
         # 2 * words + h after - h before of a veto miss, an accept and an
@@ -780,6 +772,20 @@ class _Protocol1Sampler(_Sampler):
         self.moves = np.array([[2 * vw + 6 + after - h, 6, 2 * vw + 2 + after - h, 6]
                                for h, (vw, after) in enumerate(_halves(h, s) for h in (0, 1))],
                               np.int32).ravel()
+
+    def __getattr__(self, name: str):
+        """Plans total, exact_success, zero_cut and cut after batch's checks."""
+        if name not in ("total", "exact_success", "zero_cut", "cut"):
+            raise AttributeError(name)
+        weights = [float(np.trace(self._raw(self.zeros[:j])).real)
+                   for j in range(len(self.zeros) + 1)]
+        self.total, w = weights[0], weights[-1]
+        self.exact_success = w if w >= 1e-15 else None
+        # below zero_cut, the walk reads zeros
+        self.zero_cut = min(map(self._step, weights, weights[1:]))
+        accept = min(max(self.zero_cut, 0.0), 1.0)
+        self.cut = math.ceil(accept * 2**53)  # u < zero_cut iff word >> 11 < cut
+        return getattr(self, name)
 
     def _raw(self, bits: tuple) -> np.ndarray:
         """pullback_pair after the first len(bits) measuring nodes read bits."""

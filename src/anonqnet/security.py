@@ -30,7 +30,6 @@ bound, which stays sound for the W state's entangled inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Mapping, Sequence
 
@@ -48,16 +47,6 @@ ADVERSARY_NODE_CAP = 7  # guards no cost now; bench/tests pins the refusal
 
 _TRIVIAL = np.array([[1.0 + 0j]])
 _CORRUPT_SENDER = "a corrupt sender knows its own identity already"
-
-
-@dataclass(frozen=True)
-class AdversaryScenario:
-    """A passive coalition: it follows the protocol but pools every record."""
-
-    adversary_set: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "adversary_set", frozenset(self.adversary_set))
 
 
 def effective_roles(config: NetworkConfig, hypothesis: int, role: str
@@ -80,23 +69,23 @@ def effective_roles(config: NetworkConfig, hypothesis: int, role: str
     raise ValueError(f"unknown role {role!r}")
 
 
-def adversary_views(config: NetworkConfig, scenario: AdversaryScenario,
+def adversary_views(config: NetworkConfig, adversaries: Sequence[int],
                     hypotheses: Sequence[int], role: str = "sender") -> list:
-    """Exact run-level views of the coalition, one per identity hypothesis,
-    each a dict label -> (weight, weight x block).
+    """Exact run-level views of the coalition (its node ids), one per
+    identity hypothesis, each a dict label -> (weight, weight x block).
 
     Enumerates the coalition's measurement outcomes, the honest-side
     all-zero/not-all-zero split (the complement is obtained by subtraction,
-    avoiding a 2^N blowup), and the teleport announcement branches.
-    Branches with the same label merge by summing.  Branch weights over
-    each view sum to 1.  The sender must be honest, so all hypotheses share
-    one fixed site and one pullback_pairs sweep reads every pair.
+    avoiding a 2^N blowup), and the teleport announcement branches.  The
+    coalition outcome mu is in every label, so each label arises once, and
+    a view's weights sum to 1.  The sender must be honest, so all hypotheses
+    share one fixed site and one pullback_pairs sweep reads every pair.
     """
     if config.n_nodes > ADVERSARY_NODE_CAP:
         raise ValueError(
             f"adversary analysis is capped at {ADVERSARY_NODE_CAP} nodes"
         )
-    adv = scenario.adversary_set
+    adv = frozenset(adversaries)
     if not adv <= set(config.live_nodes):
         raise ValueError("adversaries must be live nodes")
     roles = []
@@ -106,8 +95,6 @@ def adversary_views(config: NetworkConfig, scenario: AdversaryScenario,
         roles.append(effective_roles(config, h, role))
     if config.sender in adv or any(s in adv for s, _ in roles):
         raise ValueError(_CORRUPT_SENDER)
-    if not roles:
-        return []
     fixed = config.receiver if role == "sender" else config.sender
     adv_meas = [i for i in config.live_nodes if i in adv and i != fixed]
     honest = [i for i in config.live_nodes if i not in adv and i != fixed]
@@ -138,8 +125,7 @@ def _view(config: NetworkConfig, adv: frozenset, roles: tuple, mus: list,
 
     def add(label, weight, block):
         if weight >= _TINY:
-            w, acc = view.get(label, (0.0, 0.0))
-            view[label] = (w + weight, acc + weight * block)
+            view[label] = (weight, weight * block)
 
     def abort(label, mat, weight):
         # a corrupt receiver keeps its carrier qubit, anyone else nothing
@@ -285,15 +271,14 @@ def security_report(config: NetworkConfig, adversaries: Sequence[int],
     epsilon_bound from the unstabilized channel distance, and the sound
     diamond_epsilon_bound from the diamond distance bound.  Last comes the
     verdict holds: guess <= prior + diamond bound (0 with no base channel)."""
-    scenario = AdversaryScenario(frozenset(adversaries))
-    adv = scenario.adversary_set
+    adv = frozenset(adversaries)
     if config.sender in adv:
         raise ValueError(_CORRUPT_SENDER)
     candidates = [c for c in config.live_nodes if c not in adv
                   and effective_roles(config, c, role)[0] not in adv]
     if not candidates:
         raise ValueError("no admissible hypotheses for this coalition")
-    views = adversary_views(config, scenario, candidates, role)
+    views = adversary_views(config, adv, candidates, role)
     priors = [1.0 / len(candidates)] * len(candidates)
     dev = independence_check(views)
     p_guess, certificate = _guessing_probability(views, priors, dev)

@@ -1,4 +1,8 @@
 import hashlib
+import math
+import re
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -268,6 +272,51 @@ def test_p_success_w_loss_values():
             3 / n, abs=1e-12)
     assert p_success_w_loss("depolarizing", 0.9, 5) == pytest.approx(
         0.5605, abs=1e-12)
+
+
+def test_p_success_w_depolarizing_matches_exact_rationals_at_any_size():
+    # n * 2**(n - 2) passes the largest double from n = 1,017, and
+    # (q + 1)**(n - 3) from about n = 1,106 at q = 0.9; the ratio does not.
+    # Any double evaluation rounds q + 1 before the power, which scales
+    # that rounding by n - 3, so the exact reference starts from it too
+    qs = np.linspace(0.0, 1.0, 21).tolist() + [0.93, 0.97, 0.99]
+    for n in (4, 50, 183, 1016, 1017, 1100, 5000):
+        for q in qs:
+            x = Fraction(q)
+            exact = (Fraction(q + 1) ** (n - 3) * (n * (1 - x) + 4 * x)
+                     / (n * 2 ** (n - 2)))
+            if exact >= sys.float_info.min:
+                assert p_success_w("depolarizing", q, n) == pytest.approx(
+                    float(exact), rel=1e-14, abs=0)
+    # within 4 ulp of the integer-power form wherever that one is finite
+    for n in range(3, 1017):
+        for q in qs:
+            old = (q + 1) ** (n - 3) * (n * (1 - q) + 4 * q) / (n * 2 ** (n - 2))
+            assert abs(p_success_w("depolarizing", q, n) - old) <= 4 * math.ulp(old)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: p_success_w("damping", 0.9, 5), "unsupported channel 'damping'"),
+    (lambda: f_ae_w_loss("damping", 0.9, 5), "unsupported channel 'damping'"),
+    (lambda: p_success_w_loss("damping", 0.9, 5), "unsupported channel 'damping'"),
+    (lambda: p_success_w("depolarizing", 0.9, 2), "need n >= 3"),
+    (lambda: f_ae_w_loss("depolarizing", 0.9, 3),
+     "need n >= 4 with one lost measuring node"),
+    (lambda: p_success_w_loss("depolarizing", 0.9, 3),
+     "need n >= 4 with one lost measuring node"),
+    (lambda: ghz_postselected_pair(depolarizing(0.9), 2), "need n >= 3"),
+    (lambda: fidelity_report("relay", "depolarizing", 0.9, 5),
+     "unsupported protocol 'relay' or channel 'depolarizing'"),
+    (lambda: structured_fidelity("relay", depolarizing(0.9), 5),
+     "unsupported protocol 'relay'"),
+    (lambda: threshold_q(("W", "damping"), 5),
+     "unknown formula ('W', 'damping')"),
+    (lambda: f_ae_relay_depolarizing(0.9, 5, 3, 3),
+     "relay endpoints must be distinct chain positions"),
+])
+def test_unsupported_families_and_sizes_are_refused(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_relay_closed_form_printed_values():

@@ -552,6 +552,13 @@ def _config_line_without_equals(monkeypatch, tmp_path):
                  ["Error: thresholds start at 4 nodes"], id="threshold-below-4-nodes"),
     pytest.param(lambda *_: ["relay", "--nodes", "3"], 2,
                  [f"3 is not in the range 4<=x<={cli.MAX_NODES}."], id="relay-below-4-nodes"),
+    pytest.param(lambda *_: ["run", "--channel-node", "3"], 2,
+                 ["Error: override '3' must look like <node>=<spec>"], id="override-without-equals"),
+    pytest.param(lambda *_: ["run", "--channel-node", "x=identity"], 2,
+                 ["Error: bad node id in override 'x=identity'"], id="override-node-not-a-number"),
+    pytest.param(lambda *_: ["run", "--channel", "dephasing:q"], 2,
+                 ["Error: malformed channel parameter 'q' in 'dephasing:q'"],
+                 id="channel-parameter-without-value"),
 ])
 def test_failures_and_malformed_inputs_exit_with_their_codes(
         runner, monkeypatch, tmp_path, make_args, code, last_lines):

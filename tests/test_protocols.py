@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 from bisect import bisect_right
 
 import numpy as np
@@ -84,7 +85,7 @@ from anonqnet.qcore import (
     postselect,
     tensor,
 )
-from anonqnet.security import AdversaryScenario, adversary_views
+from anonqnet.security import adversary_views
 
 
 def uniform(channel, n):
@@ -389,6 +390,58 @@ def test_recordings_over_the_transcript_budget_are_refused_before_any_draw():
                                       per_qubit_channels=uniform(depolarizing(0.9), 50)),
                         mode="sampling")
     assert 0 < len(out.transcript.events) <= budget
+
+
+def test_w_recordings_over_the_budget_are_refused_before_any_plan(monkeypatch):
+    # the prefix weights cost one pullback_pair per measuring node each, so
+    # the budget is checked first
+    import anonqnet.protocols as protocols
+
+    calls = []
+    real = protocols.pullback_pair
+    monkeypatch.setattr(protocols, "pullback_pair",
+                        lambda *args: calls.append(1) or real(*args))
+    cfg = NetworkConfig(n_nodes=2000, sender=1, receiver=2)
+    for sample in (lambda rng: run_protocol1(cfg, rng=rng, mode="sampling"),
+                   lambda rng: sample_protocol1_runs(cfg, 1, rng=rng,
+                                                     record_transcripts=True)):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="over the budget of 262144"):
+            sample(rng)
+        assert rng.bit_generator.state == state
+        assert calls == []
+    # planned once, on first use: the empty prefix and 4 measuring nodes
+    sampler = _Protocol1Sampler(NetworkConfig(n_nodes=6, sender=1, receiver=2))
+    assert calls == []
+    assert sampler.cut == math.ceil(sampler.zero_cut * 2**53)
+    assert sampler.total == pytest.approx(1.0)
+    assert sampler.exact_success == pytest.approx(p_success_w("dephasing", 1.0, 6))
+    assert len(calls) == 5
+    with pytest.raises(AttributeError):
+        sampler.weights
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: run_protocol1(NetworkConfig(n_nodes=4, sender=1, receiver=2),
+                           mode="fast"), "unknown mode 'fast'"),
+    (lambda: run_ghz_protocol(NetworkConfig(n_nodes=4, sender=1, receiver=2),
+                              mode="fast"), "unknown mode 'fast'"),
+    (lambda: run_relay_protocol(NetworkConfig(n_nodes=4, sender=1, receiver=2),
+                                mode="fast"), "unknown mode 'fast'"),
+    (lambda: NetworkConfig(n_nodes=5, sender=9, receiver=2),
+     "sender/receiver must be node ids in 1..n"),
+    (lambda: NetworkConfig(n_nodes=5, sender=1, receiver=2, veto_rounds=0),
+     "veto needs at least one round"),
+    (lambda: NetworkConfig(n_nodes=5, sender=1, receiver=2,
+                           message_state=make_bell_pair(("a", "b"))),
+     "message must be a single qubit"),
+    (lambda: receiver_notification(3, 3, [1, 2, 3, 4], Transcript()),
+     "sender cannot notify itself"),
+])
+def test_invalid_protocol_inputs_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("n", range(4, 13))
@@ -1049,7 +1102,7 @@ def test_adversary_view_matches_dense_enumeration_corrupt_receiver():
     # coalition {2, 5}: node 2 is the receiver, node 5 measures; the dense
     # reference enumerates every outcome string instead of subtracting
     cfg = hetero_config()
-    view = adversary_views(cfg, AdversaryScenario(frozenset({2, 5})), [HS])[0]
+    view = adversary_views(cfg, frozenset({2, 5}), [HS])[0]
     rho = dense_noisy(make_w_state)
     expected = {}
 
@@ -1100,7 +1153,7 @@ def test_exact_routes_build_no_density_matrix_wider_than_three(monkeypatch):
     w_loss_branch_average_dense(depolarizing(0.9), 9)
     adversary_views(NetworkConfig(n_nodes=7, sender=1, receiver=2,
                                   per_qubit_channels=uniform(dephasing(0.9), 7)),
-                    AdversaryScenario(frozenset({2, 4})), [3])[0]
+                    frozenset({2, 4}), [3])[0]
     assert widest and max(widest) <= 3
 
 

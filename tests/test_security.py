@@ -14,7 +14,6 @@ from anonqnet.channels import (
 from anonqnet.cli import main
 from anonqnet.protocols import NetworkConfig
 from anonqnet.security import (
-    AdversaryScenario,
     _trace_norms,
     adversary_views,
     effective_roles,
@@ -142,25 +141,25 @@ def test_effective_roles_swap_rule():
 def test_adversary_view_weights_sum_to_one():
     cfg = NetworkConfig(n_nodes=5, sender=1, receiver=2,
                         per_qubit_channels=uniform(depolarizing(0.8), 5))
-    view = adversary_views(cfg, AdversaryScenario(frozenset({3, 4})), [5])[0]
+    view = adversary_views(cfg, frozenset({3, 4}), [5])[0]
     assert sum(w for w, _ in view.values()) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_adversary_view_validation():
     cfg = NetworkConfig(n_nodes=5, sender=1, receiver=2)
     with pytest.raises(ValueError):
-        adversary_views(cfg, AdversaryScenario(frozenset({3})), [3])[0]
+        adversary_views(cfg, frozenset({3}), [3])[0]
     with pytest.raises(ValueError):
         adversary_views(NetworkConfig(n_nodes=5, sender=1, receiver=2,
                                       lost_nodes={5}),
-                        AdversaryScenario(frozenset({5})), [3])[0]
+                        frozenset({5}), [3])[0]
     # receiver hypotheses need an honest sender
     with pytest.raises(ValueError):
-        adversary_views(cfg, AdversaryScenario(frozenset({1})), [3],
+        adversary_views(cfg, frozenset({1}), [3],
                         role="receiver")[0]
     big = NetworkConfig(n_nodes=8, sender=1, receiver=2)
     with pytest.raises(ValueError):
-        adversary_views(big, AdversaryScenario(frozenset({3})), [4])[0]
+        adversary_views(big, frozenset({3}), [4])[0]
 
 
 @pytest.mark.parametrize("role", ["sender", "receiver"])
@@ -172,7 +171,7 @@ def test_adversary_views_match_one_view_at_a_time(role):
     chans[3], chans[5] = dephasing(0.8), depolarizing(0.75)
     cfg = NetworkConfig(n_nodes=6, sender=1, receiver=2,
                         per_qubit_channels=chans, lost_nodes={6})
-    scenario = AdversaryScenario(frozenset({4}))
+    scenario = frozenset({4})
     candidates = [1, 2, 3, 5]
     views = adversary_views(cfg, scenario, candidates, role)
     for c, view in zip(candidates, views):
@@ -197,10 +196,17 @@ def test_adversary_views_take_one_sweep(monkeypatch, role):
     chans[3] = dephasing(0.8)
     cfg = NetworkConfig(n_nodes=6, sender=1, receiver=2,
                         per_qubit_channels=chans)
-    views = adversary_views(cfg, AdversaryScenario(frozenset({4})),
+    views = adversary_views(cfg, frozenset({4}),
                             [1, 2, 3, 5, 6], role)
     assert len(views) == 5
     assert fixed_sites == [2 if role == "sender" else 1]
+
+
+@pytest.mark.parametrize("role", ["sender", "receiver"])
+def test_adversary_views_of_no_hypotheses_are_empty(role):
+    cfg = NetworkConfig(n_nodes=5, sender=1, receiver=2,
+                        per_qubit_channels=uniform(depolarizing(0.9), 5))
+    assert adversary_views(cfg, {4}, [], role) == []
 
 
 @pytest.mark.parametrize("role", ["sender", "receiver"])
@@ -209,7 +215,7 @@ def test_coalition_holding_the_sender_is_refused(role):
     with pytest.raises(ValueError, match="corrupt sender"):
         security_report(cfg, [1, 3], role)
     with pytest.raises(ValueError, match="corrupt sender"):
-        adversary_views(cfg, AdversaryScenario(frozenset({1})), [3], role)
+        adversary_views(cfg, frozenset({1}), [3], role)
 
 
 @pytest.mark.parametrize("role", ["sender", "receiver"])
@@ -219,7 +225,7 @@ def test_uniform_network_views_are_hypothesis_independent(role, channel):
     n = 5
     cfg = NetworkConfig(n_nodes=n, sender=1, receiver=2,
                         per_qubit_channels=uniform(channel, n))
-    scenario = AdversaryScenario(frozenset({4}))
+    scenario = frozenset({4})
     candidates = [c for c in cfg.live_nodes if c != 4
                   if effective_roles(cfg, c, role)[0] != 4]
     views = [adversary_views(cfg, scenario, [c], role)[0] for c in candidates]
@@ -234,7 +240,7 @@ def test_corrupt_receiver_still_independent_under_uniform_noise():
     assert rep["certificate"] == "state-independence"
     assert rep["guessing_probability"] == pytest.approx(1 / 4, abs=1e-12)
     # carrier branches are actually present for a corrupt receiver
-    view = adversary_views(cfg, AdversaryScenario(frozenset({2})), [3])[0]
+    view = adversary_views(cfg, frozenset({2}), [3])[0]
     assert any(lbl[-1] and lbl[-1][0] == "m" for lbl in view)
 
 
