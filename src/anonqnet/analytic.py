@@ -221,7 +221,7 @@ def fidelity_report(protocol: str, channel: str, q: float, n: int) -> FidelityRe
     return FidelityReport(protocol, f"{channel}:q={q:g}", n, f, p)
 
 
-def threshold_q(formula: tuple, n, tol: float = 1e-12):
+def threshold_q(formula: tuple, n):
     """Smallest q in [0.5, 1] with pair fidelity 1/2 (usefulness threshold).
 
     ``formula`` is a (protocol, channel family) pair such as W_DEPOL, i.e.
@@ -230,15 +230,15 @@ def threshold_q(formula: tuple, n, tol: float = 1e-12):
 
     All supported formulas are nondecreasing in q on [0.5, 1], so when the
     left edge already sits at or above 1/2 (the dephasing forms touch 1/2
-    exactly at q=0.5) the threshold is the edge itself; otherwise plain
-    bisection finds the unique crossing.  The search is restricted to
-    [0.5, 1] because the dephasing-W formula is symmetric about q=0.5 and
-    the interesting regime is high q.
+    exactly at q=0.5) the threshold is the edge itself; otherwise bisection
+    halves [0.5, 1] to a bracket at most 1e-12 wide and returns its midpoint.
+    The search is restricted to [0.5, 1] because the dephasing-W formula is
+    symmetric about q=0.5 and the interesting regime is high q.
 
     ``n`` is the node count, an int (giving a float) or an integer array
     (giving an array): the source prepares an n-qubit resource state and
     each qubit crosses one channel.  An array is bisected in one pass with
-    a lone size's bracket, midpoint and ``tol``, so each value has the bits
+    a lone size's bracket, midpoint and width, so each value has the bits
     it has alone.  A dense n-node run at the returned q gives a pair
     fidelity of 1/2 (checked against the dense simulator).
     """
@@ -255,7 +255,7 @@ def threshold_q(formula: tuple, n, tol: float = 1e-12):
     m = ns[inner].astype(float)  # cast once, not in every step
     lo, hi = np.full(m.shape, 0.5), np.ones(m.shape)
     # every bracket starts at [0.5, 1] and halves exactly, so widths agree
-    while m.size and hi[0] - lo[0] > tol:
+    while m.size and hi[0] - lo[0] > 1e-12:
         mid = (lo + hi) / 2
         below = f(mid, m) <= 0.5
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)

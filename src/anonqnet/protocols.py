@@ -744,11 +744,11 @@ class _Sampler:
 
 
 class _Protocol1Sampler(_Sampler):
-    """W plan: a run draws one u and walks the measuring nodes in order; a
-    node reads 0 while u is below lo, the mass of the strings passed, plus
-    its 0-branch's share (a pullback_pair trace; a walk costs O(k n)).  So
-    it draws what Generator.choice would from the lexicographic table of
-    all k-bit outcome strings, up to an ulp at its boundaries.
+    """W plan: a run draws one u and walks the nodes in order, carrying one
+    left environment of the bits read (a walk costs O(n)); a measuring node
+    reads 0 while u is below lo, the mass of the strings passed, plus its
+    0-branch's weight.  So it draws what Generator.choice would from the
+    lexicographic table of all k-bit outcome strings, up to an ulp at a boundary.
 
     Unrecorded runs take the veto's and the parities' exact outputs, so a
     run's word count is fixed by its type and by h, whether a half is
@@ -772,20 +772,14 @@ class _Protocol1Sampler(_Sampler):
         self.moves = np.array([[2 * vw + 6 + after - h, 6, 2 * vw + 2 + after - h, 6]
                                for h, (vw, after) in enumerate(_halves(h, s) for h in (0, 1))],
                               np.int32).ravel()
-
-    def __getattr__(self, name: str):
-        """Plans total, exact_success, zero_cut and cut after batch's checks."""
-        if name not in ("total", "exact_success", "zero_cut", "cut"):
-            raise AttributeError(name)
-        weights = [float(np.trace(self._raw(self.zeros[:j])).real)
-                   for j in range(len(self.zeros) + 1)]
-        self.total, w = weights[0], weights[-1]
-        self.exact_success = w if w >= 1e-15 else None
-        # below zero_cut, the walk reads zeros
-        self.zero_cut = min(map(self._step, weights, weights[1:]))
+        # node i's read-0 and read-1 transfers (the identity where i does not read)
+        self.reads = outcome_transfers(config, [dict.fromkeys(self.measuring, b)
+                                                for b in (0, 1)])
+        w = float(np.trace(self._raw(self.zeros)).real)
+        self.exact_success = w if w >= np.finfo(float).tiny else None
+        self.zero_cut = self._walk(-math.inf)[1]  # below zero_cut, the walk reads zeros
         accept = min(max(self.zero_cut, 0.0), 1.0)
         self.cut = math.ceil(accept * 2**53)  # u < zero_cut iff word >> 11 < cut
-        return getattr(self, name)
 
     def _raw(self, bits: tuple) -> np.ndarray:
         """pullback_pair after the first len(bits) measuring nodes read bits."""
@@ -795,24 +789,28 @@ class _Protocol1Sampler(_Sampler):
     def _pair(self, bits: tuple) -> DensityMatrix:
         return _normalized_pair(self._raw(bits))[1]
 
-    def _step(self, prefix: float, zero: float) -> float:
-        """Where a prefix's 0-branch ends past lo; no branch under 1e-15."""
-        if min(zero, prefix - zero) >= 1e-15:
-            return zero / self.total
-        return math.inf if zero >= prefix - zero else -math.inf
-
     def _walk(self, u: float) -> tuple:
-        bits, lo, prefix = (), 0.0, self.total
-        for _ in self.measuring:
-            zero = float(np.trace(self._raw(bits + (0,))).real)
-            bit = int(u >= lo + self._step(prefix, zero))
-            bits, lo = bits + (bit,), lo + bit * zero / self.total
-            prefix = prefix - zero if bit else zero
-        return bits
+        """The string u lands on and the least boundary passed (zero_cut from
+        u = -inf, which reads zeros while it can).  With m later sites traced,
+        a prefix weighs (m env[0] + env[3]) / n: each traced W site adds 1 to
+        the right environment's (0, 0) entry.  No branch under 1e-15 is entered."""
+        n, measuring = self.config.n_nodes, set(self.measuring)
+        env, bits, lo, prefix, least = _W.left[0], (), 0.0, 1.0, math.inf
+        for node, read0, read1 in zip(self.config.nodes, *self.reads):
+            zero, bit = env @ read0, 0
+            if node in measuring:
+                weight = float(((n - node) * zero[0] + zero[3]).real) / n
+                bound = lo + (weight if min(weight, prefix - weight) >= 1e-15 else
+                              math.inf if weight >= prefix - weight else -math.inf)
+                bit, least = int(u >= bound), min(least, bound)
+                bits, lo = bits + (bit,), lo + bit * weight
+                prefix = prefix - weight if bit else weight
+            env = env @ read1 if bit else zero
+        return bits, least
 
     def _run(self, rng: np.random.Generator) -> RunOutcome:
         config = self.config
-        bits = self._walk(rng.random())
+        bits = self._walk(rng.random())[0]
         transcript = _protocol1_skeleton(config, bits)
         veto = veto_protocol({**dict(zip(self.measuring, bits)),
                               config.sender: 0, config.receiver: 0}, rng,
@@ -844,7 +842,7 @@ class _Protocol1Sampler(_Sampler):
         acc = accept[ps]
         live = acc | ~hits[ps, hs]  # not aborted
         miss = live & ~acc
-        walks = [self._walk(u) for u in ((words[ps[miss]] >> 11) * 2.0**-53).tolist()]
+        walks = [self._walk(u)[0] for u in ((words[ps[miss]] >> 11) * 2.0**-53).tolist()]
         bkeys = list(dict.fromkeys([self.zeros] * bool(acc.any()) + walks))
         bidx = np.zeros(len(ps), dtype=np.intp)
         bidx[miss] = [bkeys.index(bits) for bits in walks]

@@ -1,5 +1,4 @@
 import collections
-import functools
 import hashlib
 import itertools
 import json
@@ -36,6 +35,7 @@ from anonqnet.channels import (
 )
 from anonqnet.protocols import (
     _GHZ,
+    _W,
     _X_READ,
     _Z_R,
     NetworkConfig,
@@ -392,9 +392,11 @@ def test_recordings_over_the_transcript_budget_are_refused_before_any_draw():
     assert 0 < len(out.transcript.events) <= budget
 
 
-def test_w_recordings_over_the_budget_are_refused_before_any_plan(monkeypatch):
-    # the prefix weights cost one pullback_pair per measuring node each, so
-    # the budget is checked first
+def test_w_sampler_plans_with_one_contraction_and_refuses_over_budget_recordings(
+        monkeypatch):
+    # the walk carries one environment through the nodes, so a plan makes
+    # one pullback_pair call (the all-zero string's Born weight) at any node
+    # count and a walk makes none
     import anonqnet.protocols as protocols
 
     calls = []
@@ -410,16 +412,22 @@ def test_w_recordings_over_the_budget_are_refused_before_any_plan(monkeypatch):
         with pytest.raises(ValueError, match="over the budget of 262144"):
             sample(rng)
         assert rng.bit_generator.state == state
-        assert calls == []
-    # planned once, on first use: the empty prefix and 4 measuring nodes
-    sampler = _Protocol1Sampler(NetworkConfig(n_nodes=6, sender=1, receiver=2))
-    assert calls == []
+    assert len(calls) == 2
+    sampler = _Protocol1Sampler(cfg)
+    assert len(calls) == 3
+    assert sampler.exact_success == pytest.approx(p_success_w("dephasing", 1.0, 2000),
+                                                  rel=1e-12)
+    assert sampler.zero_cut == pytest.approx(sampler.exact_success, rel=1e-12)
     assert sampler.cut == math.ceil(sampler.zero_cut * 2**53)
-    assert sampler.total == pytest.approx(1.0)
-    assert sampler.exact_success == pytest.approx(p_success_w("dephasing", 1.0, 6))
-    assert len(calls) == 5
+    # noiseless: u below 2 / n reads zeros; above, the lexicographic table
+    # puts the one 1 at bits index 1999 - floor(u n)
+    for u in (0.0, 0.0005, 0.00175, 0.5001, 0.99995):
+        bits = sampler._walk(u)[0]
+        assert len(bits) == 1998 and sum(bits) == (u >= sampler.zero_cut)
+        assert u < sampler.zero_cut or bits.index(1) == 1999 - math.floor(u * 2000)
+    assert len(calls) == 3
     with pytest.raises(AttributeError):
-        sampler.weights
+        sampler.total
 
 
 @pytest.mark.parametrize("call, message", [
@@ -648,6 +656,25 @@ def test_unrecorded_w_batches_at_network_scale(n):
     p = p_success_w("depolarizing", q, n)
     assert agg["exact_success_probability"] == pytest.approx(p, abs=1e-12)
     assert abs((1 - agg["abort_rate"]) - p) < 4 * np.sqrt(p * (1 - p) / runs)
+
+
+@pytest.mark.parametrize("n", [700, 1000, 15_000])
+def test_sampled_w_success_probability_is_reported_unless_it_underflows(n):
+    # a floor of 1e-15 used to print null from about 650 nodes at q = 0.9;
+    # the Born weight is reported while it is a normal double, as in exact mode
+    cfg = NetworkConfig(n_nodes=n, sender=1, receiver=2, seed=n,
+                        per_qubit_channels=uniform(depolarizing(0.9), n))
+    outs, agg = sample_protocol1_runs(cfg, 2)
+    p = p_success_w("depolarizing", 0.9, n)
+    reported = agg["exact_success_probability"]
+    assert [o.analytic_success_probability for o in outs] == [reported] * 2
+    if p < np.finfo(float).tiny:  # 0.95^15000 / 2 is below the normal range
+        assert reported is None
+        return
+    assert p < 1e-15
+    assert reported == pytest.approx(p, rel=1e-9)
+    assert reported == pytest.approx(run_protocol1(cfg).analytic_success_probability,
+                                     rel=1e-9)
 
 
 def test_sampled_runs_reproducible_for_fixed_seed():
@@ -921,9 +948,7 @@ def test_array_batches_match_generator_calls(monkeypatch, protocol, param, buffe
     for chunk_words in (2**14, 3):
         monkeypatch.setattr(_Sampler, "CHUNK_WORDS", chunk_words)
         sampler = make(cfg)
-        if protocol == "W":  # prefix weights memoised for the veto misses' walks
-            sampler._raw = functools.lru_cache(maxsize=None)(sampler._raw)
-        else:
+        if protocol != "W":
             assert sampler.one_pair == (protocol == "GHZ")
         assert (sampler.chunk == 1) == (chunk_words == 3)
         decode, decoded = sampler._decode, []
@@ -1091,11 +1116,11 @@ def test_sampler_branches_match_dense_under_complex_nonunital_noise():
         assert ae_fid == fidelity_with_pure(pair, pair_target("W"))
         assert out.anonymous_entanglement is pair and out.ae_fidelity == ae_fid
     assert list(sampler.branches) == [bits for bits, _ in table]
-    # the walk draws the dense table's string (prefix weights memoised here)
-    sampler._raw = functools.lru_cache(maxsize=None)(sampler._raw)
+    # the walk draws the dense table's string
     for u in np.random.default_rng(6).random(10_000):
-        assert sampler._walk(u) == table[bisect_right(cdf, u)][0]
-        assert (u < sampler.zero_cut) == (sampler._walk(u) == sampler.zeros)
+        bits = sampler._walk(u)[0]
+        assert bits == table[bisect_right(cdf, u)][0]
+        assert (u < sampler.zero_cut) == (bits == sampler.zeros)
 
 
 def test_adversary_view_matches_dense_enumeration_corrupt_receiver():
@@ -1400,13 +1425,46 @@ def test_pullback_pairs_match_pullback_pair(n):
                 assert np.abs(pairs[b, j] - ref).max() < 1e-12
 
 
+def traced_tail_weight(sampler, bits):
+    """The W walk's weight of the prefix bits: the environment carried
+    through sampler.reads up to the node that reads bits[-1], times the
+    closed-form right environment of the m later (traced) sites."""
+    n, env, node, bits = sampler.config.n_nodes, _W.left[0], 0, list(bits)
+    steps = zip(sampler.config.nodes, *sampler.reads)
+    while bits:
+        node, read0, read1 = next(steps)
+        env = env @ (read1 if node in sampler.measuring and bits.pop(0) else read0)
+    return float(((n - node) * env[0] + env[3]).real) / n
+
+
+def walk_tree(sampler):
+    """{boundary lo + weight: (prefix, taken)} of each measuring node's
+    0-branch in the W walk's lexicographic table, in the walk's arithmetic
+    (traced_tail_weight).  taken says whether the walk splits there: its
+    prefix is reachable and neither branch weighs under 1e-15."""
+    tree = {}
+
+    def grow(bits, lo, prefix, reachable):
+        if len(bits) == len(sampler.measuring):
+            return
+        weight = traced_tail_weight(sampler, bits + (0,))
+        split = min(weight, prefix - weight) >= 1e-15
+        tree[lo + weight] = (bits, reachable and split)
+        grow(bits + (0,), lo, weight, reachable and (split or weight >= prefix - weight))
+        grow(bits + (1,), lo + weight, prefix - weight,
+             reachable and (split or weight < prefix - weight))
+
+    grow((), 0.0, 1.0, True)
+    return tree
+
+
 def test_w_walk_never_lands_on_a_weight_zero_string():
     # u at each boundary of the lexicographic table, as the walk computes
     # it, and one ulp either side: a boundary after an empty 1-branch used
     # to let the walk read a string of weight 0 ("Born weight 0 underflows")
     families = [lambda i: dephasing(0.9), lambda i: dephasing(0.8 + 0.02 * i),
                 RELAY_CHANNELS["nonunital"]]
-    probes = 0
+    probes = splits = 0
     for family in families:
         for n in range(4, 10):
             for s, r in ((1, 2), (n, 2)):
@@ -1414,30 +1472,66 @@ def test_w_walk_never_lands_on_a_weight_zero_string():
                                     per_qubit_channels={i: family(i) for i in
                                                         range(1, n + 1)})
                 sampler = _Protocol1Sampler(cfg)
-                sampler._raw = functools.lru_cache(maxsize=None)(sampler._raw)
-                bounds = {}
-
-                def tree(bits, lo):
-                    if len(bits) == len(sampler.measuring):
-                        return
-                    step = float(np.trace(sampler._raw(bits + (0,))).real
-                                 ) / sampler.total
-                    bounds[lo + step] = None
-                    tree(bits + (0,), lo)
-                    tree(bits + (1,), lo + step)
-
-                tree((), 0.0)
-                for b in bounds:
+                for b, (prefix, taken) in walk_tree(sampler).items():
+                    below = sampler._walk(float(np.nextafter(b, 0)))[0]
+                    if taken:  # the walk splits exactly at b
+                        splits += 1
+                        assert below[:len(prefix) + 1] == prefix + (0,)
+                        assert sampler._walk(b)[0][:len(prefix) + 1] == prefix + (1,)
                     for u in (np.nextafter(b, 0), b, np.nextafter(b, 2)):
                         if not 0 <= u < 1:
                             continue
                         probes += 1
                         out = sampler._run(MissedVeto(float(u)))
-                        bits = sampler._walk(u)
+                        bits = sampler._walk(u)[0]
                         assert np.trace(sampler._raw(bits)).real >= 1e-15
                         assert (u < sampler.zero_cut) == (bits == sampler.zeros)
                         assert out.anonymous_entanglement is sampler.branches[bits][0]
-    assert probes > 1000
+    assert probes > 1000 and splits > 200
+
+
+# channel of node i: Pauli, amplitude damping, and damping then a rotation
+# (complex, non-unital); i is folded into 1..9 so any n is valid
+W_TAIL_CHANNELS = {"pauli": RELAY_CHANNELS["pauli"],
+                   "damping": lambda i: damp_then_rotate(0.04 * i, 0.0),
+                   "nonunital": RELAY_CHANNELS["nonunital"]}
+
+
+@pytest.mark.parametrize("kind", sorted(W_TAIL_CHANNELS))
+def test_w_walk_prefix_weights_match_pullback_traces(kind):
+    # (m env[0] + env[3]) / n against a full contraction of each prefix:
+    # every prefix at n = 4-9 and random ones at n = 200; sender and
+    # receiver at the ends and in the middle, and with a lost node
+    def configs(n):
+        mid = (n + 1) // 2
+        chans = {i: W_TAIL_CHANNELS[kind](i % 9 + 1) for i in range(1, n + 1)}
+        for s, r, lost in ((1, n, ()), (n, 1, ()), (mid, mid + 1, ()),
+                           (2, n - 1, (1,)), (mid, 1, (n,))):
+            cfg = NetworkConfig(n_nodes=n, sender=s, receiver=r, lost_nodes=lost,
+                                per_qubit_channels=chans)
+            yield cfg, _Protocol1Sampler(cfg)
+
+    def check(cfg, sampler, bits):
+        ref = np.trace(pullback_pair(cfg, dict(zip(sampler.measuring, bits)),
+                                     cfg.sender, cfg.receiver)).real
+        assert traced_tail_weight(sampler, bits) == pytest.approx(ref, rel=1e-12)
+
+    checked = 0
+    for n in range(4, 10):
+        for cfg, sampler in configs(n):
+            for j in range(len(sampler.measuring) + 1):
+                for bits in itertools.product((0, 1), repeat=j):
+                    check(cfg, sampler, bits)
+                    checked += 1
+    rng = np.random.default_rng(25)
+    for cfg, sampler in configs(200):
+        for j in rng.integers(0, len(sampler.measuring) + 1, 8):
+            check(cfg, sampler, tuple(rng.integers(0, 2, j).tolist()))
+        check(cfg, sampler, sampler.zeros)
+        # the walk's empty prefix weighs 1: the channels preserve the trace
+        assert traced_tail_weight(sampler, ()) == pytest.approx(1.0, rel=1e-12)
+    # three configs with k = n - 2 measuring nodes, two (a lost node) with n - 3
+    assert checked == sum(2**(n + 1) - 5 for n in range(4, 10))
 
 
 def test_ghz_sampler_keeps_its_transfers(monkeypatch):
