@@ -648,7 +648,7 @@ class _Sampler:
     Unrecorded W and GHZ runs are decoded from chunks of raw words as
     arrays; recorded runs and the relay call the Generator."""
     TRANSCRIPT_BUDGET = 2**18  # events a recording may hold; ~1.5 KiB each printed
-    CHUNK_WORDS = 2**14  # bounds runs * max_words per chunk; one run if max_words exceeds it
+    CHUNK_WORDS = 2**16  # bounds runs * max_words per chunk; one run if max_words exceeds it
 
     def run(self, rng: np.random.Generator | None,
             record_transcript: bool = False) -> RunOutcome:
@@ -756,7 +756,9 @@ class _Protocol1Sampler(_Sampler):
     below zero_cut: all zeros) reads u, the Bell-outcome word and two
     halves; an abort reads u and veto_rounds halves; a veto miss (every
     veto bit 0) reads those, walks, then reads the Bell-outcome word and
-    two halves."""
+    two halves.  The veto halves of a run are a fixed window after u, so
+    whether one has its top bit set is an OR over that window, taken for
+    every start word of a chunk at once from spans of doubling length."""
     protocol = "W"
 
     def __init__(self, config: NetworkConfig):
@@ -767,11 +769,10 @@ class _Protocol1Sampler(_Sampler):
         self.zeros, s = (0,) * len(self.measuring), config.veto_rounds
         self.max_words = 3 + _halves(0, s)[0]  # a veto miss from h = 0
         self.chunk = max(1, self.CHUNK_WORDS // self.max_words)
-        # 2 * words + h after - h before of a veto miss, an accept and an
-        # abort, indexed by 4 * h before + accept + 2 * veto hit
-        self.moves = np.array([[2 * vw + 6 + after - h, 6, 2 * vw + 2 + after - h, 6]
-                               for h, (vw, after) in enumerate(_halves(h, s) for h in (0, 1))],
-                              np.int32).ravel()
+        # 2 * words + h after - h before of a veto miss, from h = 0 and 1; an
+        # abort moves 4 less (no Bell-outcome word or masks), an accept 6
+        self.misses = np.array([2 * vw + 6 + after - h for h, (vw, after)
+                                in enumerate(_halves(h, s) for h in (0, 1))], np.int32)
         # node i's read-0 and read-1 transfers (the identity where i does not read)
         self.reads = outcome_transfers(config, [dict.fromkeys(self.measuring, b)
                                                 for b in (0, 1)])
@@ -825,22 +826,30 @@ class _Protocol1Sampler(_Sampler):
 
     def _decode(self, words: np.ndarray, p: int, h: int, runs: int) -> tuple:
         s, fits = self.config.veto_rounds, len(words) - self.max_words + 1
-        # each 32-bit half's top bit in draw order (low half first) and the
-        # running count of ones: the veto reads halves from word p + 1 on
-        ones = (words.astype("<u8", copy=False).view("<u4") >> 31).cumsum(dtype=np.uint32)
-        accept = words[:fits] >> 11 < self.cut
-        hits = np.stack([ones[1 + s - has::2][:fits] > ones[1::2][:fits] for has in (0, 1)],
-                        axis=1)  # a veto bit set, from h = 0 and 1
-        hits[1:, 1] |= ones[1:2 * fits - 1:2] > ones[:2 * fits - 2:2]  # word p - 1's high
-        kinds = accept[:, None] + 2 * hits.view(np.int8) + np.array([0, 4], np.int8)
-        moves = memoryview(self.moves[kinds].ravel())
+        # each 32-bit half's top bit in draw order (low half first).  A run at
+        # word p reads its veto halves from half 2p + 2 on: s of them from h = 0;
+        # from h = 1 the buffered one (word p - 1's high, half 2p - 1), then s - 1
+        top = words.astype("<u8", copy=False).view("<u4") >= 2**31
+        veto = words[:fits] >> 11 >= self.cut  # not an accept: the veto is run
+        hits = np.zeros((2, fits), bool)  # a veto bit set, from h = 0 and 1
+        ors, span = top, 1  # ors[i]: a set bit among top[i:i + span]
+        for has, k in ((1, s - 1), (0, s)):
+            while 2 * span <= k:
+                ors, span = ors[:-span] | ors[span:], 2 * span
+            if k:  # two spans cover the window top[2p + 2:2p + 2 + k]
+                np.bitwise_or(ors[2::2][:fits], ors[2 + k - span::2][:fits], out=hits[has])
+        hits[1, 1:] |= top[1:2 * fits - 2:2]
+        moves = np.empty((fits, 2), np.int32)  # indexed by 2p + h
+        for has in (0, 1):  # an accept moves 6
+            moves[:, has] = veto * (self.misses[has] - 6) - (hits[has] & veto) * np.int32(4) + 6
+        moves = memoryview(moves.ravel())
         state, starts = 2 * p + h, []
         for _ in range(runs):  # the one sequential step: where each run starts
             starts.append(state)
             state += moves[state]
         ps, hs = np.divmod(np.array(starts), 2)
-        acc = accept[ps]
-        live = acc | ~hits[ps, hs]  # not aborted
+        acc = ~veto[ps]
+        live = acc | ~hits[hs, ps]  # not aborted
         miss = live & ~acc
         walks = [self._walk(u)[0] for u in ((words[ps[miss]] >> 11) * 2.0**-53).tolist()]
         bkeys = list(dict.fromkeys([self.zeros] * bool(acc.any()) + walks))

@@ -897,7 +897,7 @@ def reference_ghz_batch(sampler, rng, n_runs):
 
 
 @pytest.mark.parametrize("protocol, veto_rounds",
-                         [("W", 1), ("W", 3), ("W", 20), ("GHZ", 20)])
+                         [("W", 1), ("W", 3), ("W", 20), ("W", 33), ("GHZ", 20)])
 @pytest.mark.parametrize("buffered", [False, True])
 def test_batches_keep_the_generator_call_stream(protocol, veto_rounds, buffered):
     cfg = NetworkConfig(n_nodes=6, sender=2, receiver=5, veto_rounds=veto_rounds,
@@ -924,7 +924,7 @@ def same_state(a, b) -> bool:
         for k in a)
 
 
-@pytest.mark.parametrize("protocol, param", [("W", s) for s in (1, 2, 3, 7, 20)]
+@pytest.mark.parametrize("protocol, param", [("W", s) for s in (1, 2, 3, 7, 20, 33)]
                          + [("GHZ", n) for n in range(4, 8)]
                          + [("GHZ-damp-x", n) for n in (5, 6)])
 @pytest.mark.parametrize("buffered", [False, True])
@@ -943,9 +943,9 @@ def test_array_batches_match_generator_calls(monkeypatch, protocol, param, buffe
     make, reference = {"W": (_Protocol1Sampler, reference_w_batch),
                        "GHZ": (_GhzSampler, reference_ghz_batch),
                        "GHZ-damp-x": (_GhzSampler, reference_ghz_batch)}[protocol]
-    # the default chunk, and one below a run's word bound: one run per
-    # chunk, as in every GHZ batch from 74 nodes up
-    for chunk_words in (2**14, 3):
+    # the default chunk, 2^14, and one below a run's word bound: one run per
+    # chunk, as in every GHZ batch from 148 nodes up
+    for chunk_words in (_Sampler.CHUNK_WORDS, 2**14, 3):
         monkeypatch.setattr(_Sampler, "CHUNK_WORDS", chunk_words)
         sampler = make(cfg)
         if protocol != "W":
@@ -978,6 +978,41 @@ def test_array_batches_match_generator_calls(monkeypatch, protocol, param, buffe
             assert same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
             assert rng.random() == ref_rng.random()
             assert rng.integers(0, 2) == ref_rng.integers(0, 2)
+
+
+@pytest.mark.parametrize("veto_rounds", [1, 2, 20])
+@pytest.mark.parametrize("h", [0, 1])
+def test_w_decode_reads_halves_low_first_in_either_byte_order(veto_rounds, h):
+    # the same chunk stored big-endian decodes to the same runs, branch
+    # keys, next word, buffer state and carry as the native array
+    cfg = NetworkConfig(n_nodes=6, sender=2, receiver=5, veto_rounds=veto_rounds,
+                        per_qubit_channels=uniform(depolarizing(0.85), 6))
+    sampler, runs = _Protocol1Sampler(cfg), 300
+    words = np.random.PCG64(veto_rounds).random_raw(1 + runs * sampler.max_words)
+    codes, *rest = sampler._decode(words, 1, h, runs)
+    big_codes, *big_rest = sampler._decode(words.astype(">u8"), 1, h, runs)
+    assert -1 in codes and codes.max() >= 0  # both aborts and deliveries
+    assert np.array_equal(codes, big_codes)
+    assert rest == big_rest
+
+
+@pytest.mark.parametrize("veto_rounds", [1, 2, 20, 32, 33])
+@pytest.mark.parametrize("h", [0, 1])
+def test_w_decode_aborts_on_any_one_veto_bit(veto_rounds, h):
+    # a run at word 1 that does not accept (word 1 all ones) reads its veto
+    # halves from word 2 on, after word 0's high half if one is buffered;
+    # it aborts iff one of their top bits is set
+    cfg = NetworkConfig(n_nodes=6, sender=2, receiver=5, veto_rounds=veto_rounds,
+                        per_qubit_channels=uniform(depolarizing(0.85), 6))
+    sampler = _Protocol1Sampler(cfg)
+    veto = [1] * h + list(range(4, 4 + veto_rounds - h))  # half indices, low half first
+    for bit in [None, *veto]:
+        halves = np.zeros(2 * (1 + sampler.max_words), "<u4")
+        halves[2:4] = 2**32 - 1
+        if bit is not None:
+            halves[bit] = 2**31
+        codes = sampler._decode(halves.view("<u8"), 1, h, 1)[0]
+        assert (codes[0] < 0) == (bit is not None)
 
 
 # ---------------------------------------------------------------------------
