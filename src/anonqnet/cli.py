@@ -218,14 +218,14 @@ def _uniform(n: int, channel: QuantumChannel, sender: int = 1,
 
 
 def _network(nodes: int, sender: int, receiver: int, channel_spec: str,
-             overrides, lost: str, seed: int, **kw) -> NetworkConfig:
+             overrides, lost: str, **kw) -> NetworkConfig:
     """The network of a command's options: the channel map, then the lost
     nodes, then the configuration are checked, and a bad one is a usage
     error."""
     try:
         channels = parse_channel_map(channel_spec, overrides, range(1, nodes + 1))
         return NetworkConfig(n_nodes=nodes, sender=sender, receiver=receiver,
-                             per_qubit_channels=channels, seed=seed,
+                             per_qubit_channels=channels,
                              lost_nodes=frozenset(_parse_node_list(lost)), **kw)
     except ValueError as exc:
         raise click.UsageError(str(exc))
@@ -375,6 +375,11 @@ def threshold(n_range, channel_family, as_json, out):
 # relay
 
 
+def _pair_fidelity(config: NetworkConfig, protocol: str) -> float:
+    """The fidelity of an exact run's pair with its protocol's target."""
+    return fidelity_with_pure(exact_pair(config, protocol)[1], pair_target(protocol))
+
+
 def _relay_point(n: int, s: int, r: int, channel: QuantumChannel, mode: str) -> dict:
     """One placement's cells at one channel, keyed by column label; the
     exact cell reads the engine's pair."""
@@ -383,9 +388,8 @@ def _relay_point(n: int, s: int, r: int, channel: QuantumChannel, mode: str) -> 
     if mode in ("analytic", "both"):
         cells[label] = f_ae_relay_depolarizing(q, n, s, r)
     if mode in ("exact", "both"):
-        _, pair = exact_pair(_uniform(n, channel, s, r), "relay")
-        cells[label + "_exact" if mode == "both" else label] = (
-            fidelity_with_pure(pair, pair_target("GHZ")))
+        cells[label + "_exact" if mode == "both" else label] = _pair_fidelity(
+            _uniform(n, channel, s, r), "relay")
     return cells
 
 
@@ -451,18 +455,16 @@ def relay(nodes, q_values, sender, receiver, mode, workers, as_json, out):
 @click.option("--channel-node", "channel_overrides", multiple=True,
               help="per-node override, e.g. 3=depolarizing:q=0.75")
 @click.option("--lost", default="", help="comma-separated lost node ids")
-@click.option("--seed", type=int, default=0)
 @click.option("--out", default=None)
 @_config_option
 def security(nodes, sender, receiver, adversaries, role, channel_spec,
-             channel_overrides, lost, seed, out):
+             channel_overrides, lost, out):
     """Audit anonymity against a passive coalition; exit 1 on violation."""
 
     adv = sorted(set(_parse_node_list(adversaries)))
     if not adv:
         raise click.UsageError("need at least one adversary node")
-    net = _network(nodes, sender, receiver, channel_spec, channel_overrides,
-                   lost, seed)
+    net = _network(nodes, sender, receiver, channel_spec, channel_overrides, lost)
     base = parse_channel_spec(channel_spec)  # valid: parsed just above
 
     roles = ["sender", "receiver"] if role == "both" else [role]
@@ -515,7 +517,7 @@ def run(protocol, nodes, sender, receiver, channel_spec, channel_overrides,
             "zero": np.array([1, 0]),
             "one": np.array([0, 1])}[message].astype(complex)
     net = _network(nodes, sender, receiver, channel_spec, channel_overrides,
-                   lost, seed, message_state=Ket(amps, ("message",)))
+                   lost, seed=seed, message_state=Ket(amps, ("message",)))
 
     runner = {"W": run_protocol1, "GHZ": run_ghz_protocol,
               "relay": run_relay_protocol}[protocol]
@@ -543,36 +545,32 @@ def run(protocol, nodes, sender, receiver, channel_spec, channel_overrides,
 # each value is a thunk, so a check that raises fails alone
 _ORACLE_CHECKS = {
     "w-depolarizing-closed-vs-dense": (
-        lambda: run_protocol1(_uniform(5, depolarizing(0.9)), mode="exact").ae_fidelity,
+        lambda: _pair_fidelity(_uniform(5, depolarizing(0.9)), "W"),
         lambda: f_ae_w_depolarizing(0.9, 5), 1e-10),
     "w-dephasing-closed-vs-dense": (
-        lambda: run_protocol1(_uniform(4, dephasing(0.85)), mode="exact").ae_fidelity,
+        lambda: _pair_fidelity(_uniform(4, dephasing(0.85)), "W"),
         lambda: f_ae_w_dephasing(0.85), 1e-10),
     "ghz-depolarizing-closed-vs-structured": (
         lambda: structured_fidelity("GHZ", depolarizing(0.9), 5),
         lambda: f_ae_ghz_depolarizing(0.9, 5), 1e-10),
     "ghz-dephasing-closed-vs-dense": (
-        lambda: run_ghz_protocol(_uniform(6, dephasing(0.8)), mode="exact").ae_fidelity,
+        lambda: _pair_fidelity(_uniform(6, dephasing(0.8)), "GHZ"),
         lambda: f_ae_ghz_dephasing(0.8, 6), 1e-10),
     "w-success-probability-depolarizing": (
-        lambda: run_protocol1(_uniform(6, depolarizing(0.7)),
-                              mode="exact").analytic_success_probability,
+        lambda: exact_pair(_uniform(6, depolarizing(0.7)), "W")[0],
         lambda: p_success_w("depolarizing", 0.7, 6), 1e-12),
     "w-success-probability-dephasing-2-over-n": (
-        lambda: run_protocol1(_uniform(5, dephasing(0.6)),
-                              mode="exact").analytic_success_probability,
+        lambda: exact_pair(_uniform(5, dephasing(0.6)), "W")[0],
         lambda: 2 / 5, 1e-12),
     "relay-closed-vs-dense": (
-        lambda: run_relay_protocol(_uniform(5, depolarizing(0.9), 2, 4),
-                                   mode="exact").ae_fidelity,
+        lambda: _pair_fidelity(_uniform(5, depolarizing(0.9), 2, 4), "relay"),
         lambda: f_ae_relay_depolarizing(0.9, 5, 2, 4), 1e-10),
     "teleport-noiseless-delivery": (
         lambda: run_protocol1(_uniform(4, identity_channel(), receiver=3),
                               mode="exact").delivered_fidelity,
         lambda: 1.0, 1e-12),
     "loss-noiseless-conditional-two-thirds": (
-        lambda: run_protocol1(_uniform(5, identity_channel(), lost_nodes={5}),
-                              mode="exact").ae_fidelity,
+        lambda: _pair_fidelity(_uniform(5, identity_channel(), lost_nodes={5}), "W"),
         lambda: 2 / 3, 1e-12),
     "w-loss-closed-vs-dense-average": (
         lambda: w_loss_branch_average_dense(depolarizing(0.9), 5),
@@ -580,12 +578,11 @@ _ORACLE_CHECKS = {
     # at the usefulness threshold the exact pair fidelity is 1/2; N = 183 is
     # the W/GHZ crossover
     "w-threshold-183-exact-half": (
-        lambda: run_protocol1(_uniform(183, depolarizing(threshold_q(W_DEPOL, 183))),
-                              mode="exact").ae_fidelity,
+        lambda: _pair_fidelity(_uniform(183, depolarizing(threshold_q(W_DEPOL, 183))), "W"),
         lambda: 0.5, 1e-10),
     "ghz-threshold-183-exact-half": (
-        lambda: run_ghz_protocol(_uniform(183, depolarizing(threshold_q(GHZ_DEPOL, 183))),
-                                 mode="exact").ae_fidelity,
+        lambda: _pair_fidelity(_uniform(183, depolarizing(threshold_q(GHZ_DEPOL, 183))),
+                               "GHZ"),
         lambda: 0.5, 1e-10),
 }
 

@@ -597,7 +597,7 @@ def run_protocol1(config: NetworkConfig, rng: np.random.Generator | None = None,
     if mode == "exact":
         return _exact_run(config, "W")
     if mode == "sampling":
-        return _Protocol1Sampler(config).run(rng, record_transcript=True)
+        return _Protocol1Sampler(config).run(rng)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -642,35 +642,33 @@ def _halves(has: int, k: int) -> tuple:
 
 
 class _Sampler:
-    """A protocol's sampling plan for one config.  A recorded run gets a fresh
-    outcome; an unrecorded one the read-only outcome (empty transcript) of
-    its result key: None (abort) or (branch key, Bell outcome, public bits).
-    Unrecorded W and GHZ runs are decoded from chunks of raw words as
-    arrays; recorded runs and the relay call the Generator."""
+    """A protocol's sampling plan for one config.  run records one run and
+    returns a fresh outcome; batch records none, and each of its runs gets
+    the read-only outcome (empty transcript) of its result key: None
+    (abort) or (branch key, Bell outcome, public bits).  W and GHZ batches
+    are decoded from chunks of raw words as arrays; recorded runs and relay
+    batches call the Generator.  Either leaves rng (default: a Generator on
+    the config's seed) where the runs' Generator calls leave it."""
     TRANSCRIPT_BUDGET = 2**18  # events a recording may hold; ~1.5 KiB each printed
     CHUNK_WORDS = 2**16  # bounds runs * max_words per chunk; one run if max_words exceeds it
 
-    def run(self, rng: np.random.Generator | None,
-            record_transcript: bool = False) -> RunOutcome:
-        return self.batch(1, rng, record_transcript)[0]
-
-    def batch(self, n_samples: int, rng: np.random.Generator | None = None,
-              record_transcripts: bool = False) -> list:
-        """Sampled runs drawn from rng (default: the config's seed), which
-        is left where the runs' Generator calls leave it."""
-        events = n_samples * self.events_per_run  # an upper bound
-        if record_transcripts and events > self.TRANSCRIPT_BUDGET:
-            raise ValueError(f"recording {n_samples} run(s) may take {events} transcript"
+    def run(self, rng: np.random.Generator | None) -> RunOutcome:
+        if self.events_per_run > self.TRANSCRIPT_BUDGET:  # an upper bound
+            raise ValueError(f"recording 1 run(s) may take {self.events_per_run} transcript"
                              f" events, over the budget of {self.TRANSCRIPT_BUDGET}")
+        return self._run(self._generator(rng))
+
+    def batch(self, n_samples: int, rng: np.random.Generator | None = None) -> list:
+        return self._unrecorded(self._generator(rng), n_samples)
+
+    def _generator(self, rng: np.random.Generator | None) -> np.random.Generator:
         if rng is None:
             rng = np.random.default_rng(self.config.seed)
         state = rng.bit_generator.state
         if "has_uint32" not in state:  # the unrecorded decoders need the buffer
             raise ValueError("sampling needs a PCG64, PCG64DXSM, Philox or SFC64"
                              f" bit generator, not {state['bit_generator']}")
-        if record_transcripts:
-            return [self._run(rng) for _ in range(n_samples)]
-        return self._unrecorded(rng, n_samples)
+        return rng
 
     def _unrecorded(self, rng: np.random.Generator, n: int) -> list:
         """n unrecorded runs, decoded from raw words: random() is (word >> 11)
@@ -694,7 +692,7 @@ class _Sampler:
             codes, bkeys, p, h, last = self._decode(words, p, h, runs)
             codes = codes.tolist()
             shared = {c: self._finish(None if c < 0 else (
-                bkeys[c >> 4], c >> 2 & 3, (c >> 1 & 1, c & 1)), None)
+                bkeys[c >> 4], c >> 2 & 3, (c >> 1 & 1, c & 1)))
                 for c in dict.fromkeys(codes)}
             out += map(shared.__getitem__, codes)
             words, p = words[last:], p - last
@@ -721,9 +719,8 @@ class _Sampler:
         r0 = np.where(hm, (words[q - hm] >> 63).astype(np.intp), low)
         return bidx << 4 | m << 2 | (m >> 1 ^ r0) << 1 | (m & 1 ^ np.where(hm, low, high))
 
-    def _finish(self, key, transcript: Transcript | None) -> RunOutcome:
-        if transcript is not None:
-            return self._outcome(key, transcript)
+    def _finish(self, key) -> RunOutcome:
+        """The one unrecorded outcome of a result key."""
         if key not in self.outcomes:
             self.outcomes[key] = self._outcome(key, Transcript())
         return self.outcomes[key]
@@ -865,13 +862,12 @@ class _Protocol1Sampler(_Sampler):
 
 
 def sample_protocol1_runs(config: NetworkConfig, n_samples: int,
-                          rng: np.random.Generator | None = None,
-                          record_transcripts: bool = False) -> tuple[list, dict]:
-    """Draw many seeded sampled runs cheaply (each delivered outcome string
-    is planned once).  Returns the outcomes and an aggregate summary.
-    Unrecorded runs with equal results share one outcome (empty transcript)."""
+                          rng: np.random.Generator | None = None) -> tuple[list, dict]:
+    """Draw many seeded unrecorded runs cheaply (each delivered outcome
+    string is planned once).  Returns the outcomes and an aggregate summary.
+    Runs with equal results share one outcome (empty transcript)."""
     sampler = _Protocol1Sampler(config)
-    outcomes = sampler.batch(n_samples, rng, record_transcripts)
+    outcomes = sampler.batch(n_samples, rng)
     return outcomes, {**batch_summary(outcomes),
                       "exact_success_probability": sampler.exact_success}
 
@@ -910,7 +906,7 @@ def run_ghz_protocol(config: NetworkConfig, rng: np.random.Generator | None = No
     with the config's seed.
     """
     if mode == "sampling":
-        return _GhzSampler(config).run(rng, record_transcript=True)
+        return _GhzSampler(config).run(rng)
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
     return _exact_run(config, "GHZ")
@@ -989,10 +985,9 @@ class _GhzSampler(_Sampler):
 
 
 def sample_ghz_runs(config: NetworkConfig, n_samples: int,
-                    rng: np.random.Generator | None = None,
-                    record_transcripts: bool = False) -> tuple[list, dict]:
+                    rng: np.random.Generator | None = None) -> tuple[list, dict]:
     """sample_protocol1_runs for GHZ, with run_ghz_protocol's draws."""
-    outcomes = _GhzSampler(config).batch(n_samples, rng, record_transcripts)
+    outcomes = _GhzSampler(config).batch(n_samples, rng)
     return outcomes, batch_summary(outcomes)
 
 
@@ -1142,7 +1137,7 @@ def run_relay_protocol(config: NetworkConfig,
     with the config's seed.
     """
     if mode == "sampling":
-        return _RelaySampler(config).run(rng, record_transcript=True)
+        return _RelaySampler(config).run(rng)
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
     relay = _Relay(config)
@@ -1164,9 +1159,16 @@ class _RelaySampler(_Relay, _Sampler):
         self.key, self.chain = None, 0
 
     def _unrecorded(self, rng: np.random.Generator, n: int) -> list:
-        return [self._run(rng, False) for _ in range(n)]
+        return [self._finish(self._draw_run(rng)[0]) for _ in range(n)]
 
-    def _run(self, rng: np.random.Generator, record_transcript: bool = True) -> RunOutcome:
+    def _run(self, rng: np.random.Generator) -> RunOutcome:
+        key, swaps = self._draw_run(rng)
+        n, bits = self.config.n_nodes, key[1]
+        return self._outcome(key, self.transcript(
+            [*zip(range(2, n), range(2, n), swaps), (n, n, bits[0]), (n + 1, 1, bits[1])]))
+
+    def _draw_run(self, rng: np.random.Generator) -> tuple:
+        """A run's result key and its swap outcomes."""
         n = self.config.n_nodes
         *swap_us, u_close, u_open = rng.random(n).tolist()
         swaps = [bisect_right(_SWAP_CDF, u) for u in swap_us]
@@ -1186,20 +1188,16 @@ class _RelaySampler(_Relay, _Sampler):
             bits += (b,)
             if bits not in self.closed:
                 self.closed[bits] = branches[b] / np.trace(branches[b]).real
-        transcript = self.transcript(
-            [*zip(range(2, n), range(2, n), swaps), (n, n, bits[0]),
-             (n + 1, 1, bits[1])]) if record_transcript else None
-        return self._finish((self.chain, bits), transcript)
+        return (self.chain, bits), swaps
 
     def _outcome(self, key, transcript: Transcript) -> RunOutcome:
         return self.delivered(self.closed[key[1]], transcript)
 
 
 def sample_relay_runs(config: NetworkConfig, n_samples: int,
-                      rng: np.random.Generator | None = None,
-                      record_transcripts: bool = False) -> tuple[list, dict]:
+                      rng: np.random.Generator | None = None) -> tuple[list, dict]:
     """sample_protocol1_runs for the relay, with run_relay_protocol's draws."""
-    outcomes = _RelaySampler(config).batch(n_samples, rng, record_transcripts)
+    outcomes = _RelaySampler(config).batch(n_samples, rng)
     return outcomes, batch_summary(outcomes)
 
 

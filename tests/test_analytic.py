@@ -305,6 +305,10 @@ def test_p_success_w_depolarizing_matches_exact_rationals_at_any_size():
     (lambda: p_success_w_loss("depolarizing", 0.9, 3),
      "need n >= 4 with one lost measuring node"),
     (lambda: ghz_postselected_pair(depolarizing(0.9), 2), "need n >= 3"),
+    (lambda: w_postselected_pair(depolarizing(0.9), 3),
+     "structured evaluation needs n >= 4"),
+    (lambda: FidelityReport("W", "depolarizing", 5, 0.9, 1.5),
+     "success probability 1.5 outside [0,1]"),
     (lambda: fidelity_report("relay", "depolarizing", 0.9, 5),
      "unsupported protocol 'relay' or channel 'depolarizing'"),
     (lambda: structured_fidelity("relay", depolarizing(0.9), 5),

@@ -311,8 +311,9 @@ def test_parse_channel_spec():
         parse_channel_spec("dephasing")
     with pytest.raises(ValueError):
         parse_channel_spec("amplitude:q=0.5")
-    with pytest.raises(ValueError):
-        parse_channel_spec("depolarizing:q=1.5")
+    for spec in ("depolarizing:q=1.5", "dephasing:q=1.5"):
+        with pytest.raises(ValueError, match=re.escape("q=1.5 outside [0, 1]")):
+            parse_channel_spec(spec)
     # a missing, unknown or repeated parameter names the spec
     for spec in ("dephasing:p=0.9", "dephasing:q=0.9,x=1",
                  "depolarizing:q=0.9,q=0.5"):
@@ -335,3 +336,5 @@ def test_spec_string_roundtrip():
     again = parse_channel_spec(ch.spec_string())
     assert again.name == ch.name
     assert again.params == ch.params
+    assert repr(identity_channel()) == "QuantumChannel(identity)"
+    assert repr(dephasing(0.9)) == "QuantumChannel(dephasing:q=0.9)"

@@ -510,6 +510,11 @@ REFUSALS = [
      "error: a corrupt sender knows its own identity already"),
     ("security --nodes 5 --adversaries 1 --role both", 2,
      "error: a corrupt sender knows its own identity already"),
+    ("sweep --protocol W --nodes 10001 --q 0.9 --mode exact", 2,
+     "Error: exact tables are capped at 10000 nodes"),
+    # every live node but the sender is in the coalition
+    ("security --nodes 3 --adversaries 2,3 --role receiver", 2,
+     "error: no admissible hypotheses for this coalition"),
 ]
 
 
@@ -931,6 +936,22 @@ def test_oracle_check_passes(runner):
         "w-threshold-183-exact-half",
         "ghz-threshold-183-exact-half",
     ]
+
+
+def test_oracle_check_reads_pairs_and_runs_one_protocol(runner, monkeypatch):
+    # only teleport-noiseless-delivery needs a whole run, for its delivery
+    calls, real = [], cli.run_protocol1
+    monkeypatch.setattr(cli, "run_protocol1",
+                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a whole run started")
+
+    for name in ("run_ghz_protocol", "run_relay_protocol"):
+        monkeypatch.setattr(cli, name, refuse)
+    res = runner.invoke(main, ["oracle-check"])
+    assert res.exit_code == 0  # a refused run would be a failed check
+    assert len(calls) == 1
 
 
 def test_version_flag(runner):

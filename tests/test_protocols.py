@@ -349,27 +349,30 @@ def test_ghz_identity_perfect():
     assert out.delivered_fidelity == pytest.approx(1.0, abs=1e-12)
 
 
-def test_recordings_over_the_transcript_budget_are_refused_before_any_draw():
+def test_recordings_over_the_transcript_budget_are_refused_before_any_draw(
+        monkeypatch):
     # a recorded parity run over k nodes holds k (k + 1) events, so a
     # recording's size grows as the square of the node count
     budget = _Sampler.TRANSCRIPT_BUDGET
     small = NetworkConfig(n_nodes=6, sender=1, receiver=2)
     # W at 6 nodes: 22 parity runs of 6 x 7 events, and 18 others
     over = budget // (22 * 42 + 18) + 1
-    for sample in (
-            lambda rng: run_protocol1(
+    for cap, sample in (
+            (budget, lambda rng: run_protocol1(
                 NetworkConfig(n_nodes=109, sender=1, receiver=2), rng=rng,
-                mode="sampling"),
-            lambda rng: run_ghz_protocol(
+                mode="sampling")),
+            (budget, lambda rng: run_ghz_protocol(
                 NetworkConfig(n_nodes=295, sender=1, receiver=2), rng=rng,
-                mode="sampling"),
-            lambda rng: sample_protocol1_runs(small, over, rng=rng,
-                                              record_transcripts=True),
-            lambda rng: sample_relay_runs(small, budget // 12 + 1, rng=rng,
-                                          record_transcripts=True)):
+                mode="sampling")),
+            # a relay recording holds 2 n events, within the budget up to
+            # 131,072 nodes, so its case lowers the budget
+            (2 * 6 - 1, lambda rng: run_relay_protocol(small, rng=rng,
+                                                       mode="sampling"))):
         rng = np.random.default_rng(5)
         state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="over the budget of 262144"):
+        with monkeypatch.context() as patch, pytest.raises(
+                ValueError, match=f"over the budget of {cap}$"):
+            patch.setattr(_Sampler, "TRANSCRIPT_BUDGET", cap)
             sample(rng)
         assert rng.bit_generator.state == state
     # the largest recordings admitted: W at 108 live nodes and 20 veto
@@ -405,8 +408,7 @@ def test_w_sampler_plans_with_one_contraction_and_refuses_over_budget_recordings
                         lambda *args: calls.append(1) or real(*args))
     cfg = NetworkConfig(n_nodes=2000, sender=1, receiver=2)
     for sample in (lambda rng: run_protocol1(cfg, rng=rng, mode="sampling"),
-                   lambda rng: sample_protocol1_runs(cfg, 1, rng=rng,
-                                                     record_transcripts=True)):
+                   lambda rng: _Protocol1Sampler(cfg).run(rng)):
         rng = np.random.default_rng(5)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="over the budget of 262144"):
@@ -458,7 +460,8 @@ def test_events_per_run_bounds_recorded_transcripts(n):
     cfg = NetworkConfig(n_nodes=n, sender=n - 1, receiver=2,
                         per_qubit_channels=channels, seed=n)
     for sampler in (_GhzSampler(cfg), _RelaySampler(cfg)):
-        outs = sampler.batch(3, record_transcripts=True)
+        rng = np.random.default_rng(cfg.seed)
+        outs = [sampler.run(rng) for _ in range(3)]
         assert max(len(o.transcript.events) for o in outs) <= sampler.events_per_run
     delivered = 0
     for veto_rounds in range(1, 21):
@@ -466,7 +469,8 @@ def test_events_per_run_bounds_recorded_transcripts(n):
             sampler = _Protocol1Sampler(NetworkConfig(
                 n_nodes=n, sender=n - 1, receiver=2, per_qubit_channels=channels,
                 veto_rounds=veto_rounds, lost_nodes=lost, seed=veto_rounds))
-            outs = sampler.batch(2, record_transcripts=True)
+            rng = np.random.default_rng(veto_rounds)
+            outs = [sampler.run(rng) for _ in range(2)]
             assert max(len(o.transcript.events) for o in outs) <= sampler.events_per_run
             delivered += sum(not o.aborted for o in outs)
     assert delivered  # the bound covers the teleport's two parity runs
@@ -754,7 +758,7 @@ def test_ghz_sampler_keeps_the_stream(n, mixed):
                         per_qubit_channels=channels)
     sampler = _GhzSampler(cfg)
     rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
-    batch = [sampler.run(rng) for _ in range(60)]
+    batch = [sampler.batch(1, rng)[0] for _ in range(60)]
     recorded = [run_ghz_protocol(cfg, rng=ref_rng, mode="sampling")
                 for _ in range(60)]
 
@@ -781,7 +785,7 @@ def test_unrecorded_runs_share_one_outcome_per_result(make):
                         per_qubit_channels=uniform(depolarizing(0.9), 6))
     sampler = make(cfg)
     rng = np.random.default_rng(3)
-    outs = [sampler.run(rng) for _ in range(300)]
+    outs = [sampler.batch(1, rng)[0] for _ in range(300)]
     shared = {id(o): o for o in sampler.outcomes.values()}
     # every run returns the single outcome stored for its result key
     assert {id(o) for o in outs} == set(shared)
@@ -789,10 +793,11 @@ def test_unrecorded_runs_share_one_outcome_per_result(make):
     assert all(o.transcript.events == [] for o in shared.values())
 
 
-def test_recorded_batch_runs_keep_their_own_transcripts():
+def test_recorded_runs_keep_their_own_transcripts():
     cfg = NetworkConfig(n_nodes=5, sender=1, receiver=2, seed=4,
                         per_qubit_channels=uniform(depolarizing(0.9), 5))
-    outs, _ = sample_protocol1_runs(cfg, 50, record_transcripts=True)
+    sampler, rng = _Protocol1Sampler(cfg), np.random.default_rng(cfg.seed)
+    outs = [sampler.run(rng) for _ in range(50)]
     assert len({id(o) for o in outs}) == len({id(o.transcript) for o in outs}
                                             ) == 50
     assert all(o.transcript.events for o in outs)
@@ -801,11 +806,31 @@ def test_recorded_batch_runs_keep_their_own_transcripts():
     assert all(o.transcript.events == [] for o in ghz)
     again, _ = sample_ghz_runs(cfg, 20, np.random.default_rng(cfg.seed))
     assert [o.to_json_dict() for o in again] == [o.to_json_dict() for o in ghz]
-    recorded, agg = sample_ghz_runs(cfg, 20, record_transcripts=True)
-    assert agg["runs"] == 20
+    sampler, rng = _GhzSampler(cfg), np.random.default_rng(cfg.seed)
+    recorded = [sampler.run(rng) for _ in range(20)]
     assert len({id(o) for o in recorded}) == len(
         {id(o.transcript) for o in recorded}) == 20
     assert all(o.transcript.events for o in recorded)
+
+
+@pytest.mark.parametrize("make, runner", [(_Protocol1Sampler, run_protocol1),
+                                          (_GhzSampler, run_ghz_protocol),
+                                          (_RelaySampler, run_relay_protocol)])
+def test_run_records_one_run_and_batch_records_none(make, runner):
+    cfg = NetworkConfig(n_nodes=6, sender=2, receiver=5,
+                        per_qubit_channels=uniform(depolarizing(0.9), 6))
+    sampler = make(cfg)
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    assert all(o.transcript.events == [] for o in sampler.batch(5, rng))
+    make(cfg).batch(5, ref_rng)
+    runs = [sampler.run(rng) for _ in range(3)]
+    assert [o.transcript.to_jsonl() for o in runs] == [
+        runner(cfg, rng=ref_rng, mode="sampling").transcript.to_jsonl() for _ in range(3)]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # fresh: no recorded run is a batch's shared outcome or shares a transcript
+    assert all(o.transcript.events for o in runs)
+    assert not {id(o) for o in runs} & {id(o) for o in sampler.outcomes.values()}
+    assert len({id(o.transcript) for o in runs}) == 3
 
 
 def test_single_sampling_run_records_full_transcript():
@@ -910,7 +935,7 @@ def test_batches_keep_the_generator_call_stream(protocol, veto_rounds, buffered)
     # sample_protocol1_runs and sample_ghz_runs are this batch
     outs = make(cfg).batch(400, rng)
     ref = make(cfg)
-    want = [ref._finish(key, None) for key in reference(ref, ref_rng, 400)]
+    want = [ref._finish(key) for key in reference(ref, ref_rng, 400)]
     assert [o.to_json_dict() for o in outs] == [o.to_json_dict() for o in want]
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert rng.random() == ref_rng.random()
@@ -974,7 +999,7 @@ def test_array_batches_match_generator_calls(monkeypatch, protocol, param, buffe
             key_of = {id(o): key for key, o in sampler.outcomes.items()}
             assert [key_of[id(o)] for o in outs] == keys
             for o, key in {id(o): (o, key) for o, key in zip(outs, keys)}.values():
-                assert o.to_json_dict() == ref._finish(key, None).to_json_dict()
+                assert o.to_json_dict() == ref._finish(key).to_json_dict()
             assert same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
             assert rng.random() == ref_rng.random()
             assert rng.integers(0, 2) == ref_rng.integers(0, 2)
@@ -1023,7 +1048,8 @@ def test_transcript_jsonl_roundtrip():
     cfg = NetworkConfig(n_nodes=4, sender=1, receiver=2, seed=5)
     out = run_protocol1(cfg, mode="sampling")
     text = out.transcript.to_jsonl()
-    again = Transcript.from_jsonl(text)
+    # blank lines, such as a file's trailing newline, are skipped
+    again = Transcript.from_jsonl(text.replace("\n", "\n  \n", 1) + "\n")
     assert len(again.events) == len(out.transcript.events)
     for a, b in zip(again.events, out.transcript.events):
         assert (a.round, a.kind, a.actor, a.payload, a.visibility) == (
@@ -1379,7 +1405,9 @@ def test_relay_batch_matches_successive_dense_runs(n, kind):
             rng, ref_rng = (np.random.Generator(bit_generator(seed)) for _ in range(2))
             if (n + seed + record) % 2:
                 assert rng.integers(0, 2) == ref_rng.integers(0, 2)
-            outs, _ = sample_relay_runs(cfg, 10, rng, record_transcripts=record)
+            sampler = _RelaySampler(cfg)
+            outs = ([sampler.run(rng) for _ in range(10)] if record
+                    else sample_relay_runs(cfg, 10, rng)[0])
             for out in outs:
                 ref, transcript, _ = dense_relay(cfg, ref_rng)
                 assert np.abs(out.anonymous_entanglement.mat - ref).max() < 1e-12
@@ -1410,7 +1438,7 @@ def test_relay_plan_keeps_the_registers_of_one_chain():
     # reused registers and closing probabilities change no bit of a run
     ref_rng = np.random.default_rng(5)
     for out in outs[:60]:
-        ref = _RelaySampler(cfg).run(ref_rng)
+        ref = _RelaySampler(cfg).batch(1, ref_rng)[0]
         assert np.array_equal(out.anonymous_entanglement.mat,
                               ref.anonymous_entanglement.mat)
 
@@ -1649,7 +1677,7 @@ def test_one_pair_gate_is_exact():
         outs = sampler.batch(300, rng)
         ref = _GhzSampler(cfg)
         ref.one_pair = False
-        want = [ref._finish(key, None) for key in reference_ghz_batch(ref, ref_rng, 300)]
+        want = [ref._finish(key) for key in reference_ghz_batch(ref, ref_rng, 300)]
         assert [o.to_json_dict() for o in outs] == [o.to_json_dict() for o in want]
         assert rng.random() == ref_rng.random()
     # the gate reads R's channel as well as the measuring nodes'
