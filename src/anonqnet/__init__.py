@@ -74,7 +74,6 @@ from .protocols import (
     run_relay_protocol,
     sample_protocol1_runs,
     teleport_branches,
-    teleport_exact,
     veto_protocol,
     w_loss_branch_average_dense,
 )

@@ -240,12 +240,12 @@ _config_option = click.option(
 class _Main(click.Group):
     """The command group.  Every command's refusals reach its invoke as
     exceptions and leave as `error: <message>`: exit 1 when the protocol
-    cannot run at all, 2 for any other rejected input."""
+    cannot run at all, 2 for any other rejected input or unwritable path."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except (ProtocolImpossibleError, ValueError) as exc:
+        except (ProtocolImpossibleError, ValueError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1 if isinstance(exc, ProtocolImpossibleError) else 2)
 

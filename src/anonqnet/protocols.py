@@ -473,44 +473,29 @@ def _teleport_ops(amps: bytes, resource: str) -> np.ndarray:
     return ops
 
 
-def teleport_branches(pair: DensityMatrix, message: Ket, sender_label,
-                      receiver_label, resource: str) -> list:
+def teleport_branches(pair: DensityMatrix, message: Ket, resource: str) -> list:
     """The four Bell-outcome branches of teleporting message through pair.
 
     Returns (weight, corrected receiver branch) for m = 0..3: the Bell
-    projection of (message, sender half) onto outcome m, with the outcome
-    correction applied to the receiver half.  resource names the noiseless
-    pair the corrections are calibrated for: "psi+" corrections are P_m X,
-    "phi+" corrections P_m.  Each branch is unnormalized, with trace equal
-    to its weight times the pair's weight.
+    projection of (message, sender half pair.labels[0]) onto outcome m,
+    with the outcome correction applied to the receiver half
+    pair.labels[1].  resource names the noiseless pair the corrections are
+    calibrated for: "psi+" corrections are P_m X, "phi+" corrections P_m.
+    Each branch is unnormalized, with trace equal to its weight times the
+    pair's weight.
 
     Branch m is W_m rho W_m† with the 2x4 operator W_m = V_m ⊗ C_m, where
     V_m = <β_m|_{message,S} |ψ>_message is a bra on the sender half and C_m
     the correction, so no three-qubit register is built.
     """
-    order = (sender_label, receiver_label)
-    rho = pair.mat if pair.labels == order else pair.permuted(order).mat
     ops = _teleport_ops(message.amps.tobytes(), resource)
     total = pair.weight
     out = []
-    for branch in ops @ rho @ ops.conj().transpose(0, 2, 1):
+    for branch in ops @ pair.mat @ ops.conj().transpose(0, 2, 1):
         w = float(np.trace(branch).real) / total if total > 0 else 0.0
-        out.append((w, DensityMatrix(branch, (receiver_label,),
+        out.append((w, DensityMatrix(branch, pair.labels[1:],
                                      unnormalized=True)))
     return out
-
-
-def teleport_exact(ae: DensityMatrix, message: Ket, sender_label, receiver_label,
-                   resource: str) -> tuple[DensityMatrix, list]:
-    """Deterministic teleport through a (possibly noisy) pair state: the
-    sum of the teleport_branches, with their weights."""
-    branches = teleport_branches(ae, message, sender_label, receiver_label,
-                                 resource)
-    acc = None
-    for _, fixed in branches:
-        acc = fixed.mat if acc is None else acc + fixed.mat
-    return (DensityMatrix(acc, (receiver_label,), unnormalized=True),
-            [w for w, _ in branches])
 
 
 def _delivered_fidelity(delivered: DensityMatrix, message: Ket) -> float:
@@ -518,31 +503,38 @@ def _delivered_fidelity(delivered: DensityMatrix, message: Ket) -> float:
     return fidelity_with_pure(delivered.normalized(), target)
 
 
+def _teleport(config: NetworkConfig, pair: DensityMatrix, protocol: str) -> tuple:
+    """The message's teleport_branches through pair, corrected for the
+    protocol's resource, and the pair's fidelity with its target."""
+    resource = "psi+" if protocol == "W" else "phi+"
+    return (teleport_branches(pair, config.message_state, resource),
+            fidelity_with_pure(pair, pair_target(protocol)))
+
+
 def _teleported(config: NetworkConfig, ae: DensityMatrix, protocol: str,
                 transcript: Transcript, weight: float = 1.0,
                 **extra) -> RunOutcome:
     """Exact-mode outcome: the message teleported through the pair ae,
     which is scored against the protocol's target pair."""
-    resource = "psi+" if protocol == "W" else "phi+"
-    delivered, _ = teleport_exact(ae, config.message_state, *PAIR_LABELS,
-                                  resource=resource)
+    branches, ae_fidelity = _teleport(config, ae, protocol)
+    acc = branches[0][1].mat
+    for _, fixed in branches[1:]:
+        acc = acc + fixed.mat
+    delivered = DensityMatrix(acc, ae.labels[1:], unnormalized=True)
     return RunOutcome(
         aborted=False,
         delivered_fidelity=_delivered_fidelity(delivered, config.message_state),
         analytic_success_probability=weight, transcript=transcript,
-        anonymous_entanglement=ae,
-        ae_fidelity=fidelity_with_pure(ae, pair_target(protocol)), **extra)
+        anonymous_entanglement=ae, ae_fidelity=ae_fidelity, **extra)
 
 
 def _branch_plan(config: NetworkConfig, pair: DensityMatrix, protocol: str) -> tuple:
     """(pair, (Bell-outcome CDF, delivered fidelities), pair fidelity) of a
     sampled branch's normalized pair; an outcome below 1e-15 gets 0s."""
+    branches, fidelity = _teleport(config, pair, protocol)
     table = [(w, _delivered_fidelity(fixed, config.message_state))
-             if w >= 1e-15 else (0.0, 0.0) for w, fixed in teleport_branches(
-                 pair, config.message_state, *PAIR_LABELS,
-                 resource="psi+" if protocol == "W" else "phi+")]
-    return (pair, (_cdf([w for w, _ in table]), [f for _, f in table]),
-            fidelity_with_pure(pair, pair_target(protocol)))
+             if w >= 1e-15 else (0.0, 0.0) for w, fixed in branches]
+    return pair, (_cdf([w for w, _ in table]), [f for _, f in table]), fidelity
 
 
 def _announce(config: NetworkConfig, m: int, rng: np.random.Generator,
@@ -1110,7 +1102,7 @@ class _Relay:
         return DensityMatrix(pair, PAIR_LABELS)
 
     def delivered(self, rho: np.ndarray, transcript: Transcript) -> RunOutcome:
-        return _teleported(self.config, self.pair(rho), "GHZ", transcript,
+        return _teleported(self.config, self.pair(rho), "relay", transcript,
                            max_live_qubits=self.max_live)
 
 

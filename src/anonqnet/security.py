@@ -157,8 +157,7 @@ def _view(config: NetworkConfig, adv: frozenset, roles: tuple, mus: list,
             # keeps the teleported carrier
             pair = DensityMatrix(zero / w_zero, (eff_sender, eff_receiver))
             for m, (w_m, fixed) in enumerate(teleport_branches(
-                    pair, config.message_state, eff_sender, eff_receiver,
-                    "psi+")):
+                    pair, config.message_state, "psi+")):
                 if w_m >= _TINY:
                     add(base + (0, 0, ("m", m)), w_zero * w_m,
                         fixed.mat / w_m)

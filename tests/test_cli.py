@@ -541,6 +541,14 @@ def _config_line_without_equals(monkeypatch, tmp_path):
     return ["run", "--config", str(path)]
 
 
+def _in_tmp(*args):
+    """The command, run from inside tmp_path so relative paths land there."""
+    def make_args(monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        return list(args)
+    return make_args
+
+
 @pytest.mark.parametrize("make_args, code, last_lines", [
     pytest.param(_failing_oracle, 1, ["FAIL misses (delta 1 > 0.5)",
                                       "FAIL raises: crashed", "2 check(s) failed"],
@@ -564,11 +572,27 @@ def _config_line_without_equals(monkeypatch, tmp_path):
     pytest.param(lambda *_: ["run", "--channel", "dephasing:q"], 2,
                  ["Error: malformed channel parameter 'q' in 'dephasing:q'"],
                  id="channel-parameter-without-value"),
+    # an output path that cannot be written is rejected input, not a crash
+    pytest.param(_in_tmp("run", "--out", "missing/x.json"), 2,
+                 ["error: [Errno 2] No such file or directory: 'missing/x.json'"],
+                 id="run-out-in-missing-dir"),
+    pytest.param(_in_tmp("run", "--transcript", "missing/t.jsonl"), 2,
+                 ["error: [Errno 2] No such file or directory: 'missing/t.jsonl'"],
+                 id="run-transcript-in-missing-dir"),
+    pytest.param(_in_tmp("sweep", "--nodes", "5", "--q", "0.9", "--out",
+                         "missing/x.csv"), 2,
+                 ["error: [Errno 2] No such file or directory: 'missing/x.csv'"],
+                 id="sweep-out-in-missing-dir"),
+    pytest.param(_in_tmp("security", "--adversaries", "3", "--out", "."), 2,
+                 ["error: [Errno 21] Is a directory: '.'"], id="security-out-is-a-directory"),
 ])
 def test_failures_and_malformed_inputs_exit_with_their_codes(
         runner, monkeypatch, tmp_path, make_args, code, last_lines):
     res = runner.invoke(main, make_args(monkeypatch, tmp_path))
     assert res.exit_code == code
+    assert "Traceback" not in res.output
+    if code == 2:  # rejected input prints nothing to stdout
+        assert res.stdout == ""
     tail = res.output.splitlines()[-len(last_lines):]
     assert len(tail) == len(last_lines)
     assert all(line.endswith(want) for line, want in zip(tail, last_lines))

@@ -64,7 +64,6 @@ from anonqnet.protocols import (
     sample_protocol1_runs,
     sample_relay_runs,
     teleport_branches,
-    teleport_exact,
     veto_protocol,
     w_loss_branch_average_dense,
 )
@@ -599,18 +598,18 @@ def test_relay_sampling_mixes_to_exact():
 # teleportation
 
 
-def test_teleport_exact_identity_any_message():
+@pytest.mark.parametrize("kind", ["psi+", "phi+"])
+def test_teleport_branches_sum_delivers_any_message(kind):
     rng = np.random.default_rng(5)
-    pair = make_bell_pair(("s", "r"), kind="psi+").to_density()
+    pair = make_bell_pair(("s", "r"), kind=kind).to_density()
     for _ in range(10):
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         v /= np.linalg.norm(v)
-        msg = Ket(v, ("message",))
-        delivered, weights = teleport_exact(pair, msg, "s", "r",
-                                            resource="psi+")
-        assert sum(weights) == pytest.approx(1.0, abs=1e-12)
-        assert fidelity_with_pure(delivered.normalized(),
-                                  Ket(v, ("r",))) == pytest.approx(
+        branches = teleport_branches(pair, Ket(v, ("message",)), kind)
+        assert sum(w for w, _ in branches) == pytest.approx(1.0, abs=1e-12)
+        delivered = DensityMatrix(sum(fixed.mat for _, fixed in branches),
+                                  ("r",))
+        assert fidelity_with_pure(delivered, Ket(v, ("r",))) == pytest.approx(
             1.0, abs=1e-12)
 
 
@@ -618,8 +617,7 @@ def test_teleport_exact_identity_any_message():
 def test_teleport_branches_each_outcome_delivers(kind):
     pair = make_bell_pair(("s", "r"), kind=kind).to_density()
     v = np.array([0.6, 0.8j])
-    branches = teleport_branches(pair, Ket(v, ("message",)), "s", "r",
-                                 resource=kind)
+    branches = teleport_branches(pair, Ket(v, ("message",)), resource=kind)
     assert len(branches) == 4
     for w, fixed in branches:
         assert w == pytest.approx(0.25, abs=1e-12)
@@ -627,15 +625,6 @@ def test_teleport_branches_each_outcome_delivers(kind):
         assert fidelity_with_pure(fixed.normalized(),
                                   Ket(v, ("r",))) == pytest.approx(
             1.0, abs=1e-12)
-
-
-def test_teleport_exact_phi_resource():
-    pair = make_bell_pair(("s", "r"), kind="phi+").to_density()
-    v = np.array([0.6, 0.8j])
-    msg = Ket(v, ("message",))
-    delivered, _ = teleport_exact(pair, msg, "s", "r", resource="phi+")
-    assert fidelity_with_pure(delivered.normalized(),
-                              Ket(v, ("r",))) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -1207,13 +1196,46 @@ def test_adversary_view_matches_dense_enumeration_corrupt_receiver():
         w = ref.weight
         pair = DensityMatrix(as_pair(ref) / w, (HS, HR))
         for m, (w_m, fixed) in enumerate(teleport_branches(
-                pair, cfg.message_state, HS, HR, "psi+")):
+                pair, cfg.message_state, "psi+")):
             add(base + (0, 0, ("m", m)), w * fixed.mat)
     assert set(view) == set(expected)
     for label, weighted in expected.items():
         weight, block = view[label]
         assert weight == pytest.approx(np.trace(weighted).real, abs=1e-12)
         assert np.abs(block - weighted).max() < 1e-12
+
+
+def test_adversary_views_skip_an_honest_side_that_never_reads_zeros():
+    # node 5's X flip reads 1 unless it holds the excitation, so with the
+    # coalition {3} reading 1 the honest side never reads all zeros: each
+    # view goes without that abort label and still weighs 1
+    chans = {1: depolarizing(0.9), 2: depolarizing(0.9),
+             3: identity_channel(), 4: depolarizing(0.9),
+             5: QuantumChannel([PAULI_X])}
+    cfg = NetworkConfig(n_nodes=5, sender=1, receiver=2,
+                        per_qubit_channels=chans)
+    rho = make_w_state(5, labels=range(1, 6)).to_density()
+    for node in rho.labels:
+        rho = apply_to(chans[node], rho, node)
+    views = adversary_views(cfg, frozenset({3}), [1, 4])
+    for sender, view in zip((1, 4), views, strict=True):
+        measured = [i for i in range(1, 6) if i not in (sender, 2)]
+        expected = collections.Counter()
+        for bits in itertools.product((0, 1), repeat=len(measured)):
+            outcomes = dict(zip(measured, bits))
+            w = dense_measure(rho, outcomes).weight
+            base = ((0,), (outcomes[3],))
+            honest = int(any(b for i, b in outcomes.items() if i != 3))
+            if honest or outcomes[3]:
+                expected[base + (honest, 1, None)] += w
+            else:
+                for t in range(4):
+                    expected[base + (0, 0, ("T", t))] += w / 4
+        assert expected[((0,), (1,), 0, 1, None)] < 1e-14
+        assert set(view) == {k for k, w in expected.items() if w >= 1e-14}
+        for label, (weight, _) in view.items():
+            assert weight == pytest.approx(expected[label], abs=1e-12)
+        assert sum(w for w, _ in view.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exact_routes_build_no_density_matrix_wider_than_three(monkeypatch):
@@ -1259,7 +1281,8 @@ def dense_teleport(pair, message, sender, receiver, resource):
 @pytest.mark.parametrize("resource", ["psi+", "phi+"])
 @pytest.mark.parametrize("labels", [(4, 2), (2, 4)])
 def test_teleport_branches_match_dense_on_random_mixed_pairs(resource, labels):
-    # security passes (eff_sender, eff_receiver), in either order on the pair
+    # the pair holds (sender, receiver), whichever node id is the larger
+    sender, receiver = labels
     rng = np.random.default_rng(31)
     for _ in range(20):
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -1267,10 +1290,10 @@ def test_teleport_branches_match_dense_on_random_mixed_pairs(resource, labels):
                              labels)
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         msg = Ket(v / np.linalg.norm(v), ("message",))
-        got = teleport_branches(pair, msg, 4, 2, resource)
-        want = dense_teleport(pair, msg, 4, 2, resource)
+        got = teleport_branches(pair, msg, resource)
+        want = dense_teleport(pair, msg, sender, receiver, resource)
         for (w, fixed), (w_ref, ref) in zip(got, want, strict=True):
-            assert fixed.labels == ref.labels == (2,)
+            assert fixed.labels == ref.labels == (receiver,)
             assert abs(w - w_ref) < 1e-14
             assert np.abs(fixed.mat - ref.mat).max() < 1e-14
 

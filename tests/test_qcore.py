@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -232,3 +234,30 @@ def test_pauli_algebra_constants():
     assert np.allclose(PAULI_Z @ PAULI_Z, ID2)
     assert np.allclose(PAULI_X @ PAULI_Z, -PAULI_Z @ PAULI_X)
     assert np.allclose(PAULI_X @ PAULI_Z, -1j * PAULI_Y)
+
+
+_PAIR = make_bell_pair(("a", "b")).to_density()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Ket(np.array([1, 0], dtype=complex), ("a", "a")),
+     "duplicate qubit labels: ('a', 'a')"),
+    (lambda: Ket(np.ones(4) / 2, ("a",)), "amplitude length (4,) != 2**1"),
+    (lambda: DensityMatrix(np.eye(2) / 2, ("a", "b")),
+     "matrix shape (2, 2) != (2**2, 2**2)"),
+    (lambda: DensityMatrix(np.eye(2), ("a",)), "trace 2.0 is not 1"),
+    (lambda: DensityMatrix(np.zeros((2, 2)), ("a",), unnormalized=True).normalized(),
+     "cannot normalize a zero-weight branch"),
+    (lambda: _PAIR.permuted(("a", "c")), "permutation must use the same labels"),
+    (lambda: make_w_state(1), "need at least 2 qubits"),
+    (lambda: make_ghz_state(1), "need at least 2 qubits"),
+    (lambda: make_bell_pair(kind="psi-"), "unknown Bell pair kind 'psi-'"),
+    (lambda: tensor(_PAIR, _PAIR), "label collision in tensor product"),
+    (lambda: partial_trace(_PAIR, ["c"]), "unknown qubit label 'c'"),
+    (lambda: postselect(_PAIR, "a", "diagonal", 0), "unsupported basis 'diagonal'"),
+    (lambda: fidelity_with_pure(_PAIR, make_bell_pair(("a", "c"))),
+     "label sets differ"),
+])
+def test_malformed_inputs_are_refused(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
