@@ -50,6 +50,7 @@ from .analytic import (
     threshold_q,
 )
 from .protocols import (
+    Batch,
     NetworkConfig,
     ProtocolImpossibleError,
     exact_pair,
@@ -154,29 +155,28 @@ def _emit(text: str, out: str | None = None) -> None:
         sys.stdout.flush()
 
 
-def _dumps_runs(body: dict, outcomes: list) -> str:
-    """json.dumps(body, indent=2) and a newline, with "runs", the outcomes'
+def _dumps_runs(body: dict, batch: Batch) -> str:
+    """json.dumps(body, indent=2) and a newline, with "runs", the batch's
     transcript-free rows, as its last key.  Indented encoding is pure
-    Python, so each distinct outcome object (sampled batches share a
-    handful) is encoded once, and so is each distinct pair state, the bulk
-    of a row.  The text is built by one join, as a batch's output can run
-    to megabytes."""
-    pairs, blocks, rows = {}, {}, []
-    for o in outcomes:
-        if id(o) not in blocks:  # the list keeps every id alive
-            row, pair = o.to_json_dict(include_transcript=False), o.anonymous_entanglement
-            if pair is None:
-                text = json.dumps(row, indent=2)
-            else:  # the pair is the last key, so its 0 placeholder the last 0
-                if id(pair) not in pairs:
-                    pairs[id(pair)] = json.dumps(row["anonymous_entanglement"],
-                                                 indent=2).replace("\n", "\n  ")
-                head, tail = json.dumps({**row, "anonymous_entanglement": 0},
-                                        indent=2).rsplit("0", 1)
-                text = head + pairs[id(pair)] + tail
-            blocks[id(o)] = text.replace("\n", "\n    ")
-        rows.append(blocks[id(o)])
-    del pairs  # copied into the rows; freed before the join
+    Python, so each of the batch's distinct outcomes (sampled batches share
+    a handful) is encoded once, and so is each distinct pair state, the
+    bulk of a row; the runs' rows are gathered by the batch's slots.  The
+    text is built by one join, as a batch's output can run to megabytes."""
+    pairs, blocks = {}, []
+    for o in batch.distinct:
+        row, pair = o.to_json_dict(include_transcript=False), o.anonymous_entanglement
+        if pair is None:
+            text = json.dumps(row, indent=2)
+        else:  # the pair is the last key, so its 0 placeholder the last 0
+            if id(pair) not in pairs:  # the batch keeps every pair alive
+                pairs[id(pair)] = json.dumps(row["anonymous_entanglement"],
+                                             indent=2).replace("\n", "\n  ")
+            head, tail = json.dumps({**row, "anonymous_entanglement": 0},
+                                    indent=2).rsplit("0", 1)
+            text = head + pairs[id(pair)] + tail
+        blocks.append(text.replace("\n", "\n    "))
+    del pairs  # copied into the blocks; freed before the join
+    rows = np.array(blocks, dtype=object)[batch.slots].tolist()
     # "runs" is the last key, so the 0 placeholder is the text's last 0
     head, tail = json.dumps({**body, "runs": [0]}, indent=2).rsplit("0", 1)
     rows[0] = head + rows[0]
@@ -260,27 +260,27 @@ def main():
 # sweep
 
 
-def _sweep_row(protocol: str, channel: QuantumChannel, n: int, mode: str) -> dict:
-    """One (protocol, N, q) row; the exact columns read the engine's pair."""
+def _sweep_row(protocol: str, channel: QuantumChannel, n: int, mode: str,
+               fids: dict) -> dict:
+    """One (protocol, N, q) row; the exact columns read the engine's pair.
+    fids keeps the command's pair fidelities, so W_loss reuses its W row's."""
     family, q = channel.name, channel.params["q"]
     row = {"protocol": protocol, "channel": family, "N": n, "q": q, "mode": mode}
     if mode in ("analytic", "both"):
         rep = fidelity_report(protocol, family, q, n)
-        row["F_AE"] = rep.fidelity
-        row["P_success"] = rep.success_probability
-        row["useful"] = rep.useful
+        row.update(F_AE=rep.fidelity, P_success=rep.success_probability, useful=rep.useful)
     if mode in ("exact", "both"):
-        cfg = _uniform(n, channel, lost_nodes={n} if protocol == "W_loss" else ())
-        p_exact, pair = exact_pair(cfg, "GHZ" if protocol == "GHZ" else "W")
-        f_exact = (w_loss_branch_average_dense(channel, n) if protocol == "W_loss"
-                   else fidelity_with_pure(pair, pair_target(protocol)))
-        if mode == "exact":
-            row["F_AE"] = f_exact
-            row["P_success"] = p_exact
-            row["useful"] = f_exact > 0.5
+        if protocol == "W_loss":
+            f_exact = w_loss_branch_average_dense(channel, n, fids.get(("W", n, q)))
+            if mode == "exact":  # the lost network's weight is printed here only
+                p_exact = exact_pair(_uniform(n, channel, lost_nodes={n}), "W")[0]
         else:
-            row["F_AE_exact"] = f_exact
-            row["delta"] = abs(row["F_AE"] - f_exact)
+            p_exact, pair = exact_pair(_uniform(n, channel), protocol)
+            f_exact = fids[protocol, n, q] = fidelity_with_pure(pair, pair_target(protocol))
+        if mode == "exact":
+            row.update(F_AE=f_exact, P_success=p_exact, useful=f_exact > 0.5)
+        else:
+            row.update(F_AE_exact=f_exact, delta=abs(row["F_AE"] - f_exact))
     return row
 
 
@@ -325,7 +325,8 @@ def sweep(protocol, channel_family, q, q_range, nodes, n_range, mode, seed,
 
     make = dephasing if channel_family == "dephasing" else depolarizing
     channels = [make(qq) for qq in qs]
-    rows = [_sweep_row(p, channel, n, mode)
+    fids = {}  # W rows come before W_loss rows
+    rows = [_sweep_row(p, channel, n, mode, fids)
             for p in protocols for n in ns for channel in channels]
 
     meta = {"command": "sweep", "channel": channel_family,

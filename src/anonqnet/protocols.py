@@ -633,14 +633,23 @@ def _halves(has: int, k: int) -> tuple:
     return (k - has + 1) >> 1, (k - has) & 1
 
 
+class Batch(list):
+    """Sampled runs' outcomes in run order, distinct[i] for i in slots:
+    distinct holds each shared outcome once, slots (np.intp) a run's index."""
+
+    def __init__(self, distinct: list, slots):
+        self.distinct, self.slots = distinct, np.asarray(slots, dtype=np.intp)
+        super().__init__(np.array(distinct, dtype=object)[self.slots].tolist())
+
+
 class _Sampler:
     """A protocol's sampling plan for one config.  run records one run and
-    returns a fresh outcome; batch records none, and each of its runs gets
-    the read-only outcome (empty transcript) of its result key: None
-    (abort) or (branch key, Bell outcome, public bits).  W and GHZ batches
-    are decoded from chunks of raw words as arrays; recorded runs and relay
-    batches call the Generator.  Either leaves rng (default: a Generator on
-    the config's seed) where the runs' Generator calls leave it."""
+    returns a fresh outcome; batch records none: its distinct outcomes are
+    the read-only ones (empty transcript) of result keys, None (abort) or
+    (branch key, Bell outcome, public bits).  W and GHZ batches decode raw
+    words as arrays to a result code per run; recorded runs and relay batches
+    call the Generator.  Either leaves rng (default: a Generator on the
+    config's seed) where the runs' Generator calls leave it."""
     TRANSCRIPT_BUDGET = 2**18  # events a recording may hold; ~1.5 KiB each printed
     CHUNK_WORDS = 2**16  # bounds runs * max_words per chunk; one run if max_words exceeds it
 
@@ -650,7 +659,8 @@ class _Sampler:
                              f" events, over the budget of {self.TRANSCRIPT_BUDGET}")
         return self._run(self._generator(rng))
 
-    def batch(self, n_samples: int, rng: np.random.Generator | None = None) -> list:
+    def batch(self, n_samples: int, rng: np.random.Generator | None = None) -> Batch:
+        """n_samples unrecorded runs; runs with equal results share one outcome."""
         return self._unrecorded(self._generator(rng), n_samples)
 
     def _generator(self, rng: np.random.Generator | None) -> np.random.Generator:
@@ -662,7 +672,7 @@ class _Sampler:
                              f" bit generator, not {state['bit_generator']}")
         return rng
 
-    def _unrecorded(self, rng: np.random.Generator, n: int) -> list:
+    def _unrecorded(self, rng: np.random.Generator, n: int) -> Batch:
         """n unrecorded runs, decoded from raw words: random() is (word >> 11)
         * 2**-53, integers(0, 2) the top bit of a 32-bit half (a range of 2
         is never rejected), low half first.  words[0] is the last word split
@@ -674,24 +684,25 @@ class _Sampler:
         words carry over.  rng ends past the words read."""
         bitgen = rng.bit_generator
         start = bitgen.state
-        out, h, p, fetched = [], start["has_uint32"], 1, 0
+        h, p, fetched, done = start["has_uint32"], 1, 0, 0
         words = np.array([start["uinteger"] << 32], dtype=np.uint64)
-        while len(out) < n:
-            runs = min(self.chunk, n - len(out))
+        seen, slots = {}, [np.zeros(0, np.intp)]
+        while done < n:
+            runs = min(self.chunk, n - done)
             size = max(0, runs * self.max_words - (len(words) - p))
             words = np.concatenate([words, bitgen.random_raw(size)])
             fetched += size
             codes, bkeys, p, h, last = self._decode(words, p, h, runs)
-            codes = codes.tolist()
-            shared = {c: self._finish(None if c < 0 else (
-                bkeys[c >> 4], c >> 2 & 3, (c >> 1 & 1, c & 1)))
-                for c in dict.fromkeys(codes)}
-            out += map(shared.__getitem__, codes)
-            words, p = words[last:], p - last
+            table = np.empty(16 * len(bkeys) + 1, np.intp)  # code -> slot; -1 the last
+            for c in (np.flatnonzero(np.bincount(codes + 1)) - 1).tolist():
+                table[c] = seen.setdefault(None if c < 0 else (
+                    bkeys[c >> 4], c >> 2 & 3, (c >> 1 & 1, c & 1)), len(seen))
+            slots.append(table[codes])
+            words, p, done = words[last:], p - last, done + runs
         bitgen.state = start
         bitgen.random_raw(fetched - (len(words) - p), output=False)  # the words read
         bitgen.state = {**bitgen.state, "has_uint32": h, "uinteger": int(words[0] >> 32)}
-        return out
+        return Batch(list(map(self._finish, seen)), np.concatenate(slots))
 
     def _plan(self, bits: tuple) -> tuple:
         """The memoised _branch_plan of a branch key."""
@@ -820,16 +831,18 @@ class _Protocol1Sampler(_Sampler):
         # from h = 1 the buffered one (word p - 1's high, half 2p - 1), then s - 1
         top = words.astype("<u8", copy=False).view("<u4") >= 2**31
         veto = words[:fits] >> 11 >= self.cut  # not an accept: the veto is run
+        reach = (1, 0) if s & 1 else (h,)  # runs move 6, s + 2 or s + 6 halves
         hits = np.zeros((2, fits), bool)  # a veto bit set, from h = 0 and 1
         ors, span = top, 1  # ors[i]: a set bit among top[i:i + span]
-        for has, k in ((1, s - 1), (0, s)):
+        for has in reach:  # windows of k = s - has halves, the shorter first
+            k = s - has
             while 2 * span <= k:
                 ors, span = ors[:-span] | ors[span:], 2 * span
             if k:  # two spans cover the window top[2p + 2:2p + 2 + k]
                 np.bitwise_or(ors[2::2][:fits], ors[2 + k - span::2][:fits], out=hits[has])
         hits[1, 1:] |= top[1:2 * fits - 2:2]
         moves = np.empty((fits, 2), np.int32)  # indexed by 2p + h
-        for has in (0, 1):  # an accept moves 6
+        for has in reach:  # an accept moves 6
             moves[:, has] = veto * (self.misses[has] - 6) - (hits[has] & veto) * np.int32(4) + 6
         moves = memoryview(moves.ravel())
         state, starts = 2 * p + h, []
@@ -854,24 +867,24 @@ class _Protocol1Sampler(_Sampler):
 
 
 def sample_protocol1_runs(config: NetworkConfig, n_samples: int,
-                          rng: np.random.Generator | None = None) -> tuple[list, dict]:
+                          rng: np.random.Generator | None = None) -> tuple[Batch, dict]:
     """Draw many seeded unrecorded runs cheaply (each delivered outcome
-    string is planned once).  Returns the outcomes and an aggregate summary.
-    Runs with equal results share one outcome (empty transcript)."""
+    string is planned once).  Returns their Batch, whose runs with equal
+    results share one outcome (empty transcript), and an aggregate summary."""
     sampler = _Protocol1Sampler(config)
     outcomes = sampler.batch(n_samples, rng)
     return outcomes, {**batch_summary(outcomes),
                       "exact_success_probability": sampler.exact_success}
 
 
-def batch_summary(outcomes: Sequence[RunOutcome]) -> dict:
-    """Run count, aborts, abort rate and mean delivered fidelity of a batch
-    of sampled runs."""
-    fids = [o.delivered_fidelity for o in outcomes if not o.aborted]
-    aborts = len(outcomes) - len(fids)
-    return {"runs": len(outcomes), "aborts": aborts,
-            "abort_rate": aborts / len(outcomes) if outcomes else 0.0,
-            "mean_delivered_fidelity": float(np.mean(fids)) if fids else None}
+def batch_summary(batch: Batch) -> dict:
+    """Run count, aborts, abort rate and mean delivered fidelity of a batch:
+    each distinct outcome is read once, then gathered by the slots."""
+    aborted = np.array([o.aborted for o in batch.distinct], dtype=bool)[batch.slots]
+    fids = np.array([o.delivered_fidelity or 0.0 for o in batch.distinct])[batch.slots[~aborted]]
+    runs, aborts = len(aborted), int(aborted.sum())
+    return {"runs": runs, "aborts": aborts, "abort_rate": aborts / runs if runs else 0.0,
+            "mean_delivered_fidelity": float(np.mean(fids)) if len(fids) else None}
 
 
 # ---------------------------------------------------------------------------
@@ -977,7 +990,7 @@ class _GhzSampler(_Sampler):
 
 
 def sample_ghz_runs(config: NetworkConfig, n_samples: int,
-                    rng: np.random.Generator | None = None) -> tuple[list, dict]:
+                    rng: np.random.Generator | None = None) -> tuple[Batch, dict]:
     """sample_protocol1_runs for GHZ, with run_ghz_protocol's draws."""
     outcomes = _GhzSampler(config).batch(n_samples, rng)
     return outcomes, batch_summary(outcomes)
@@ -1150,8 +1163,12 @@ class _RelaySampler(_Relay, _Sampler):
         self.events_per_run, self.outcomes = 2 * config.n_nodes, {}
         self.key, self.chain = None, 0
 
-    def _unrecorded(self, rng: np.random.Generator, n: int) -> list:
-        return [self._finish(self._draw_run(rng)[0]) for _ in range(n)]
+    def _unrecorded(self, rng: np.random.Generator, n: int) -> Batch:
+        seen, slots = {}, []  # result key -> slot
+        for _ in range(n):  # a key is finished while its chain's registers are kept
+            self._finish(key := self._draw_run(rng)[0])
+            slots.append(seen.setdefault(key, len(seen)))
+        return Batch(list(map(self._finish, seen)), slots)
 
     def _run(self, rng: np.random.Generator) -> RunOutcome:
         key, swaps = self._draw_run(rng)
@@ -1187,7 +1204,7 @@ class _RelaySampler(_Relay, _Sampler):
 
 
 def sample_relay_runs(config: NetworkConfig, n_samples: int,
-                      rng: np.random.Generator | None = None) -> tuple[list, dict]:
+                      rng: np.random.Generator | None = None) -> tuple[Batch, dict]:
     """sample_protocol1_runs for the relay, with run_relay_protocol's draws."""
     outcomes = _RelaySampler(config).batch(n_samples, rng)
     return outcomes, batch_summary(outcomes)
@@ -1197,7 +1214,8 @@ def sample_relay_runs(config: NetworkConfig, n_samples: int,
 # exact cross-check used by the CLI's exact sweep for the loss formulas
 
 
-def w_loss_branch_average_dense(channel: QuantumChannel, n: int) -> float:
+def w_loss_branch_average_dense(channel: QuantumChannel, n: int,
+                                f_noloss: float | None = None) -> float:
     """Exact evaluation, through the transfer engine, of the
     loss-branch-averaged pair fidelity (the quantity the closed-form loss
     formulas compute; see f_ae_w_loss).
@@ -1205,11 +1223,12 @@ def w_loss_branch_average_dense(channel: QuantumChannel, n: int) -> float:
     With one lost measuring node the distributed state splits into the
     excitation-survived branch (weight (n-1)/n) and the excitation-lost
     branch (weight 1/n); the former is scored at the full-network no-loss
-    fidelity, the latter as the channel-noised vacuum pair.
+    fidelity (f_noloss, contracted here unless given), the latter as the
+    channel-noised vacuum pair.
     """
-    cfg = NetworkConfig(n_nodes=n, sender=1, receiver=2,
-                        per_qubit_channels={i: channel for i in range(1, n + 1)})
-    f_noloss = fidelity_with_pure(exact_pair(cfg, "W")[1], pair_target("W"))
+    if f_noloss is None:
+        cfg = NetworkConfig(n, 1, 2, dict.fromkeys(range(1, n + 1), channel))
+        f_noloss = fidelity_with_pure(exact_pair(cfg, "W")[1], pair_target("W"))
     vac = channel(np.array([[1, 0], [0, 0]], dtype=complex))
     pair_lost = DensityMatrix(np.kron(vac, vac), PAIR_LABELS)
     f_lost = fidelity_with_pure(pair_lost, pair_target("W"))

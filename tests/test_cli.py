@@ -10,12 +10,14 @@ import sys
 import time
 import weakref
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import anonqnet
 from anonqnet import cli, protocols
 from anonqnet.analytic import f_ae_relay_depolarizing, f_ae_w_dephasing
+from anonqnet.channels import QuantumChannel, depolarizing
 from anonqnet.cli import main
 
 
@@ -721,6 +723,31 @@ def test_run_samples_json_matches_plain_encoder(runner, protocol):
     assert len(body["runs"]) == 40
     assert res.output == json.dumps(body, indent=2) + "\n"
 
+
+
+def _damp_then_x_rotate(gamma, theta):
+    """Amplitude damping, then exp(-i theta X / 2): not Z-covariant."""
+    k0 = np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=complex)
+    k1 = np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex)
+    u = np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * np.array([[0, 1], [1, 0]])
+    return QuantumChannel([u @ k0, u @ k1], name="damp-rotate")
+
+
+@pytest.mark.parametrize("protocol", ["GHZ", "relay"])
+def test_dumps_runs_matches_encoding_every_row(protocol):
+    # on a network that is not Z-covariant, runs share few outcomes
+    n = 6
+    channels = dict.fromkeys(range(1, n + 1), depolarizing(0.9))
+    channels.update(dict.fromkeys([1, 3, 4, 6], _damp_then_x_rotate(0.2, 0.7)))
+    cfg = protocols.NetworkConfig(n_nodes=n, sender=2, receiver=5, seed=3,
+                                  per_qubit_channels=channels)
+    sample = {"GHZ": protocols.sample_ghz_runs, "relay": protocols.sample_relay_runs}
+    batch, aggregate = sample[protocol](cfg, 300)
+    assert len(batch.distinct) > 100
+    body = {"tool": "anonqnet", "protocol": protocol, "aggregate": aggregate}
+    assert cli._dumps_runs(body, batch) == json.dumps(
+        {**body, "runs": [o.to_json_dict(include_transcript=False) for o in batch]},
+        indent=2) + "\n"
 
 # sha256 of the full stdout of `run --mode sampling --samples N --channel
 # depolarizing:q=0.9` before the samplers memoised their outcomes

@@ -38,6 +38,7 @@ from anonqnet.protocols import (
     _W,
     _X_READ,
     _Z_R,
+    Batch,
     NetworkConfig,
     ProtocolImpossibleError,
     RunOutcome,
@@ -50,6 +51,7 @@ from anonqnet.protocols import (
     _cdf,
     _contract,
     _normalized_pair,
+    batch_summary,
     collision_detection,
     exact_pair,
     outcome_transfers,
@@ -780,6 +782,49 @@ def test_unrecorded_runs_share_one_outcome_per_result(make):
     assert {id(o) for o in outs} == set(shared)
     assert len(shared) < len(outs)
     assert all(o.transcript.events == [] for o in shared.values())
+
+
+@pytest.mark.parametrize("case", ["W", "GHZ", "GHZ-damp-x", "relay"])
+def test_batches_are_distinct_outcomes_gathered_by_slots(case):
+    # W with one veto round accepts, aborts and misses vetoes; GHZ on
+    # depolarizing reads one pair, and damping then an X rotation at the
+    # measuring nodes makes its runs walk their strings
+    n = 6
+    channels = uniform(depolarizing(0.85), n)
+    if case == "GHZ-damp-x":
+        channels.update(dict.fromkeys(set(channels) - {2, n - 1},
+                                      damp_then_rotate(0.2, 0.7)))
+    cfg = NetworkConfig(n_nodes=n, sender=2, receiver=n - 1, veto_rounds=1,
+                        per_qubit_channels=channels)
+    make = {"W": _Protocol1Sampler, "GHZ": _GhzSampler, "GHZ-damp-x": _GhzSampler,
+            "relay": _RelaySampler}[case]
+    sampler, rng = make(cfg), np.random.default_rng(3)
+    batch = sampler.batch(400, rng)
+    assert isinstance(batch, Batch) and batch.slots.dtype == np.intp
+    assert [id(o) for o in batch] == [id(batch.distinct[i]) for i in batch.slots]
+    assert list(batch) == [batch.distinct[i] for i in batch.slots]
+    assert len({id(o) for o in batch.distinct}) == len(batch.distinct)
+    assert set(batch.slots.tolist()) == set(range(len(batch.distinct)))
+    key_of = {id(o): key for key, o in sampler.outcomes.items()}
+    keys = [key_of[id(o)] for o in batch.distinct]
+    if case == "W":  # an abort, an accept and a veto miss
+        assert None in keys
+        assert {key[0] == sampler.zeros for key in keys if key} == {True, False}
+    if case.startswith("GHZ"):
+        assert (len({key[0] for key in keys}) == 1) == (case == "GHZ")
+    empty = sampler.batch(0, rng)
+    assert empty == [] and empty.distinct == [] and len(empty.slots) == 0
+    assert batch_summary(empty) == {"runs": 0, "aborts": 0, "abort_rate": 0.0,
+                                    "mean_delivered_fidelity": None}
+
+
+def test_an_all_abort_batch_has_no_mean_fidelity():
+    cfg = NetworkConfig(n_nodes=30, sender=1, receiver=2,
+                        per_qubit_channels=uniform(depolarizing(0.5), 30))
+    outs, agg = sample_protocol1_runs(cfg, 500)
+    assert agg["runs"] == agg["aborts"] == 500 and agg["abort_rate"] == 1.0
+    assert agg["mean_delivered_fidelity"] is None
+    assert len(outs.distinct) == 1 and outs.distinct[0].aborted
 
 
 def test_recorded_runs_keep_their_own_transcripts():
