@@ -3,7 +3,7 @@ messages over noisy N-node networks.
 
 Layers:
 
-* qcore: label-addressed dense states, projections, partial traces
+* qcore: label-addressed kets and density matrices, Bell states
 * channels: single-qubit noise channels and channel distances
 * analytic: closed-form fidelities, success probabilities, thresholds
 * protocols: round-level protocol execution (exact and sampling modes)
@@ -15,23 +15,14 @@ __version__ = "0.1.0"
 
 from .qcore import (
     BELL_CORRECTIONS,
-    DENSE_CAP,
-    DenseCapError,
     DensityMatrix,
     Ket,
-    bell_project,
     bell_state_vector,
     fidelity_with_pure,
     make_bell_pair,
-    make_ghz_state,
-    make_w_state,
-    partial_trace,
-    postselect,
-    tensor,
 )
 from .channels import (
     QuantumChannel,
-    apply_to,
     channel_distance,
     dephasing,
     depolarizing,

@@ -146,11 +146,11 @@ def w_postselected_pair(channel: QuantumChannel, n: int) -> tuple[DensityMatrix,
 
     divided by n (the W normalization).  The trace of that matrix is the
     success probability; the normalized matrix is the pair state.  Requires
-    n >= 4 because of the (n-3) multiplicity; use the dense pipeline for
-    n=3.
+    n >= 4 because of the (n-3) multiplicity; use protocols.exact_pair
+    for n=3.
     """
     if n < 4:
-        raise ValueError("structured evaluation needs n >= 4; use the dense oracle")
+        raise ValueError("structured evaluation needs n >= 4; use protocols.exact_pair")
     out00, out01, out10, out11 = outs = _outputs(channel)
     tr00, tr01, tr10, tr11 = (complex(o[0, 0]) for o in outs)
     acc = (n - 2) * (n - 3) * tr01 * tr10 * tr00 ** (n - 4) * np.kron(out00, out00)

@@ -1,12 +1,12 @@
 """Single-qubit CPTP maps as Kraus operator sets.
 
 Provides the two named noise families (dephasing, depolarizing), identity,
-arbitrary user Kraus sets, per-qubit application to labeled registers, and
-two un-halved channel distances: channel_distance, the exact induced trace
-norm over inputs without an ancilla, read off the Bloch-affine form (t, M)
-of a qubit map, Phi((I + r.sigma)/2) = (I + (t + M r).sigma)/2 (King and
-Ruskai, arXiv:quant-ph/9911079), and diamond_distance, an upper bound on
-the stabilized norm from the Choi matrix, sound for every pair of qubit
+arbitrary user Kraus sets, and two un-halved channel distances:
+channel_distance, the exact induced trace norm over inputs without an
+ancilla, read off the Bloch-affine form (t, M) of a qubit map,
+Phi((I + r.sigma)/2) = (I + (t + M r).sigma)/2 (King and Ruskai,
+arXiv:quant-ph/9911079), and diamond_distance, an upper bound on the
+stabilized norm from the Choi matrix, sound for every pair of qubit
 channels and exact for Pauli channels.
 """
 
@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .qcore import DensityMatrix, ID2, PAULI_X, PAULI_Y, PAULI_Z, apply_op_dense
+from .qcore import ID2, PAULI_X, PAULI_Y, PAULI_Z
 
 
 class QuantumChannel:
@@ -94,16 +94,6 @@ def depolarizing(q: float) -> QuantumChannel:
         ],
         name="depolarizing", params={"q": q},
     )
-
-
-def apply_to(channel: QuantumChannel, rho: DensityMatrix, qubit) -> DensityMatrix:
-    """Apply a single-qubit channel to one labeled qubit of a register."""
-    acc = None
-    for k in channel.kraus_ops:
-        term = apply_op_dense(rho, k, [qubit])
-        acc = term.mat if acc is None else acc + term.mat
-    # CPTP: trace preserved, so the input's normalization status carries over
-    return DensityMatrix(acc, rho.labels, unnormalized=rho.unnormalized)
 
 
 _PAULIS = np.array([ID2, PAULI_X, PAULI_Y, PAULI_Z])

@@ -308,8 +308,9 @@ def sweep(protocol, channel_family, q, q_range, nodes, n_range, mode, seed,
     """Tabulate pair fidelity and success probability over (N, q)."""
 
     qs = [q] if q is not None else _parse_steps(q_range or "0:1:0.1", "q")
-    if not all(0 <= qq <= 1 for qq in qs):
-        raise click.UsageError(f"--q-range {q_range!r} leaves [0, 1]")
+    if not all(0 <= qq <= 1 for qq in qs):  # FloatRange admits nan
+        flag = f"--q {q!r}" if q is not None else f"--q-range {q_range!r}"
+        raise click.UsageError(f"{flag} leaves [0, 1]")
     ns = [nodes] if nodes is not None else _parse_steps(
         n_range or "4:8", "nodes", integer=True)
     if len(ns) * len(qs) > MAX_GRID_POINTS:

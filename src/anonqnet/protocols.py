@@ -17,7 +17,7 @@ Two execution modes:
   they run at any node count.  The relay holds a fixed four-qubit
   register for any chain length and builds one hop superoperator per
   distinct channel, and a teleport branch is one 2x4 operator on the
-  pair; qcore's dense registers serve only as the tests' reference.
+  pair; the tests check all three against tests/dense_reference.py.
   exact_pair stops at the pair and its Born weight: the exact tables
   print nothing of the transcript or the teleport.
 * sampling: one branch is drawn per run with the seeded generator; used

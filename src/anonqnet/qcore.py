@@ -1,4 +1,4 @@
-"""Exact dense quantum state representation for small labeled registers.
+"""Exact quantum state representation for small labeled registers.
 
 Kets and density matrices carry an ordered tuple of qubit labels; every
 operation addresses qubits by label, never by position, because the
@@ -6,12 +6,11 @@ protocols create and destroy qubits constantly and positional indexing
 breeds bugs.  Convention: labels[0] is the most significant bit of the
 computational-basis index.
 
-Density matrices are dense complex128 arrays.  Registers larger than
-``DENSE_CAP`` qubits (12) are refused: exactness is the point of this
-module.  No protocol route builds registers here: W and GHZ run on the
-O(n) transfer engine in protocols, and the relay and teleport on fixed
-four-qubit and two-qubit kernels.  This module is the dense reference the
-tests check those kernels against.
+Density matrices are dense complex128 arrays.  No protocol route builds
+a whole network register: W and GHZ run on the O(n) transfer engine in
+protocols, and the relay and teleport on fixed four-qubit and two-qubit
+kernels.  The dense 2^n reference the tests check those kernels against
+is tests/dense_reference.py, built on this module's states.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-
-DENSE_CAP = 12
 
 ID2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -32,10 +29,6 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 # Bell outcome m in {0,1,2,3} indexes (I, X, Z, XZ) applied to the first
 # qubit of (|00>+|11>)/sqrt(2).  Fixed convention; m=0 is |phi+> itself.
 BELL_CORRECTIONS = (ID2, PAULI_X, PAULI_Z, PAULI_X @ PAULI_Z)
-
-
-class DenseCapError(RuntimeError):
-    """Register would exceed the dense-representation qubit cap."""
 
 
 def bell_state_vector(m: int) -> np.ndarray:
@@ -153,34 +146,6 @@ class DensityMatrix:
         }
 
 
-def make_w_state(n: int, labels: Sequence | None = None) -> Ket:
-    """Equal superposition of all weight-1 computational basis states.
-
-    Parameters
-    ----------
-    n : int
-        Number of qubits, n >= 2.
-    labels : sequence, optional
-        Qubit labels; defaults to 0..n-1.
-    """
-    if n < 2:
-        raise ValueError("need at least 2 qubits")
-    amps = np.zeros(2**n, dtype=complex)
-    for i in range(n):
-        amps[1 << (n - 1 - i)] = 1.0
-    amps /= np.sqrt(n)
-    return Ket(amps, tuple(labels) if labels is not None else tuple(range(n)))
-
-
-def make_ghz_state(n: int, labels: Sequence | None = None) -> Ket:
-    """(|0...0> + |1...1>)/sqrt(2) on n >= 2 qubits."""
-    if n < 2:
-        raise ValueError("need at least 2 qubits")
-    amps = np.zeros(2**n, dtype=complex)
-    amps[0] = amps[-1] = 1 / np.sqrt(2)
-    return Ket(amps, tuple(labels) if labels is not None else tuple(range(n)))
-
-
 def make_bell_pair(labels: Sequence = (0, 1), kind: str = "phi+") -> Ket:
     """Two-qubit maximally entangled state, |phi+> = (|00>+|11>)/sqrt(2)
     or |psi+> = (|01>+|10>)/sqrt(2)."""
@@ -194,22 +159,6 @@ def make_bell_pair(labels: Sequence = (0, 1), kind: str = "phi+") -> Ket:
     return Ket(amps, tuple(labels))
 
 
-def tensor(a: DensityMatrix, b: DensityMatrix, cap: int = DENSE_CAP) -> DensityMatrix:
-    """Kronecker product of disjointly labeled registers."""
-    if set(a.labels) & set(b.labels):
-        raise ValueError("label collision in tensor product")
-    if a.n_qubits + b.n_qubits > cap:
-        raise DenseCapError(
-            f"tensor would create {a.n_qubits + b.n_qubits} qubits, cap {cap};"
-            " use the closed-form evaluators for large registers"
-        )
-    return DensityMatrix(
-        np.kron(a.mat, b.mat),
-        a.labels + b.labels,
-        unnormalized=a.unnormalized or b.unnormalized,
-    )
-
-
 def _positions(dm: DensityMatrix, labels: Iterable) -> list[int]:
     pos = []
     for l in labels:
@@ -219,6 +168,8 @@ def _positions(dm: DensityMatrix, labels: Iterable) -> list[int]:
     return pos
 
 
+# only the tests' dense reference calls this; it stays here with
+# _positions because bench/tests reads it as a name protocols re-imports
 def apply_op_dense(dm: DensityMatrix, op: np.ndarray, qubits: Sequence) -> DensityMatrix:
     """Conjugate the state by an operator acting on the given qubits: op rho op†.
 
@@ -240,46 +191,6 @@ def apply_op_dense(dm: DensityMatrix, op: np.ndarray, qubits: Sequence) -> Densi
     return DensityMatrix(t.reshape(2**n, 2**n), dm.labels, unnormalized=True)
 
 
-def partial_trace(dm: DensityMatrix, discard: Iterable) -> DensityMatrix:
-    """Trace out the listed labels; remaining labels keep their order."""
-    discard = list(discard)
-    pos = sorted(_positions(dm, discard), reverse=True)
-    n = dm.n_qubits
-    t = dm.mat.reshape((2,) * (2 * n))
-    m = n
-    for p in pos:
-        t = np.trace(t, axis1=p, axis2=p + m)
-        m -= 1
-    keep = tuple(l for l in dm.labels if l not in discard)
-    return DensityMatrix(t.reshape(2**m, 2**m), keep, unnormalized=dm.unnormalized)
-
-
-_BASIS_VECTORS = {
-    "standard": (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)),
-    "hadamard": (
-        np.array([1, 1], dtype=complex) / np.sqrt(2),
-        np.array([1, -1], dtype=complex) / np.sqrt(2),
-    ),
-}
-
-
-def postselect(
-    dm: DensityMatrix, qubit, basis: str, outcome: int
-) -> tuple[DensityMatrix, float]:
-    """Project one qubit onto a basis outcome without tracing it out.
-
-    Returns the unnormalized branch (Pi rho Pi) and its weight Tr[Pi rho]
-    (the branch probability when the input is normalized).  A weight below
-    1e-15 signals an impossible outcome; the caller must not normalize.
-    """
-    if basis not in _BASIS_VECTORS:
-        raise ValueError(f"unsupported basis {basis!r}")
-    vec = _BASIS_VECTORS[basis][outcome]
-    proj = np.outer(vec, vec.conj())
-    out = apply_op_dense(dm, proj, [qubit])
-    return out, out.weight
-
-
 def fidelity_with_pure(dm: DensityMatrix, target: Ket) -> float:
     """<target| rho |target> for a normalized rho, aligned by labels."""
     if set(dm.labels) != set(target.labels):
@@ -287,18 +198,3 @@ def fidelity_with_pure(dm: DensityMatrix, target: Ket) -> float:
     aligned = dm if dm.labels == target.labels else dm.permuted(target.labels)
     val = np.real(target.amps.conj() @ aligned.mat @ target.amps)
     return float(val)
-
-
-def bell_project(
-    dm: DensityMatrix, q1, q2, m: int
-) -> tuple[DensityMatrix, float]:
-    """Project qubits (q1, q2) onto the m-th Bell state and remove them.
-
-    Returns the unnormalized remaining-register branch and its probability
-    relative to the input weight.
-    """
-    vec = bell_state_vector(m)
-    proj = np.outer(vec, vec.conj())
-    projected = apply_op_dense(dm, proj, [q1, q2])
-    reduced = partial_trace(projected, [q1, q2])
-    return reduced, reduced.weight / dm.weight if dm.weight > 0 else 0.0

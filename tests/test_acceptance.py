@@ -43,12 +43,14 @@ from anonqnet.qcore import (
     Ket,
     PAULI_X,
     apply_op_dense,
-    bell_project,
     fidelity_with_pure,
     make_bell_pair,
-    tensor,
 )
 from anonqnet.security import security_report
+from dense_reference import (
+    bell_project,
+    tensor,
+)
 
 Q_GRID = [i / 10 for i in range(11)]
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from anonqnet.channels import (
     QuantumChannel,
-    apply_to,
     channel_distance,
     dephasing,
     depolarizing,
@@ -21,6 +20,9 @@ from anonqnet.qcore import (
     PAULI_Y,
     PAULI_Z,
     make_bell_pair,
+)
+from dense_reference import (
+    apply_to,
     partial_trace,
 )
 

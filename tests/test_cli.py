@@ -127,7 +127,8 @@ def test_sweep_rejects_bad_range_and_small_network(runner):
     (["sweep", "--nodes", "4", "--q-range", "0.9:1.1:0.1", "--mode", "exact"],
      None),
     (["sweep"], "nodes = 4\nq_range = -0.05:0:0.05\n"),
-], ids=["below", "above", "exact-past-one", "config"])
+    (["sweep", "--nodes", "4", "--q", "nan"], None),
+], ids=["below", "above", "exact-past-one", "config", "q-nan"])
 def test_sweep_q_range_outside_unit_interval_exits_2(runner, tmp_path, argv,
                                                       config):
     if config is not None:
@@ -137,6 +138,8 @@ def test_sweep_q_range_outside_unit_interval_exits_2(runner, tmp_path, argv,
     res = runner.invoke(main, argv)
     assert res.exit_code == 2
     assert "leaves [0, 1]" in res.output
+    if "--q" in argv:
+        assert "--q nan" in res.output and "--q-range" not in res.output
 
 
 @pytest.mark.parametrize("argv", [

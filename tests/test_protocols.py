@@ -27,7 +27,6 @@ from anonqnet.analytic import (
 )
 from anonqnet.channels import (
     QuantumChannel,
-    apply_to,
     dephasing,
     depolarizing,
     identity_channel,
@@ -77,16 +76,19 @@ from anonqnet.qcore import (
     DensityMatrix,
     Ket,
     apply_op_dense,
-    bell_project,
     fidelity_with_pure,
     make_bell_pair,
+)
+from anonqnet.security import adversary_views
+from dense_reference import (
+    apply_to,
+    bell_project,
     make_ghz_state,
     make_w_state,
     partial_trace,
     postselect,
     tensor,
 )
-from anonqnet.security import adversary_views
 
 
 def uniform(channel, n):
@@ -201,11 +203,13 @@ def test_protocol1_exact_identity_all_pairs():
 
 
 @pytest.mark.parametrize("q", [0.7, 0.9, 1.0])
-@pytest.mark.parametrize("family,make", [("dephasing", dephasing),
-                                         ("depolarizing", depolarizing)])
-def test_protocol1_exact_matches_closed_forms(q, family, make):
-    n = 5
-    cfg = NetworkConfig(n_nodes=n, sender=1, receiver=4,
+@pytest.mark.parametrize("family,make,n,receiver", [
+    ("dephasing", dephasing, 5, 4), ("depolarizing", depolarizing, 5, 4),
+    ("dephasing", dephasing, 3, 3), ("depolarizing", depolarizing, 3, 3),
+], ids=["dephasing-dephasing", "depolarizing-depolarizing",  # n = 5's earlier ids
+        "dephasing-n3", "depolarizing-n3"])
+def test_protocol1_exact_matches_closed_forms(q, family, make, n, receiver):
+    cfg = NetworkConfig(n_nodes=n, sender=1, receiver=receiver,
                         per_qubit_channels=uniform(make(q), n))
     out = run_protocol1(cfg, mode="exact")
     want_f = (f_ae_w_dephasing(q) if family == "dephasing"

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from anonqnet.qcore import (
     BELL_CORRECTIONS,
-    DenseCapError,
     DensityMatrix,
     ID2,
     Ket,
@@ -15,10 +14,13 @@ from anonqnet.qcore import (
     PAULI_Y,
     PAULI_Z,
     apply_op_dense,
-    bell_project,
     bell_state_vector,
     fidelity_with_pure,
     make_bell_pair,
+)
+from dense_reference import (
+    DenseCapError,
+    bell_project,
     make_ghz_state,
     make_w_state,
     partial_trace,
