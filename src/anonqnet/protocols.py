@@ -681,17 +681,18 @@ class _Sampler:
         max_words, the most its runs spend, so _decode(words, p, h, runs)
         returns the result codes of exactly runs runs (see _codes; -1 is an
         abort), their branch keys, and the next p, h and words[0]; unread
-        words carry over.  rng ends past the words read."""
+        words carry over.  rng ends past the words read, replayed from the
+        last mark, (words fetched, state) after a fetch, at or before them."""
         bitgen = rng.bit_generator
         start = bitgen.state
-        h, p, fetched, done = start["has_uint32"], 1, 0, 0
+        h, p, done, marks = start["has_uint32"], 1, 0, [(0, start)]
         words = np.array([start["uinteger"] << 32], dtype=np.uint64)
         seen, slots = {}, [np.zeros(0, np.intp)]
         while done < n:
             runs = min(self.chunk, n - done)
             size = max(0, runs * self.max_words - (len(words) - p))
             words = np.concatenate([words, bitgen.random_raw(size)])
-            fetched += size
+            marks.append((marks[-1][0] + size, bitgen.state))
             codes, bkeys, p, h, last = self._decode(words, p, h, runs)
             table = np.empty(16 * len(bkeys) + 1, np.intp)  # code -> slot; -1 the last
             for c in (np.flatnonzero(np.bincount(codes + 1)) - 1).tolist():
@@ -699,8 +700,9 @@ class _Sampler:
                     bkeys[c >> 4], c >> 2 & 3, (c >> 1 & 1, c & 1)), len(seen))
             slots.append(table[codes])
             words, p, done = words[last:], p - last, done + runs
-        bitgen.state = start
-        bitgen.random_raw(fetched - (len(words) - p), output=False)  # the words read
+        read = marks[-1][0] - (len(words) - p)
+        at, bitgen.state = next(m for m in reversed(marks) if m[0] <= read)
+        bitgen.random_raw(read - at, output=False)
         bitgen.state = {**bitgen.state, "has_uint32": h, "uinteger": int(words[0] >> 32)}
         return Batch(list(map(self._finish, seen)), np.concatenate(slots))
 
@@ -715,12 +717,16 @@ class _Sampler:
         """Result codes 16 * branch + 4 * m + public bits of delivered runs:
         a run takes branch bkeys[bidx], draws its Bell outcome m from word q
         and its masks from the halves after it, the first one buffered (from
-        word q - hm) if hm > 0."""
-        cdfs = np.array([self._plan(bits)[1][0] for bits in bkeys])
-        m = (cdfs[bidx] <= ((words[q] >> 11) * 2.0**-53)[:, None]).sum(axis=1)
-        low, high = ((words[q + 1] >> b & 1).astype(np.intp) for b in (31, 63))
-        r0 = np.where(hm, (words[q - hm] >> 63).astype(np.intp), low)
-        return bidx << 4 | m << 2 | (m >> 1 ^ r0) << 1 | (m & 1 ^ np.where(hm, low, high))
+        word q - hm) if hm > 0.  Complex numbers sort by real part first: among
+        every (branch, CDF entry), a run's (branch, u < 1) lands at 4 * branch + m."""
+        table = np.array([complex(b, c) for b, bits in enumerate(bkeys)
+                          for c in self._plan(bits)[1][0]], complex)
+        key = np.empty(len(q), complex)
+        key.real, key.imag = bidx, (words[q] >> 11) * 2.0**-53
+        r = np.searchsorted(table, key, side="right")
+        low, high = (words[q + 1] >> b & 1 for b in (31, 63))
+        masks = np.where(hm, words[q - hm] >> 62 & 2 | low, low << 1 | high).astype(np.intp)
+        return r << 2 | (r ^ masks) & 3
 
     def _finish(self, key) -> RunOutcome:
         """The one unrecorded outcome of a result key."""
@@ -758,7 +764,9 @@ class _Protocol1Sampler(_Sampler):
     veto bit 0) reads those, walks, then reads the Bell-outcome word and
     two halves.  The veto halves of a run are a fixed window after u, so
     whether one has its top bit set is an OR over that window, taken for
-    every start word of a chunk at once from spans of doubling length."""
+    every start word of a chunk at once from spans of doubling length.
+    A start's move then fits the least signed integer type that holds the
+    larger miss, and only the runs that do not abort reach _codes."""
     protocol = "W"
 
     def __init__(self, config: NetworkConfig):
@@ -771,12 +779,14 @@ class _Protocol1Sampler(_Sampler):
         self.chunk = max(1, self.CHUNK_WORDS // self.max_words)
         # 2 * words + h after - h before of a veto miss, from h = 0 and 1; an
         # abort moves 4 less (no Bell-outcome word or masks), an accept 6
-        self.misses = np.array([2 * vw + 6 + after - h for h, (vw, after)
-                                in enumerate(_halves(h, s) for h in (0, 1))], np.int32)
+        misses = [2 * vw + 6 + after - h for h, (vw, after)
+                  in enumerate(_halves(h, s) for h in (0, 1))]
+        self.misses = np.array(misses, np.min_scalar_type(-max(misses) - 1))
         # node i's read-0 and read-1 transfers (the identity where i does not read)
         self.reads = outcome_transfers(config, [dict.fromkeys(self.measuring, b)
                                                 for b in (0, 1)])
-        w = float(np.trace(self._raw(self.zeros)).real)
+        self.zero_raw = self._raw(self.zeros)
+        w = float(np.trace(self.zero_raw).real)
         self.exact_success = w if w >= np.finfo(float).tiny else None
         self.zero_cut = self._walk(-math.inf)[1]  # below zero_cut, the walk reads zeros
         accept = min(max(self.zero_cut, 0.0), 1.0)
@@ -788,7 +798,7 @@ class _Protocol1Sampler(_Sampler):
                              self.config.sender, self.config.receiver)
 
     def _pair(self, bits: tuple) -> DensityMatrix:
-        return _normalized_pair(self._raw(bits))[1]
+        return _normalized_pair(self.zero_raw if bits == self.zeros else self._raw(bits))[1]
 
     def _walk(self, u: float) -> tuple:
         """The string u lands on and the least boundary passed (zero_cut from
@@ -840,27 +850,29 @@ class _Protocol1Sampler(_Sampler):
                 ors, span = ors[:-span] | ors[span:], 2 * span
             if k:  # two spans cover the window top[2p + 2:2p + 2 + k]
                 np.bitwise_or(ors[2::2][:fits], ors[2 + k - span::2][:fits], out=hits[has])
-        hits[1, 1:] |= top[1:2 * fits - 2:2]
-        moves = np.empty((fits, 2), np.int32)  # indexed by 2p + h
+        if 1 in reach:  # from h = 1 the buffered half is read first
+            hits[1, 1:] |= top[1:2 * fits - 2:2]
+        moves = np.empty((fits, 2), self.misses.dtype)  # indexed by 2p + h
         for has in reach:  # an accept moves 6
-            moves[:, has] = veto * (self.misses[has] - 6) - (hits[has] & veto) * np.int32(4) + 6
+            moves[:, has] = veto * (self.misses[has] - 6) - (hits[has] & veto) * np.int8(4) + 6
         moves = memoryview(moves.ravel())
         state, starts = 2 * p + h, []
         for _ in range(runs):  # the one sequential step: where each run starts
             starts.append(state)
             state += moves[state]
-        ps, hs = np.divmod(np.array(starts), 2)
+        at = np.fromiter(starts, np.intp, runs)
+        ps, hs = at >> 1, at & 1
         acc = ~veto[ps]
-        live = acc | ~hits[hs, ps]  # not aborted
-        miss = live & ~acc
-        walks = [self._walk(u)[0] for u in ((words[ps[miss]] >> 11) * 2.0**-53).tolist()]
+        live = np.flatnonzero(acc | ~hits[hs, ps])  # not aborted
+        ps, hs, acc = ps[live], hs[live], acc[live]
+        walks = [self._walk(u)[0] for u in ((words[ps[~acc]] >> 11) * 2.0**-53).tolist()]
         bkeys = list(dict.fromkeys([self.zeros] * bool(acc.any()) + walks))
         bidx = np.zeros(len(ps), dtype=np.intp)
-        bidx[miss] = [bkeys.index(bits) for bits in walks]
-        codes = np.full(len(ps), -1)
-        codes[live] = self._codes(words, bkeys, bidx[live],
-                                  np.where(acc, ps + 1, ps + 1 + ((s - hs + 1) >> 1))[live],
-                                  np.where(acc, 2 * hs, (s - hs) & 1)[live])
+        bidx[~acc] = [bkeys.index(bits) for bits in walks]
+        codes = np.full(runs, -1)
+        codes[live] = self._codes(words, bkeys, bidx,
+                                  np.where(acc, ps + 1, ps + 1 + ((s - hs + 1) >> 1)),
+                                  np.where(acc, 2 * hs, (s - hs) & 1))
         p = state >> 1
         # a one-word run (an abort on the buffered half alone) splits no word
         return codes, bkeys, p, state & 1, p - 1 - (p - starts[-1] // 2 == 1)

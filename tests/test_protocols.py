@@ -960,7 +960,7 @@ def reference_ghz_batch(sampler, rng, n_runs):
 
 
 @pytest.mark.parametrize("protocol, veto_rounds",
-                         [("W", 1), ("W", 3), ("W", 20), ("W", 33), ("GHZ", 20)])
+                         [("W", 1), ("W", 3), ("W", 20), ("W", 33), ("W", 249), ("GHZ", 20)])
 @pytest.mark.parametrize("buffered", [False, True])
 def test_batches_keep_the_generator_call_stream(protocol, veto_rounds, buffered):
     cfg = NetworkConfig(n_nodes=6, sender=2, receiver=5, veto_rounds=veto_rounds,
@@ -1006,8 +1006,8 @@ def test_array_batches_match_generator_calls(monkeypatch, protocol, param, buffe
     make, reference = {"W": (_Protocol1Sampler, reference_w_batch),
                        "GHZ": (_GhzSampler, reference_ghz_batch),
                        "GHZ-damp-x": (_GhzSampler, reference_ghz_batch)}[protocol]
-    # the default chunk, 2^14, and one below a run's word bound: one run per
-    # chunk, as in every GHZ batch from 148 nodes up
+    # the default chunk (2^16 words), 2^14, and one below a run's word bound:
+    # one run per chunk, as in every GHZ batch from 148 nodes up
     for chunk_words in (_Sampler.CHUNK_WORDS, 2**14, 3):
         monkeypatch.setattr(_Sampler, "CHUNK_WORDS", chunk_words)
         sampler = make(cfg)
@@ -1043,6 +1043,44 @@ def test_array_batches_match_generator_calls(monkeypatch, protocol, param, buffe
             assert rng.integers(0, 2) == ref_rng.integers(0, 2)
 
 
+def test_w_decode_draws_the_bell_outcome_as_bisect_right():
+    # _draw is bisect_right, so a u equal to a CDF entry passes it.  Entries
+    # from 1/2 up are multiples of 2^-53, so a word can hold one exactly
+    cfg = NetworkConfig(n_nodes=6, sender=2, receiver=5,
+                        per_qubit_channels=uniform(depolarizing(0.85), 6))
+    sampler = _Protocol1Sampler(cfg)
+    cdf = sampler._plan(sampler.zeros)[1][0]
+    edges = [int(c * 2**53) for c in cdf[:-1] if c >= 0.5]
+    assert edges
+    for u in [e + d for e in edges for d in (-1, 0)]:
+        words = np.zeros(1 + sampler.max_words, np.uint64)  # word 1 is 0: an accept
+        words[2] = u << 11  # the Bell-outcome word
+        code = sampler._decode(words, 1, 0, 1)[0][0]
+        assert code >> 2 & 3 == bisect_right(cdf, u * 2.0**-53)
+
+
+def test_w_batch_replays_only_the_words_read_after_its_last_fetch():
+    # the sampling benchmark's W batch fetches 204,370 words in four chunks;
+    # it ends by restoring the state of its last fetch at or before the read
+    # position and skipping the words read after it (at most one chunk's
+    # fetch), not by skipping every word read from the batch's start
+    class CountingPCG64(np.random.PCG64):  # Generator draws through C, not this
+        def random_raw(self, size=None, output=True):
+            words[output] += 1 if size is None else size
+            return super().random_raw(size, output)
+
+    words = {True: 0, False: 0}
+    cfg = NetworkConfig(n_nodes=8, sender=1, receiver=2,
+                        per_qubit_channels=uniform(depolarizing(0.9), 8))
+    sampler = _Protocol1Sampler(cfg)
+    rng, plain = np.random.Generator(CountingPCG64(1)), np.random.default_rng(1)
+    outs = sampler.batch(20000, rng)
+    assert np.array_equal(outs.slots, _Protocol1Sampler(cfg).batch(20000, plain).slots)
+    assert 0 < words[False] <= sampler.chunk * sampler.max_words
+    assert rng.bit_generator.state == {**plain.bit_generator.state,
+                                       "bit_generator": "CountingPCG64"}
+
+
 @pytest.mark.parametrize("veto_rounds", [1, 2, 20])
 @pytest.mark.parametrize("h", [0, 1])
 def test_w_decode_reads_halves_low_first_in_either_byte_order(veto_rounds, h):
@@ -1059,12 +1097,13 @@ def test_w_decode_reads_halves_low_first_in_either_byte_order(veto_rounds, h):
     assert rest == big_rest
 
 
-@pytest.mark.parametrize("veto_rounds", [1, 2, 20, 32, 33])
+@pytest.mark.parametrize("veto_rounds", [1, 2, 20, 32, 33, 249, 250])
 @pytest.mark.parametrize("h", [0, 1])
 def test_w_decode_aborts_on_any_one_veto_bit(veto_rounds, h):
     # a run at word 1 that does not accept (word 1 all ones) reads its veto
     # halves from word 2 on, after word 0's high half if one is buffered;
-    # it aborts iff one of their top bits is set
+    # it aborts iff one of their top bits is set.  Moves span 1 half (s = 1,
+    # an abort from h = 1) to 257 (s = 249, a veto miss from h = 0), past a byte
     cfg = NetworkConfig(n_nodes=6, sender=2, receiver=5, veto_rounds=veto_rounds,
                         per_qubit_channels=uniform(depolarizing(0.85), 6))
     sampler = _Protocol1Sampler(cfg)
