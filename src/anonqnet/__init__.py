@@ -63,7 +63,9 @@ from .protocols import (
     run_ghz_protocol,
     run_protocol1,
     run_relay_protocol,
+    sample_ghz_runs,
     sample_protocol1_runs,
+    sample_relay_runs,
     teleport_branches,
     veto_protocol,
     w_loss_branch_average_dense,

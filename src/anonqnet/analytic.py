@@ -283,13 +283,15 @@ def crossover_n(n_max: int = 400, table: tuple | None = None) -> int:
     return int(ns[later[0]])
 
 
+# the Bell pair a noiseless run shares, which its teleport corrections assume
+BELL_RESOURCE = {"W": "psi+", "W_loss": "psi+", "GHZ": "phi+", "relay": "phi+"}
 _TARGETS = {kind: make_bell_pair(PAIR_LABELS, kind=kind) for kind in ("psi+", "phi+")}
 
 
 def pair_target(protocol: str) -> Ket:
     """Maximally entangled target the fidelity is measured against:
     (|01>+|10>)/sqrt(2) for the W protocol, (|00>+|11>)/sqrt(2) otherwise."""
-    return _TARGETS["psi+" if protocol == "W" or protocol == "W_loss" else "phi+"]
+    return _TARGETS[BELL_RESOURCE[protocol]]
 
 
 def f_ae_relay_depolarizing(q: float, n: int, sender: int, receiver: int) -> float:

@@ -23,6 +23,7 @@ import sys
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import __version__
 from .channels import (
@@ -141,6 +142,18 @@ def _load_config(ctx: click.Context, param, path: str | None) -> None:
             opt, val = params[key], val.strip()
             values[opt.name] = val.split(",") if opt.multiple else val
     ctx.default_map = values
+
+
+def _one_of(**partners) -> tuple:
+    """The values of partner options (--q and --q-range, --nodes and --n-range),
+    at most one set: a flag beats a config-file value; two from one source fail."""
+    source = click.get_current_context().get_parameter_source
+    (a, va), (b, vb) = partners.items()
+    if va is not None and vb is not None:
+        if source(a) == source(b):
+            raise click.UsageError(f"--{a} and --{b} exclude each other".replace("_", "-"))
+        va, vb = (va, None) if source(a) is ParameterSource.COMMANDLINE else (None, vb)
+    return va, vb
 
 
 def _emit(text: str, out: str | None = None) -> None:
@@ -306,7 +319,8 @@ def _sweep_row(protocol: str, channel: QuantumChannel, n: int, mode: str,
 def sweep(protocol, channel_family, q, q_range, nodes, n_range, mode, seed,
           workers, as_json, out):
     """Tabulate pair fidelity and success probability over (N, q)."""
-
+    q, q_range = _one_of(q=q, q_range=q_range)
+    nodes, n_range = _one_of(nodes=nodes, n_range=n_range)
     qs = [q] if q is not None else _parse_steps(q_range or "0:1:0.1", "q")
     if not all(0 <= qq <= 1 for qq in qs):  # FloatRange admits nan
         flag = f"--q {q!r}" if q is not None else f"--q-range {q_range!r}"
@@ -319,10 +333,8 @@ def sweep(protocol, channel_family, q, q_range, nodes, n_range, mode, seed,
         raise click.UsageError(f"exact tables are capped at {MAX_NODES} nodes")
     protocols = ["W", "GHZ", "W_loss"] if protocol == "all" else [protocol]
     for p in protocols:
-        lo = 4 if p != "GHZ" else 3
-        for n in ns:
-            if n < lo:
-                raise click.UsageError(f"{p} needs at least {lo} nodes")
+        if min(ns) < (lo := 3 if p == "GHZ" else 4):
+            raise click.UsageError(f"{p} needs at least {lo} nodes")
 
     make = dephasing if channel_family == "dephasing" else depolarizing
     channels = [make(qq) for qq in qs]
@@ -546,16 +558,16 @@ def run(protocol, nodes, sender, receiver, channel_spec, channel_overrides,
 # name -> (computed value, reference value, tolerance on their distance);
 # each value is a thunk, so a check that raises fails alone
 _ORACLE_CHECKS = {
-    "w-depolarizing-closed-vs-dense": (
+    "w-depolarizing-closed-vs-engine": (
         lambda: _pair_fidelity(_uniform(5, depolarizing(0.9)), "W"),
         lambda: f_ae_w_depolarizing(0.9, 5), 1e-10),
-    "w-dephasing-closed-vs-dense": (
+    "w-dephasing-closed-vs-engine": (
         lambda: _pair_fidelity(_uniform(4, dephasing(0.85)), "W"),
         lambda: f_ae_w_dephasing(0.85), 1e-10),
     "ghz-depolarizing-closed-vs-structured": (
         lambda: structured_fidelity("GHZ", depolarizing(0.9), 5),
         lambda: f_ae_ghz_depolarizing(0.9, 5), 1e-10),
-    "ghz-dephasing-closed-vs-dense": (
+    "ghz-dephasing-closed-vs-engine": (
         lambda: _pair_fidelity(_uniform(6, dephasing(0.8)), "GHZ"),
         lambda: f_ae_ghz_dephasing(0.8, 6), 1e-10),
     "w-success-probability-depolarizing": (
@@ -564,7 +576,7 @@ _ORACLE_CHECKS = {
     "w-success-probability-dephasing-2-over-n": (
         lambda: exact_pair(_uniform(5, dephasing(0.6)), "W")[0],
         lambda: 2 / 5, 1e-12),
-    "relay-closed-vs-dense": (
+    "relay-closed-vs-engine": (
         lambda: _pair_fidelity(_uniform(5, depolarizing(0.9), 2, 4), "relay"),
         lambda: f_ae_relay_depolarizing(0.9, 5, 2, 4), 1e-10),
     "teleport-noiseless-delivery": (
@@ -574,7 +586,7 @@ _ORACLE_CHECKS = {
     "loss-noiseless-conditional-two-thirds": (
         lambda: _pair_fidelity(_uniform(5, identity_channel(), lost_nodes={5}), "W"),
         lambda: 2 / 3, 1e-12),
-    "w-loss-closed-vs-dense-average": (
+    "w-loss-closed-vs-engine-average": (
         lambda: w_loss_branch_average_dense(depolarizing(0.9), 5),
         lambda: f_ae_w_loss("depolarizing", 0.9, 5), 1e-9),
     # at the usefulness threshold the exact pair fidelity is 1/2; N = 183 is
@@ -591,7 +603,7 @@ _ORACLE_CHECKS = {
 
 @main.command("oracle-check")
 def oracle_check():
-    """Cross-check closed forms against the exact simulator; exit 1 on
+    """Cross-check closed forms against the exact engine; exit 1 on
     any disagreement."""
     failures = 0
     for name, (computed, reference, tol) in _ORACLE_CHECKS.items():

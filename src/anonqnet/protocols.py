@@ -65,7 +65,7 @@ from .qcore import (
     bell_state_vector,
     fidelity_with_pure,
 )
-from .analytic import PAIR_LABELS, pair_target
+from .analytic import BELL_RESOURCE, PAIR_LABELS, pair_target
 
 class ProtocolImpossibleError(RuntimeError):
     """The requested protocol cannot run in this configuration at all."""
@@ -211,10 +211,8 @@ class RunOutcome:
             "analytic_success_probability": self.analytic_success_probability,
             "ae_fidelity": self.ae_fidelity,
             "veto_output": self.veto_output,
-            "public_teleport_bits": (
-                list(self.public_teleport_bits)
-                if self.public_teleport_bits is not None else None
-            ),
+            "public_teleport_bits": (None if self.public_teleport_bits is None
+                                     else list(self.public_teleport_bits)),
             "max_live_qubits": self.max_live_qubits,
         }
         if self.anonymous_entanglement is not None:
@@ -473,42 +471,31 @@ def _teleport_ops(amps: bytes, resource: str) -> np.ndarray:
     return ops
 
 
-def teleport_branches(pair: DensityMatrix, message: Ket, resource: str) -> list:
-    """The four Bell-outcome branches of teleporting message through pair.
-
-    Returns (weight, corrected receiver branch) for m = 0..3: the Bell
-    projection of (message, sender half pair.labels[0]) onto outcome m,
-    with the outcome correction applied to the receiver half
-    pair.labels[1].  resource names the noiseless pair the corrections are
-    calibrated for: "psi+" corrections are P_m X, "phi+" corrections P_m.
-    Each branch is unnormalized, with trace equal to its weight times the
-    pair's weight.
+def teleport_branches(pair: np.ndarray, message: np.ndarray, resource: str) -> tuple:
+    """The four Bell-outcome branches of teleporting message (its two
+    amplitudes) through pair, a normalized 4x4 (sender, receiver) state,
+    sender the high bit.  Returns (weights, branches): the four weights of
+    Bell outcome m on (message, sender half), and a (4, 2, 2) array of the
+    unnormalized receiver halves (trace = weight) with outcome m's
+    correction applied.  resource names the noiseless pair the corrections
+    are calibrated for: "psi+" corrections are P_m X, "phi+" corrections P_m.
 
     Branch m is W_m rho W_m† with the 2x4 operator W_m = V_m ⊗ C_m, where
     V_m = <β_m|_{message,S} |ψ>_message is a bra on the sender half and C_m
     the correction, so no three-qubit register is built.
     """
-    ops = _teleport_ops(message.amps.tobytes(), resource)
-    total = pair.weight
-    out = []
-    for branch in ops @ pair.mat @ ops.conj().transpose(0, 2, 1):
-        w = float(np.trace(branch).real) / total if total > 0 else 0.0
-        out.append((w, DensityMatrix(branch, pair.labels[1:],
-                                     unnormalized=True)))
-    return out
+    ops = _teleport_ops(np.asarray(message, dtype=complex).tobytes(), resource)
+    branches = ops @ pair @ ops.conj().transpose(0, 2, 1)
+    weights = np.trace(branches, axis1=1, axis2=2).real / np.trace(pair).real
+    return weights.tolist(), branches
 
 
-def _delivered_fidelity(delivered: DensityMatrix, message: Ket) -> float:
-    target = Ket(message.amps, delivered.labels)
-    return fidelity_with_pure(delivered.normalized(), target)
-
-
-def _teleport(config: NetworkConfig, pair: DensityMatrix, protocol: str) -> tuple:
-    """The message's teleport_branches through pair, corrected for the
-    protocol's resource, and the pair's fidelity with its target."""
-    resource = "psi+" if protocol == "W" else "phi+"
-    return (teleport_branches(pair, config.message_state, resource),
-            fidelity_with_pure(pair, pair_target(protocol)))
+def _fidelity(branch: np.ndarray, message: np.ndarray) -> float:
+    """<ψ| branch / tr(branch) |ψ>; a branch under 1e-15 cannot be normalized."""
+    weight = float(np.trace(branch).real)
+    if weight < 1e-15:
+        raise ValueError("cannot normalize a zero-weight branch")
+    return float(np.real(message.conj() @ (branch / weight) @ message))
 
 
 def _teleported(config: NetworkConfig, ae: DensityMatrix, protocol: str,
@@ -516,25 +503,24 @@ def _teleported(config: NetworkConfig, ae: DensityMatrix, protocol: str,
                 **extra) -> RunOutcome:
     """Exact-mode outcome: the message teleported through the pair ae,
     which is scored against the protocol's target pair."""
-    branches, ae_fidelity = _teleport(config, ae, protocol)
-    acc = branches[0][1].mat
-    for _, fixed in branches[1:]:
-        acc = acc + fixed.mat
-    delivered = DensityMatrix(acc, ae.labels[1:], unnormalized=True)
+    amps = config.message_state.amps
+    _, (b0, b1, b2, b3) = teleport_branches(ae.mat, amps, BELL_RESOURCE[protocol])
     return RunOutcome(
-        aborted=False,
-        delivered_fidelity=_delivered_fidelity(delivered, config.message_state),
+        aborted=False, delivered_fidelity=_fidelity(b0 + b1 + b2 + b3, amps),
         analytic_success_probability=weight, transcript=transcript,
-        anonymous_entanglement=ae, ae_fidelity=ae_fidelity, **extra)
+        anonymous_entanglement=ae,
+        ae_fidelity=fidelity_with_pure(ae, pair_target(protocol)), **extra)
 
 
 def _branch_plan(config: NetworkConfig, pair: DensityMatrix, protocol: str) -> tuple:
     """(pair, (Bell-outcome CDF, delivered fidelities), pair fidelity) of a
     sampled branch's normalized pair; an outcome below 1e-15 gets 0s."""
-    branches, fidelity = _teleport(config, pair, protocol)
-    table = [(w, _delivered_fidelity(fixed, config.message_state))
-             if w >= 1e-15 else (0.0, 0.0) for w, fixed in branches]
-    return pair, (_cdf([w for w, _ in table]), [f for _, f in table]), fidelity
+    amps = config.message_state.amps
+    weights, branches = teleport_branches(pair.mat, amps, BELL_RESOURCE[protocol])
+    table = [(w, _fidelity(b, amps)) if w >= 1e-15 else (0.0, 0.0)
+             for w, b in zip(weights, branches)]
+    return (pair, (_cdf([w for w, _ in table]), [f for _, f in table]),
+            fidelity_with_pure(pair, pair_target(protocol)))
 
 
 def _announce(config: NetworkConfig, m: int, rng: np.random.Generator,
@@ -1242,6 +1228,5 @@ def w_loss_branch_average_dense(channel: QuantumChannel, n: int,
         cfg = NetworkConfig(n, 1, 2, dict.fromkeys(range(1, n + 1), channel))
         f_noloss = fidelity_with_pure(exact_pair(cfg, "W")[1], pair_target("W"))
     vac = channel(np.array([[1, 0], [0, 0]], dtype=complex))
-    pair_lost = DensityMatrix(np.kron(vac, vac), PAIR_LABELS)
-    f_lost = fidelity_with_pure(pair_lost, pair_target("W"))
+    f_lost = fidelity_with_pure(DensityMatrix(np.kron(vac, vac), PAIR_LABELS), pair_target("W"))
     return (n - 1) / n * f_noloss + f_lost / n

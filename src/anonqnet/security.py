@@ -35,8 +35,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .analytic import BELL_RESOURCE
 from .channels import QuantumChannel, channel_distance, diamond_distance
-from .qcore import DensityMatrix
 from .protocols import (NetworkConfig, outcome_transfers, pullback_pairs,
                         teleport_branches)
 
@@ -111,14 +111,13 @@ def adversary_views(config: NetworkConfig, adversaries: Sequence[int],
         x = pairs[:, j]
         if s == fixed:  # (open, fixed) = (receiver, sender): swap
             x = x[:, [0, 2, 1, 3]][..., [0, 2, 1, 3]]
-        views.append(_view(config, adv, (s, r), mus, x[0::2], x[1::2]))
+        views.append(_view(config, adv, r, mus, x[0::2], x[1::2]))
     return views
 
 
-def _view(config: NetworkConfig, adv: frozenset, roles: tuple, mus: list,
+def _view(config: NetworkConfig, adv: frozenset, eff_receiver: int, mus: list,
           totals: np.ndarray, zeros: np.ndarray) -> dict:
     """One hypothesis's view from its pairs per coalition outcome mu."""
-    eff_sender, eff_receiver = roles
     receiver_corrupt = eff_receiver in adv
     rn_bits = tuple(int(i == eff_receiver) for i in sorted(adv))
     view = {}
@@ -155,12 +154,11 @@ def _view(config: NetworkConfig, adv: frozenset, roles: tuple, mus: list,
         elif receiver_corrupt:
             # success: the corrupt receiver sees the raw Bell outcome and
             # keeps the teleported carrier
-            pair = DensityMatrix(zero / w_zero, (eff_sender, eff_receiver))
-            for m, (w_m, fixed) in enumerate(teleport_branches(
-                    pair, config.message_state, "psi+")):
+            weights, branches = teleport_branches(
+                zero / w_zero, config.message_state.amps, BELL_RESOURCE["W"])
+            for m, (w_m, fixed) in enumerate(zip(weights, branches)):
                 if w_m >= _TINY:
-                    add(base + (0, 0, ("m", m)), w_zero * w_m,
-                        fixed.mat / w_m)
+                    add(base + (0, 0, ("m", m)), w_zero * w_m, fixed / w_m)
         else:
             # success, masked announcement: uniform two public bits
             for t in range(4):

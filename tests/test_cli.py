@@ -917,6 +917,39 @@ def test_config_file_defaults_and_flag_priority(runner, tmp_path):
     assert row["protocol"] == "W"
 
 
+@pytest.mark.parametrize("text, flags, grid", [
+    ("nodes = 5\n", ["--n-range", "6:7", "--q", "0.9"], [(6, 0.9), (7, 0.9)]),
+    ("n-range = 6:7\n", ["--nodes", "5", "--q", "0.9"], [(5, 0.9)]),
+    ("q = 0.9\n", ["--nodes", "5", "--q-range", "0.5:0.6:0.1"], [(5, 0.5), (5, 0.6)]),
+    ("q-range = 0.5:0.6:0.1\n", ["--nodes", "5", "--q", "0.9"], [(5, 0.9)]),
+], ids=["n-range-over-nodes", "nodes-over-n-range", "q-range-over-q", "q-over-q-range"])
+def test_sweep_grid_flag_beats_its_partner_from_the_file(runner, tmp_path, text,
+                                                        flags, grid):
+    cfg = tmp_path / "sweep.conf"
+    cfg.write_text(text)
+    res = runner.invoke(main, ["sweep", "--config", str(cfg), *flags, "--json"])
+    assert res.exit_code == 0, res.output
+    assert [(r["N"], r["q"]) for r in json.loads(res.output)["rows"]] == grid
+
+
+@pytest.mark.parametrize("text, flags, names", [
+    (None, ["--nodes", "5", "--n-range", "4:8"], ("--nodes", "--n-range")),
+    (None, ["--nodes", "5", "--q", "0.9", "--q-range", "0.5:0.6:0.1"],
+     ("--q", "--q-range")),
+    ("nodes = 5\nn-range = 4:8\n", [], ("--nodes", "--n-range")),
+    ("q = 0.9\nq-range = 0.5:0.6:0.1\n", ["--nodes", "5"], ("--q", "--q-range")),
+], ids=["flag-nodes", "flag-q", "file-nodes", "file-q"])
+def test_sweep_grid_partners_from_one_source_exit_2(runner, tmp_path, text,
+                                                    flags, names):
+    if text is not None:
+        cfg = tmp_path / "sweep.conf"
+        cfg.write_text(text)
+        flags = [*flags, "--config", str(cfg)]
+    res = runner.invoke(main, ["sweep", *flags])
+    assert res.exit_code == 2
+    assert all(name in res.output for name in names), res.output
+
+
 @pytest.mark.parametrize("word, as_json", [("YES", True), ("on", True),
                                            ("Off", False), ("0", False)])
 def test_config_file_bool_words(runner, tmp_path, word, as_json):
@@ -977,16 +1010,16 @@ def test_oracle_check_passes(runner):
     assert not [l for l in lines if l.startswith("FAIL")]
     # every check by name, in order
     assert [l.split()[1] for l in lines[:-1]] == [
-        "w-depolarizing-closed-vs-dense",
-        "w-dephasing-closed-vs-dense",
+        "w-depolarizing-closed-vs-engine",
+        "w-dephasing-closed-vs-engine",
         "ghz-depolarizing-closed-vs-structured",
-        "ghz-dephasing-closed-vs-dense",
+        "ghz-dephasing-closed-vs-engine",
         "w-success-probability-depolarizing",
         "w-success-probability-dephasing-2-over-n",
-        "relay-closed-vs-dense",
+        "relay-closed-vs-engine",
         "teleport-noiseless-delivery",
         "loss-noiseless-conditional-two-thirds",
-        "w-loss-closed-vs-dense-average",
+        "w-loss-closed-vs-engine-average",
         "w-threshold-183-exact-half",
         "ghz-threshold-183-exact-half",
     ]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from anonqnet.analytic import (
     GHZ_DEPOL,
+    PAIR_LABELS,
     W_DEPOL,
     f_ae_ghz_dephasing,
     f_ae_ghz_depolarizing,
@@ -79,7 +80,7 @@ from anonqnet.qcore import (
     fidelity_with_pure,
     make_bell_pair,
 )
-from anonqnet.security import adversary_views
+from anonqnet.security import adversary_views, security_report
 from dense_reference import (
     apply_to,
     bell_project,
@@ -611,10 +612,9 @@ def test_teleport_branches_sum_delivers_any_message(kind):
     for _ in range(10):
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         v /= np.linalg.norm(v)
-        branches = teleport_branches(pair, Ket(v, ("message",)), kind)
-        assert sum(w for w, _ in branches) == pytest.approx(1.0, abs=1e-12)
-        delivered = DensityMatrix(sum(fixed.mat for _, fixed in branches),
-                                  ("r",))
+        weights, branches = teleport_branches(pair.mat, v, kind)
+        assert sum(weights) == pytest.approx(1.0, abs=1e-12)
+        delivered = DensityMatrix(branches.sum(axis=0), ("r",))
         assert fidelity_with_pure(delivered, Ket(v, ("r",))) == pytest.approx(
             1.0, abs=1e-12)
 
@@ -623,18 +623,24 @@ def test_teleport_branches_sum_delivers_any_message(kind):
 def test_teleport_branches_each_outcome_delivers(kind):
     pair = make_bell_pair(("s", "r"), kind=kind).to_density()
     v = np.array([0.6, 0.8j])
-    branches = teleport_branches(pair, Ket(v, ("message",)), resource=kind)
-    assert len(branches) == 4
-    for w, fixed in branches:
+    weights, branches = teleport_branches(pair.mat, v, resource=kind)
+    assert len(weights) == 4 and branches.shape == (4, 2, 2)
+    for w, fixed in zip(weights, branches):
         assert w == pytest.approx(0.25, abs=1e-12)
-        assert fixed.labels == ("r",)
-        assert fidelity_with_pure(fixed.normalized(),
+        assert fidelity_with_pure(DensityMatrix(fixed / w, ("r",)),
                                   Ket(v, ("r",))) == pytest.approx(
             1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # sampling mode
+
+
+def test_package_exports_every_batch_sampler():
+    from anonqnet import (sample_ghz_runs as ghz, sample_protocol1_runs as w,
+                          sample_relay_runs as relay)
+    assert (w, ghz, relay) == (sample_protocol1_runs, sample_ghz_runs,
+                               sample_relay_runs)
 
 
 def test_sampled_abort_rate_tracks_success_probability():
@@ -1282,10 +1288,10 @@ def test_adversary_view_matches_dense_enumeration_corrupt_receiver():
             add(base + (honest, 1, None), partial_trace(ref, [HS]).mat)
             continue
         w = ref.weight
-        pair = DensityMatrix(as_pair(ref) / w, (HS, HR))
-        for m, (w_m, fixed) in enumerate(teleport_branches(
-                pair, cfg.message_state, "psi+")):
-            add(base + (0, 0, ("m", m)), w * fixed.mat)
+        _, branches = teleport_branches(as_pair(ref) / w,
+                                        cfg.message_state.amps, "psi+")
+        for m, fixed in enumerate(branches):
+            add(base + (0, 0, ("m", m)), w * fixed)
     assert set(view) == set(expected)
     for label, weighted in expected.items():
         weight, block = view[label]
@@ -1353,6 +1359,33 @@ def test_exact_routes_build_no_density_matrix_wider_than_three(monkeypatch):
     assert widest and max(widest) <= 3
 
 
+def test_teleports_build_only_the_pair_state(monkeypatch):
+    # a run's one DensityMatrix is its pair: exact runs build one, a sampled
+    # batch one per branch key, and the audit, teleport included, none
+    built = []
+    post_init = DensityMatrix.__post_init__
+
+    def counting(self):
+        post_init(self)
+        built.append(self.labels)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+    for run in (run_protocol1, run_ghz_protocol, run_relay_protocol):
+        built.clear()
+        run(hetero_config(), mode="exact")
+        assert built == [PAIR_LABELS], run
+    for make in (_Protocol1Sampler, _GhzSampler):
+        built.clear()
+        sampler = make(hetero_config(veto_rounds=1))
+        sampler.batch(400, np.random.default_rng(3))
+        assert len(sampler.branches) > 1, make
+        assert built == [PAIR_LABELS] * len(sampler.branches), make
+    built.clear()
+    # the coalition holds the receiver, so every view teleports the message
+    security_report(hetero_config(), [HR, 5])
+    assert built == []
+
+
 def dense_teleport(pair, message, sender, receiver, resource):
     """teleport_branches on a dense three-qubit register: Bell-project
     (message, sender) and correct the receiver."""
@@ -1378,12 +1411,12 @@ def test_teleport_branches_match_dense_on_random_mixed_pairs(resource, labels):
                              labels)
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         msg = Ket(v / np.linalg.norm(v), ("message",))
-        got = teleport_branches(pair, msg, resource)
+        weights, branches = teleport_branches(pair.mat, msg.amps, resource)
         want = dense_teleport(pair, msg, sender, receiver, resource)
-        for (w, fixed), (w_ref, ref) in zip(got, want, strict=True):
-            assert fixed.labels == ref.labels == (receiver,)
+        for w, fixed, (w_ref, ref) in zip(weights, branches, want, strict=True):
+            assert ref.labels == (receiver,)
             assert abs(w - w_ref) < 1e-14
-            assert np.abs(fixed.mat - ref.mat).max() < 1e-14
+            assert np.abs(fixed - ref.mat).max() < 1e-14
 
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
