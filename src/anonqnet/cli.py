@@ -55,6 +55,7 @@ from .protocols import (
     NetworkConfig,
     ProtocolImpossibleError,
     exact_pair,
+    exact_pairs,
     run_ghz_protocol,
     run_protocol1,
     run_relay_protocol,
@@ -274,22 +275,24 @@ def main():
 
 
 def _sweep_row(protocol: str, channel: QuantumChannel, n: int, mode: str,
-               fids: dict) -> dict:
-    """One (protocol, N, q) row; the exact columns read the engine's pair.
-    fids keeps the command's pair fidelities, so W_loss reuses its W row's."""
+               exact: dict) -> dict:
+    """One (protocol, N, q) row.  exact maps (protocol, N, channel) to the
+    engine's (weight, pair) (exact_pairs); W_loss scores the W pair and, in
+    exact mode only, prints the weight at ("W_loss", N, channel), that of
+    the W network with node N lost."""
     family, q = channel.name, channel.params["q"]
     row = {"protocol": protocol, "channel": family, "N": n, "q": q, "mode": mode}
     if mode in ("analytic", "both"):
         rep = fidelity_report(protocol, family, q, n)
         row.update(F_AE=rep.fidelity, P_success=rep.success_probability, useful=rep.useful)
     if mode in ("exact", "both"):
+        base = "W" if protocol == "W_loss" else protocol
+        p_exact, pair = exact[base, n, channel]
+        f_exact = fidelity_with_pure(pair, pair_target(base))
         if protocol == "W_loss":
-            f_exact = w_loss_branch_average_dense(channel, n, fids.get(("W", n, q)))
-            if mode == "exact":  # the lost network's weight is printed here only
-                p_exact = exact_pair(_uniform(n, channel, lost_nodes={n}), "W")[0]
-        else:
-            p_exact, pair = exact_pair(_uniform(n, channel), protocol)
-            f_exact = fids[protocol, n, q] = fidelity_with_pure(pair, pair_target(protocol))
+            f_exact = w_loss_branch_average_dense(channel, n, f_exact)
+            if mode == "exact":
+                p_exact = exact[protocol, n, channel][0]
         if mode == "exact":
             row.update(F_AE=f_exact, P_success=p_exact, useful=f_exact > 0.5)
         else:
@@ -338,8 +341,14 @@ def sweep(protocol, channel_family, q, q_range, nodes, n_range, mode, seed,
 
     make = dephasing if channel_family == "dephasing" else depolarizing
     channels = [make(qq) for qq in qs]
-    fids = {}  # W rows come before W_loss rows
-    rows = [_sweep_row(p, channel, n, mode, fids)
+    exact = {}  # one walk per (protocol, channel) column closes every N
+    for channel in channels if mode != "analytic" else ():
+        for p in dict.fromkeys("W" if p == "W_loss" else p for p in protocols):
+            lost = p == "W" and mode == "exact" and "W_loss" in protocols
+            # with lost, each N's lost network comes before its W network
+            keys = [(k, n, channel) for n in ns for k in (("W_loss", p) if lost else (p,))]
+            exact.update(zip(keys, exact_pairs(_uniform(ns[-1], channel), p, ns, lost)))
+    rows = [_sweep_row(p, channel, n, mode, exact)
             for p in protocols for n in ns for channel in channels]
 
     meta = {"command": "sweep", "channel": channel_family,
@@ -394,16 +403,17 @@ def _pair_fidelity(config: NetworkConfig, protocol: str) -> float:
     return fidelity_with_pure(exact_pair(config, protocol)[1], pair_target(protocol))
 
 
-def _relay_point(n: int, s: int, r: int, channel: QuantumChannel, mode: str) -> dict:
+def _relay_point(n: int, s: int, r: int, channel: QuantumChannel, mode: str,
+                 exact: dict) -> dict:
     """One placement's cells at one channel, keyed by column label; the
-    exact cell reads the engine's pair."""
+    exact cell reads the engine's pair, exact[r, channel] (exact_pairs)."""
     q = channel.params["q"]
     label, cells = f"F_q{_fnum(q)}", {}
     if mode in ("analytic", "both"):
         cells[label] = f_ae_relay_depolarizing(q, n, s, r)
     if mode in ("exact", "both"):
-        cells[label + "_exact" if mode == "both" else label] = _pair_fidelity(
-            _uniform(n, channel, s, r), "relay")
+        cells[label + "_exact" if mode == "both" else label] = fidelity_with_pure(
+            exact[r, channel][1], pair_target("relay"))
     return cells
 
 
@@ -438,11 +448,15 @@ def relay(nodes, q_values, sender, receiver, mode, workers, as_json, out):
     pairs = ([(sender, receiver)] if receiver is not None
              else [(sender, r) for r in range(1, nodes + 1) if r != sender])
     channels = [depolarizing(qq) for qq in by_label.values()]
+    receivers, exact = [r for _, r in pairs], {}  # one register walk per column
+    for channel in channels if mode != "analytic" else ():
+        table = exact_pairs(_uniform(nodes, channel, sender, receivers[0]), "relay", receivers)
+        exact.update(zip([(r, channel) for r in receivers], table))
     rows = []
     for s, r in pairs:
         row = {"sender": s, "receiver": r}
         for channel in channels:
-            row.update(_relay_point(nodes, s, r, channel, mode))
+            row.update(_relay_point(nodes, s, r, channel, mode, exact))
         rows.append(row)
     notes = [f"# baseline q={label}:"
              f" F_W={_fnum(f_ae_w_depolarizing(qq, nodes))}"

@@ -18,7 +18,8 @@ Two execution modes:
   register for any chain length and builds one hop superoperator per
   distinct channel, and a teleport branch is one 2x4 operator on the
   pair; the tests check all three against tests/dense_reference.py.
-  exact_pair stops at the pair and its Born weight: the exact tables
+  exact_pair stops at the pair and its Born weight, and exact_pairs
+  gives a table's pairs from one walk per column, so the exact tables
   print nothing of the transcript or the teleport.
 * sampling: one branch is drawn per run with the seeded generator; used
   for transcript-level statistics (abort rates, masking uniformity).  W
@@ -350,13 +351,20 @@ def _heisenberg(channel: QuantumChannel, op: np.ndarray) -> np.ndarray:
 
 
 def _contract(config: NetworkConfig, mps: _Mps, reads: Mapping, sender: int,
-              receiver: int, norm: float, transfers: dict | None = None
-              ) -> np.ndarray:
+              receiver: int, norm: float | None, transfers: dict | None = None,
+              sizes: Sequence[int] | None = None, lost: bool = False):
     """(Φ_S ⊗ Φ_R) of the unnormalized (sender, receiver) state after each
     node in reads reads its observable; every other node is traced out.
-    transfers memoises a transfer per (channel, observable) if given."""
-    env, transfers = mps.left, {} if transfers is None else transfers
-    for node in config.nodes:
+    transfers memoises a transfer per (channel, observable) if given; norm
+    None is the node count.  Given sorted node counts sizes, one walk closes
+    the network of nodes 1..k for each k, as a prefix's environment serves
+    every larger k (Schollwöck, arXiv:1008.3477, §4), and returns the list;
+    with lost, each close comes after that of its network with node k lost."""
+    env, transfers, closing = mps.left, {} if transfers is None else transfers, []
+    at = {k: norm or k for k in sizes or [config.n_nodes]}
+    for node in range(1, max(at) + 1):
+        if lost and node in at:
+            closing.append((env @ mps.identity, at[node]))
         if node in (sender, receiver):
             env = (env @ mps.open).reshape(-1, 4)
         elif node not in reads:
@@ -366,11 +374,16 @@ def _contract(config: NetworkConfig, mps: _Mps, reads: Mapping, sender: int,
             if key not in transfers:
                 transfers[key] = mps.transfer(_heisenberg(key[0], reads[node]))
             env = env @ transfers[key]
-    x = (env @ mps.right).reshape(2, 2, 2, 2) / norm  # (p, q) per open node
-    x = x.transpose((0, 2, 1, 3) if sender < receiver else (2, 0, 3, 1))
+        if node in at:
+            closing.append((env, at[node]))
+    order = (0, 2, 1, 3) if sender < receiver else (2, 0, 3, 1)  # (p, q) per open node
     ks, kr = (config.channel_for(node).kraus_ops for node in (sender, receiver))
-    return np.einsum("asi,brj,ijkl,atk,bul->srtu", ks, kr, x, ks.conj(),
-                     kr.conj()).reshape(4, 4)
+    closes = []
+    for env_k, norm_k in closing:
+        x = ((env_k @ mps.right).reshape(2, 2, 2, 2) / norm_k).transpose(order)
+        closes.append(np.einsum("asi,brj,ijkl,atk,bul->srtu", ks, kr, x, ks.conj(),
+                                kr.conj()).reshape(4, 4))
+    return closes if sizes else closes[0]
 
 
 def pullback_pair(config: NetworkConfig, outcomes: Mapping[int, int],
@@ -588,12 +601,27 @@ def exact_pair(config: NetworkConfig, protocol: str) -> tuple[float, DensityMatr
     """Born weight and normalized (sender, receiver) pair of the success
     branch of an exact "W", "GHZ" or "relay" run, without its transcript or
     teleport; GHZ and the relay never abort, so their weight is 1."""
-    if protocol == "W":
-        return _normalized_pair(pullback_pair(
-            config, dict.fromkeys(_measuring(config), 0), config.sender, config.receiver))
+    return exact_pairs(config, protocol)[0]
+
+
+def exact_pairs(config: NetworkConfig, protocol: str, at: Sequence[int] | None = None,
+                lost: bool = False) -> list:
+    """exact_pair of every point of a table, from one walk (_contract,
+    _Relay).  W and GHZ: the network of nodes 1..k of config for each k in
+    at (default config.n_nodes); with lost, each k's entry comes after that
+    of its network with node k lost.  Relay: config's sender with each
+    receiver in at (none the sender; default config's)."""
+    if at and (list(at) != sorted(set(at)) or at[0] < 1 or at[-1] > config.n_nodes
+               or protocol == "relay" and config.sender in at):
+        raise ValueError("a table's points must be increasing node ids other than the sender")
     if protocol == "relay":
-        relay = _Relay(config)
-        return 1.0, relay.pair(relay.mixed())
+        relay = _Relay(config, at)
+        return [(1.0, relay.pair(rho)) for rho in relay.mixed()]
+    at, pair = at or [config.n_nodes], (config.sender, config.receiver)
+    if protocol == "W":
+        reads = dict.fromkeys(_measuring(config), _READ[0])
+        return list(map(_normalized_pair, _contract(config, _W, reads, *pair, None,
+                                                    sizes=at, lost=lost)))
     if protocol != "GHZ":
         raise ValueError(f"unknown protocol {protocol!r}")
     # a '-' outcome flips the receiver's phase: with E_± = Φ†(|±><±|), the
@@ -601,10 +629,10 @@ def exact_pair(config: NetworkConfig, protocol: str) -> tuple[float, DensityMatr
     # which gets Z_R, is (P - Q)/2, where P takes E_+ + E_- = Φ†(I) and Q
     # takes E_+ - E_- = Φ†(X) at every measuring node
     measuring = _ghz_measuring(config)
-    p, q = (_contract(config, _GHZ, dict.fromkeys(measuring, op),
-                      config.sender, config.receiver, 2)
-            for op in (ID2, PAULI_X))
-    return 1.0, _normalized_pair((p + q) / 2 + _Z_R @ (p - q) @ _Z_R / 2)[1]
+    ps, qs = (_contract(config, _GHZ, dict.fromkeys(measuring, op), *pair, 2, sizes=at)
+              for op in (ID2, PAULI_X))
+    return [(1.0, _normalized_pair((p + q) / 2 + _Z_R @ (p - q) @ _Z_R / 2)[1])
+            for p, q in zip(ps, qs)]
 
 
 def _exact_run(config: NetworkConfig, protocol: str) -> RunOutcome:
@@ -1019,9 +1047,16 @@ def _superop(ops) -> np.ndarray:
 
 
 def _on_qubit(rho: np.ndarray, sup: np.ndarray, qubit: int) -> np.ndarray:
-    """A _superop applied to one qubit of the relay register."""
-    r = rho.reshape(2**qubit, 2, 2**(3 - qubit), 2**qubit, 2, 2**(3 - qubit))
-    return np.einsum("ikjl,ajbcld->aibckd", sup, r).reshape(16, 16)
+    """A _superop applied to one qubit of a relay register, or of a stack of them."""
+    r = rho.reshape(-1, 2**qubit, 2, 2**(3 - qubit), 2**qubit, 2, 2**(3 - qubit))
+    return np.einsum("ikjl,xajbcld->xaibckd", sup, r).reshape(rho.shape)
+
+
+def _splice(rho: np.ndarray, control: int, anc: int) -> np.ndarray:
+    """CNOT from a register qubit onto an ancilla's |0>: a permutation of indices."""
+    idx = np.arange(16)
+    idx ^= (idx >> (3 - control) & 1) << (3 - anc)
+    return rho[..., idx[:, None], idx]
 
 
 def _hop(kraus: np.ndarray, swaps, corrections) -> np.ndarray:
@@ -1036,23 +1071,23 @@ _Z_SUP = _superop([PAULI_Z])
 
 
 class _Relay:
-    """The chain 1..n of one config on the relay register."""
+    """The chain 1..n of config's sender on relay registers, one per receiver
+    in receivers (sorted; default config's), walked as one stack: the trunk,
+    spliced to the sender (ancilla 1) once past it, and a branch per
+    receiver, split off the trunk at its node and spliced there (ancilla 2)."""
 
-    def __init__(self, config: NetworkConfig):
+    def __init__(self, config: NetworkConfig, receivers: Sequence[int] | None = None):
         if config.n_nodes < 4:
             raise ValueError("relay needs at least 4 nodes")
         if config.lost_nodes:
             raise ValueError("relay does not support lost nodes")
-        self.config, n = config, config.n_nodes
-        self.anc = {config.sender: 1, config.receiver: 2}  # register qubit per node
-        # phase corrections from the closing X measurements land on the anc
-        # that was spliced in first along the chain
-        self.first_anc = self.anc[min(self.anc)]
+        self.config, n, s = config, config.n_nodes, config.sender
+        self.receivers = list(receivers or [config.receiver])
         # keep, travel, the ancillas spliced by the last swap and its fresh pair
-        self.max_live = 4 + sum(node < n for node in self.anc)
+        self.max_live = 4 + (s < n) + (config.receiver < n)
         ket = np.zeros((2, 2, 2, 2), dtype=complex)
         ket[:, 0, 0, :] = _BELL[0]  # Bell(keep, travel), ancillas in |0>
-        self.start = self.splice(np.outer(ket.ravel(), ket.ravel().conj()), 0, 1)
+        self.start = np.outer(ket.ravel(), ket.ravel().conj())[None]
         self.built, self.sups = {}, {}  # (Kraus bytes, branch) -> id -> (id, superop)
 
     def hop(self, node: int, branch) -> bytes:
@@ -1068,34 +1103,37 @@ class _Relay:
         return self.built[key]
 
     def register(self, hops: Sequence) -> np.ndarray:
-        """The register after the hops (ids) into nodes 2..n."""
-        rho = self.start
-        for j, hop in enumerate(hops, 2):
-            rho = self.splice(_on_qubit(rho, self.sups[hop][1], _TRAVEL), _TRAVEL, j)
+        """The registers after the hops (ids) into nodes 2..n; node 1
+        splices from keep, every later node from travel."""
+        rho, at = self.start, set(self.receivers)
+        for node, hop in enumerate([None, *hops], 1):
+            control = 0 if hop is None else _TRAVEL
+            if hop is not None:
+                rho = _on_qubit(rho, self.sups[hop][1], _TRAVEL)
+            if node == self.config.sender:
+                rho = _splice(rho, control, 1)
+            if node in at:  # the trunk goes with the last receiver's branch
+                rho = np.concatenate((rho[int(node == self.receivers[-1]):],
+                                      _splice(rho[:1], control, 2)))
         return rho
 
     def mixed(self) -> np.ndarray:
-        """The exact register: every swap and closing branch mixed."""
+        """The exact registers: every swap and closing branch mixed."""
         rho = self.register([self.hop(j, None if j == 2 else "mixed")
                              for j in range(2, self.config.n_nodes + 1)])
         for qubit in (_TRAVEL, 0):
             rho = np.add(*self.close(rho, qubit))
         return rho
 
-    def splice(self, rho: np.ndarray, control: int, node: int) -> np.ndarray:
-        # CNOT onto the node's |0> ancilla, if any: a permutation of indices
-        if node not in self.anc:
-            return rho
-        idx = np.arange(16)
-        idx ^= (idx >> (3 - control) & 1) << (3 - self.anc[node])
-        return rho[np.ix_(idx, idx)]
-
     def close(self, rho: np.ndarray, qubit: int) -> tuple:
-        """The two unnormalized branches of a closing X measurement; a '-'
-        outcome flips the phase of first_anc."""
-        plus = _on_qubit(rho, _X_SUPS[0], qubit)
-        minus = _on_qubit(_on_qubit(rho, _X_SUPS[1], qubit), _Z_SUP, self.first_anc)
-        return plus, minus
+        """The two unnormalized branches of a closing X measurement of the
+        registers; a '-' outcome flips the phase of the ancilla spliced in
+        first along the chain, the receiver's if it comes before the sender."""
+        k = bisect_right(self.receivers, self.config.sender)
+        minus = _on_qubit(rho, _X_SUPS[1], qubit)
+        minus = np.concatenate((_on_qubit(minus[:k], _Z_SUP, 2),
+                                _on_qubit(minus[k:], _Z_SUP, 1)))
+        return _on_qubit(rho, _X_SUPS[0], qubit), minus
 
     def transcript(self, casts: Sequence = ()) -> Transcript:
         """The pair hand-offs, which both modes record, then the
@@ -1144,7 +1182,7 @@ def run_relay_protocol(config: NetworkConfig,
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
     relay = _Relay(config)
-    return relay.delivered(relay.mixed(), relay.transcript())
+    return relay.delivered(relay.mixed()[0], relay.transcript())
 
 
 class _RelaySampler(_Relay, _Sampler):
@@ -1188,17 +1226,17 @@ class _RelaySampler(_Relay, _Sampler):
             if bits not in self.closing:
                 rho = self.closed[bits]
                 plus, minus = self.close(rho, qubit)
-                p = np.trace(plus).real / np.trace(rho).real
+                p = np.trace(plus[0]).real / np.trace(rho[0]).real
                 self.closing[bits] = min(max(p, 0.0), 1.0), (plus, minus)
             p_plus, branches = self.closing[bits]
             b = 0 if u < p_plus else 1
             bits += (b,)
             if bits not in self.closed:
-                self.closed[bits] = branches[b] / np.trace(branches[b]).real
+                self.closed[bits] = branches[b] / np.trace(branches[b][0]).real
         return (self.chain, bits), swaps
 
     def _outcome(self, key, transcript: Transcript) -> RunOutcome:
-        return self.delivered(self.closed[key[1]], transcript)
+        return self.delivered(self.closed[key[1]][0], transcript)
 
 
 def sample_relay_runs(config: NetworkConfig, n_samples: int,

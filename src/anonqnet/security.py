@@ -30,6 +30,7 @@ bound, which stays sound for the W state's entangled inputs.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from typing import Mapping, Sequence
 
@@ -170,7 +171,10 @@ def _stacked(views: Sequence[dict]) -> tuple[np.ndarray, np.ndarray]:
     """The views over every (label, block shape) key, in first-seen order:
     C x K weights and C x K x d x d weighted blocks (a 1x1 block in the
     corner when d = 2), zero where a view lacks the key.  A label carried
-    on two registers is thus two orthogonal sectors."""
+    on two registers is thus two orthogonal sectors.  A report stacks its
+    _Views once."""
+    if getattr(views, "stacking", None):
+        return views.stacking
     keys = dict.fromkeys((label, block.shape) for v in views
                          for label, (_, block) in v.items())
     d = max((shape[0] for _, shape in keys), default=1)
@@ -181,7 +185,13 @@ def _stacked(views: Sequence[dict]) -> tuple[np.ndarray, np.ndarray]:
             if label in v and v[label][1].shape == (r, s):
                 weights[c, k] = v[label][0]
                 blocks[c, k, :r, :s] = v[label][1]
+    if isinstance(views, _Views):
+        views.stacking = weights, blocks
     return weights, blocks
+
+
+class _Views(list):
+    stacking = None  # one report's views keep their _stacked arrays
 
 
 def _trace_norms(x: np.ndarray) -> np.ndarray:
@@ -243,6 +253,13 @@ def _guessing_probability(views: Sequence[dict], priors: Sequence[float],
     return float(bound), "bound-only"
 
 
+@lru_cache(maxsize=16)  # an audit's at most 7 channels under 2 distances
+def _measured(distance, a: QuantumChannel, b: QuantumChannel) -> float:
+    """distance(a, b), kept per (distance, a, b): the roles of one audit
+    measure the same channels, whose Kraus operators are read-only."""
+    return distance(a, b)
+
+
 def epsilon_security_bound(base: QuantumChannel,
                            per_node: Mapping[int, QuantumChannel],
                            distance=None) -> float:
@@ -253,7 +270,7 @@ def epsilon_security_bound(base: QuantumChannel,
     other nodes, as the W state's are.  Each distinct channel object is
     measured once; one with the base's Kraus operators is at distance 0."""
     distance = distance or channel_distance  # looked up per call
-    worst = max((distance(base, ch) for ch in dict.fromkeys(per_node.values())
+    worst = max((_measured(distance, base, ch) for ch in dict.fromkeys(per_node.values())
                  if not np.array_equal(ch.kraus_ops, base.kraus_ops)),
                 default=0.0)
     return len(per_node) * worst
@@ -275,7 +292,7 @@ def security_report(config: NetworkConfig, adversaries: Sequence[int],
                   and effective_roles(config, c, role)[0] not in adv]
     if not candidates:
         raise ValueError("no admissible hypotheses for this coalition")
-    views = adversary_views(config, adv, candidates, role)
+    views = _Views(adversary_views(config, adv, candidates, role))
     priors = [1.0 / len(candidates)] * len(candidates)
     dev = independence_check(views)
     p_guess, certificate = _guessing_probability(views, priors, dev)

@@ -1097,3 +1097,49 @@ print("numpy.random" in sys.modules)
     if out.stdout.strip() == "skip":
         pytest.skip("importing numpy already loads numpy.random")
     assert out.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# exact tables walk each column once
+
+
+def test_sweep_column_walks_build_each_transfer_once(runner, monkeypatch):
+    # one walk per (protocol, q) column: W's read-0 transfer and GHZ's Φ†(I)
+    # and Φ†(X), whatever the number of sizes; a row per size built 18
+    built, real = [], protocols._Mps.transfer
+    monkeypatch.setattr(protocols._Mps, "transfer",
+                        lambda self, effect: built.append(1) or real(self, effect))
+    args = "sweep --protocol all --mode both --n-range 4:9 --q 0.9".split()
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    assert len(built) == 3
+    built.clear()
+    res = runner.invoke(main, args[:-2] + ["--q-range", "0.8:0.9:0.1", "--mode", "exact"])
+    assert res.exit_code == 0, res.output
+    assert len(built) == 6  # two q columns
+
+
+def test_exact_w_loss_rows_read_the_w_walk(runner, monkeypatch):
+    # an exact W_loss row's weight is the lost network's, from the W walk
+    calls = []
+    real = protocols.exact_pairs
+    monkeypatch.setattr(cli, "exact_pairs",
+                        lambda *args: calls.append(args[1:]) or real(*args))
+    res = runner.invoke(main, "sweep --protocol W_loss --mode exact --n-range 4:30 --q 0.9 "
+                              "--json".split())
+    assert res.exit_code == 0, res.output
+    assert [(p, lost) for p, _, lost in calls] == [("W", True)]
+    for row in json.loads(res.output)["rows"]:
+        n = row["N"]
+        cfg = cli._uniform(n, depolarizing(0.9), lost_nodes={n})
+        assert row["P_success"] == protocols.exact_pair(cfg, "W")[0]
+
+
+def test_relay_table_builds_two_hops_per_channel(runner, monkeypatch):
+    # the hop into node 2 and the mixed swap hop, once per channel for the
+    # whole table; a walk per placement built them per placement (28 here)
+    built, real = [], protocols._hop
+    monkeypatch.setattr(protocols, "_hop", lambda *a: built.append(1) or real(*a))
+    res = runner.invoke(main, "relay --nodes 8 --mode exact".split())
+    assert res.exit_code == 0, res.output
+    assert len(built) == 2 * 2  # the default --q 0.8 and 0.95

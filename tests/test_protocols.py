@@ -1882,3 +1882,159 @@ def test_one_pair_batch_reads_one_pair(monkeypatch):
     assert calls == {"z_defect": 1, "_contract": 1}  # one channel, one pair
     assert agg["runs"] == 2000
     assert len({id(o) for o in outs}) <= 16
+
+
+# ---------------------------------------------------------------------------
+# exact tables: one walk per column
+
+
+from anonqnet.protocols import exact_pairs  # noqa: E402
+
+TABLE_CHANNELS = {
+    "identity": identity_channel(),
+    "dephasing": dephasing(0.9),
+    "depolarizing": depolarizing(0.834),
+    "damp-rotate": damp_then_rotate(0.2, 0.7),
+}
+
+
+def same_pair(got, want):
+    return got[0] == want[0] and np.array_equal(got[1].mat, want[1].mat)
+
+
+def one_network_raw(config, protocol):
+    """The unnormalized pair of one network, walked node by node and closed
+    once: the arithmetic of a table entry before tables shared their walk."""
+    from anonqnet.protocols import _READ, _heisenberg
+
+    def close(mps, reads, norm):
+        env, s, r = mps.left, config.sender, config.receiver
+        for node in config.nodes:
+            if node in (s, r):
+                env = (env @ mps.open).reshape(-1, 4)
+            elif node not in reads:
+                env = env @ mps.identity
+            else:
+                env = env @ mps.transfer(_heisenberg(config.channel_for(node), reads[node]))
+        x = (env @ mps.right).reshape(2, 2, 2, 2) / norm
+        x = x.transpose((0, 2, 1, 3) if s < r else (2, 0, 3, 1))
+        ks, kr = (config.channel_for(node).kraus_ops for node in (s, r))
+        return np.einsum("asi,brj,ijkl,atk,bul->srtu", ks, kr, x, ks.conj(),
+                         kr.conj()).reshape(4, 4)
+
+    measuring = [i for i in config.live_nodes if i not in (config.sender, config.receiver)]
+    if protocol == "W":
+        return close(_W, dict.fromkeys(measuring, _READ[0]), config.n_nodes)
+    p, q = (close(_GHZ, dict.fromkeys(measuring, op), 2) for op in (ID2, PAULI_X))
+    return (p + q) / 2 + _Z_R @ (p - q) @ _Z_R / 2
+
+
+def one_placement_pair(config):
+    """The relay pair of one placement on one 16x16 register, each qubit map
+    one einsum: the arithmetic before placements shared a stacked walk."""
+    from anonqnet.protocols import _BELL, _BRANCHES, _TRAVEL, _X_SUPS, _Z_SUP, _hop
+    anc = {config.sender: 1, config.receiver: 2}
+
+    def on(rho, sup, qubit):
+        r = rho.reshape(2**qubit, 2, 2**(3 - qubit), 2**qubit, 2, 2**(3 - qubit))
+        return np.einsum("ikjl,ajbcld->aibckd", sup, r).reshape(16, 16)
+
+    def splice(rho, control, node):
+        if node not in anc:
+            return rho
+        idx = np.arange(16)
+        idx ^= (idx >> (3 - control) & 1) << (3 - anc[node])
+        return rho[np.ix_(idx, idx)]
+
+    ket = np.zeros((2, 2, 2, 2), dtype=complex)
+    ket[:, 0, 0, :] = _BELL[0]
+    rho = splice(np.outer(ket.ravel(), ket.ravel().conj()), 0, 1)
+    for j in range(2, config.n_nodes + 1):
+        branch = _BRANCHES[None if j == 2 else "mixed"]
+        rho = splice(on(rho, _hop(config.channel_for(j).kraus_ops, *branch), _TRAVEL),
+                     _TRAVEL, j)
+    for qubit in (_TRAVEL, 0):
+        rho = on(rho, _X_SUPS[0], qubit) + on(on(rho, _X_SUPS[1], qubit), _Z_SUP,
+                                              anc[min(anc)])
+    return np.einsum("iabjicdj->abcd", rho.reshape((2,) * 8)).reshape(4, 4)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CHANNELS))
+@pytest.mark.parametrize("protocol", ["W", "GHZ"])
+def test_table_walk_matches_each_size_bit_for_bit(protocol, name):
+    channel, sizes = TABLE_CHANNELS[name], list(range(3, 61))
+    table = exact_pairs(NetworkConfig(60, 1, 2, per_qubit_channels=uniform(channel, 60)),
+                        protocol, sizes)
+    assert len(table) == len(sizes)
+    for n, got in zip(sizes, table):
+        cfg = NetworkConfig(n, 1, 2, per_qubit_channels=uniform(channel, n))
+        assert same_pair(got, exact_pair(cfg, protocol)), (protocol, name, n)
+        raw = one_network_raw(cfg, protocol)
+        assert np.array_equal(got[1].mat, raw / np.trace(raw).real), (protocol, name, n)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CHANNELS))
+def test_table_walk_closes_each_lost_network_bit_for_bit(name):
+    # with lost, each size's W pair follows that of its network with node N
+    # lost, whose weight an exact W_loss row prints
+    channel, sizes = TABLE_CHANNELS[name], list(range(4, 61))
+    table = exact_pairs(NetworkConfig(60, 1, 2, per_qubit_channels=uniform(channel, 60)),
+                        "W", sizes, lost=True)
+    assert len(table) == 2 * len(sizes)
+    for n, lost, got in zip(sizes, table[::2], table[1::2]):
+        chans = uniform(channel, n)
+        assert same_pair(got, exact_pair(NetworkConfig(n, 1, 2, per_qubit_channels=chans),
+                                         "W")), (name, n)
+        lost_cfg = NetworkConfig(n, 1, 2, per_qubit_channels=chans, lost_nodes={n})
+        assert same_pair(lost, exact_pair(lost_cfg, "W")), (name, n)
+        assert lost[0] == float(np.trace(one_network_raw(lost_cfg, "W")).real), (name, n)
+
+
+def test_table_walk_takes_sparse_sizes_and_matches_the_closed_form():
+    sizes = [4, 7, 19, 183]
+    table = exact_pairs(NetworkConfig(183, 1, 2, per_qubit_channels=uniform(
+        depolarizing(0.95), 183)), "W", sizes)
+    for n, (weight, pair) in zip(sizes, table):
+        assert weight == pytest.approx(p_success_w("depolarizing", 0.95, n), rel=1e-12)
+        assert fidelity_with_pure(pair, pair_target("W")) == pytest.approx(
+            f_ae_w_depolarizing(0.95, n), abs=1e-12)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.5, 0.834, 1.0])
+@pytest.mark.parametrize("n", range(4, 13))
+def test_relay_table_walk_matches_each_placement_bit_for_bit(n, q):
+    chans = uniform(depolarizing(q), n)
+    for s in dict.fromkeys([1, 2, n]):
+        receivers = [r for r in range(1, n + 1) if r != s]
+        table = exact_pairs(NetworkConfig(n, s, receivers[-1], per_qubit_channels=chans),
+                            "relay", receivers)
+        assert len(table) == len(receivers)
+        for r, got in zip(receivers, table):
+            cfg = NetworkConfig(n, s, r, per_qubit_channels=chans)
+            assert same_pair(got, exact_pair(cfg, "relay")), (n, q, s, r)
+            assert np.array_equal(got[1].mat, one_placement_pair(cfg)), (n, q, s, r)
+
+
+@pytest.mark.parametrize("kind", sorted(RELAY_CHANNELS))
+def test_relay_table_walk_per_node_channels(kind):
+    # every node its own channel: the trunk's hops differ node by node
+    n = 7
+    chans = {i: RELAY_CHANNELS[kind](i) for i in range(1, n + 1)}
+    for s in (1, 4, 7):
+        receivers = [r for r in range(1, n + 1) if r != s]
+        table = exact_pairs(NetworkConfig(n, s, receivers[0], per_qubit_channels=chans),
+                            "relay", receivers)
+        for r, got in zip(receivers, table):
+            cfg = NetworkConfig(n, s, r, per_qubit_channels=chans)
+            assert same_pair(got, exact_pair(cfg, "relay")), (kind, s, r)
+            assert np.array_equal(got[1].mat, one_placement_pair(cfg)), (kind, s, r)
+
+
+@pytest.mark.parametrize("protocol, at", [("W", [5, 4]), ("GHZ", [4, 4, 5]), ("W", [4, 7]),
+                                          ("relay", [3, 2]), ("relay", [0, 2]),
+                                          ("relay", [1, 2])])
+def test_table_points_are_increasing_node_ids_other_than_the_sender(protocol, at):
+    # entries come back in node order, one per point of the config's chain
+    cfg = NetworkConfig(6, 1, 2, per_qubit_channels=uniform(depolarizing(0.9), 6))
+    with pytest.raises(ValueError, match="must be increasing node ids"):
+        exact_pairs(cfg, protocol, at)

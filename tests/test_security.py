@@ -434,3 +434,43 @@ def test_security_nine_nodes_still_refused():
     res = CliRunner().invoke(main, ["security", "--nodes", "9",
                                     "--adversaries", "3"])
     assert res.exit_code == 2
+
+
+def test_audit_roles_share_their_channel_distances(monkeypatch):
+    # both roles of one audit measure the same channels: each distance runs
+    # once per distinct deviating channel, not once per role
+    import anonqnet.security as security
+
+    seen = {"channel": [], "diamond": []}
+    for name, real in (("channel", security.channel_distance),
+                       ("diamond", security.diamond_distance)):
+        monkeypatch.setattr(security, f"{name}_distance",
+                            lambda a, b, name=name, real=real:
+                            seen[name].append(b) or real(a, b))
+    runner = CliRunner()
+    res = runner.invoke(main, ["security", "--nodes", "6", "--adversaries", "4",
+                               "--channel", "depolarizing:q=0.9", "--channel-node",
+                               "3=depolarizing:q=0.86", "--role", "both"])
+    assert res.exit_code == 0, res.output
+    assert [len(seen["channel"]), len(seen["diamond"])] == [1, 1]
+
+
+def test_report_views_are_stacked_once(monkeypatch):
+    # the independence check and the guess share one stacking of a report's
+    # views; a plain list of views is stacked by each check that reads it
+    import anonqnet.security as security
+
+    stacked = []
+    real = security._stacked
+    monkeypatch.setattr(security, "_stacked",
+                        lambda views: stacked.append(real(views)) or stacked[-1])
+    chans = uniform(depolarizing(0.9), 6)
+    chans[3] = depolarizing(0.6)
+    cfg = NetworkConfig(n_nodes=6, sender=1, receiver=2, per_qubit_channels=chans)
+    rep = security_report(cfg, [4])
+    assert rep["certificate"] != "state-independence"  # the guess reads blocks
+    assert len(stacked) == 2 and stacked[0][1] is stacked[1][1]  # the same blocks
+    views = adversary_views(cfg, [4], rep["candidates"])
+    stacked.clear()
+    guessing_probability(views, [1 / len(views)] * len(views))
+    assert len(stacked) == 2 and stacked[0][1] is not stacked[1][1]
