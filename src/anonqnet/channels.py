@@ -37,8 +37,8 @@ class QuantumChannel:
         if self.kraus_ops.shape[1:] != (2, 2):
             raise ValueError("Kraus operators must be 2x2")
         self.kraus_ops.flags.writeable = False  # memos key on the channel
-        total = sum(k.conj().T @ k for k in self.kraus_ops)
-        if not np.allclose(total, ID2, atol=1e-12):
+        total = np.einsum("kji,kjl->il", self.kraus_ops.conj(), self.kraus_ops)
+        if not np.abs(total - ID2).max() <= 1e-12:  # no relative slack
             raise ValueError("Kraus set is not trace preserving")
         self.name = name
         self.params = dict(params or {})

@@ -395,17 +395,31 @@ def pullback_pair(config: NetworkConfig, outcomes: Mapping[int, int],
     return _contract(config, _W, reads, sender, receiver, config.n_nodes)
 
 
+@lru_cache(maxsize=64)  # never written; the roles of one audit share them
+def _read_transfer(channel: QuantumChannel, bit: int | None) -> np.ndarray:
+    return _W.identity if bit is None else _W.transfer(_heisenberg(channel, _READ[bit]))
+
+
 def outcome_transfers(config: NetworkConfig,
                       strings: Sequence[Mapping[int, int]]) -> np.ndarray:
     """B x n x 4 x 4 W transfer strings for pullback_pairs: node i reads the
-    standard-basis bit strings[b][i], or is traced out without one.  Each
-    (channel, bit) transfer is built once."""
-    @lru_cache(maxsize=None)
-    def transfer(channel, bit):
-        return (_W.identity if bit is None
-                else _W.transfer(_heisenberg(channel, _READ[bit])))
-    return np.array([[transfer(config.channel_for(i), s.get(i))
-                      for i in config.nodes] for s in strings])
+    standard-basis bit strings[b][i], or is traced out without one.  One
+    gather reads the strings off the distinct (channel, bit) transfers,
+    each built once."""
+    slots, chans = {}, [config.channel_for(i) for i in config.nodes]
+    at = [slots.setdefault((ch, s.get(i)), len(slots))
+          for s in strings for i, ch in zip(config.nodes, chans)]
+    table = np.array([_read_transfer(*key) for key in slots])
+    return table[np.array(at, dtype=np.intp).reshape(len(strings), config.n_nodes)]
+
+
+@lru_cache(maxsize=64)  # an audit meets a few channels, each at several sites
+def _noisy_site(channel: QuantumChannel) -> np.ndarray:
+    """_W.open with channel's 4x4 superoperator on the (p, q) index: (ket
+    bond, bra bond) in, (p, q) and the bond out, as 4 x 16."""
+    ks = channel.kraus_ops.reshape(-1, 4)
+    sup = (ks.T @ ks.conj()).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    return (sup @ _W.open.reshape(4, 4, 4)).reshape(4, 16)
 
 
 def pullback_pairs(config: NetworkConfig, transfers: np.ndarray, fixed: int,
@@ -414,33 +428,35 @@ def pullback_pairs(config: NetworkConfig, transfers: np.ndarray, fixed: int,
     x 4, see outcome_transfers; entries at fixed and opens unread) for every
     open node at once: B x len(opens) x 4 x 4.  One O(n) sweep builds each
     site's left and right environments, which carry the fixed site's (p, q)
-    index once past it (Schollwöck, arXiv:1008.3477, §4); each (open
-    channel, fixed channel) gets one 16x16 pair superoperator."""
+    index once past it (Schollwöck, arXiv:1008.3477, §4).  A site keeps its
+    node's channel as a 4x4 superoperator on its (p, q) index, built once
+    per channel, and the open sites on each side of the fixed one close in
+    two batched products."""
     b, f = len(transfers), fixed - 1
-    site = _W.open.reshape(4, 4, 4)  # (ket, bra) bond in, (p, q), bond out
-    lefts, env = [], np.broadcast_to(_W.left, (b, 1, 4))
-    for k in range(config.n_nodes):
-        lefts.append(env)
-        env = ((env @ _W.open).reshape(b, 4, 4) if k == f
-               else env @ transfers[:, k])
-    rights, env = lefts[:], np.broadcast_to(_W.right[:, None], (b, 4, 1))
-    for k in reversed(range(config.n_nodes)):
-        rights[k] = env
-        env = (np.einsum("apc,bc->bap", site, env[..., 0]) if k == f
-               else transfers[:, k] @ env)
-    out, sups = np.empty((b, len(opens), 4, 4), dtype=complex), {}
-    for j, node in enumerate(opens):
-        x = np.einsum("bia,apc,bcj->bipj", lefts[node - 1], site,
-                      rights[node - 1]).reshape(b, 2, 2, 2, 2)
-        # (p, q) of the earlier site first -> row-major (p_o p_f, q_o q_f)
-        x = x.transpose((0, 1, 3, 2, 4) if node < fixed else (0, 3, 1, 4, 2))
-        key = (config.channel_for(node), config.channel_for(fixed))
-        if key not in sups:  # Φ_open ⊗ Φ_fixed, transposed, over the norm
-            t_o, t_f = (np.einsum("aip,akq->ikpq", ch.kraus_ops,
-                                  ch.kraus_ops.conj()) for ch in key)
-            sups[key] = np.einsum("ikpr,jlqs->pqrsijkl", t_o, t_f).reshape(
-                16, 16) / config.n_nodes
-        out[:, j] = (x.reshape(b, 16) @ sups[key]).reshape(b, 4, 4)
+    site = _noisy_site(config.channel_for(fixed)) / config.n_nodes
+    steps = np.ascontiguousarray(transfers.swapaxes(0, 1))  # node-major
+    lefts = [_W.left[None].repeat(b, 0)]
+    for k in range(config.n_nodes - 1):  # (1, bond), or ((p, q) of fixed, bond) past it
+        lefts.append((lefts[k] @ site).reshape(b, 4, 4) if k == f else lefts[k] @ steps[k])
+    rights = [_W.right[None, :, None].repeat(b, 0)]
+    for k in range(config.n_nodes - 1, 0, -1):  # (bond, 1), or (bond, (p, q) of fixed)
+        rights.append((site.reshape(16, 4) @ rights[-1]).reshape(b, 4, 4) if k == f
+                      else steps[k] @ rights[-1])
+    rights.reverse()
+    out = np.empty((b, len(opens), 4, 4), dtype=complex)
+    for before in (True, False):
+        js = [j for j, node in enumerate(opens) if (node < fixed) == before]
+        if not js:
+            continue
+        sites = np.array([_noisy_site(config.channel_for(opens[j])) for j in js])[:, None]
+        ls, rs = (np.array([envs[opens[j] - 1] for j in js]) for envs in (lefts, rights))
+        if before:  # ((p, q) open, (p, q) fixed)
+            x, axes = (ls @ sites).reshape(len(js), b, 4, 4) @ rs, (2, 4, 3, 5)
+        else:  # ((p, q) fixed, (p, q) open)
+            x, axes = ls @ (sites.reshape(-1, 1, 16, 4) @ rs).reshape(len(js), b, 4, 4), (4, 2, 5, 3)
+        # -> row-major (p_o p_f, q_o q_f)
+        out.reshape(b, len(opens), 2, 2, 2, 2)[:, js] = x.reshape(
+            len(js), b, 2, 2, 2, 2).transpose(1, 0, *axes)
     return out
 
 
@@ -1265,6 +1281,10 @@ def w_loss_branch_average_dense(channel: QuantumChannel, n: int,
     if f_noloss is None:
         cfg = NetworkConfig(n, 1, 2, dict.fromkeys(range(1, n + 1), channel))
         f_noloss = fidelity_with_pure(exact_pair(cfg, "W")[1], pair_target("W"))
+    return (n - 1) / n * f_noloss + _vacuum_fidelity(channel) / n
+
+
+@lru_cache(maxsize=64)  # a sweep's W_loss rows share their column's channel
+def _vacuum_fidelity(channel: QuantumChannel) -> float:
     vac = channel(np.array([[1, 0], [0, 0]], dtype=complex))
-    f_lost = fidelity_with_pure(DensityMatrix(np.kron(vac, vac), PAIR_LABELS), pair_target("W"))
-    return (n - 1) / n * f_noloss + f_lost / n
+    return fidelity_with_pure(DensityMatrix(np.kron(vac, vac), PAIR_LABELS), pair_target("W"))

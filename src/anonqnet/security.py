@@ -1,9 +1,9 @@
 """Anonymity analysis for the W-state protocol.
 
 The central object is the adversary view: everything a passive coalition
-observes in one run, for a hypothesised sender (or receiver) identity, as
-a plain dict label -> (weight, weight x quantum block).  Labels collect
-the classical data
+observes in one run, for a hypothesised sender (or receiver) identity:
+a weight and a weighted quantum block per label.  Labels collect the
+classical data
 
 * the coalition's notification bits,
 * the coalition's own measurement outcomes,
@@ -20,10 +20,13 @@ XOR-sharing subroutines are excluded: for any coalition missing at least
 one node they are uniform and carry no input dependence.
 
 With an honest sender every hypothesis shares one site, so one
-pullback_pairs sweep gives all views (adversary_views).  Anonymity holds
-when views for different hypotheses coincide; the checks below quantify any
-gap over all views at once, with closed-form trace norms, and convert it
-into a guessing-probability bound.  security_report's verdict adds, when
+pullback_pairs sweep gives all views, built as arrays over one list of
+labels (C x K weights, C x K x d x d blocks; _views); adversary_views
+gives each as a plain dict label -> (weight, weight x block), and _stacked
+turns such dicts back into arrays.  Anonymity holds when views for
+different hypotheses coincide; the checks below quantify any gap over all
+views at once, with closed-form trace norms, and convert it into a
+guessing-probability bound.  security_report's verdict adds, when
 node channels deviate from a common base, the diamond-distance perturbation
 bound, which stays sound for the W state's entangled inputs.
 """
@@ -38,15 +41,13 @@ import numpy as np
 
 from .analytic import BELL_RESOURCE
 from .channels import QuantumChannel, channel_distance, diamond_distance
-from .protocols import (NetworkConfig, outcome_transfers, pullback_pairs,
-                        teleport_branches)
+from .protocols import (NetworkConfig, _teleport_ops, outcome_transfers,
+                        pullback_pairs)
 
 _TINY = 1e-14
 
 ADVERSARY_NODE_CAP = 7  # guards no cost now; bench/tests pins the refusal
 
-
-_TRIVIAL = np.array([[1.0 + 0j]])
 _CORRUPT_SENDER = "a corrupt sender knows its own identity already"
 
 
@@ -73,9 +74,21 @@ def effective_roles(config: NetworkConfig, hypothesis: int, role: str
 def adversary_views(config: NetworkConfig, adversaries: Sequence[int],
                     hypotheses: Sequence[int], role: str = "sender") -> list:
     """Exact run-level views of the coalition (its node ids), one per
-    identity hypothesis, each a dict label -> (weight, weight x block).
+    identity hypothesis, each a dict label -> (weight, weight x block) of
+    the labels weighing at least _TINY: the dict form of _views' arrays."""
+    labels, weights, blocks = _views(config, frozenset(adversaries), hypotheses, role)
+    return [{labels[k]: (ws[k], bs[k]) for k in np.flatnonzero(w >= _TINY)}
+            for w, ws, bs in zip(weights, weights.tolist(), blocks)]
 
-    Enumerates the coalition's measurement outcomes, the honest-side
+
+def _views(config: NetworkConfig, adv: frozenset, hypotheses: Sequence[int],
+           role: str) -> tuple[list, np.ndarray, np.ndarray]:
+    """Every hypothesis's view as arrays over one list of labels: C x K
+    weights and C x K x d x d weighted blocks, 0 where a label weighs under
+    _TINY.  The block is the corrupt receiver's carrier qubit (d = 2), or
+    trivial (d = 1).
+
+    Enumerates the coalition's measurement outcomes mu, the honest-side
     all-zero/not-all-zero split (the complement is obtained by subtraction,
     avoiding a 2^N blowup), and the teleport announcement branches.  The
     coalition outcome mu is in every label, so each label arises once, and
@@ -86,95 +99,66 @@ def adversary_views(config: NetworkConfig, adversaries: Sequence[int],
         raise ValueError(
             f"adversary analysis is capped at {ADVERSARY_NODE_CAP} nodes"
         )
-    adv = frozenset(adversaries)
-    if not adv <= set(config.live_nodes):
+    live = config.live_nodes
+    if not adv <= set(live):
         raise ValueError("adversaries must be live nodes")
     roles = []
     for h in hypotheses:
-        if h in adv or h not in config.live_nodes:
+        if h in adv or h not in live:
             raise ValueError("hypothesis must be a live non-adversary node")
         roles.append(effective_roles(config, h, role))
     if config.sender in adv or any(s in adv for s, _ in roles):
         raise ValueError(_CORRUPT_SENDER)
+    # the fixed site is the configured receiver (sender role) or the honest
+    # sender; the effective receiver is corrupt exactly when it is fixed
     fixed = config.receiver if role == "sender" else config.sender
-    adv_meas = [i for i in config.live_nodes if i in adv and i != fixed]
-    honest = [i for i in config.live_nodes if i not in adv and i != fixed]
+    corrupt = fixed in adv
+    adv_meas = [i for i in live if i in adv and i != fixed]
+    honest = [i for i in live if i not in adv and i != fixed]
     mus = list(product((0, 1), repeat=len(adv_meas)))
     # per outcome mu: the honest outcomes summed over (total), all zero
     strings = []
     for mu in mus:
         coalition = dict(zip(adv_meas, mu))
         strings += [coalition, {**coalition, **dict.fromkeys(honest, 0)}]
+    # (open, fixed) pairs: with a corrupt receiver the open site is the
+    # sender, else only the traces are read, so no pair is swapped
     pairs = pullback_pairs(config, outcome_transfers(config, strings), fixed,
-                           [r if s == fixed else s for s, r in roles])
-    views = []
-    for j, (s, r) in enumerate(roles):
-        x = pairs[:, j]
-        if s == fixed:  # (open, fixed) = (receiver, sender): swap
-            x = x[:, [0, 2, 1, 3]][..., [0, 2, 1, 3]]
-        views.append(_view(config, adv, r, mus, x[0::2], x[1::2]))
-    return views
-
-
-def _view(config: NetworkConfig, adv: frozenset, eff_receiver: int, mus: list,
-          totals: np.ndarray, zeros: np.ndarray) -> dict:
-    """One hypothesis's view from its pairs per coalition outcome mu."""
-    receiver_corrupt = eff_receiver in adv
-    rn_bits = tuple(int(i == eff_receiver) for i in sorted(adv))
-    view = {}
-
-    def add(label, weight, block):
-        if weight >= _TINY:
-            view[label] = (weight, weight * block)
-
-    def abort(label, mat, weight):
-        # a corrupt receiver keeps its carrier qubit, anyone else nothing
-        if receiver_corrupt:
-            carrier = np.trace(mat.reshape(2, 2, 2, 2), axis1=0, axis2=2)
-            add(label, weight, carrier / weight)
-        else:
-            add(label, weight, _TRIVIAL)
-
-    for mu, total, zero in zip(mus, totals, zeros):
-        w_mu = float(np.trace(total).real)
-        if w_mu < _TINY:
-            continue
-        w_zero = float(np.trace(zero).real)
-        w_rest = w_mu - w_zero
-
-        base = (rn_bits, mu)
-        # honest saw a 1: always abort
-        if w_rest > _TINY:
-            abort(base + (1, 1, None), total - zero, w_rest)
-        if w_zero < _TINY:
-            continue
-        if any(mu):
-            # coalition outcome forces the abort even though honest side
-            # read all zeros
-            abort(base + (0, 1, None), zero, w_zero)
-        elif receiver_corrupt:
-            # success: the corrupt receiver sees the raw Bell outcome and
-            # keeps the teleported carrier
-            weights, branches = teleport_branches(
-                zero / w_zero, config.message_state.amps, BELL_RESOURCE["W"])
-            for m, (w_m, fixed) in enumerate(zip(weights, branches)):
-                if w_m >= _TINY:
-                    add(base + (0, 0, ("m", m)), w_zero * w_m, fixed / w_m)
-        else:
-            # success, masked announcement: uniform two public bits
-            for t in range(4):
-                add(base + (0, 0, ("T", t)), w_zero / 4, _TRIVIAL)
-    return view
+                           [r if s == fixed else s for s, r in roles]).swapaxes(0, 1)
+    traces = np.einsum("cbii->cb", pairs).real
+    w_mu, w_zero = traces[:, 0::2], traces[:, 1::2]
+    seen = w_mu >= _TINY
+    w_rest = np.where(seen & (w_mu - w_zero > _TINY), w_mu - w_zero, 0.0)
+    w_zero = np.where(seen & (w_zero >= _TINY), w_zero, 0.0)
+    rn_bits = tuple(int(i == fixed) for i in sorted(adv))
+    # the events, each a slice of the labels: the honest side saw a 1; the
+    # coalition's outcome forces the abort; success (mu all zero) with the
+    # raw Bell outcome m (corrupt receiver) or the masked announcement t
+    labels = ([(rn_bits, mu, 1, 1, None) for mu in mus]
+              + [(rn_bits, mu, 0, 1, None) for mu in mus[1:]]
+              + [(rn_bits, mus[0], 0, 0, ("m" if corrupt else "T", t))
+                 for t in range(4)])
+    if corrupt:  # the receiver keeps its carrier qubit
+        carriers = np.einsum("cbsasd->cbad", pairs.reshape(-1, len(strings), 2, 2, 2, 2))
+        ops = _teleport_ops(config.message_state.amps.tobytes(), BELL_RESOURCE["W"])
+        success = ops @ pairs[:, 1, None] @ ops.conj().transpose(0, 2, 1)
+        blocks = np.concatenate([carriers[:, 0::2] - carriers[:, 1::2],
+                                 carriers[:, 3::2], success], 1)
+        w_success = np.einsum("ctii->ct", success).real
+    else:
+        w_success = np.repeat(w_zero[:, :1] / 4, 4, 1)
+    weights = np.concatenate([w_rest, w_zero[:, 1:], np.where(
+        (w_zero[:, :1] > 0) & (w_success >= _TINY), w_success, 0.0)], 1)
+    if corrupt:
+        return labels, weights, np.where(weights[..., None, None] > 0, blocks, 0)
+    return labels, weights, weights[..., None, None].astype(complex)
 
 
 def _stacked(views: Sequence[dict]) -> tuple[np.ndarray, np.ndarray]:
-    """The views over every (label, block shape) key, in first-seen order:
-    C x K weights and C x K x d x d weighted blocks (a 1x1 block in the
-    corner when d = 2), zero where a view lacks the key.  A label carried
-    on two registers is thus two orthogonal sectors.  A report stacks its
-    _Views once."""
-    if getattr(views, "stacking", None):
-        return views.stacking
+    """Dict views as _views' arrays, over every (label, block shape) key in
+    first-seen order: C x K weights and C x K x d x d weighted blocks (a 1x1
+    block in the corner when d = 2), zero where a view lacks the key.  A
+    label carried on two registers is thus two orthogonal sectors."""
     keys = dict.fromkeys((label, block.shape) for v in views
                          for label, (_, block) in v.items())
     d = max((shape[0] for _, shape in keys), default=1)
@@ -185,13 +169,7 @@ def _stacked(views: Sequence[dict]) -> tuple[np.ndarray, np.ndarray]:
             if label in v and v[label][1].shape == (r, s):
                 weights[c, k] = v[label][0]
                 blocks[c, k, :r, :s] = v[label][1]
-    if isinstance(views, _Views):
-        views.stacking = weights, blocks
     return weights, blocks
-
-
-class _Views(list):
-    stacking = None  # one report's views keep their _stacked arrays
 
 
 def _trace_norms(x: np.ndarray) -> np.ndarray:
@@ -209,7 +187,11 @@ def independence_check(views: Sequence[dict]) -> float:
     the label/weight distributions plus the largest per-label trace
     distance between attached states.  0 means the coalition's view does
     not depend on the hypothesis at all."""
-    weights, blocks = _stacked(views)
+    return _deviation(*_stacked(views))
+
+
+def _deviation(weights: np.ndarray, blocks: np.ndarray) -> float:
+    """independence_check of stacked views."""
     states = blocks / np.where(weights > 0, weights, 1.0)[..., None, None]
     tv = 0.5 * np.abs(weights[:, None] - weights[None]).sum(-1)
     both = (weights[:, None] > 0) & (weights[None] > 0)
@@ -230,21 +212,21 @@ def guessing_probability(views: Sequence[dict],
       each view from the prior-averaged view, a valid upper bound
       ("bound-only").
     """
-    return _guessing_probability(views, priors, independence_check(views))
+    return _guess(_stacked(views)[1], priors, independence_check(views))
 
 
-def _guessing_probability(views: Sequence[dict], priors: Sequence[float],
-                          dev: float) -> tuple[float, str]:
-    """guessing_probability given the views' independence deviation."""
-    if len(views) != len(priors) or not views:
+def _guess(blocks: np.ndarray, priors: Sequence[float],
+           dev: float) -> tuple[float, str]:
+    """guessing_probability of stacked views' blocks, given their
+    independence deviation."""
+    if len(blocks) != len(priors) or not len(blocks):
         raise ValueError("need one prior per view")
     priors = np.asarray(priors, dtype=float)
     if abs(priors.sum() - 1.0) > 1e-9 or priors.min() < 0:
         raise ValueError("priors must form a distribution")
     if dev <= 1e-9:
         return float(priors.max()), "state-independence"
-    _, blocks = _stacked(views)
-    if len(views) == 2:
+    if len(blocks) == 2:
         a, b = priors[:, None, None, None] * blocks
         return (float(0.5 * np.trace(a + b, axis1=1, axis2=2).real.sum()
                       + 0.5 * _trace_norms(a - b).sum()), "helstrom")
@@ -292,10 +274,10 @@ def security_report(config: NetworkConfig, adversaries: Sequence[int],
                   and effective_roles(config, c, role)[0] not in adv]
     if not candidates:
         raise ValueError("no admissible hypotheses for this coalition")
-    views = _Views(adversary_views(config, adv, candidates, role))
+    _, weights, blocks = _views(config, adv, candidates, role)
     priors = [1.0 / len(candidates)] * len(candidates)
-    dev = independence_check(views)
-    p_guess, certificate = _guessing_probability(views, priors, dev)
+    dev = _deviation(weights, blocks)
+    p_guess, certificate = _guess(blocks, priors, dev)
     report = {
         "role": role,
         "adversaries": sorted(adv),
@@ -304,8 +286,7 @@ def security_report(config: NetworkConfig, adversaries: Sequence[int],
         "independence_deviation": dev,
         "guessing_probability": p_guess,
         "certificate": certificate,
-        "view_total_weights": [float(sum(w for w, _ in v.values()))
-                               for v in views],
+        "view_total_weights": weights.sum(1).tolist(),
     }
     if base_channel is not None:
         per_node = {i: config.channel_for(i) for i in config.live_nodes}

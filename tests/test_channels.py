@@ -33,6 +33,13 @@ def test_kraus_completeness_enforced():
         QuantumChannel(bad, name="broken")
 
 
+def test_kraus_completeness_has_no_relative_slack():
+    # Σ K†K = I to 1e-12 on every entry, the diagonal included
+    with pytest.raises(ValueError, match="not trace preserving"):
+        QuantumChannel([np.sqrt(1.000009) * np.eye(2)])
+    QuantumChannel([np.sqrt(1 + 5e-13) * np.eye(2)])
+
+
 def test_kraus_ops_are_one_read_only_array():
     channel = dephasing(0.9)
     assert channel.kraus_ops.shape == (2, 2, 2)

@@ -1119,6 +1119,19 @@ def test_sweep_column_walks_build_each_transfer_once(runner, monkeypatch):
     assert len(built) == 6  # two q columns
 
 
+def test_w_loss_rows_build_one_vacuum_pair_per_column(runner, monkeypatch):
+    # the noised vacuum pair of a lost W network depends on the channel
+    # alone; a build per row made 6 here
+    vacuum, built = np.diag([1, 0]).astype(complex), []
+    real = QuantumChannel.__call__
+    monkeypatch.setattr(QuantumChannel, "__call__", lambda self, rho: built.extend(
+        [self.params["q"]] * np.array_equal(rho, vacuum)) or real(self, rho))
+    args = "sweep --protocol all --mode both --n-range 4:9 --q 0.95".split()
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    assert built == [0.95]
+
+
 def test_exact_w_loss_rows_read_the_w_walk(runner, monkeypatch):
     # an exact W_loss row's weight is the lost network's, from the W walk
     calls = []

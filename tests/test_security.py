@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -12,7 +13,9 @@ from anonqnet.channels import (
     identity_channel,
 )
 from anonqnet.cli import main
-from anonqnet.protocols import NetworkConfig
+from anonqnet.protocols import (NetworkConfig, outcome_transfers, pullback_pairs,
+                                teleport_branches)
+from anonqnet.qcore import Ket
 from anonqnet.security import (
     _trace_norms,
     adversary_views,
@@ -274,10 +277,11 @@ def test_security_report_receiver_role():
 def test_security_report_checks_independence_once(monkeypatch):
     import anonqnet.security as security
 
+    # the report reads its views as arrays, through _deviation
     calls = []
-    real = security.independence_check
-    monkeypatch.setattr(security, "independence_check",
-                        lambda views: calls.append(1) or real(views))
+    real = security._deviation
+    monkeypatch.setattr(security, "_deviation",
+                        lambda *arrays: calls.append(1) or real(*arrays))
     cfg = NetworkConfig(n_nodes=5, sender=1, receiver=2,
                         per_qubit_channels=uniform(depolarizing(0.9), 5))
     rep = security_report(cfg, [4])
@@ -397,6 +401,151 @@ def test_epsilon_bound_closed_forms():
 
 
 # ---------------------------------------------------------------------------
+# the array route against the dict route it replaced: reference_views is
+# adversary_views with the per-label _view it used to build each dict
+
+
+def reference_views(config, adv, hypotheses, role):
+    roles = [effective_roles(config, h, role) for h in hypotheses]
+    fixed = config.receiver if role == "sender" else config.sender
+    adv_meas = [i for i in config.live_nodes if i in adv and i != fixed]
+    honest = [i for i in config.live_nodes if i not in adv and i != fixed]
+    mus = list(itertools.product((0, 1), repeat=len(adv_meas)))
+    strings = []
+    for mu in mus:
+        coalition = dict(zip(adv_meas, mu))
+        strings += [coalition, {**coalition, **dict.fromkeys(honest, 0)}]
+    pairs = pullback_pairs(config, outcome_transfers(config, strings), fixed,
+                           [r if s == fixed else s for s, r in roles])
+    views = []
+    for j, (s, r) in enumerate(roles):
+        x = pairs[:, j]
+        if s == fixed:  # (open, fixed) = (receiver, sender): swap
+            x = x[:, [0, 2, 1, 3]][..., [0, 2, 1, 3]]
+        views.append(reference_view(config, adv, r, mus, x[0::2], x[1::2]))
+    return views
+
+
+def reference_view(config, adv, eff_receiver, mus, totals, zeros):
+    receiver_corrupt = eff_receiver in adv
+    rn_bits = tuple(int(i == eff_receiver) for i in sorted(adv))
+    view = {}
+
+    def add(label, weight, block):
+        if weight >= 1e-14:
+            view[label] = (weight, weight * block)
+
+    def abort(label, mat, weight):
+        if receiver_corrupt:
+            carrier = np.trace(mat.reshape(2, 2, 2, 2), axis1=0, axis2=2)
+            add(label, weight, carrier / weight)
+        else:
+            add(label, weight, np.array([[1.0 + 0j]]))
+
+    for mu, total, zero in zip(mus, totals, zeros):
+        w_mu = float(np.trace(total).real)
+        if w_mu < 1e-14:
+            continue
+        w_zero = float(np.trace(zero).real)
+        w_rest = w_mu - w_zero
+        base = (rn_bits, mu)
+        if w_rest > 1e-14:
+            abort(base + (1, 1, None), total - zero, w_rest)
+        if w_zero < 1e-14:
+            continue
+        if any(mu):
+            abort(base + (0, 1, None), zero, w_zero)
+        elif receiver_corrupt:
+            weights, branches = teleport_branches(
+                zero / w_zero, config.message_state.amps, "psi+")
+            for m, (w_m, fixed) in enumerate(zip(weights, branches)):
+                if w_m >= 1e-14:
+                    add(base + (0, 0, ("m", m)), w_zero * w_m, fixed / w_m)
+        else:
+            for t in range(4):
+                add(base + (0, 0, ("T", t)), w_zero / 4, np.array([[1.0 + 0j]]))
+    return view
+
+
+def amplitude_damping(gamma):
+    return QuantumChannel([np.diag([1, np.sqrt(1 - gamma)]),
+                           np.array([[0, np.sqrt(gamma)], [0, 0]])],
+                          name="amplitude", params={"gamma": gamma})
+
+
+def random_kraus(rng, k):
+    z = rng.normal(size=(2 * k, 2)) + 1j * rng.normal(size=(2 * k, 2))
+    return QuantumChannel(list(np.linalg.qr(z)[0].reshape(k, 2, 2)))
+
+
+def random_audit(seed):
+    """A seeded network (4-7 nodes, maybe a lost node, per-node overrides
+    of every kind, a random message) and a 1-3 node coalition that holds
+    the receiver every third seed."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 8))
+    sender, receiver = (int(i) for i in rng.choice(np.arange(1, n + 1), 2, replace=False))
+    rest = [i for i in range(1, n + 1) if i not in (sender, receiver)]
+    lost = {int(rng.choice(rest))} if seed % 2 and n > 4 else set()
+    live = [i for i in rest if i not in lost]
+    base = (depolarizing, dephasing)[seed % 2](float(rng.uniform(0.8, 0.97)))
+    chans = dict.fromkeys(range(1, n + 1), base)
+    makers = [lambda: amplitude_damping(float(rng.uniform(0.02, 0.3))),
+              lambda: random_kraus(rng, int(rng.integers(1, 4))),
+              lambda: depolarizing(float(rng.uniform(0.7, 0.97)))]
+    for node in rng.choice(np.arange(1, n + 1), int(rng.integers(1, 3)), replace=False):
+        chans[int(node)] = makers[int(rng.integers(3))]()
+    amps = rng.normal(size=2) + 1j * rng.normal(size=2)
+    cfg = NetworkConfig(n_nodes=n, sender=sender, receiver=receiver,
+                        per_qubit_channels=chans, lost_nodes=lost,
+                        message_state=Ket(amps / np.linalg.norm(amps), ("message",)))
+    size = int(rng.integers(1, min(3, len(live)) + 1))
+    adv = [int(i) for i in rng.choice(live, size, replace=False)]
+    if seed % 3 == 0:
+        adv = sorted({receiver, *adv[:2]})
+    return cfg, frozenset(adv), base
+
+
+@pytest.mark.parametrize("seed", range(36))
+def test_array_views_match_the_dict_route(seed):
+    cfg, adv, base = random_audit(seed)
+    for role in ("sender", "receiver"):
+        candidates = [c for c in cfg.live_nodes if c not in adv
+                      and effective_roles(cfg, c, role)[0] not in adv]
+        if not candidates:
+            continue
+        want = reference_views(cfg, adv, candidates, role)
+        got = adversary_views(cfg, adv, candidates, role)
+        for g, w in zip(got, want, strict=True):
+            assert set(g) == set(w)
+            for label, (weight, block) in w.items():
+                assert abs(g[label][0] - weight) <= 1e-15
+                assert g[label][1].shape == block.shape
+                assert np.abs(g[label][1] - block).max() <= 1e-15
+        priors = [1 / len(candidates)] * len(candidates)
+        p_guess, certificate = guessing_probability(want, priors)
+        rep = security_report(cfg, adv, role, base)
+        assert rep["candidates"] == candidates
+        assert rep["certificate"] == certificate
+        assert abs(rep["guessing_probability"] - p_guess) <= 1e-12
+        assert abs(rep["independence_deviation"] - independence_check(want)) <= 1e-12
+        totals = [sum(weight for weight, _ in v.values()) for v in want]
+        assert np.abs(np.subtract(rep["view_total_weights"], totals)).max() <= 1e-12
+
+
+def test_random_audits_reach_every_case():
+    # the seeds above cover corrupt receivers, lost nodes, 1-3 node
+    # coalitions, n = 4-7 and each kind of override
+    audits = [random_audit(seed) for seed in range(36)]
+    assert {cfg.n_nodes for cfg, _, _ in audits} == {4, 5, 6, 7}
+    assert {len(adv) for _, adv, _ in audits} == {1, 2, 3}
+    assert any(cfg.receiver in adv for cfg, adv, _ in audits)
+    assert any(cfg.lost_nodes for cfg, _, _ in audits)
+    names = {ch.name for cfg, _, _ in audits for ch in cfg.per_qubit_channels.values()}
+    assert {"amplitude", "custom", "depolarizing", "dephasing"} <= names
+
+
+# ---------------------------------------------------------------------------
 # golden audits: reports recorded before the audit ran on pullback_pairs
 # (seed-1 bench audits, a corrupt receiver, lost nodes, a 3-node coalition,
 # sender 4, two-candidate Helstrom audits and the receiver role)
@@ -455,9 +604,9 @@ def test_audit_roles_share_their_channel_distances(monkeypatch):
     assert [len(seen["channel"]), len(seen["diamond"])] == [1, 1]
 
 
-def test_report_views_are_stacked_once(monkeypatch):
-    # the independence check and the guess share one stacking of a report's
-    # views; a plain list of views is stacked by each check that reads it
+def test_report_stacks_no_dict_views(monkeypatch):
+    # a report builds its views as arrays and never stacks dicts; a plain
+    # list of views is stacked by each check that reads it
     import anonqnet.security as security
 
     stacked = []
@@ -469,8 +618,7 @@ def test_report_views_are_stacked_once(monkeypatch):
     cfg = NetworkConfig(n_nodes=6, sender=1, receiver=2, per_qubit_channels=chans)
     rep = security_report(cfg, [4])
     assert rep["certificate"] != "state-independence"  # the guess reads blocks
-    assert len(stacked) == 2 and stacked[0][1] is stacked[1][1]  # the same blocks
+    assert stacked == []
     views = adversary_views(cfg, [4], rep["candidates"])
-    stacked.clear()
     guessing_probability(views, [1 / len(views)] * len(views))
     assert len(stacked) == 2 and stacked[0][1] is not stacked[1][1]
