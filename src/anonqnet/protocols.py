@@ -344,10 +344,25 @@ _READ = tuple(np.outer(v, v) for v in ID2)  # |b><b|
 _X_READ = tuple(np.outer(v, v) for v in HADAMARD)  # |±><±|
 
 
+def _superop(ops) -> np.ndarray:
+    """rho -> Σ_k K_k rho K_k† for 2x2 operators K_k, summed over k."""
+    ops = np.asarray(ops)
+    return np.einsum("xij,xkl->ikjl", ops, ops.conj())
+
+
 def _heisenberg(channel: QuantumChannel, op: np.ndarray) -> np.ndarray:
     """Φ†(op) = Σ K† op K."""
     ks = channel.kraus_ops
     return np.einsum("kji,jl,klm->im", ks.conj(), op, ks)
+
+
+@lru_cache(maxsize=64)  # every table, sampler and audit meets a few channels at many sites
+def _noisy_site(mps: _Mps, channel: QuantumChannel) -> np.ndarray:
+    """mps.open with channel's 4x4 superoperator on the (p, q) index: (ket
+    bond, bra bond) in, (p, q) and the bond out, as 4 x 16."""
+    site = (_superop(channel.kraus_ops).reshape(4, 4) @ mps.open.reshape(4, 4, 4)).reshape(4, 16)
+    site.flags.writeable = False  # one array serves every caller
+    return site
 
 
 def _contract(config: NetworkConfig, mps: _Mps, reads: Mapping, sender: int,
@@ -355,18 +370,19 @@ def _contract(config: NetworkConfig, mps: _Mps, reads: Mapping, sender: int,
               sizes: Sequence[int] | None = None, lost: bool = False):
     """(Φ_S ⊗ Φ_R) of the unnormalized (sender, receiver) state after each
     node in reads reads its observable; every other node is traced out.
-    transfers memoises a transfer per (channel, observable) if given; norm
-    None is the node count.  Given sorted node counts sizes, one walk closes
-    the network of nodes 1..k for each k, as a prefix's environment serves
-    every larger k (Schollwöck, arXiv:1008.3477, §4), and returns the list;
-    with lost, each close comes after that of its network with node k lost."""
+    S and R open as _noisy_sites, so a close only reshapes.  transfers
+    memoises a transfer per (channel, observable); norm None is the node
+    count.  Given sorted sizes, one walk closes the network of nodes 1..k
+    for each k in one stacked product (a prefix's environment serves every
+    larger k; Schollwöck, arXiv:1008.3477, §4); with lost, each close comes
+    after that of its network with node k lost."""
     env, transfers, closing = mps.left, {} if transfers is None else transfers, []
     at = {k: norm or k for k in sizes or [config.n_nodes]}
     for node in range(1, max(at) + 1):
         if lost and node in at:
             closing.append((env @ mps.identity, at[node]))
         if node in (sender, receiver):
-            env = (env @ mps.open).reshape(-1, 4)
+            env = (env @ _noisy_site(mps, config.channel_for(node))).reshape(-1, 4)
         elif node not in reads:
             env = env @ mps.identity
         else:
@@ -376,14 +392,11 @@ def _contract(config: NetworkConfig, mps: _Mps, reads: Mapping, sender: int,
             env = env @ transfers[key]
         if node in at:
             closing.append((env, at[node]))
-    order = (0, 2, 1, 3) if sender < receiver else (2, 0, 3, 1)  # (p, q) per open node
-    ks, kr = (config.channel_for(node).kraus_ops for node in (sender, receiver))
-    closes = []
-    for env_k, norm_k in closing:
-        x = ((env_k @ mps.right).reshape(2, 2, 2, 2) / norm_k).transpose(order)
-        closes.append(np.einsum("asi,brj,ijkl,atk,bul->srtu", ks, kr, x, ks.conj(),
-                                kr.conj()).reshape(4, 4))
-    return closes if sizes else closes[0]
+    envs, norms = zip(*closing)
+    x = (np.array(envs) @ mps.right / np.array(norms)[:, None]).reshape(-1, 2, 2, 2, 2)
+    order = (0, 1, 3, 2, 4) if sender < receiver else (0, 3, 1, 4, 2)  # (p, q) per open node
+    closes = x.transpose(order).reshape(-1, 4, 4)
+    return list(closes) if sizes else closes[0]
 
 
 def pullback_pair(config: NetworkConfig, outcomes: Mapping[int, int],
@@ -413,27 +426,17 @@ def outcome_transfers(config: NetworkConfig,
     return table[np.array(at, dtype=np.intp).reshape(len(strings), config.n_nodes)]
 
 
-@lru_cache(maxsize=64)  # an audit meets a few channels, each at several sites
-def _noisy_site(channel: QuantumChannel) -> np.ndarray:
-    """_W.open with channel's 4x4 superoperator on the (p, q) index: (ket
-    bond, bra bond) in, (p, q) and the bond out, as 4 x 16."""
-    ks = channel.kraus_ops.reshape(-1, 4)
-    sup = (ks.T @ ks.conj()).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    return (sup @ _W.open.reshape(4, 4, 4)).reshape(4, 16)
-
-
 def pullback_pairs(config: NetworkConfig, transfers: np.ndarray, fixed: int,
                    opens: Sequence[int]) -> np.ndarray:
     """pullback_pair(config, ·, open, fixed) of B transfer strings (B x n x 4
     x 4, see outcome_transfers; entries at fixed and opens unread) for every
     open node at once: B x len(opens) x 4 x 4.  One O(n) sweep builds each
     site's left and right environments, which carry the fixed site's (p, q)
-    index once past it (Schollwöck, arXiv:1008.3477, §4).  A site keeps its
-    node's channel as a 4x4 superoperator on its (p, q) index, built once
-    per channel, and the open sites on each side of the fixed one close in
-    two batched products."""
+    index once past it (Schollwöck, arXiv:1008.3477, §4).  Every open site
+    is _contract's _noisy_site, and the open sites on each side of the
+    fixed one close in two batched products."""
     b, f = len(transfers), fixed - 1
-    site = _noisy_site(config.channel_for(fixed)) / config.n_nodes
+    site = _noisy_site(_W, config.channel_for(fixed)) / config.n_nodes
     steps = np.ascontiguousarray(transfers.swapaxes(0, 1))  # node-major
     lefts = [_W.left[None].repeat(b, 0)]
     for k in range(config.n_nodes - 1):  # (1, bond), or ((p, q) of fixed, bond) past it
@@ -448,7 +451,7 @@ def pullback_pairs(config: NetworkConfig, transfers: np.ndarray, fixed: int,
         js = [j for j, node in enumerate(opens) if (node < fixed) == before]
         if not js:
             continue
-        sites = np.array([_noisy_site(config.channel_for(opens[j])) for j in js])[:, None]
+        sites = np.array([_noisy_site(_W, config.channel_for(opens[j])) for j in js])[:, None]
         ls, rs = (np.array([envs[opens[j] - 1] for j in js]) for envs in (lefts, rights))
         if before:  # ((p, q) open, (p, q) fixed)
             x, axes = (ls @ sites).reshape(len(js), b, 4, 4) @ rs, (2, 4, 3, 5)
@@ -1054,12 +1057,6 @@ _SWAP_CDF = _cdf(np.ones(4))
 # (sampling), or all four mixed (exact)
 _BRANCHES = {None: (ID2[None], ID2[None]), "mixed": (_SWAPS, _CORRECTIONS)} | {
     m: (2 * _SWAPS[m:m + 1], _CORRECTIONS[m:m + 1]) for m in range(4)}
-
-
-def _superop(ops) -> np.ndarray:
-    """rho -> Σ_k K_k rho K_k† for 2x2 operators K_k, summed over k."""
-    ops = np.asarray(ops)
-    return np.einsum("xij,xkl->ikjl", ops, ops.conj())
 
 
 def _on_qubit(rho: np.ndarray, sup: np.ndarray, qubit: int) -> np.ndarray:

@@ -753,16 +753,18 @@ def test_dumps_runs_matches_encoding_every_row(protocol):
         indent=2) + "\n"
 
 # sha256 of the full stdout of `run --mode sampling --samples N --channel
-# depolarizing:q=0.9` before the samplers memoised their outcomes
+# depolarizing:q=0.9` before the samplers memoised their outcomes; the W and
+# GHZ entries re-recorded once S's and R's channels folded into their sites
+# (the same draws, every float within 3.4e-16)
 PINNED_BATCH_OUTPUTS = [
     ("W", 8, 2000, 1,
-     "889b9d98c0726ef1ce63d362019f165fa7c9286c92a7565fc5bab7ee336529cd"),
+     "3e88375a100fb03bc31561fc6894c413bfbd1f99cd0d5460c4986bebd21137ca"),
     ("W", 8, 2000, 2,
-     "4b04524ee107747957e999648298f65cc8b4b49f7a70129182dc28c98e726af5"),
+     "2349eeea64662778acdf82d952d5bd92e9d74d79ea6c41b5f9eaff029a47d1c7"),
     ("GHZ", 6, 200, 1,
-     "9a8a1359ba37c0309f49ebb20197aef440cff4868e42060051532836f340adcc"),
+     "b45e20fe3b3962c9968ce443ecb26e8b7ad3eb3b5f2cf01ad5981197ce3ceebf"),
     ("GHZ", 6, 200, 2,
-     "42f9469c3eecf6fb65a58dfe6270a645719a0bee501a8a423e6fce8960283a49"),
+     "f09a535dc7fa7933d5ee6271c3f535882aa29f9d07292cf0353c3ddd4402eb5e"),
     ("relay", 6, 50, 1,
      "a99ab8c29c34c4c37a87c1e5317a93446b902af5908234aa5986692e4b3b0368"),
     ("relay", 6, 50, 2,
@@ -770,9 +772,9 @@ PINNED_BATCH_OUTPUTS = [
     # the benchmark's sampling commands (its GHZ one is pinned above),
     # recorded before unrecorded batches decoded their draws as arrays
     ("W", 8, 20000, 1,
-     "8c11cd8e388ed94cb0e5c7c7e011798f2466dfefca4388893ee15b1fbbe7c62b"),
+     "9f3de4a8a9f16d5b0a6e93c88a0ad3048f314cd68acee6b412849473acc6cb15"),
     ("W", 8, 20000, 2,
-     "a92c15f645b1cb8a58e62076d6def9aea70414c53466adc0a3824802b8dc7b7d"),
+     "06db531a8eb5a54fa7f8f895a8aa075987eed3243de609f49aaa67973702c7a4"),
     ("relay", 8, 100, 1,
      "c612eea6b46348f6ce69a77a43b84c1a5c38bea8533a5e640fdc93b2ceedb638"),
     ("relay", 8, 100, 2,
@@ -839,24 +841,26 @@ def test_q_outside_unit_interval_exits_2(runner, tmp_path, argv, config):
 
 
 # sha256 of the stdout of exact-mode commands, taken when every exact table
-# point ran the whole protocol (transcript and teleport included)
+# point ran the whole protocol (transcript and teleport included); the W and
+# GHZ depolarizing ones re-recorded once S's and R's channels folded into
+# their sites (the same non-float text, every float within 4.5e-16)
 EXACT_DIGESTS = {
     "sweep --protocol all --channel depolarizing --n-range 4:9 --mode both --q 0.834":
-        "cf1d9fd19cddea362aa408d638ede9cbb822aa6364d7627d329863f17eb29020",
+        "d6c898b2d007e0e755bd57e5e9b2112b443a7fec36e5dcd9f1bf12c89560c025",
     "sweep --protocol all --channel dephasing --n-range 4:9 --mode both --q 0.834 --json":
         "14cea5fba7ae95393d99b34279a7f7afa3aeb759f8969d274f845c22fff57c53",
     "sweep --protocol all --mode exact --n-range 4:40:3 --q-range 0.8:1:0.05 --json":
-        "a04c4279f0f310ce6ba32569b1ee1da30bdeb7c592b33d2c632ca7a24fac6719",
+        "023d68f2378ee5ba93351e581e9c52b8597aaf6da38642c07228a56fcd0661a5",
     "relay --nodes 8 --mode both --q 0.834 --q 0.945 --json":
         "417cd616e85d4eae12b43ed58d4eeee16431a08acadfa1b2a4b715222e680573",
     "relay --nodes 12 --mode exact --sender 3":
         "494e56780f8832695934027b830450e23329427b94513a2c3988c0e288d27ea5",
     "run --protocol W --nodes 6 --channel depolarizing:q=0.9":
-        "25563dab7554789a92790564a657bef607924e1f60110b75f15ac3a14027c09d",
+        "a041d90db3b2fbc0bfd5bad63a20c10131eb4863ae7795e90baf421c44c3d845",
     "run --protocol W --nodes 6 --channel depolarizing:q=0.9 --lost 5":
-        "8c567ee6f3203215ee3e179ba46bf5acf453730d03c31d0fc893e2bf97383f94",
+        "7fd9dad8d73ac794385645aa0e5a01c2b70a3a19f8e3d9fd40b3da0862c03d87",
     "run --protocol GHZ --nodes 6 --channel depolarizing:q=0.9":
-        "e6364cff1c422e4fd71d232c2cfec8c4964d210ccc8896a405da886e0c2dc132",
+        "8ed8a02c32fa1d24138c5d0bd5daa48c5730982efc99a6698d2f3758324252fc",
     "run --protocol relay --nodes 6 --channel depolarizing:q=0.9":
         "8d63f94420f6a259aaef5afd31e3ea08871f90014f61be33298d3c08272bb14b",
 }

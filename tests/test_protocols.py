@@ -1904,23 +1904,21 @@ def same_pair(got, want):
 
 def one_network_raw(config, protocol):
     """The unnormalized pair of one network, walked node by node and closed
-    once: the arithmetic of a table entry before tables shared their walk."""
-    from anonqnet.protocols import _READ, _heisenberg
+    once: the arithmetic of a table entry before tables shared their walk.
+    S and R open with their channels folded in, so the close only reshapes."""
+    from anonqnet.protocols import _READ, _heisenberg, _noisy_site
 
     def close(mps, reads, norm):
         env, s, r = mps.left, config.sender, config.receiver
         for node in config.nodes:
             if node in (s, r):
-                env = (env @ mps.open).reshape(-1, 4)
+                env = (env @ _noisy_site(mps, config.channel_for(node))).reshape(-1, 4)
             elif node not in reads:
                 env = env @ mps.identity
             else:
                 env = env @ mps.transfer(_heisenberg(config.channel_for(node), reads[node]))
         x = (env @ mps.right).reshape(2, 2, 2, 2) / norm
-        x = x.transpose((0, 2, 1, 3) if s < r else (2, 0, 3, 1))
-        ks, kr = (config.channel_for(node).kraus_ops for node in (s, r))
-        return np.einsum("asi,brj,ijkl,atk,bul->srtu", ks, kr, x, ks.conj(),
-                         kr.conj()).reshape(4, 4)
+        return x.transpose((0, 2, 1, 3) if s < r else (2, 0, 3, 1)).reshape(4, 4)
 
     measuring = [i for i in config.live_nodes if i not in (config.sender, config.receiver)]
     if protocol == "W":
@@ -1959,15 +1957,22 @@ def one_placement_pair(config):
     return np.einsum("iabjicdj->abcd", rho.reshape((2,) * 8)).reshape(4, 4)
 
 
-@pytest.mark.parametrize("name", sorted(TABLE_CHANNELS))
+@pytest.mark.parametrize("name", sorted(TABLE_CHANNELS) + ["sender-after-receiver"])
 @pytest.mark.parametrize("protocol", ["W", "GHZ"])
 def test_table_walk_matches_each_size_bit_for_bit(protocol, name):
-    channel, sizes = TABLE_CHANNELS[name], list(range(3, 61))
-    table = exact_pairs(NetworkConfig(60, 1, 2, per_qubit_channels=uniform(channel, 60)),
-                        protocol, sizes)
+    # S = 1, R = 2 under one channel; or S = 2 under damp-rotate after R = 1
+    # under depolarizing, whose close takes the (2, 0, 3, 1) transpose
+    after = name == "sender-after-receiver"
+    channel, sizes = TABLE_CHANNELS["depolarizing" if after else name], list(range(3, 61))
+
+    def network(n):
+        chans = uniform(channel, n) | ({2: TABLE_CHANNELS["damp-rotate"]} if after else {})
+        return NetworkConfig(n, *((2, 1) if after else (1, 2)), per_qubit_channels=chans)
+
+    table = exact_pairs(network(60), protocol, sizes)
     assert len(table) == len(sizes)
     for n, got in zip(sizes, table):
-        cfg = NetworkConfig(n, 1, 2, per_qubit_channels=uniform(channel, n))
+        cfg = network(n)
         assert same_pair(got, exact_pair(cfg, protocol)), (protocol, name, n)
         raw = one_network_raw(cfg, protocol)
         assert np.array_equal(got[1].mat, raw / np.trace(raw).real), (protocol, name, n)
