@@ -4,7 +4,7 @@ messages over noisy N-node networks.
 Layers:
 
 * qcore: label-addressed kets and density matrices, Bell states
-* channels: single-qubit noise channels and channel distances
+* channels: single-qubit noise channels and the diamond distance bound
 * analytic: closed-form fidelities, success probabilities, thresholds
 * protocols: round-level protocol execution (exact and sampling modes)
 * security: adversary views, independence checks, guessing bounds
@@ -23,7 +23,6 @@ from .qcore import (
 )
 from .channels import (
     QuantumChannel,
-    channel_distance,
     dephasing,
     depolarizing,
     diamond_distance,

@@ -1,13 +1,10 @@
 """Single-qubit CPTP maps as Kraus operator sets.
 
 Provides the two named noise families (dephasing, depolarizing), identity,
-arbitrary user Kraus sets, and two un-halved channel distances:
-channel_distance, the exact induced trace norm over inputs without an
-ancilla, read off the Bloch-affine form (t, M) of a qubit map,
-Phi((I + r.sigma)/2) = (I + (t + M r).sigma)/2 (King and Ruskai,
-arXiv:quant-ph/9911079), and diamond_distance, an upper bound on the
-stabilized norm from the Choi matrix, sound for every pair of qubit
-channels and exact for Pauli channels.
+arbitrary user Kraus sets, and diamond_distance: an un-halved upper bound
+on the stabilized norm of a channel difference from the Choi matrix,
+sound for every pair of qubit channels, also on inputs entangled with
+other qubits, and exact for Pauli channels.
 """
 
 from __future__ import annotations
@@ -96,44 +93,6 @@ def depolarizing(q: float) -> QuantumChannel:
     )
 
 
-_PAULIS = np.array([ID2, PAULI_X, PAULI_Y, PAULI_Z])
-
-
-def _bloch_affine(channel: QuantumChannel) -> np.ndarray:
-    """The 3x4 Bloch-affine form [t | M] of a qubit map.
-
-    Entry (i, j) is 1/2 tr(sigma_i Phi(sigma_j)) with sigma_0 = I, so
-    Phi((I + r.sigma)/2) = (I + (t + M r).sigma)/2.
-    """
-    k = channel.kraus_ops
-    return 0.5 * np.einsum("iab,kbc,jcd,kad->ij",
-                           _PAULIS[1:], k, _PAULIS, k.conj()).real
-
-
-def channel_distance(a: QuantumChannel, b: QuantumChannel) -> float:
-    """Induced trace norm of the channel difference, max over pure inputs.
-
-    The difference maps Bloch vector r to (dt + dM r).sigma/2, of trace
-    norm |dt + dM r|, so the distance is the exact max of that over the
-    unit sphere.  With H = dM^T dM and g = dM^T dt the maximiser is
-    r = (mu I - H)^+ g, mu the largest real eigenvalue of
-    [[H, I], [g g^T, H]] floored at lambda_max(H), completed along the top
-    eigenvector of H when it falls inside the sphere (g orthogonal to it).
-    The norm is taken at r itself, so an error in mu enters to second order.
-    """
-    d = _bloch_affine(a) - _bloch_affine(b)
-    dt, dm = d[:, 0], d[:, 1:]
-    lam, vecs = np.linalg.eigh(dm.T @ dm)
-    g = vecs.T @ (dm.T @ dt)  # in the eigenbasis of H
-    ev = np.linalg.eigvals(np.block([[np.diag(lam), np.eye(3)],
-                                     [np.outer(g, g), np.diag(lam)]]))
-    mu = ev.real[ev.imag == 0].max(initial=lam[-1])
-    gap = mu - lam
-    r = np.divide(g, gap, out=np.zeros(3), where=gap > 0)
-    r[-1] += np.copysign(np.sqrt(max(1.0 - r @ r, 0.0)), g[-1])
-    return float(np.linalg.norm(dt + dm @ (vecs @ (r / np.linalg.norm(r)))))
-
-
 def _choi(channel: QuantumChannel) -> np.ndarray:
     """Unnormalized Choi matrix sum_ij |i><j| (x) Phi(|i><j|), input first."""
     vecs = np.transpose(channel.kraus_ops, (0, 2, 1)).reshape(-1, 4)
@@ -142,15 +101,15 @@ def _choi(channel: QuantumChannel) -> np.ndarray:
 
 def diamond_distance(a: QuantumChannel, b: QuantumChannel) -> float:
     """Upper bound on the diamond (stabilized) norm of the channel
-    difference, un-halved like channel_distance.
+    difference, un-halved.
 
     J+, the positive part of the difference's Choi matrix J, is feasible
     for Watrous's dual SDP (arXiv:1207.5726), so 2 ||Tr_out J+||_inf bounds
     the norm; it is clipped at 2, which no difference of channels exceeds.
     On Pauli channels J is Bell-diagonal and the bound is exact: the l1
     distance of the Pauli weights.  Elsewhere it may exceed the diamond
-    norm, but it is never below it, so unlike channel_distance it bounds
-    the effect on a qubit entangled with others.
+    norm, but it is never below it, so it bounds the effect on a qubit
+    entangled with others.
     """
     lam, vecs = np.linalg.eigh(_choi(a) - _choi(b))
     pos = (vecs * np.maximum(lam, 0.0)) @ vecs.conj().T

@@ -631,8 +631,10 @@ def exact_pairs(config: NetworkConfig, protocol: str, at: Sequence[int] | None =
     of its network with node k lost.  Relay: config's sender with each
     receiver in at (none the sender; default config's)."""
     if at and (list(at) != sorted(set(at)) or at[0] < 1 or at[-1] > config.n_nodes
-               or protocol == "relay" and config.sender in at):
-        raise ValueError("a table's points must be increasing node ids other than the sender")
+               or (config.sender in at if protocol == "relay"
+                   else at[0] < max(config.sender, config.receiver) + lost)):
+        raise ValueError("a table's points must be increasing node ids other than the "
+                         "sender; W and GHZ: none below S or R, nor at them with lost")
     if protocol == "relay":
         relay = _Relay(config, at)
         return [(1.0, relay.pair(rho)) for rho in relay.mixed()]

@@ -27,8 +27,9 @@ turns such dicts back into arrays.  Anonymity holds when views for
 different hypotheses coincide; the checks below quantify any gap over all
 views at once, with closed-form trace norms, and convert it into a
 guessing-probability bound.  security_report's verdict adds, when
-node channels deviate from a common base, the diamond-distance perturbation
-bound, which stays sound for the W state's entangled inputs.
+node channels deviate from a common base, the perturbation bound: the sum
+of the nodes' diamond distances to the base, which stays sound for the W
+state's entangled inputs.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .analytic import BELL_RESOURCE
-from .channels import QuantumChannel, channel_distance, diamond_distance
+from .channels import QuantumChannel, diamond_distance
 from .protocols import (NetworkConfig, _teleport_ops, outcome_transfers,
                         pullback_pairs)
 
@@ -235,27 +236,26 @@ def _guess(blocks: np.ndarray, priors: Sequence[float],
     return float(bound), "bound-only"
 
 
-@lru_cache(maxsize=16)  # an audit's at most 7 channels under 2 distances
-def _measured(distance, a: QuantumChannel, b: QuantumChannel) -> float:
-    """distance(a, b), kept per (distance, a, b): the roles of one audit
+@lru_cache(maxsize=16)  # an audit's at most 7 channels
+def _measured(a: QuantumChannel, b: QuantumChannel) -> float:
+    """diamond_distance(a, b), kept per (a, b): the roles of one audit
     measure the same channels, whose Kraus operators are read-only."""
-    return distance(a, b)
+    return diamond_distance(a, b)
 
 
 def epsilon_security_bound(base: QuantumChannel,
-                           per_node: Mapping[int, QuantumChannel],
-                           distance=None) -> float:
+                           per_node: Mapping[int, QuantumChannel]) -> float:
     """Anonymity degradation bound when node channels deviate from a
-    common base: (number of nodes) x (largest single-channel distance),
-    channel_distance unless another distance is given.  With
-    diamond_distance the bound is sound for inputs entangled with the
-    other nodes, as the W state's are.  Each distinct channel object is
-    measured once; one with the base's Kraus operators is at distance 0."""
-    distance = distance or channel_distance  # looked up per call
-    worst = max((_measured(distance, base, ch) for ch in dict.fromkeys(per_node.values())
-                 if not np.array_equal(ch.kraus_ops, base.kraus_ops)),
-                default=0.0)
-    return len(per_node) * worst
+    common base: the sum over nodes of diamond_distance(base, channel).
+
+    Each view post-processes the network state, so swapping one node's
+    channel for the base at a time moves view c by
+    ||sigma_c - sigma_c^base||_1 <= sum_i ||Phi_i - Phi_base||_diamond,
+    which holds on inputs entangled with the other nodes, as the W
+    state's are.  Each distinct channel object is measured once; one
+    with the base's Kraus operators is at distance 0."""
+    return sum((_measured(base, ch) for ch in per_node.values()
+                if not np.array_equal(ch.kraus_ops, base.kraus_ops)), 0.0)
 
 
 def security_report(config: NetworkConfig, adversaries: Sequence[int],
@@ -263,10 +263,10 @@ def security_report(config: NetworkConfig, adversaries: Sequence[int],
                     base_channel: QuantumChannel | None = None) -> dict:
     """Full anonymity audit for a coalition: per-hypothesis views, the
     independence deviation, the guessing probability under the uniform
-    prior, and (when a base channel is named) the perturbation bounds:
-    epsilon_bound from the unstabilized channel distance, and the sound
-    diamond_epsilon_bound from the diamond distance bound.  Last comes the
-    verdict holds: guess <= prior + diamond bound (0 with no base channel)."""
+    prior, and (when a base channel is named) diamond_epsilon_bound, the
+    perturbation bound of epsilon_security_bound over the live nodes.  Last
+    comes the verdict holds: guess <= prior + that bound (0 with no base
+    channel)."""
     adv = frozenset(adversaries)
     if config.sender in adv:
         raise ValueError(_CORRUPT_SENDER)
@@ -290,11 +290,7 @@ def security_report(config: NetworkConfig, adversaries: Sequence[int],
     }
     if base_channel is not None:
         per_node = {i: config.channel_for(i) for i in config.live_nodes}
-        eps = epsilon_security_bound(base_channel, per_node)
-        report["epsilon_bound"] = eps
-        report["bounded_guessing_probability"] = priors[0] + eps
-        report["diamond_epsilon_bound"] = epsilon_security_bound(
-            base_channel, per_node, diamond_distance)
+        report["diamond_epsilon_bound"] = epsilon_security_bound(base_channel, per_node)
     report["holds"] = (p_guess <= priors[0]
                        + report.get("diamond_epsilon_bound", 0.0) + 1e-9)
     return report

@@ -7,6 +7,10 @@ against this independent route, which builds whole labeled registers
 from the package's DensityMatrix and Ket and applies channels,
 projections and partial traces qubit by qubit.  Registers larger than
 ``DENSE_CAP`` qubits (12) are refused.
+
+It also keeps random_kraus_channel, and unstabilized_distance, the exact
+channel distance over inputs without an ancilla: a lower bound the tests
+hold the package's diamond distance bound against.
 """
 
 from __future__ import annotations
@@ -17,6 +21,10 @@ import numpy as np
 
 from anonqnet.channels import QuantumChannel
 from anonqnet.qcore import (
+    ID2,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     DensityMatrix,
     Ket,
     _positions,
@@ -138,3 +146,50 @@ def apply_to(channel: QuantumChannel, rho: DensityMatrix, qubit) -> DensityMatri
         acc = term.mat if acc is None else acc + term.mat
     # CPTP: trace preserved, so the input's normalization status carries over
     return DensityMatrix(acc, rho.labels, unnormalized=rho.unnormalized)
+
+
+def random_kraus_channel(rng: np.random.Generator, n_ops: int) -> QuantumChannel:
+    """Kraus operators cut from a random complex 2 n_ops x 2 isometry."""
+    g = rng.normal(size=(2 * n_ops, 2)) + 1j * rng.normal(size=(2 * n_ops, 2))
+    iso, _ = np.linalg.qr(g)
+    return QuantumChannel(list(iso.reshape(n_ops, 2, 2)))
+
+
+_PAULIS = np.array([ID2, PAULI_X, PAULI_Y, PAULI_Z])
+
+
+def _bloch_affine(channel: QuantumChannel) -> np.ndarray:
+    """The 3x4 Bloch-affine form [t | M] of a qubit map.
+
+    Entry (i, j) is 1/2 tr(sigma_i Phi(sigma_j)) with sigma_0 = I, so
+    Phi((I + r.sigma)/2) = (I + (t + M r).sigma)/2 (King and Ruskai,
+    arXiv:quant-ph/9911079).
+    """
+    k = channel.kraus_ops
+    return 0.5 * np.einsum("iab,kbc,jcd,kad->ij",
+                           _PAULIS[1:], k, _PAULIS, k.conj()).real
+
+
+def unstabilized_distance(a: QuantumChannel, b: QuantumChannel) -> float:
+    """Induced trace norm of the channel difference, max over pure inputs
+    without an ancilla, un-halved.
+
+    The difference maps Bloch vector r to (dt + dM r).sigma/2, of trace
+    norm |dt + dM r|, so the distance is the exact max of that over the
+    unit sphere.  With H = dM^T dM and g = dM^T dt the maximiser is
+    r = (mu I - H)^+ g, mu the largest real eigenvalue of
+    [[H, I], [g g^T, H]] floored at lambda_max(H), completed along the top
+    eigenvector of H when it falls inside the sphere (g orthogonal to it).
+    The norm is taken at r itself, so an error in mu enters to second order.
+    """
+    d = _bloch_affine(a) - _bloch_affine(b)
+    dt, dm = d[:, 0], d[:, 1:]
+    lam, vecs = np.linalg.eigh(dm.T @ dm)
+    g = vecs.T @ (dm.T @ dt)  # in the eigenbasis of H
+    ev = np.linalg.eigvals(np.block([[np.diag(lam), np.eye(3)],
+                                     [np.outer(g, g), np.diag(lam)]]))
+    mu = ev.real[ev.imag == 0].max(initial=lam[-1])
+    gap = mu - lam
+    r = np.divide(g, gap, out=np.zeros(3), where=gap > 0)
+    r[-1] += np.copysign(np.sqrt(max(1.0 - r @ r, 0.0)), g[-1])
+    return float(np.linalg.norm(dt + dm @ (vecs @ (r / np.linalg.norm(r)))))

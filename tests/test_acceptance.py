@@ -50,6 +50,7 @@ from anonqnet.security import security_report
 from dense_reference import (
     bell_project,
     tensor,
+    unstabilized_distance,
 )
 
 Q_GRID = [i / 10 for i in range(11)]
@@ -221,9 +222,13 @@ def test_criterion_7_anonymity_independence_and_bounds():
         cfg = NetworkConfig(n_nodes=5, sender=1, receiver=2,
                             per_qubit_channels=chans)
         rep = security_report(cfg, adv, base_channel=base)
-        assert rep["epsilon_bound"] <= 5 * 0.05 + 1e-6
+        eps = 5 * max(unstabilized_distance(base, ch) for ch in chans.values())
+        assert eps <= 5 * 0.05 + 1e-6
         assert rep["guessing_probability"] <= (
-            rep["uniform_prior"] + rep["epsilon_bound"] + 1e-9), trial
+            rep["uniform_prior"] + eps + 1e-9), trial
+        assert rep["guessing_probability"] <= (
+            rep["uniform_prior"] + rep["diamond_epsilon_bound"] + 1e-9), trial
+        assert rep["holds"] is True, trial
     assert time.monotonic() - start < 300.0
 
 

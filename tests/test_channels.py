@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from anonqnet.channels import (
     QuantumChannel,
-    channel_distance,
     dephasing,
     depolarizing,
     diamond_distance,
@@ -24,6 +23,8 @@ from anonqnet.qcore import (
 from dense_reference import (
     apply_to,
     partial_trace,
+    random_kraus_channel,
+    unstabilized_distance,
 )
 
 
@@ -108,19 +109,19 @@ def test_channels_preserve_trace_and_positivity(q, family, seed):
 @pytest.mark.parametrize("qa,qb", [(0.9, 0.8), (1.0, 0.7), (0.55, 0.5)])
 def test_channel_distance_dephasing_closed_form(qa, qb):
     # induced trace norm between dephasing channels is 2|q - q'|
-    got = channel_distance(dephasing(qa), dephasing(qb))
+    got = unstabilized_distance(dephasing(qa), dephasing(qb))
     assert got == pytest.approx(2 * abs(qa - qb), abs=1e-12)
 
 
 @pytest.mark.parametrize("qa,qb", [(0.9, 0.8), (1.0, 0.6), (0.75, 0.7)])
 def test_channel_distance_depolarizing_closed_form(qa, qb):
     # worst input is pure; the difference scales the Bloch vector by q - q'
-    got = channel_distance(depolarizing(qa), depolarizing(qb))
+    got = unstabilized_distance(depolarizing(qa), depolarizing(qb))
     assert got == pytest.approx(abs(qa - qb), abs=1e-12)
 
 
 def test_channel_distance_identical_channels_is_zero():
-    assert channel_distance(dephasing(0.77), dephasing(0.77)) == 0.0
+    assert unstabilized_distance(dephasing(0.77), dephasing(0.77)) == 0.0
 
 
 def test_channel_distance_symmetry():
@@ -128,7 +129,7 @@ def test_channel_distance_symmetry():
              (damp_then_rotate(0.3, 0.7), damp_then_rotate(0.2, -1.1)),
              (damp_then_rotate(0.35, 0.8, PAULI_Z), depolarizing(0.9))]
     for a, b in pairs:
-        assert abs(channel_distance(a, b) - channel_distance(b, a)) <= 1e-15
+        assert abs(unstabilized_distance(a, b) - unstabilized_distance(b, a)) <= 1e-15
 
 
 def rotation(theta, axis):
@@ -174,7 +175,7 @@ MIX = [damp_then_rotate(0.3, 0.7), damp_then_rotate(0.2, -1.1),
 @pytest.mark.parametrize("i,j", [(i, j) for i in range(len(MIX))
                                  for j in range(i + 1, len(MIX))])
 def test_channel_distance_matches_brute_force(i, j):
-    exact = channel_distance(MIX[i], MIX[j])
+    exact = unstabilized_distance(MIX[i], MIX[j])
     ref = brute_force_distance(MIX[i], MIX[j], seed=i * len(MIX) + j)
     assert ref <= exact + 1e-12
     assert exact - ref <= 1e-4
@@ -205,8 +206,8 @@ def test_channel_distance_hard_case_closed_form(ga, gb, frame):
     u = rotation(frame[0], PAULI_Y) @ rotation(frame[1], PAULI_Z)
     v = rotation(frame[1], PAULI_X)
     a, b = framed(damping(ga), u, v), framed(damping(gb), u, v)
-    assert channel_distance(a, b) == pytest.approx(damping_distance(ga, gb),
-                                                   abs=1e-12)
+    assert unstabilized_distance(a, b) == pytest.approx(
+        damping_distance(ga, gb), abs=1e-12)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.9, 2.3])
@@ -215,7 +216,7 @@ def test_channel_distance_degenerate_unital_hard_case(theta):
     u = rotation(theta, PAULI_Y) @ rotation(0.4, PAULI_X)
     a = framed(depolarizing(0.8), u, u.conj().T @ rotation(theta, PAULI_Z))
     b = framed(depolarizing(0.7), u, u.conj().T @ rotation(theta, PAULI_Z))
-    assert channel_distance(a, b) == pytest.approx(0.1, abs=1e-12)
+    assert unstabilized_distance(a, b) == pytest.approx(0.1, abs=1e-12)
 
 
 def choi(channel):
@@ -234,9 +235,9 @@ def pauli_channel(weights):
 def test_diamond_distance_pauli_values():
     assert diamond_distance(depolarizing(0.8), depolarizing(0.83)) == \
         pytest.approx(0.045, abs=1e-12)
-    assert channel_distance(depolarizing(0.8), depolarizing(0.83)) == \
+    assert unstabilized_distance(depolarizing(0.8), depolarizing(0.83)) == \
         pytest.approx(0.030, abs=1e-12)
-    for dist in (diamond_distance, channel_distance):
+    for dist in (diamond_distance, unstabilized_distance):
         assert dist(dephasing(0.8), dephasing(0.83)) == pytest.approx(
             0.060, abs=1e-12)
     assert diamond_distance(dephasing(0.77), dephasing(0.77)) == 0.0
@@ -254,7 +255,7 @@ def test_diamond_distance_matches_choi_trace_norm():
         got = diamond_distance(a, b)
         assert got == pytest.approx(ref, abs=1e-12)
         # stabilizing can only help the distinguisher
-        assert got >= channel_distance(a, b) - 1e-12
+        assert got >= unstabilized_distance(a, b) - 1e-12
 
 
 # rows I, X, Y, Z: Pauli weight = row . (1, Mxx, Myy, Mzz) / 4
@@ -285,13 +286,6 @@ def test_diamond_distance_matches_pauli_weight_distance():
             <= 1e-12
 
 
-def random_kraus_channel(rng, n_ops):
-    """Kraus operators cut from a random complex 2 n_ops x 2 isometry."""
-    g = rng.normal(size=(2 * n_ops, 2)) + 1j * rng.normal(size=(2 * n_ops, 2))
-    iso, _ = np.linalg.qr(g)
-    return QuantumChannel(list(iso.reshape(n_ops, 2, 2)))
-
-
 def test_diamond_distance_bounds_general_channels():
     rng = np.random.default_rng(11)
     rotated = framed(depolarizing(0.9), rotation(0.3, PAULI_X), np.eye(2))
@@ -307,7 +301,7 @@ def test_diamond_distance_bounds_general_channels():
             # give lower bounds on the diamond norm
             entangled = np.abs(np.linalg.eigvalsh(choi(a) - choi(b))).sum()
             assert got >= entangled - 1e-12
-            assert got >= channel_distance(a, b) - 1e-12
+            assert got >= unstabilized_distance(a, b) - 1e-12
             assert got <= 2.0
 
 

@@ -408,9 +408,9 @@ def test_security_with_override_stays_within_bound(runner):
                                "--channel-node", "2=dephasing:q=0.88"])
     assert res.exit_code == 0
     rep = json.loads(res.output)["reports"]["sender"]
-    assert rep["epsilon_bound"] > 0
+    assert rep["diamond_epsilon_bound"] == pytest.approx(2 * 0.02, abs=1e-12)
     assert rep["guessing_probability"] <= (rep["uniform_prior"]
-                                           + rep["epsilon_bound"] + 1e-9)
+                                           + rep["diamond_epsilon_bound"] + 1e-9)
 
 
 def test_security_reports_sound_diamond_bound(runner):
@@ -419,8 +419,9 @@ def test_security_reports_sound_diamond_bound(runner):
                                "--channel-node", "3=depolarizing:q=0.83"])
     assert res.exit_code == 0
     rep = json.loads(res.output)["reports"]["sender"]
-    assert rep["epsilon_bound"] == pytest.approx(5 * 0.030, abs=1e-12)
-    assert rep["diamond_epsilon_bound"] == pytest.approx(5 * 0.045, abs=1e-12)
+    # one deviating node: its diamond distance, no unstabilized figure
+    assert rep["diamond_epsilon_bound"] == pytest.approx(0.045, abs=1e-12)
+    assert "epsilon_bound" not in rep and "bounded_guessing_probability" not in rep
 
 
 @pytest.mark.parametrize("verdicts, code", [((True, True), 0),

@@ -2037,9 +2037,18 @@ def test_relay_table_walk_per_node_channels(kind):
 
 @pytest.mark.parametrize("protocol, at", [("W", [5, 4]), ("GHZ", [4, 4, 5]), ("W", [4, 7]),
                                           ("relay", [3, 2]), ("relay", [0, 2]),
-                                          ("relay", [1, 2])])
+                                          ("relay", [1, 2]), ("W", [1, 6]),
+                                          ("GHZ", [1, 6])])
 def test_table_points_are_increasing_node_ids_other_than_the_sender(protocol, at):
     # entries come back in node order, one per point of the config's chain
     cfg = NetworkConfig(6, 1, 2, per_qubit_channels=uniform(depolarizing(0.9), 6))
     with pytest.raises(ValueError, match="must be increasing node ids"):
         exact_pairs(cfg, protocol, at)
+
+
+def test_lost_table_points_lie_past_the_sender_and_receiver():
+    # with lost, point k's network loses node k, which must not be S or R
+    cfg = NetworkConfig(6, 1, 2, per_qubit_channels=uniform(depolarizing(0.9), 6))
+    with pytest.raises(ValueError, match="must be increasing node ids"):
+        exact_pairs(cfg, "W", [2, 6], lost=True)
+    assert len(exact_pairs(cfg, "W", [3, 6], lost=True)) == 4

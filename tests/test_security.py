@@ -10,12 +10,13 @@ from anonqnet.channels import (
     QuantumChannel,
     dephasing,
     depolarizing,
+    diamond_distance,
     identity_channel,
 )
 from anonqnet.cli import main
 from anonqnet.protocols import (NetworkConfig, outcome_transfers, pullback_pairs,
                                 teleport_branches)
-from anonqnet.qcore import Ket
+from anonqnet.qcore import PAULI_X, PAULI_Y, PAULI_Z, Ket
 from anonqnet.security import (
     _trace_norms,
     adversary_views,
@@ -25,6 +26,7 @@ from anonqnet.security import (
     independence_check,
     security_report,
 )
+from dense_reference import random_kraus_channel, unstabilized_distance
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 MIXED = np.eye(2, dtype=complex) / 2
@@ -302,16 +304,13 @@ def test_security_report_verdict_uses_diamond_bound(monkeypatch, role, slack,
     rep = security_report(cfg, [4], role)
     margin = rep["guessing_probability"] - rep["uniform_prior"]
     assert margin > 0.05 and rep["holds"] is False  # no base channel: eps 0
-    # 5 nodes x the one deviating channel's distance: epsilon_bound mirrors
-    # the diamond bound about the margin, so the two bounds disagree and
-    # the diamond bound alone decides the verdict
+    # the one deviating channel's distance is the whole bound: just above
+    # the margin the verdict holds, just below it fails
     monkeypatch.setattr(security, "diamond_distance",
-                        lambda a, b: (margin + slack) / 5)
-    monkeypatch.setattr(security, "channel_distance",
-                        lambda a, b: (margin - slack) / 5)
+                        lambda a, b: margin + slack)
     rep = security_report(cfg, [4], role, base_channel=depolarizing(0.9))
     assert rep["diamond_epsilon_bound"] == pytest.approx(margin + slack)
-    assert rep["epsilon_bound"] == pytest.approx(margin - slack)
+    assert "epsilon_bound" not in rep
     assert list(rep)[-1] == "holds"
     assert rep["holds"] is holds
 
@@ -324,11 +323,10 @@ def test_perturbed_network_respects_epsilon_bound():
     cfg = NetworkConfig(n_nodes=n, sender=1, receiver=2,
                         per_qubit_channels=chans)
     rep = security_report(cfg, [4], base_channel=base)
-    eps = rep["epsilon_bound"]
-    assert eps == pytest.approx(n * 2 * 0.02, abs=1e-5)
+    eps = rep["diamond_epsilon_bound"]
+    assert eps == pytest.approx(2 * 0.02, abs=1e-5)
     assert rep["guessing_probability"] <= rep["uniform_prior"] + eps + 1e-9
-    assert rep["bounded_guessing_probability"] == pytest.approx(
-        rep["uniform_prior"] + eps)
+    assert "bounded_guessing_probability" not in rep
 
 
 def test_diamond_bound_reported_for_pauli_channels():
@@ -339,9 +337,9 @@ def test_diamond_bound_reported_for_pauli_channels():
     cfg = NetworkConfig(n_nodes=n, sender=1, receiver=2,
                         per_qubit_channels=chans)
     rep = security_report(cfg, [4], base_channel=base)
-    # the stabilized distance is 1.5x the unstabilized one for depolarizing
-    assert rep["epsilon_bound"] == pytest.approx(n * 0.030, abs=1e-12)
-    assert rep["diamond_epsilon_bound"] == pytest.approx(n * 0.045, abs=1e-12)
+    # one deviating node: the stabilized distance, 1.5x the unstabilized
+    # one for depolarizing
+    assert rep["diamond_epsilon_bound"] == pytest.approx(0.045, abs=1e-12)
     assert "diamond_epsilon_bound" not in security_report(cfg, [4])
 
 
@@ -355,9 +353,11 @@ def test_diamond_bound_reported_for_non_pauli_channel():
     cfg = NetworkConfig(n_nodes=5, sender=1, receiver=2,
                         per_qubit_channels=chans)
     rep = security_report(cfg, [4], base_channel=dephasing(0.9))
-    assert rep["epsilon_bound"] > 0
-    # the stabilized bound can only exceed the unstabilized one
-    assert rep["diamond_epsilon_bound"] >= rep["epsilon_bound"] - 1e-12
+    unstabilized = unstabilized_distance(dephasing(0.9), damping)
+    assert unstabilized > 0
+    # the stabilized bound can only exceed the unstabilized distance
+    assert rep["diamond_epsilon_bound"] == diamond_distance(dephasing(0.9), damping)
+    assert rep["diamond_epsilon_bound"] >= unstabilized - 1e-12
 
 
 def test_epsilon_bound_looks_up_channel_distance_per_call(monkeypatch):
@@ -365,8 +365,8 @@ def test_epsilon_bound_looks_up_channel_distance_per_call(monkeypatch):
     import anonqnet.security as security
 
     calls = []
-    real = security.channel_distance
-    monkeypatch.setattr(security, "channel_distance",
+    real = security.diamond_distance
+    monkeypatch.setattr(security, "diamond_distance",
                         lambda a, b: calls.append(1) or real(a, b))
     epsilon_security_bound(dephasing(0.9), {1: dephasing(0.8)})
     assert calls == [1]
@@ -376,13 +376,13 @@ def test_epsilon_bound_measures_each_distinct_channel_once(monkeypatch):
     import anonqnet.security as security
 
     seen = []
-    real = security.channel_distance
-    monkeypatch.setattr(security, "channel_distance",
+    real = security.diamond_distance
+    monkeypatch.setattr(security, "diamond_distance",
                         lambda a, b: seen.append(b) or real(a, b))
     base, drift = dephasing(0.9), dephasing(0.85)
     per_node = {1: base, 2: drift, 3: dephasing(0.9), 4: drift, 5: base}
     got = epsilon_security_bound(base, per_node)
-    assert got == pytest.approx(5 * 2 * 0.05, abs=1e-5)
+    assert got == pytest.approx(2 * 2 * 0.05, abs=1e-5)  # both drift nodes
     # the base, and a copy with its Kraus operators, are at distance 0
     assert seen == [drift]
     assert epsilon_security_bound(base, {1: base, 2: dephasing(0.9)}) == 0.0
@@ -393,11 +393,59 @@ def test_epsilon_bound_closed_forms():
     assert epsilon_security_bound(dephasing(0.9), {}) == 0.0
     got = epsilon_security_bound(
         dephasing(0.9), {1: dephasing(0.9), 2: dephasing(0.85)})
-    assert got == pytest.approx(2 * 2 * 0.05, abs=1e-5)
+    assert got == pytest.approx(2 * 0.05, abs=1e-5)
     got = epsilon_security_bound(
         depolarizing(0.8), {i: depolarizing(0.75) for i in range(1, 4)})
-    assert got == pytest.approx(3 * 0.05, abs=1e-5)
+    assert got == pytest.approx(3 * 1.5 * 0.05, abs=1e-5)
 
+
+
+def mixed_into(base, other, t):
+    """(1 - t) base + t other, as one Kraus set: at diamond distance at most
+    2t from the base."""
+    return QuantumChannel([np.sqrt(1 - t) * k for k in base.kraus_ops]
+                          + [np.sqrt(t) * k for k in other.kraus_ops])
+
+
+def test_diamond_sum_bounds_random_networks():
+    # per-node Pauli, damping and random complex Kraus deviations from a
+    # depolarizing base: the guess's excess over the prior stays within the
+    # per-node diamond sum, which never exceeds N x the largest distance
+    rng = np.random.default_rng(37)
+    paulis = [np.eye(2), PAULI_X, PAULI_Y, PAULI_Z]
+    excesses = []
+    for trial in range(16):
+        n = int(rng.integers(4, 8))
+        s, r = (int(x) for x in rng.choice(np.arange(1, n + 1), 2, replace=False))
+        rest = [i for i in range(1, n + 1) if i not in (s, r)]
+        lost = [int(rng.choice(rest))] if trial % 2 else []
+        live = [i for i in range(1, n + 1) if i not in lost]
+        base = depolarizing(rng.uniform(0.8, 1.0))
+        gamma = rng.uniform(0.05, 0.5)
+        others = [QuantumChannel([np.sqrt(w) * p for w, p in
+                                  zip(rng.dirichlet(np.ones(4)), paulis)]),
+                  QuantumChannel([[[1, 0], [0, np.sqrt(1 - gamma)]],
+                                  [[0, np.sqrt(gamma)], [0, 0]]]),
+                  random_kraus_channel(rng, int(rng.integers(1, 5)))]
+        chans = {i: base if rng.random() < 0.4 else
+                 mixed_into(base, others[rng.integers(3)], rng.uniform(0, 0.1))
+                 for i in range(1, n + 1)}
+        # two adversaries need four live nodes to leave every role a candidate
+        adv = [int(a) for a in rng.choice([i for i in live if i != s],
+                                          1 + (len(live) > 3), replace=False)]
+        cfg = NetworkConfig(n, s, r, per_qubit_channels=chans, lost_nodes=lost)
+        dists = [diamond_distance(base, chans[i]) for i in live
+                 if chans[i] is not base]
+        for role in ("sender", "receiver"):
+            rep = security_report(cfg, adv, role, base_channel=base)
+            eps = rep["diamond_epsilon_bound"]
+            excess = rep["guessing_probability"] - rep["uniform_prior"]
+            assert eps == pytest.approx(sum(dists), abs=1e-12), (trial, role)
+            assert excess <= eps + 1e-9, (trial, role)
+            assert eps <= len(live) * max(dists, default=0.0) + 1e-12
+            assert rep["holds"] is True, (trial, role)
+            excesses.append(excess)
+    assert max(excesses) > 1e-3  # some coalition learns something
 
 
 # ---------------------------------------------------------------------------
@@ -586,22 +634,20 @@ def test_security_nine_nodes_still_refused():
 
 
 def test_audit_roles_share_their_channel_distances(monkeypatch):
-    # both roles of one audit measure the same channels: each distance runs
+    # both roles of one audit measure the same channels: the distance runs
     # once per distinct deviating channel, not once per role
     import anonqnet.security as security
 
-    seen = {"channel": [], "diamond": []}
-    for name, real in (("channel", security.channel_distance),
-                       ("diamond", security.diamond_distance)):
-        monkeypatch.setattr(security, f"{name}_distance",
-                            lambda a, b, name=name, real=real:
-                            seen[name].append(b) or real(a, b))
+    seen = []
+    real = security.diamond_distance
+    monkeypatch.setattr(security, "diamond_distance",
+                        lambda a, b: seen.append(b) or real(a, b))
     runner = CliRunner()
     res = runner.invoke(main, ["security", "--nodes", "6", "--adversaries", "4",
                                "--channel", "depolarizing:q=0.9", "--channel-node",
                                "3=depolarizing:q=0.86", "--role", "both"])
     assert res.exit_code == 0, res.output
-    assert [len(seen["channel"]), len(seen["diamond"])] == [1, 1]
+    assert len(seen) == 1
 
 
 def test_report_stacks_no_dict_views(monkeypatch):
