@@ -237,9 +237,9 @@ def threshold_q(formula: tuple, n):
 
     ``n`` is the node count, an int (giving a float) or an integer array
     (giving an array): the source prepares an n-qubit resource state and
-    each qubit crosses one channel.  An array is bisected in one pass with
-    a lone size's bracket, midpoint and width, so each value has the bits
-    it has alone.  A dense n-node run at the returned q gives a pair
+    each qubit crosses one channel.  An array is bisected in one pass, each
+    bracket its lower end plus the one width all share, so each value has
+    the bits it has alone.  A dense n-node run at the returned q gives a pair
     fidelity of 1/2 (checked against the dense simulator).
     """
     ns = np.atleast_1d(n)
@@ -253,13 +253,13 @@ def threshold_q(formula: tuple, n):
     qs = np.full(ns.shape, 0.5)
     inner = f(qs, ns) - 0.5 < -1e-12  # the rest sit at the edge q=0.5
     m = ns[inner].astype(float)  # cast once, not in every step
-    lo, hi = np.full(m.shape, 0.5), np.ones(m.shape)
-    # every bracket starts at [0.5, 1] and halves exactly, so widths agree
-    while m.size and hi[0] - lo[0] > 1e-12:
-        mid = (lo + hi) / 2
-        below = f(mid, m) <= 0.5
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    qs[inner] = (lo + hi) / 2
+    # [lo, lo + width] halves from [0.5, 1]: its dyadic ends add exactly
+    lo, width = np.full(m.shape, 0.5), 0.5
+    while m.size and width > 1e-12:
+        width /= 2
+        mid = lo + width
+        lo = np.where(f(mid, m) <= 0.5, mid, lo)
+    qs[inner] = lo + width / 2
     return float(qs[0]) if np.ndim(n) == 0 else qs
 
 

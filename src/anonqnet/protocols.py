@@ -174,7 +174,7 @@ class NetworkConfig:
 
     @property
     def live_nodes(self) -> tuple:
-        return tuple(i for i in self.nodes if i not in self.lost_nodes)
+        return tuple(sorted(set(self.nodes) - self.lost_nodes)) if self.lost_nodes else self.nodes
 
     def channel_for(self, node: int) -> QuantumChannel:
         return self.per_qubit_channels.get(node) or _IDENTITY
@@ -370,32 +370,35 @@ def _contract(config: NetworkConfig, mps: _Mps, reads: Mapping, sender: int,
               sizes: Sequence[int] | None = None, lost: bool = False):
     """(Φ_S ⊗ Φ_R) of the unnormalized (sender, receiver) state after each
     node in reads reads its observable; every other node is traced out.
-    S and R open as _noisy_sites, so a close only reshapes.  transfers
-    memoises a transfer per (channel, observable); norm None is the node
-    count.  Given sorted sizes, one walk closes the network of nodes 1..k
-    for each k in one stacked product (a prefix's environment serves every
-    larger k; Schollwöck, arXiv:1008.3477, §4); with lost, each close comes
-    after that of its network with node k lost."""
+    An observable may be a stack (B, 2, 2): its transfer stacks the lone
+    ones, so a close is B closes, each with the bits of a lone walk.  S and
+    R open as _noisy_sites, so a close only reshapes.  transfers memoises a
+    transfer per (channel, observable); norm None is the node count.  Given
+    sorted sizes, one walk closes the network of nodes 1..k for each k in
+    one stacked product (a prefix's environment serves every larger k;
+    Schollwöck, arXiv:1008.3477, §4); with lost, each close comes after that
+    of its network with node k lost."""
     env, transfers, closing = mps.left, {} if transfers is None else transfers, []
     at = {k: norm or k for k in sizes or [config.n_nodes]}
     for node in range(1, max(at) + 1):
         if lost and node in at:
             closing.append((env @ mps.identity, at[node]))
         if node in (sender, receiver):
-            env = (env @ _noisy_site(mps, config.channel_for(node))).reshape(-1, 4)
+            env = (env @ _noisy_site(mps, config.channel_for(node))).reshape(*env.shape[:-2], -1, 4)
         elif node not in reads:
             env = env @ mps.identity
         else:
-            key = (config.channel_for(node), id(reads[node]))
+            key = (config.channel_for(node), id(ops := reads[node]))
             if key not in transfers:
-                transfers[key] = mps.transfer(_heisenberg(key[0], reads[node]))
+                transfers[key] = (mps.transfer(_heisenberg(key[0], ops)) if ops.ndim == 2 else
+                                  np.array([mps.transfer(_heisenberg(key[0], op)) for op in ops]))
             env = env @ transfers[key]
         if node in at:
             closing.append((env, at[node]))
     envs, norms = zip(*closing)
-    x = (np.array(envs) @ mps.right / np.array(norms)[:, None]).reshape(-1, 2, 2, 2, 2)
+    x = (np.array(envs) @ mps.right).reshape(len(norms), -1) / np.array(norms)[:, None]
     order = (0, 1, 3, 2, 4) if sender < receiver else (0, 3, 1, 4, 2)  # (p, q) per open node
-    closes = x.transpose(order).reshape(-1, 4, 4)
+    closes = x.reshape(-1, 2, 2, 2, 2).transpose(order).reshape(len(x), *env.shape[:-2], 4, 4)
     return list(closes) if sizes else closes[0]
 
 
@@ -627,14 +630,17 @@ def exact_pairs(config: NetworkConfig, protocol: str, at: Sequence[int] | None =
                 lost: bool = False) -> list:
     """exact_pair of every point of a table, from one walk (_contract,
     _Relay).  W and GHZ: the network of nodes 1..k of config for each k in
-    at (default config.n_nodes); with lost, each k's entry comes after that
-    of its network with node k lost.  Relay: config's sender with each
-    receiver in at (none the sender; default config's)."""
+    at (default config.n_nodes), GHZ's (Φ†(I), Φ†(X)) read as one stack;
+    with lost (W only), each k's entry follows that of its network with
+    node k lost.  Relay: config's sender with each receiver in at (none the
+    sender; default config's)."""
+    if lost and protocol != "W":
+        raise ValueError("lost tables are W only")
     if at and (list(at) != sorted(set(at)) or at[0] < 1 or at[-1] > config.n_nodes
                or (config.sender in at if protocol == "relay"
-                   else at[0] < max(config.sender, config.receiver) + lost)):
+                   else at[0] < max(config.sender, config.receiver, 3 - lost) + lost)):
         raise ValueError("a table's points must be increasing node ids other than the "
-                         "sender; W and GHZ: none below S or R, nor at them with lost")
+                         "sender; W and GHZ: none below 3, S or R, nor at S or R with lost")
     if protocol == "relay":
         relay = _Relay(config, at)
         return [(1.0, relay.pair(rho)) for rho in relay.mixed()]
@@ -649,11 +655,9 @@ def exact_pairs(config: NetworkConfig, protocol: str, at: Sequence[int] | None =
     # even-parity sum over outcome strings is (P + Q)/2 and the odd one,
     # which gets Z_R, is (P - Q)/2, where P takes E_+ + E_- = Φ†(I) and Q
     # takes E_+ - E_- = Φ†(X) at every measuring node
-    measuring = _ghz_measuring(config)
-    ps, qs = (_contract(config, _GHZ, dict.fromkeys(measuring, op), *pair, 2, sizes=at)
-              for op in (ID2, PAULI_X))
+    reads = dict.fromkeys(_ghz_measuring(config), np.array([ID2, PAULI_X]))  # one stack
     return [(1.0, _normalized_pair((p + q) / 2 + _Z_R @ (p - q) @ _Z_R / 2)[1])
-            for p, q in zip(ps, qs)]
+            for p, q in _contract(config, _GHZ, reads, *pair, 2, sizes=at)]
 
 
 def _exact_run(config: NetworkConfig, protocol: str) -> RunOutcome:

@@ -88,6 +88,7 @@ from dense_reference import (
     make_w_state,
     partial_trace,
     postselect,
+    random_kraus_channel,
     tensor,
 )
 
@@ -1895,6 +1896,8 @@ TABLE_CHANNELS = {
     "dephasing": dephasing(0.9),
     "depolarizing": depolarizing(0.834),
     "damp-rotate": damp_then_rotate(0.2, 0.7),
+    # a generic complex channel with three Kraus operators
+    "random-kraus": random_kraus_channel(np.random.default_rng(38), 3),
 }
 
 
@@ -2038,7 +2041,7 @@ def test_relay_table_walk_per_node_channels(kind):
 @pytest.mark.parametrize("protocol, at", [("W", [5, 4]), ("GHZ", [4, 4, 5]), ("W", [4, 7]),
                                           ("relay", [3, 2]), ("relay", [0, 2]),
                                           ("relay", [1, 2]), ("W", [1, 6]),
-                                          ("GHZ", [1, 6])])
+                                          ("GHZ", [1, 6]), ("GHZ", [2, 6])])
 def test_table_points_are_increasing_node_ids_other_than_the_sender(protocol, at):
     # entries come back in node order, one per point of the config's chain
     cfg = NetworkConfig(6, 1, 2, per_qubit_channels=uniform(depolarizing(0.9), 6))
@@ -2052,3 +2055,7 @@ def test_lost_table_points_lie_past_the_sender_and_receiver():
     with pytest.raises(ValueError, match="must be increasing node ids"):
         exact_pairs(cfg, "W", [2, 6], lost=True)
     assert len(exact_pairs(cfg, "W", [3, 6], lost=True)) == 4
+    # GHZ and the relay have no lost tables: a lost node leaves GHZ separable
+    for protocol in ("GHZ", "relay"):
+        with pytest.raises(ValueError, match="W only"):
+            exact_pairs(cfg, protocol, [3, 6], lost=True)
