@@ -7,7 +7,7 @@ Layers:
 * channels: single-qubit noise channels and the diamond distance bound
 * analytic: closed-form fidelities, success probabilities, thresholds
 * protocols: round-level protocol execution (exact and sampling modes)
-* security: adversary views, independence checks, guessing bounds
+* security: adversary views as arrays, independence check, guessing bound
 * cli: the `anonqnet` command line front end
 """
 
@@ -70,6 +70,7 @@ from .protocols import (
     w_loss_branch_average_dense,
 )
 from .security import (
+    adversary_views,
     epsilon_security_bound,
     guessing_probability,
     independence_check,

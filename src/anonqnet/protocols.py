@@ -167,6 +167,9 @@ class NetworkConfig:
             self.message_state = _PLUS
         if self.message_state.n_qubits != 1:
             raise ValueError("message must be a single qubit")
+        shared = {}  # one object per Kraus set, so memos keyed on channels hit
+        self.per_qubit_channels = {i: ch and shared.setdefault(ch.kraus_ops.tobytes(), ch)
+                                   for i, ch in self.per_qubit_channels.items()}
 
     @property
     def nodes(self) -> tuple:

@@ -20,16 +20,15 @@ XOR-sharing subroutines are excluded: for any coalition missing at least
 one node they are uniform and carry no input dependence.
 
 With an honest sender every hypothesis shares one site, so one
-pullback_pairs sweep gives all views, built as arrays over one list of
-labels (C x K weights, C x K x d x d blocks; _views); adversary_views
-gives each as a plain dict label -> (weight, weight x block), and _stacked
-turns such dicts back into arrays.  Anonymity holds when views for
-different hypotheses coincide; the checks below quantify any gap over all
-views at once, with closed-form trace norms, and convert it into a
-guessing-probability bound.  security_report's verdict adds, when
-node channels deviate from a common base, the perturbation bound: the sum
-of the nodes' diamond distances to the base, which stays sound for the W
-state's entangled inputs.
+pullback_pairs sweep gives all views, and adversary_views returns them
+as arrays over one list of labels (C x K weights, C x K x d x d weighted
+blocks), the one format the checks read.  Anonymity holds when views for
+different hypotheses coincide; independence_check and
+guessing_probability quantify any gap over all views at once, with
+closed-form trace norms, as a guessing-probability bound.
+security_report's verdict adds, when node channels deviate from a common
+base, the perturbation bound: the sum of the nodes' diamond distances to
+the base, which stays sound for the W state's entangled inputs.
 """
 
 from __future__ import annotations
@@ -46,9 +45,7 @@ from .protocols import (NetworkConfig, _teleport_ops, outcome_transfers,
                         pullback_pairs)
 
 _TINY = 1e-14
-
 ADVERSARY_NODE_CAP = 7  # guards no cost now; bench/tests pins the refusal
-
 _CORRUPT_SENDER = "a corrupt sender knows its own identity already"
 
 
@@ -73,21 +70,13 @@ def effective_roles(config: NetworkConfig, hypothesis: int, role: str
 
 
 def adversary_views(config: NetworkConfig, adversaries: Sequence[int],
-                    hypotheses: Sequence[int], role: str = "sender") -> list:
+                    hypotheses: Sequence[int], role: str = "sender"
+                    ) -> tuple[list, np.ndarray, np.ndarray]:
     """Exact run-level views of the coalition (its node ids), one per
-    identity hypothesis, each a dict label -> (weight, weight x block) of
-    the labels weighing at least _TINY: the dict form of _views' arrays."""
-    labels, weights, blocks = _views(config, frozenset(adversaries), hypotheses, role)
-    return [{labels[k]: (ws[k], bs[k]) for k in np.flatnonzero(w >= _TINY)}
-            for w, ws, bs in zip(weights, weights.tolist(), blocks)]
-
-
-def _views(config: NetworkConfig, adv: frozenset, hypotheses: Sequence[int],
-           role: str) -> tuple[list, np.ndarray, np.ndarray]:
-    """Every hypothesis's view as arrays over one list of labels: C x K
-    weights and C x K x d x d weighted blocks, 0 where a label weighs under
-    _TINY.  The block is the corrupt receiver's carrier qubit (d = 2), or
-    trivial (d = 1).
+    identity hypothesis, as (labels, weights, blocks) over one list of
+    labels: C x K weights and C x K x d x d weighted blocks, 0 where a
+    label weighs under _TINY.  The block is the corrupt receiver's carrier
+    qubit (d = 2), or trivial (d = 1).
 
     Enumerates the coalition's measurement outcomes mu, the honest-side
     all-zero/not-all-zero split (the complement is obtained by subtraction,
@@ -96,10 +85,9 @@ def _views(config: NetworkConfig, adv: frozenset, hypotheses: Sequence[int],
     a view's weights sum to 1.  The sender must be honest, so all hypotheses
     share one fixed site and one pullback_pairs sweep reads every pair.
     """
+    adv = frozenset(adversaries)
     if config.n_nodes > ADVERSARY_NODE_CAP:
-        raise ValueError(
-            f"adversary analysis is capped at {ADVERSARY_NODE_CAP} nodes"
-        )
+        raise ValueError(f"adversary analysis is capped at {ADVERSARY_NODE_CAP} nodes")
     live = config.live_nodes
     if not adv <= set(live):
         raise ValueError("adversaries must be live nodes")
@@ -155,22 +143,12 @@ def _views(config: NetworkConfig, adv: frozenset, hypotheses: Sequence[int],
     return labels, weights, weights[..., None, None].astype(complex)
 
 
-def _stacked(views: Sequence[dict]) -> tuple[np.ndarray, np.ndarray]:
-    """Dict views as _views' arrays, over every (label, block shape) key in
-    first-seen order: C x K weights and C x K x d x d weighted blocks (a 1x1
-    block in the corner when d = 2), zero where a view lacks the key.  A
-    label carried on two registers is thus two orthogonal sectors."""
-    keys = dict.fromkeys((label, block.shape) for v in views
-                         for label, (_, block) in v.items())
-    d = max((shape[0] for _, shape in keys), default=1)
-    weights = np.zeros((len(views), len(keys)))
-    blocks = np.zeros((len(views), len(keys), d, d), dtype=complex)
-    for c, v in enumerate(views):
-        for k, (label, (r, s)) in enumerate(keys):
-            if label in v and v[label][1].shape == (r, s):
-                weights[c, k] = v[label][0]
-                blocks[c, k, :r, :s] = v[label][1]
-    return weights, blocks
+def _check(blocks: np.ndarray, weights: np.ndarray | None = None) -> None:
+    """Refuses blocks other than C x K x d x d, d = 1 or 2, over C x K weights."""
+    if blocks.shape[2:] not in ((1, 1), (2, 2)):
+        raise ValueError("blocks must be C x K x d x d with d = 1 or 2")
+    if weights is not None and weights.shape != blocks.shape[:2]:
+        raise ValueError("weights must be C x K, the first axes of blocks")
 
 
 def _trace_norms(x: np.ndarray) -> np.ndarray:
@@ -183,16 +161,12 @@ def _trace_norms(x: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(a + d), np.hypot(a - d, 2 * np.abs(b)))
 
 
-def independence_check(views: Sequence[dict]) -> float:
-    """Worst pairwise deviation between views: total variation distance of
-    the label/weight distributions plus the largest per-label trace
-    distance between attached states.  0 means the coalition's view does
-    not depend on the hypothesis at all."""
-    return _deviation(*_stacked(views))
-
-
-def _deviation(weights: np.ndarray, blocks: np.ndarray) -> float:
-    """independence_check of stacked views."""
+def independence_check(weights: np.ndarray, blocks: np.ndarray) -> float:
+    """Worst pairwise deviation between views, adversary_views' weights and
+    blocks: total variation distance of the label/weight distributions plus
+    the largest per-label trace distance between attached states.  0 means
+    the coalition's view does not depend on the hypothesis at all."""
+    _check(blocks, weights)
     states = blocks / np.where(weights > 0, weights, 1.0)[..., None, None]
     tv = 0.5 * np.abs(weights[:, None] - weights[None]).sum(-1)
     both = (weights[:, None] > 0) & (weights[None] > 0)
@@ -201,9 +175,10 @@ def _deviation(weights: np.ndarray, blocks: np.ndarray) -> float:
     return float((tv + td).max(initial=0.0))
 
 
-def guessing_probability(views: Sequence[dict],
-                         priors: Sequence[float]) -> tuple[float, str]:
-    """Optimal (or safely bounded) identification probability.
+def guessing_probability(blocks: np.ndarray, priors: Sequence[float],
+                         deviation: float) -> tuple[float, str]:
+    """Optimal (or safely bounded) identification probability from the
+    views' weighted blocks, given their independence_check deviation.
 
     * views independent of the hypothesis: the coalition can only output
       the most likely candidate a priori ("state-independence").
@@ -213,19 +188,13 @@ def guessing_probability(views: Sequence[dict],
       each view from the prior-averaged view, a valid upper bound
       ("bound-only").
     """
-    return _guess(_stacked(views)[1], priors, independence_check(views))
-
-
-def _guess(blocks: np.ndarray, priors: Sequence[float],
-           dev: float) -> tuple[float, str]:
-    """guessing_probability of stacked views' blocks, given their
-    independence deviation."""
+    _check(blocks)
     if len(blocks) != len(priors) or not len(blocks):
         raise ValueError("need one prior per view")
     priors = np.asarray(priors, dtype=float)
     if abs(priors.sum() - 1.0) > 1e-9 or priors.min() < 0:
         raise ValueError("priors must form a distribution")
-    if dev <= 1e-9:
+    if deviation <= 1e-9:
         return float(priors.max()), "state-independence"
     if len(blocks) == 2:
         a, b = priors[:, None, None, None] * blocks
@@ -274,10 +243,10 @@ def security_report(config: NetworkConfig, adversaries: Sequence[int],
                   and effective_roles(config, c, role)[0] not in adv]
     if not candidates:
         raise ValueError("no admissible hypotheses for this coalition")
-    _, weights, blocks = _views(config, adv, candidates, role)
+    _, weights, blocks = adversary_views(config, adv, candidates, role)
     priors = [1.0 / len(candidates)] * len(candidates)
-    dev = _deviation(weights, blocks)
-    p_guess, certificate = _guess(blocks, priors, dev)
+    dev = independence_check(weights, blocks)
+    p_guess, certificate = guessing_probability(blocks, priors, dev)
     report = {
         "role": role,
         "adversaries": sorted(adv),

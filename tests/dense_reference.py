@@ -8,9 +8,10 @@ from the package's DensityMatrix and Ket and applies channels,
 projections and partial traces qubit by qubit.  Registers larger than
 ``DENSE_CAP`` qubits (12) are refused.
 
-It also keeps random_kraus_channel, and unstabilized_distance, the exact
+It also keeps random_kraus_channel; unstabilized_distance, the exact
 channel distance over inputs without an ancilla: a lower bound the tests
-hold the package's diamond distance bound against.
+hold the package's diamond distance bound against; and as_dicts, the
+label-by-label form of adversary views the tests compare.
 """
 
 from __future__ import annotations
@@ -193,3 +194,10 @@ def unstabilized_distance(a: QuantumChannel, b: QuantumChannel) -> float:
     r = np.divide(g, gap, out=np.zeros(3), where=gap > 0)
     r[-1] += np.copysign(np.sqrt(max(1.0 - r @ r, 0.0)), g[-1])
     return float(np.linalg.norm(dt + dm @ (vecs @ (r / np.linalg.norm(r)))))
+
+
+def as_dicts(labels: list, weights: np.ndarray, blocks: np.ndarray) -> list:
+    """adversary_views' arrays as one dict label -> (weight, weighted
+    block) per view, over the labels that weigh anything."""
+    return [{labels[k]: (w[k], b[k]) for k in np.flatnonzero(w)}
+            for w, b in zip(weights.tolist(), blocks)]

@@ -83,6 +83,7 @@ from anonqnet.qcore import (
 from anonqnet.security import adversary_views, security_report
 from dense_reference import (
     apply_to,
+    as_dicts,
     bell_project,
     make_ghz_state,
     make_w_state,
@@ -113,6 +114,29 @@ def test_config_validation():
     cfg = NetworkConfig(n_nodes=5, sender=2, receiver=4, lost_nodes={5})
     assert cfg.live_nodes == (1, 2, 3, 4)
     assert cfg.channel_for(3).name == "identity"
+
+
+def test_equal_channels_walk_as_one_object(monkeypatch):
+    # one depolarizing(0.9) object per node walks like one shared object:
+    # as many Φ† evaluations and the same pair to the bit; None is identity
+    import anonqnet.protocols as protocols
+
+    calls = []
+    real = protocols._heisenberg
+    monkeypatch.setattr(protocols, "_heisenberg",
+                        lambda ch, op: calls.append(1) or real(ch, op))
+    shared = {**uniform(depolarizing(0.9), 40), 5: None}
+    copies = {**{i: depolarizing(0.9) for i in range(1, 41)}, 5: None}
+    configs = [NetworkConfig(40, 3, 17, chans) for chans in (shared, copies)]
+    assert configs[1].channel_for(5) is configs[0].channel_for(5)
+    for protocol in ("W", "GHZ"):
+        runs = []
+        for cfg in configs:
+            calls.clear()
+            runs.append((exact_pair(cfg, protocol), len(calls)))
+        ((w0, pair0), n0), ((w1, pair1), n1) = runs
+        assert n1 == n0 <= 4  # two channels (with the identity), two reads
+        assert w1 == w0 and pair1.mat.tobytes() == pair0.mat.tobytes()
 
 
 def test_outcome_invariant():
@@ -1272,7 +1296,13 @@ def test_adversary_view_matches_dense_enumeration_corrupt_receiver():
     # coalition {2, 5}: node 2 is the receiver, node 5 measures; the dense
     # reference enumerates every outcome string instead of subtracting
     cfg = hetero_config()
-    view = adversary_views(cfg, frozenset({2, 5}), [HS])[0]
+    labels, weights, blocks = adversary_views(cfg, frozenset({2, 5}), [HS])
+    # the event order: the honest side saw a 1 (per mu), the forced
+    # abort (per mu but all zero), the four raw Bell outcomes
+    assert labels == [((1, 0), (0,), 1, 1, None), ((1, 0), (1,), 1, 1, None),
+                      ((1, 0), (1,), 0, 1, None)] + [
+                          ((1, 0), (0,), 0, 0, ("m", m)) for m in range(4)]
+    view = as_dicts(labels, weights, blocks)[0]
     rho = dense_noisy(make_w_state)
     expected = {}
 
@@ -1312,7 +1342,13 @@ def test_adversary_views_skip_an_honest_side_that_never_reads_zeros():
     rho = make_w_state(5, labels=range(1, 6)).to_density()
     for node in rho.labels:
         rho = apply_to(chans[node], rho, node)
-    views = adversary_views(cfg, frozenset({3}), [1, 4])
+    labels, weights, blocks = adversary_views(cfg, frozenset({3}), [1, 4])
+    # the event order, also for a label that weighs 0 in every view: the
+    # honest side saw a 1, the forced abort, the four masked announcements
+    assert labels == [((0,), (0,), 1, 1, None), ((0,), (1,), 1, 1, None),
+                      ((0,), (1,), 0, 1, None)] + [
+                          ((0,), (0,), 0, 0, ("T", t)) for t in range(4)]
+    views = as_dicts(labels, weights, blocks)
     for sender, view in zip((1, 4), views, strict=True):
         measured = [i for i in range(1, 6) if i not in (sender, 2)]
         expected = collections.Counter()

@@ -26,7 +26,7 @@ from anonqnet.security import (
     independence_check,
     security_report,
 )
-from dense_reference import random_kraus_channel, unstabilized_distance
+from dense_reference import as_dicts, random_kraus_channel, unstabilized_distance
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 MIXED = np.eye(2, dtype=complex) / 2
@@ -36,8 +36,14 @@ def uniform(channel, n):
     return {i: channel for i in range(1, n + 1)}
 
 
-def single_label(mat):
-    return {"x": (1.0, mat)}
+def single_label(*mats):
+    """Views of one label each, of weight 1, as (weights, blocks)."""
+    blocks = np.array(mats, dtype=complex)[:, None]
+    return np.ones(blocks.shape[:2]), blocks
+
+
+def guess(weights, blocks, priors):
+    return guessing_probability(blocks, priors, independence_check(weights, blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -45,45 +51,52 @@ def single_label(mat):
 
 
 def test_independence_zero_for_identical_views():
-    assert independence_check([single_label(KET0), single_label(KET0)]) == 0.0
+    assert independence_check(*single_label(KET0, KET0)) == 0.0
 
 
 def test_independence_sees_weight_and_state_gaps():
-    a = {"x": (0.5, 0.5 * KET0), "y": (0.5, 0.5 * KET0)}
-    b = {"x": (0.7, 0.7 * KET0), "y": (0.3, 0.3 * MIXED)}
+    # labels x and y
+    weights = np.array([[0.5, 0.5], [0.7, 0.3]])
+    blocks = np.array([[0.5 * KET0, 0.5 * KET0], [0.7 * KET0, 0.3 * MIXED]])
     # tv = 0.2, worst per-label trace distance = 0.5
-    assert independence_check([a, b]) == pytest.approx(0.7, abs=1e-12)
+    assert independence_check(weights, blocks) == pytest.approx(0.7, abs=1e-12)
 
 
 def test_guessing_probability_helstrom_anchor():
     # distinguishing |0><0| from I/2 at equal priors: 1/2 + 1/4 * 1
-    p, cert = guessing_probability(
-        [single_label(KET0), single_label(MIXED)], [0.5, 0.5])
+    p, cert = guess(*single_label(KET0, MIXED), [0.5, 0.5])
     assert cert == "helstrom"
     assert p == pytest.approx(0.75, abs=1e-12)
 
 
-def test_label_on_two_registers_is_two_orthogonal_sectors():
-    # one label on a trivial block in one view and on a qubit in the other:
-    # the registers themselves tell the views apart
-    views = [single_label(np.ones((1, 1), dtype=complex)), single_label(MIXED)]
-    assert independence_check(views) == pytest.approx(1.0, abs=1e-12)
-    p, cert = guessing_probability(views, [0.5, 0.5])
-    assert cert == "helstrom"
-    assert p == pytest.approx(1.0, abs=1e-12)
+def test_checks_refuse_blocks_they_cannot_measure():
+    # two orthogonal 4x4 states: the closed-form trace norms read only a
+    # block's top-left 2x2 corner, which is 0 for both, so they would be
+    # called identical; the checks refuse before any arithmetic
+    ket2, ket3 = np.diag([0, 0, 1, 0]), np.diag([0, 0, 0, 1])
+    weights, blocks = single_label(ket2, ket3)
+    with pytest.raises(ValueError, match="d = 1 or 2"):
+        independence_check(weights, blocks)
+    with pytest.raises(ValueError, match="d = 1 or 2"):
+        guessing_probability(blocks, [0.5, 0.5], 0.0)
+    with pytest.raises(ValueError, match="d = 1 or 2"):
+        guessing_probability(blocks[:, 0], [0.5, 0.5], 0.0)
+    # weights over other labels or views than the blocks'
+    weights, blocks = single_label(KET0, MIXED)
+    for bad in (np.ones((2, 2)), np.ones((1, 1)), np.ones(2)):
+        with pytest.raises(ValueError, match="C x K"):
+            independence_check(bad, blocks)
 
 
 def test_guessing_probability_orthogonal_states_certain():
     ket1 = np.array([[0, 0], [0, 1]], dtype=complex)
-    p, cert = guessing_probability(
-        [single_label(KET0), single_label(ket1)], [0.5, 0.5])
+    p, cert = guess(*single_label(KET0, ket1), [0.5, 0.5])
     assert cert == "helstrom"
     assert p == pytest.approx(1.0, abs=1e-12)
 
 
 def test_guessing_probability_state_independence():
-    p, cert = guessing_probability(
-        [single_label(MIXED), single_label(MIXED)], [0.3, 0.7])
+    p, cert = guess(*single_label(MIXED, MIXED), [0.3, 0.7])
     assert cert == "state-independence"
     assert p == pytest.approx(0.7)
 
@@ -91,11 +104,11 @@ def test_guessing_probability_state_independence():
 def test_guessing_probability_bound_only_three_views():
     plus = np.full((2, 2), 0.5, dtype=complex)
     ket1 = np.array([[0, 0], [0, 1]], dtype=complex)
-    views = [single_label(KET0), single_label(ket1), single_label(plus)]
-    p, cert = guessing_probability(views, [1 / 3] * 3)
+    weights, blocks = single_label(KET0, ket1, plus)
+    p, cert = guess(weights, blocks, [1 / 3] * 3)
     assert cert == "bound-only"
     # a bound, not an optimum: must dominate the best pairwise value
-    two, _ = guessing_probability(views[:2], [0.5, 0.5])
+    two, _ = guess(weights[:2], blocks[:2], [0.5, 0.5])
     assert p >= 2 / 3 * two - 1e-12
     assert p >= 1 / 3
 
@@ -119,10 +132,9 @@ def test_closed_form_trace_norm_matches_eigvalsh():
 
 def test_guessing_probability_prior_validation():
     with pytest.raises(ValueError):
-        guessing_probability([single_label(KET0)], [0.5, 0.5])
+        guess(*single_label(KET0), [0.5, 0.5])
     with pytest.raises(ValueError):
-        guessing_probability([single_label(KET0), single_label(KET0)],
-                             [0.8, 0.8])
+        guess(*single_label(KET0, KET0), [0.8, 0.8])
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +158,7 @@ def test_effective_roles_swap_rule():
 def test_adversary_view_weights_sum_to_one():
     cfg = NetworkConfig(n_nodes=5, sender=1, receiver=2,
                         per_qubit_channels=uniform(depolarizing(0.8), 5))
-    view = adversary_views(cfg, frozenset({3, 4}), [5])[0]
+    view = as_dicts(*adversary_views(cfg, frozenset({3, 4}), [5]))[0]
     assert sum(w for w, _ in view.values()) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -178,9 +190,9 @@ def test_adversary_views_match_one_view_at_a_time(role):
                         per_qubit_channels=chans, lost_nodes={6})
     scenario = frozenset({4})
     candidates = [1, 2, 3, 5]
-    views = adversary_views(cfg, scenario, candidates, role)
+    views = as_dicts(*adversary_views(cfg, scenario, candidates, role))
     for c, view in zip(candidates, views):
-        alone = adversary_views(cfg, scenario, [c], role)[0]
+        alone = as_dicts(*adversary_views(cfg, scenario, [c], role))[0]
         assert list(view) == list(alone)
         for label, (w, block) in alone.items():
             assert view[label][0] == pytest.approx(w, abs=1e-14)
@@ -201,8 +213,8 @@ def test_adversary_views_take_one_sweep(monkeypatch, role):
     chans[3] = dephasing(0.8)
     cfg = NetworkConfig(n_nodes=6, sender=1, receiver=2,
                         per_qubit_channels=chans)
-    views = adversary_views(cfg, frozenset({4}),
-                            [1, 2, 3, 5, 6], role)
+    views = as_dicts(*adversary_views(cfg, frozenset({4}),
+                                      [1, 2, 3, 5, 6], role))
     assert len(views) == 5
     assert fixed_sites == [2 if role == "sender" else 1]
 
@@ -211,7 +223,7 @@ def test_adversary_views_take_one_sweep(monkeypatch, role):
 def test_adversary_views_of_no_hypotheses_are_empty(role):
     cfg = NetworkConfig(n_nodes=5, sender=1, receiver=2,
                         per_qubit_channels=uniform(depolarizing(0.9), 5))
-    assert adversary_views(cfg, {4}, [], role) == []
+    assert as_dicts(*adversary_views(cfg, {4}, [], role)) == []
 
 
 @pytest.mark.parametrize("role", ["sender", "receiver"])
@@ -233,8 +245,11 @@ def test_uniform_network_views_are_hypothesis_independent(role, channel):
     scenario = frozenset({4})
     candidates = [c for c in cfg.live_nodes if c != 4
                   if effective_roles(cfg, c, role)[0] != 4]
-    views = [adversary_views(cfg, scenario, [c], role)[0] for c in candidates]
-    assert independence_check(views) <= 1e-10
+    # one audit per candidate; the audits share their labels
+    views = [adversary_views(cfg, scenario, [c], role) for c in candidates]
+    assert all(labels == views[0][0] for labels, _, _ in views)
+    weights, blocks = (np.concatenate(x) for x in list(zip(*views))[1:])
+    assert independence_check(weights, blocks) <= 1e-10
 
 
 def test_corrupt_receiver_still_independent_under_uniform_noise():
@@ -245,7 +260,7 @@ def test_corrupt_receiver_still_independent_under_uniform_noise():
     assert rep["certificate"] == "state-independence"
     assert rep["guessing_probability"] == pytest.approx(1 / 4, abs=1e-12)
     # carrier branches are actually present for a corrupt receiver
-    view = adversary_views(cfg, frozenset({2}), [3])[0]
+    view = as_dicts(*adversary_views(cfg, frozenset({2}), [3]))[0]
     assert any(lbl[-1] and lbl[-1][0] == "m" for lbl in view)
 
 
@@ -279,10 +294,10 @@ def test_security_report_receiver_role():
 def test_security_report_checks_independence_once(monkeypatch):
     import anonqnet.security as security
 
-    # the report reads its views as arrays, through _deviation
+    # the report reads its views as arrays, through independence_check
     calls = []
-    real = security._deviation
-    monkeypatch.setattr(security, "_deviation",
+    real = security.independence_check
+    monkeypatch.setattr(security, "independence_check",
                         lambda *arrays: calls.append(1) or real(*arrays))
     cfg = NetworkConfig(n_nodes=5, sender=1, receiver=2,
                         per_qubit_channels=uniform(depolarizing(0.9), 5))
@@ -563,20 +578,28 @@ def test_array_views_match_the_dict_route(seed):
         if not candidates:
             continue
         want = reference_views(cfg, adv, candidates, role)
-        got = adversary_views(cfg, adv, candidates, role)
+        labels, weights, blocks = adversary_views(cfg, adv, candidates, role)
+        got = as_dicts(labels, weights, blocks)
         for g, w in zip(got, want, strict=True):
             assert set(g) == set(w)
             for label, (weight, block) in w.items():
                 assert abs(g[label][0] - weight) <= 1e-15
                 assert g[label][1].shape == block.shape
                 assert np.abs(g[label][1] - block).max() <= 1e-15
+        # the checks on the reference views, laid over the same labels
+        d = blocks.shape[-1]
+        ref_weights = np.array([[v[k][0] if k in v else 0.0 for k in labels]
+                                for v in want])
+        ref_blocks = np.array([[v[k][1] if k in v else np.zeros((d, d))
+                                for k in labels] for v in want])
         priors = [1 / len(candidates)] * len(candidates)
-        p_guess, certificate = guessing_probability(want, priors)
+        deviation = independence_check(ref_weights, ref_blocks)
+        p_guess, certificate = guessing_probability(ref_blocks, priors, deviation)
         rep = security_report(cfg, adv, role, base)
         assert rep["candidates"] == candidates
         assert rep["certificate"] == certificate
         assert abs(rep["guessing_probability"] - p_guess) <= 1e-12
-        assert abs(rep["independence_deviation"] - independence_check(want)) <= 1e-12
+        assert abs(rep["independence_deviation"] - deviation) <= 1e-12
         totals = [sum(weight for weight, _ in v.values()) for v in want]
         assert np.abs(np.subtract(rep["view_total_weights"], totals)).max() <= 1e-12
 
@@ -651,20 +674,29 @@ def test_audit_roles_share_their_channel_distances(monkeypatch):
 
 
 def test_report_stacks_no_dict_views(monkeypatch):
-    # a report builds its views as arrays and never stacks dicts; a plain
-    # list of views is stacked by each check that reads it
+    # a report makes one call to each public step, through the module's
+    # names (which tracing wraps), and hands the arrays adversary_views
+    # returns to both checks as they are
     import anonqnet.security as security
 
-    stacked = []
-    real = security._stacked
-    monkeypatch.setattr(security, "_stacked",
-                        lambda views: stacked.append(real(views)) or stacked[-1])
+    calls = []
+
+    def recording(name):
+        real = getattr(security, name)
+        monkeypatch.setattr(security, name, lambda *args: calls.append(
+            (name, args)) or real(*args))
+
+    for name in ("adversary_views", "independence_check", "guessing_probability"):
+        recording(name)
     chans = uniform(depolarizing(0.9), 6)
     chans[3] = depolarizing(0.6)
     cfg = NetworkConfig(n_nodes=6, sender=1, receiver=2, per_qubit_channels=chans)
     rep = security_report(cfg, [4])
     assert rep["certificate"] != "state-independence"  # the guess reads blocks
-    assert stacked == []
-    views = adversary_views(cfg, [4], rep["candidates"])
-    guessing_probability(views, [1 / len(views)] * len(views))
-    assert len(stacked) == 2 and stacked[0][1] is not stacked[1][1]
+    assert [name for name, _ in calls] == ["adversary_views", "independence_check",
+                                           "guessing_probability"]
+    _, weights, blocks = adversary_views(cfg, [4], rep["candidates"])
+    (_, (w, b)), (_, (b2, _, deviation)) = calls[1:3]
+    assert b is b2
+    assert np.array_equal(w, weights) and np.array_equal(b, blocks)
+    assert deviation == rep["independence_deviation"]
