@@ -41,13 +41,11 @@ from .analytic import (
     f_ae_w_depolarizing,
     f_ae_w_loss,
     fidelity_report,
-    ghz_postselected_pair,
     p_success_w,
     p_success_w_loss,
     pair_target,
-    structured_fidelity,
+    structured_pair,
     threshold_q,
-    w_postselected_pair,
 )
 from .protocols import (
     NetworkConfig,

@@ -1,7 +1,8 @@
 """Closed-form fidelity and success-probability results for the anonymous
-entanglement protocols, plus a structured evaluator that assembles the
-post-selected sender-receiver pair state for arbitrary network size and
-arbitrary single-qubit noise, and threshold root finding.
+entanglement protocols, plus a structured evaluator (structured_pair) that
+sums the post-selected sender-receiver pair of any NetworkConfig, one
+single-qubit channel per node and lost nodes included, independently of
+the protocols module's transfer engine, and threshold root finding.
 
 Formula conventions: q is the noise parameter (q=1 noiseless), n the node
 count.  Fidelity is always against the protocol's maximally entangled
@@ -10,12 +11,13 @@ target; "useful" means fidelity strictly above 1/2.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import QuantumChannel, z_defect
-from .qcore import DensityMatrix, Ket, fidelity_with_pure, make_bell_pair
+from .channels import z_defect
+from .qcore import DensityMatrix, Ket, make_bell_pair
 
 PAIR_LABELS = ("sender", "receiver")
 
@@ -120,83 +122,76 @@ def p_success_w_loss(channel: str, q: float, n: int) -> float:
     return (n - 1) / n * p_success_w(channel, q, n - 1) + tr00_pow / n
 
 
-def _outputs(channel: QuantumChannel) -> list:
-    """The channel's outputs on |0><0|, |0><1|, |1><0| and |1><1|: all the
-    structured evaluators need, so any user-defined channel works, not
-    only the named ones."""
-    return [channel(np.eye(4, dtype=complex)[k].reshape(2, 2)) for k in range(4)]
+def _normalized_pair(raw: np.ndarray) -> tuple[float, DensityMatrix]:
+    """Born weight and normalized pair; a weight that is not a positive
+    normal float (the W weight falls like ((1 + q)/2)^N) is refused."""
+    weight = float(np.trace(raw).real)
+    if not weight >= np.finfo(float).tiny:
+        raise ValueError(f"Born weight {weight:g} underflows double "
+                         "precision; use the closed-form evaluators")
+    return weight, DensityMatrix(raw / weight, PAIR_LABELS)
 
 
-def w_postselected_pair(channel: QuantumChannel, n: int) -> tuple[DensityMatrix, float]:
-    """Sender-receiver pair state after the W protocol's post-selection,
-    assembled combinatorially from the channel's outputs out_xy on |x><y|
-    and their <0|.|0> entries tr_xy.
+_UNITS = np.eye(4).reshape(2, 2, 2, 2)  # |x><y| at [x, y]
 
-    The W state has one excitation spread over n qubits; conditioning the
-    n-2 measured qubits on |0> leaves six families of terms, indexed by
-    where the |1> bra/ket indices sit (both measured, one measured, none).
-    Collecting them with multiplicities:
 
-        (n-2)(n-3) tr01 tr10 tr00^(n-4) out00 x out00
-      + (n-2) tr10 tr00^(n-3) (out01 x out00 + out00 x out01)
-      + (n-2) tr01 tr00^(n-3) (out10 x out00 + out00 x out10)
-      + (n-2) tr11 tr00^(n-3) out00 x out00
-      + tr00^(n-2) (out01 x out10 + out10 x out01
-                    + out00 x out11 + out11 x out00)
+def structured_pair(config, protocol: str) -> tuple[float, DensityMatrix]:
+    """Born weight and normalized (sender, receiver) pair of a "W" or "GHZ"
+    NetworkConfig's post-selected branch, as sums and products over the
+    nodes: an independent route to protocols.exact_pair, which walks a
+    transfer environment node by node.  Measuring nodes read 0 (W) or +
+    (GHZ), lost nodes are traced out, and each distinct channel object is
+    read once, with its node count as an exponent or a multiplicity.  The
+    sender's and receiver's channels give out_xy = Φ(|x><y|) in each sum.
 
-    divided by n (the W normalization).  The trace of that matrix is the
-    success probability; the normalized matrix is the pair state.  Requires
-    n >= 4 because of the (n-3) multiplicity; use protocols.exact_pair
-    for n=3.
+    W: each measuring node j contributes t_xy,j = <0|Φ_j(|x><y|)|0>, a lost
+    node the trace (1, 0, 0, 1).  With P = Π t00_j, r_xy = Σ t_xy,j / t00_j
+    and c = Σ t10,j t01,j / t00_j², n times the raw pair is
+
+        P [ (r10 r01 - c + r11) out00 x out00 + r10 (out01 x out00
+            + out00 x out01) + r01 (out10 x out00 + out00 x out10)
+            + out01 x out10 + out10 x out01 + out00 x out11 + out11 x out00 ]
+
+    (the excitation on S, R or a node j, in the ket and in the bra).  A
+    node with t00 = 0 is refused.
+
+    GHZ: the all-|+> branch, (1/2) Σ_xy Π_j <+|Φ_j(|x><y|)|+> out_xy x
+    out_xy, and its weight (2^-(n-2) under covariant channels, so refused
+    from about 1,024 nodes).  Every node but the sender must commute with Z
+    conjugation, Z out_xy Z = (-1)^(x+y) out_xy (Pauli channels, amplitude
+    damping), to z_defect 1e-12: the protocol then corrects every branch
+    onto this pair, so it never aborts (exact_pair's weight is 1).  A lost
+    node is refused as exact_pair refuses it.
     """
-    if n < 4:
-        raise ValueError("structured evaluation needs n >= 4; use protocols.exact_pair")
-    out00, out01, out10, out11 = outs = _outputs(channel)
-    tr00, tr01, tr10, tr11 = (complex(o[0, 0]) for o in outs)
-    acc = (n - 2) * (n - 3) * tr01 * tr10 * tr00 ** (n - 4) * np.kron(out00, out00)
-    acc = acc + (n - 2) * tr10 * tr00 ** (n - 3) * (
-        np.kron(out01, out00) + np.kron(out00, out01)
-    )
-    acc = acc + (n - 2) * tr01 * tr00 ** (n - 3) * (
-        np.kron(out10, out00) + np.kron(out00, out10)
-    )
-    acc = acc + (n - 2) * tr11 * tr00 ** (n - 3) * np.kron(out00, out00)
-    acc = acc + tr00 ** (n - 2) * (
-        np.kron(out01, out10) + np.kron(out10, out01)
-        + np.kron(out00, out11) + np.kron(out11, out00)
-    )
-    acc = acc / n
-    weight = float(np.real(np.trace(acc)))
-    state = DensityMatrix(acc / weight, PAIR_LABELS)
-    return state, weight
-
-
-def ghz_postselected_pair(channel: QuantumChannel, n: int) -> tuple[DensityMatrix, float]:
-    """Sender-receiver pair state for the GHZ protocol's all-|+> branch.
-
-    The GHZ state has two global components; projecting each measured qubit
-    onto |+> factorizes into <+|.|+> moments:
-
-        (1/2) [ p00^(n-2) out00 x out00 + p01^(n-2) out01 x out01
-              + p10^(n-2) out10 x out10 + p11^(n-2) out11 x out11 ]
-
-    with p_xy = <+|channel(|x><y|)|+>: the all-|+> branch and its weight.
-    The channel must commute with Z conjugation, Z out_xy Z = (-1)^(x+y)
-    out_xy (Pauli channels, amplitude damping): the protocol then corrects
-    every other branch onto this state, so it always succeeds.  A z_defect
-    up to 1e-12 passes: approximate, where _GhzSampler's gate is exact.
-    """
-    if n < 3:
-        raise ValueError("need n >= 3")
-    if z_defect(channel) > 1e-12:
-        raise ValueError("the structured GHZ pair needs a channel that commutes"
-                         " with Z conjugation; use protocols.exact_pair")
-    plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    acc = 0.5 * sum(complex(plus.conj() @ u @ plus) ** (n - 2) * np.kron(u, u)
-                    for u in _outputs(channel))
-    weight = float(np.real(np.trace(acc)))
-    state = DensityMatrix(acc / weight, PAIR_LABELS)
-    return state, weight
+    s, r = config.sender, config.receiver
+    counts = Counter(config.channel_for(j) for j in config.live_nodes if j not in (s, r))
+    out_s, out_r = config.channel_for(s)(_UNITS), config.channel_for(r)(_UNITS)
+    if protocol == "W":
+        ts = [(ch(_UNITS)[..., 0, 0], m) for ch, m in counts.items()]
+        if any(t[0, 0] == 0 for t, _ in ts):
+            raise ValueError("a measuring node's channel sends |0> wholly to |1>"
+                             " (t00 = 0); use protocols.exact_pair")
+        ratio = len(config.lost_nodes) * np.eye(2) + sum(m * t / t[0, 0] for t, m in ts)
+        # [x_S, x_R] of the ket's excitation: on a node j (r10), on R or on S;
+        # the bra's alike with r01, and on one node j in both, r11 - c
+        ket, bra = np.array([[ratio[1, 0], 1], [1, 0]]), np.array([[ratio[0, 1], 1], [1, 0]])
+        coef = np.einsum("ac,bd->abcd", ket, bra)  # [x_S, y_S, x_R, y_R]
+        coef[0, 0, 0, 0] += ratio[1, 1] - sum(m * t[1, 0] * t[0, 1] / t[0, 0] ** 2 for t, m in ts)
+        coef *= np.prod([t[0, 0] ** m for t, m in ts]) / config.n_nodes
+    elif protocol == "GHZ":
+        if config.lost_nodes:
+            from .protocols import ProtocolImpossibleError  # it imports this module
+            raise ProtocolImpossibleError("a lost node leaves the GHZ protocol with"
+                                          " a separable state; it cannot be carried out")
+        if any(z_defect(ch) > 1e-12 for ch in {*counts, config.channel_for(r)}):
+            raise ValueError("the structured GHZ pair needs channels that commute with"
+                             " Z conjugation at every node but the sender; use"
+                             " protocols.exact_pair")
+        plus = np.prod([(ch(_UNITS).sum((2, 3)) / 2) ** m for ch, m in counts.items()], 0)
+        coef = np.einsum("ab,ac,bd->abcd", plus / 2, np.eye(2), np.eye(2))
+    else:
+        raise ValueError(f"unsupported protocol {protocol!r}")
+    return _normalized_pair(np.einsum("abcd,abij,cdkl->ikjl", coef, out_s, out_r).reshape(4, 4))
 
 
 # pair fidelity (q, n) -> F per (protocol, channel family)
@@ -313,14 +308,3 @@ def f_ae_relay_depolarizing(q: float, n: int, sender: int, receiver: int) -> flo
     return (p_left * p_mid * p_right
             + p_mid / 2 * (1 - p_left * p_right)
             + (1 - p_mid) / 4)
-
-
-def structured_fidelity(protocol: str, channel: QuantumChannel, n: int) -> float:
-    """Fidelity of the structured pair state against the protocol target."""
-    if protocol == "W":
-        state, _ = w_postselected_pair(channel, n)
-    elif protocol == "GHZ":
-        state, _ = ghz_postselected_pair(channel, n)
-    else:
-        raise ValueError(f"unsupported protocol {protocol!r}")
-    return fidelity_with_pure(state, pair_target(protocol))

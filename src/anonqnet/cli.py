@@ -47,7 +47,7 @@ from .analytic import (
     fidelity_report,
     p_success_w,
     pair_target,
-    structured_fidelity,
+    structured_pair,
     threshold_q,
 )
 from .protocols import (
@@ -579,7 +579,8 @@ _ORACLE_CHECKS = {
         lambda: _pair_fidelity(_uniform(4, dephasing(0.85)), "W"),
         lambda: f_ae_w_dephasing(0.85), 1e-10),
     "ghz-depolarizing-closed-vs-structured": (
-        lambda: structured_fidelity("GHZ", depolarizing(0.9), 5),
+        lambda: fidelity_with_pure(structured_pair(_uniform(5, depolarizing(0.9)), "GHZ")[1],
+                                   pair_target("GHZ")),
         lambda: f_ae_ghz_depolarizing(0.9, 5), 1e-10),
     "ghz-dephasing-closed-vs-engine": (
         lambda: _pair_fidelity(_uniform(6, dephasing(0.8)), "GHZ"),

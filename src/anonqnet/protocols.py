@@ -66,7 +66,7 @@ from .qcore import (
     bell_state_vector,
     fidelity_with_pure,
 )
-from .analytic import BELL_RESOURCE, PAIR_LABELS, pair_target
+from .analytic import BELL_RESOURCE, PAIR_LABELS, _normalized_pair, pair_target
 
 class ProtocolImpossibleError(RuntimeError):
     """The requested protocol cannot run in this configuration at all."""
@@ -467,16 +467,6 @@ def pullback_pairs(config: NetworkConfig, transfers: np.ndarray, fixed: int,
         out.reshape(b, len(opens), 2, 2, 2, 2)[:, js] = x.reshape(
             len(js), b, 2, 2, 2, 2).transpose(1, 0, *axes)
     return out
-
-
-def _normalized_pair(raw: np.ndarray) -> tuple[float, DensityMatrix]:
-    """Born weight and normalized pair; a weight that is not a positive
-    normal float (the W weight falls like ((1 + q)/2)^N) is refused."""
-    weight = float(np.trace(raw).real)
-    if not weight >= np.finfo(float).tiny:
-        raise ValueError(f"Born weight {weight:g} underflows double "
-                         "precision; use the closed-form evaluators")
-    return weight, DensityMatrix(raw / weight, PAIR_LABELS)
 
 
 def _cdf(weights) -> np.ndarray:

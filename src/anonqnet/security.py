@@ -180,8 +180,9 @@ def guessing_probability(blocks: np.ndarray, priors: Sequence[float],
     """Optimal (or safely bounded) identification probability from the
     views' weighted blocks, given their independence_check deviation.
 
-    * views independent of the hypothesis: the coalition can only output
-      the most likely candidate a priori ("state-independence").
+    * views independent of the hypothesis, by deviation and by the blocks'
+      largest entrywise spread from the first view: the coalition can only
+      output the most likely candidate a priori ("state-independence").
     * exactly two candidates: closed-form optimal discrimination over the
       labeled blocks ("helstrom").
     * otherwise: max prior plus the prior-weighted trace-norm deviation of
@@ -194,7 +195,7 @@ def guessing_probability(blocks: np.ndarray, priors: Sequence[float],
     priors = np.asarray(priors, dtype=float)
     if abs(priors.sum() - 1.0) > 1e-9 or priors.min() < 0:
         raise ValueError("priors must form a distribution")
-    if deviation <= 1e-9:
+    if deviation <= 1e-9 and np.abs(blocks - blocks[0]).max(initial=0.0) <= 1e-9:
         return float(priors.max()), "state-independence"
     if len(blocks) == 2:
         a, b = priors[:, None, None, None] * blocks

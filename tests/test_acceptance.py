@@ -21,10 +21,9 @@ from anonqnet.analytic import (
     f_ae_w_dephasing,
     f_ae_w_depolarizing,
     f_ae_w_loss,
-    ghz_postselected_pair,
     p_success_w,
+    structured_pair,
     threshold_q,
-    w_postselected_pair,
 )
 from anonqnet.channels import dephasing, depolarizing, identity_channel
 from anonqnet.protocols import (
@@ -82,21 +81,18 @@ def test_criterion_2_fidelity_grid_matches_closed_forms():
             for family, make in (("dephasing", dephasing),
                                  ("depolarizing", depolarizing)):
                 ch = make(q)
-                chans = uniform(ch, n)
-                w = run_protocol1(
-                    NetworkConfig(n_nodes=n, sender=1, receiver=2,
-                                  per_qubit_channels=chans), mode="exact")
-                g = run_ghz_protocol(
-                    NetworkConfig(n_nodes=n, sender=1, receiver=2,
-                                  per_qubit_channels=chans), mode="exact")
+                cfg = NetworkConfig(n_nodes=n, sender=1, receiver=2,
+                                    per_qubit_channels=uniform(ch, n))
+                w = run_protocol1(cfg, mode="exact")
+                g = run_ghz_protocol(cfg, mode="exact")
                 fw = (f_ae_w_dephasing(q) if family == "dephasing"
                       else f_ae_w_depolarizing(q, n))
                 fg = (f_ae_ghz_dephasing(q, n) if family == "dephasing"
                       else f_ae_ghz_depolarizing(q, n))
                 assert abs(w.ae_fidelity - fw) <= 1e-10, (family, n, q)
                 assert abs(g.ae_fidelity - fg) <= 1e-10, (family, n, q)
-                ws, _ = w_postselected_pair(ch, n)
-                gs, _ = ghz_postselected_pair(ch, n)
+                _, ws = structured_pair(cfg, "W")
+                _, gs = structured_pair(cfg, "GHZ")
                 assert np.max(np.abs(
                     w.anonymous_entanglement.mat - ws.mat)) <= 1e-10
                 assert np.max(np.abs(

@@ -2,6 +2,7 @@ import hashlib
 import math
 import re
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -25,13 +26,11 @@ from anonqnet.analytic import (
     f_ae_w_depolarizing,
     f_ae_w_loss,
     fidelity_report,
-    ghz_postselected_pair,
     p_success_w,
     p_success_w_loss,
     pair_target,
-    structured_fidelity,
+    structured_pair,
     threshold_q,
-    w_postselected_pair,
 )
 from anonqnet.channels import (
     QuantumChannel,
@@ -39,8 +38,16 @@ from anonqnet.channels import (
     depolarizing,
     identity_channel,
 )
-from anonqnet.protocols import NetworkConfig, exact_pair
-from anonqnet.qcore import PAULI_Z, fidelity_with_pure
+from anonqnet.protocols import NetworkConfig, ProtocolImpossibleError, exact_pair
+from anonqnet.qcore import ID2, PAULI_X, PAULI_Y, PAULI_Z, fidelity_with_pure
+from dense_reference import (
+    apply_to,
+    make_ghz_state,
+    make_w_state,
+    partial_trace,
+    postselect,
+    random_kraus_channel,
+)
 
 
 def test_noiseless_limits():
@@ -79,6 +86,12 @@ def test_p_success_values():
         p_success_w("amplitude", 0.9, 5)
 
 
+def uniform(channel, n, **kw):
+    """An n-node network, S = 1 and R = 2, with one channel on every node."""
+    return NetworkConfig(n_nodes=n, sender=1, receiver=2,
+                         per_qubit_channels=dict.fromkeys(range(1, n + 1), channel), **kw)
+
+
 def unit(x, y):
     """The matrix unit |x><y|."""
     mat = np.zeros((2, 2), dtype=complex)
@@ -101,7 +114,7 @@ def test_w_postselected_pair_matches_closed_forms():
         (depolarizing(0.85), 0.85, f_ae_w_depolarizing(0.85, 6)),
         (dephasing(0.7), 0.7, f_ae_w_dephasing(0.7)),
     ]:
-        state, weight = w_postselected_pair(chan, 6)
+        weight, state = structured_pair(uniform(chan, 6), "W")
         fid = fidelity_with_pure(state, pair_target("W"))
         assert fid == pytest.approx(closed, abs=1e-12)
         assert weight == pytest.approx(
@@ -109,7 +122,7 @@ def test_w_postselected_pair_matches_closed_forms():
 
 
 def test_w_postselected_pair_frozen_point():
-    state, weight = w_postselected_pair(depolarizing(0.85), 6)
+    weight, state = structured_pair(uniform(depolarizing(0.85), 6), "W")
     assert weight == pytest.approx(0.2836040364583332, abs=1e-12)
     assert fidelity_with_pure(state, pair_target("W")) == pytest.approx(
         0.6910610465116277, abs=1e-12)
@@ -118,9 +131,9 @@ def test_w_postselected_pair_frozen_point():
 def test_ghz_postselected_pair_weight_is_branch_weight():
     # the all-plus branch carries weight 2^-(n-2) regardless of noise
     for n in (3, 4, 5):
-        _, weight = ghz_postselected_pair(identity_channel(), n)
+        weight, _ = structured_pair(uniform(identity_channel(), n), "GHZ")
         assert weight == pytest.approx(2.0 ** -(n - 2), abs=1e-12)
-    state, weight = ghz_postselected_pair(dephasing(0.75), 5)
+    weight, state = structured_pair(uniform(dephasing(0.75), 5), "GHZ")
     assert weight == pytest.approx(0.125, abs=1e-12)
     assert fidelity_with_pure(state, pair_target("GHZ")) == pytest.approx(
         0.515625, abs=1e-12)
@@ -139,15 +152,13 @@ def damping(gamma, theta=0.0):
                          ids=["amplitude-damping", "damping-z-rotation"])
 def test_structured_pairs_match_engine_on_non_pauli_channels(channel):
     for n in range(4, 13):
-        cfg = NetworkConfig(n_nodes=n, sender=1, receiver=2,
-                            per_qubit_channels=dict.fromkeys(range(1, n + 1),
-                                                             channel))
+        cfg = uniform(channel, n)
         w_weight, w_pair = exact_pair(cfg, "W")
         _, ghz_pair = exact_pair(cfg, "GHZ")
-        state, weight = w_postselected_pair(channel, n)
+        weight, state = structured_pair(cfg, "W")
         assert np.abs(state.mat - w_pair.mat).max() <= 1e-12, n
         assert abs(weight - w_weight) <= 1e-12, n
-        state, _ = ghz_postselected_pair(channel, n)
+        _, state = structured_pair(cfg, "GHZ")
         assert np.abs(state.mat - ghz_pair.mat).max() <= 1e-12, n
 
 
@@ -158,9 +169,21 @@ def test_structured_ghz_pair_refuses_channels_not_covariant_under_z(n):
     u = np.cos(0.35) * np.eye(2) - 1j * np.sin(0.35) * np.array([[0, 1], [1, 0]])
     channel = QuantumChannel([u @ k for k in damping(0.2).kraus_ops])
     with pytest.raises(ValueError, match="exact_pair"):
-        ghz_postselected_pair(channel, n)
+        structured_pair(uniform(channel, n), "GHZ")
+    # every node but the sender is gated: R alone is refused, S alone is not
+    covariant = dict.fromkeys(range(1, n + 1), damping(0.2))
     with pytest.raises(ValueError, match="exact_pair"):
-        structured_fidelity("GHZ", channel, n)
+        structured_pair(NetworkConfig(n_nodes=n, sender=1, receiver=2,
+                                      per_qubit_channels=covariant | {2: channel}), "GHZ")
+    cfg = NetworkConfig(n_nodes=n, sender=1, receiver=2,
+                        per_qubit_channels=covariant | {1: channel})
+    assert np.abs(structured_pair(cfg, "GHZ")[1].mat
+                  - exact_pair(cfg, "GHZ")[1].mat).max() <= 1e-12
+
+
+def structured_fidelity(protocol, channel, n):
+    pair = structured_pair(uniform(channel, n), protocol)[1]
+    return fidelity_with_pure(pair, pair_target(protocol))
 
 
 def test_structured_fidelity_dispatch():
@@ -168,6 +191,93 @@ def test_structured_fidelity_dispatch():
         f_ae_w_depolarizing(0.9, 5), abs=1e-12)
     assert structured_fidelity("GHZ", dephasing(0.8), 6) == pytest.approx(
         f_ae_ghz_dephasing(0.8, 6), abs=1e-12)
+
+
+def test_structured_pair_refuses_what_its_sums_cannot_give():
+    flip = QuantumChannel([PAULI_X])  # sends |0> wholly to |1>: t00 = 0
+    t00_zero = NetworkConfig(n_nodes=6, sender=1, receiver=2,
+                             per_qubit_channels={3: depolarizing(0.9), 4: flip})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused by name, before any NaN
+        with pytest.raises(ValueError, match="Born weight 0 underflows double precision"):
+            structured_pair(uniform(depolarizing(0.5), 3000), "W")
+        with pytest.raises(ValueError, match=re.escape("(t00 = 0); use protocols.exact_pair")):
+            structured_pair(t00_zero, "W")
+    assert exact_pair(t00_zero, "W")[0] > 0  # where the message points
+    for route in (structured_pair, exact_pair):
+        with pytest.raises(ProtocolImpossibleError, match="separable state"):
+            route(uniform(depolarizing(0.9), 6, lost_nodes={4}), "GHZ")
+
+
+@pytest.mark.parametrize("n_nodes", [8, 20, 183])
+def test_noiseless_w_pair_with_lost_nodes_has_fidelity_two_over_two_plus_l(n_nodes):
+    # the paper's "tolerates one non-responsive node", on two routes: L lost
+    # nodes leave the pair at fidelity 2/(2 + L), so one is the most
+    for lost in range(5):
+        cfg = NetworkConfig(n_nodes=n_nodes, sender=n_nodes // 2, receiver=1,
+                            lost_nodes=set(range(n_nodes - lost + 1, n_nodes + 1)))
+        for route in (structured_pair, exact_pair):
+            weight, pair = route(cfg, "W")
+            assert fidelity_with_pure(pair, pair_target("W")) == pytest.approx(
+                2 / (2 + lost), abs=1e-12), (route, lost)
+            assert weight == pytest.approx((2 + lost) / n_nodes, abs=1e-12)
+
+
+def random_pauli(rng):
+    weights = rng.dirichlet(np.ones(4))
+    return QuantumChannel([np.sqrt(w) * p for w, p in
+                           zip(weights, (ID2, PAULI_X, PAULI_Y, PAULI_Z))])
+
+
+def random_network(rng, n, protocol):
+    """n nodes, S and R in either order, each node one of a few channels:
+    Pauli, z-rotated damping or (W only, and GHZ's sender) a random complex
+    Kraus set; W loses up to three of its measuring nodes."""
+    makes = [random_pauli, lambda g: damping(g.uniform(0, 0.6), g.uniform(-3, 3))]
+    if protocol == "W":
+        makes.append(lambda g: random_kraus_channel(g, int(g.integers(1, 4))))
+    pool = [makes[i % len(makes)](rng) for i in range(6)]
+    channels = {i: pool[rng.integers(len(pool))] for i in range(1, n + 1)}
+    s, r = (int(i) for i in rng.choice(np.arange(1, n + 1), 2, replace=False))
+    others = [i for i in range(1, n + 1) if i not in (s, r)]
+    lost = set()
+    if protocol == "W":
+        lost = set(rng.choice(others, min(len(others) - 1, int(rng.integers(4))),
+                              replace=False).tolist())
+    else:
+        channels[s] = random_kraus_channel(rng, 2)
+    return NetworkConfig(n_nodes=n, sender=s, receiver=r, per_qubit_channels=channels,
+                         lost_nodes=lost)
+
+
+@pytest.mark.parametrize("protocol", ["W", "GHZ"])
+def test_structured_pair_matches_engine_on_random_per_node_networks(protocol):
+    rng = np.random.default_rng(41)
+    for n in (3, 3, 4, 5, 7, 11, 19, 37, 64, 120, 183, 250, 400):
+        cfg = random_network(rng, n, protocol)
+        weight, pair = structured_pair(cfg, protocol)
+        ref_weight, ref = exact_pair(cfg, protocol)
+        assert np.abs(pair.mat - ref.mat).max() <= 1e-12, n
+        if protocol == "W":  # GHZ's weight is its all-|+> branch's; the run's is 1
+            assert abs(weight / ref_weight - 1) <= 1e-12, n
+
+
+@pytest.mark.parametrize("protocol", ["W", "GHZ"])
+def test_structured_pair_matches_dense_reference(protocol):
+    rng = np.random.default_rng(7)
+    basis = "standard" if protocol == "W" else "hadamard"
+    make = make_w_state if protocol == "W" else make_ghz_state
+    for n in (3, 4, 5, 6, 7, 7):
+        cfg = random_network(rng, n, protocol)
+        rho = partial_trace(make(n, labels=cfg.nodes).to_density(), cfg.lost_nodes)
+        for node in cfg.live_nodes:
+            rho = apply_to(cfg.channel_for(node), rho, node)
+            if node not in (cfg.sender, cfg.receiver):  # reads 0, or +
+                rho = partial_trace(postselect(rho, node, basis, 0)[0], [node])
+        raw = rho.permuted((cfg.sender, cfg.receiver)).mat
+        weight, pair = structured_pair(cfg, protocol)
+        assert weight == pytest.approx(np.trace(raw).real, abs=1e-12), n
+        assert np.abs(pair.mat - raw / np.trace(raw).real).max() <= 1e-12, n
 
 
 def test_fidelity_report_fields():
@@ -304,14 +414,11 @@ def test_p_success_w_depolarizing_matches_exact_rationals_at_any_size():
      "need n >= 4 with one lost measuring node"),
     (lambda: p_success_w_loss("depolarizing", 0.9, 3),
      "need n >= 4 with one lost measuring node"),
-    (lambda: ghz_postselected_pair(depolarizing(0.9), 2), "need n >= 3"),
-    (lambda: w_postselected_pair(depolarizing(0.9), 3),
-     "structured evaluation needs n >= 4"),
     (lambda: FidelityReport("W", "depolarizing", 5, 0.9, 1.5),
      "success probability 1.5 outside [0,1]"),
     (lambda: fidelity_report("relay", "depolarizing", 0.9, 5),
      "unsupported protocol 'relay' or channel 'depolarizing'"),
-    (lambda: structured_fidelity("relay", depolarizing(0.9), 5),
+    (lambda: structured_pair(uniform(depolarizing(0.9), 5), "relay"),
      "unsupported protocol 'relay'"),
     (lambda: threshold_q(("W", "damping"), 5),
      "unknown formula ('W', 'damping')"),
@@ -354,7 +461,7 @@ def test_w_depolarizing_fidelity_in_unit_interval(q, n):
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.0, 1.0), st.integers(4, 10))
 def test_structured_weight_equals_formula(q, n):
-    _, weight = w_postselected_pair(depolarizing(q), n)
+    weight, _ = structured_pair(uniform(depolarizing(q), n), "W")
     assert weight == pytest.approx(p_success_w("depolarizing", q, n),
                                    abs=1e-12)
 

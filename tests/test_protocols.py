@@ -20,10 +20,10 @@ from anonqnet.analytic import (
     f_ae_w_dephasing,
     f_ae_w_depolarizing,
     f_ae_w_loss,
-    ghz_postselected_pair,
     p_success_w,
     p_success_w_loss,
     pair_target,
+    structured_pair,
     threshold_q,
 )
 from anonqnet.channels import (
@@ -1843,11 +1843,12 @@ def test_covariant_ghz_strings_share_one_corrected_pair(mix):
 
 
 def test_one_pair_gate_is_exact():
-    # damping then an X rotation by 1e-13 passes ghz_postselected_pair's
-    # 1e-12 check, yet its strings' corrected pairs differ in the last bits
+    # damping then an X rotation by 1e-13 passes structured_pair's 1e-12
+    # check, yet its strings' corrected pairs differ in the last bits
     near = damp_then_rotate(0.2, 1e-13)
     assert 0 < z_defect(near) <= 1e-12
-    ghz_postselected_pair(near, 6)
+    structured_pair(NetworkConfig(n_nodes=6, sender=1, receiver=2,
+                                  per_qubit_channels=uniform(near, 6)), "GHZ")
     for n in (4, 6, 9):
         cfg = NetworkConfig(n_nodes=n, sender=n - 1, receiver=2, seed=n,
                             per_qubit_channels=uniform(near, n))

@@ -95,6 +95,17 @@ def test_guessing_probability_orthogonal_states_certain():
     assert p == pytest.approx(1.0, abs=1e-12)
 
 
+def test_guessing_probability_reads_the_blocks_before_certifying_independence():
+    # a deviation of 0 that does not match the blocks certifies nothing
+    ket1 = np.array([[0, 0], [0, 1]], dtype=complex)
+    _, blocks = single_label(KET0, ket1)
+    p, cert = guessing_probability(blocks, [0.5, 0.5], 0.0)
+    assert cert == "helstrom"
+    assert p == pytest.approx(1.0, abs=1e-12)
+    _, blocks = single_label(KET0, ket1, MIXED)
+    assert guessing_probability(blocks, [0.2, 0.3, 0.5], 0.0)[1] == "bound-only"
+
+
 def test_guessing_probability_state_independence():
     p, cert = guess(*single_label(MIXED, MIXED), [0.3, 0.7])
     assert cert == "state-independence"
