@@ -3,7 +3,7 @@ messages over noisy N-node networks.
 
 Layers:
 
-* qcore: label-addressed kets and density matrices, Bell states
+* qcore: Bell states and Paulis; labeled registers for the tests' reference
 * channels: single-qubit noise channels and the diamond distance bound
 * analytic: closed-form fidelities, success probabilities, thresholds
 * protocols: round-level protocol execution (exact and sampling modes)
@@ -13,14 +13,7 @@ Layers:
 
 __version__ = "0.1.0"
 
-from .qcore import (
-    BELL_CORRECTIONS,
-    DensityMatrix,
-    Ket,
-    bell_state_vector,
-    fidelity_with_pure,
-    make_bell_pair,
-)
+from .qcore import BELL_CORRECTIONS, bell_state_vector
 from .channels import (
     QuantumChannel,
     dephasing,
@@ -43,6 +36,7 @@ from .analytic import (
     fidelity_report,
     p_success_w,
     p_success_w_loss,
+    pair_fidelity,
     pair_target,
     structured_pair,
     threshold_q,

@@ -11,13 +11,13 @@ target; "useful" means fidelity strictly above 1/2.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import z_defect
-from .qcore import DensityMatrix, Ket, make_bell_pair
 
 PAIR_LABELS = ("sender", "receiver")
 
@@ -122,20 +122,20 @@ def p_success_w_loss(channel: str, q: float, n: int) -> float:
     return (n - 1) / n * p_success_w(channel, q, n - 1) + tr00_pow / n
 
 
-def _normalized_pair(raw: np.ndarray) -> tuple[float, DensityMatrix]:
-    """Born weight and normalized pair; a weight that is not a positive
+def _normalized_pair(raw: np.ndarray) -> tuple[float, np.ndarray]:
+    """Born weight and normalized 4x4 pair; a weight that is not a positive
     normal float (the W weight falls like ((1 + q)/2)^N) is refused."""
     weight = float(np.trace(raw).real)
     if not weight >= np.finfo(float).tiny:
         raise ValueError(f"Born weight {weight:g} underflows double "
                          "precision; use the closed-form evaluators")
-    return weight, DensityMatrix(raw / weight, PAIR_LABELS)
+    return weight, raw / weight
 
 
 _UNITS = np.eye(4).reshape(2, 2, 2, 2)  # |x><y| at [x, y]
 
 
-def structured_pair(config, protocol: str) -> tuple[float, DensityMatrix]:
+def structured_pair(config, protocol: str) -> tuple[float, np.ndarray]:
     """Born weight and normalized (sender, receiver) pair of a "W" or "GHZ"
     NetworkConfig's post-selected branch, as sums and products over the
     nodes: an independent route to protocols.exact_pair, which walks a
@@ -156,12 +156,13 @@ def structured_pair(config, protocol: str) -> tuple[float, DensityMatrix]:
     node with t00 = 0 is refused.
 
     GHZ: the all-|+> branch, (1/2) Σ_xy Π_j <+|Φ_j(|x><y|)|+> out_xy x
-    out_xy, and its weight (2^-(n-2) under covariant channels, so refused
-    from about 1,024 nodes).  Every node but the sender must commute with Z
-    conjugation, Z out_xy Z = (-1)^(x+y) out_xy (Pauli channels, amplitude
-    damping), to z_defect 1e-12: the protocol then corrects every branch
-    onto this pair, so it never aborts (exact_pair's weight is 1).  A lost
-    node is refused as exact_pair refuses it.
+    out_xy.  Each factor is summed doubled, so the pair stays in range at
+    any n, and the weight is halved back: 2^-(n-2) under covariant channels,
+    0.0 once that leaves the double range.  Every node but the sender must
+    commute with Z conjugation, Z out_xy Z = (-1)^(x+y) out_xy (Pauli
+    channels, amplitude damping), to z_defect 1e-12: the protocol then
+    corrects every branch onto this pair, so it never aborts (exact_pair's
+    weight is 1).  A lost node is refused as exact_pair refuses it.
     """
     s, r = config.sender, config.receiver
     counts = Counter(config.channel_for(j) for j in config.live_nodes if j not in (s, r))
@@ -187,11 +188,14 @@ def structured_pair(config, protocol: str) -> tuple[float, DensityMatrix]:
             raise ValueError("the structured GHZ pair needs channels that commute with"
                              " Z conjugation at every node but the sender; use"
                              " protocols.exact_pair")
-        plus = np.prod([(ch(_UNITS).sum((2, 3)) / 2) ** m for ch, m in counts.items()], 0)
+        plus = np.prod([ch(_UNITS).sum((2, 3)) ** m for ch, m in counts.items()], 0)
         coef = np.einsum("ab,ac,bd->abcd", plus / 2, np.eye(2), np.eye(2))
     else:
         raise ValueError(f"unsupported protocol {protocol!r}")
-    return _normalized_pair(np.einsum("abcd,abij,cdkl->ikjl", coef, out_s, out_r).reshape(4, 4))
+    weight, pair = _normalized_pair(np.einsum("abcd,abij,cdkl->ikjl", coef, out_s,
+                                              out_r).reshape(4, 4))
+    # GHZ's factors are 2<+|Φ_j(|x><y|)|+>: its weight halves back once per node
+    return (math.ldexp(weight, -sum(counts.values())) if protocol == "GHZ" else weight), pair
 
 
 # pair fidelity (q, n) -> F per (protocol, channel family)
@@ -280,13 +284,21 @@ def crossover_n(n_max: int = 400, table: tuple | None = None) -> int:
 
 # the Bell pair a noiseless run shares, which its teleport corrections assume
 BELL_RESOURCE = {"W": "psi+", "W_loss": "psi+", "GHZ": "phi+", "relay": "phi+"}
-_TARGETS = {kind: make_bell_pair(PAIR_LABELS, kind=kind) for kind in ("psi+", "phi+")}
+_TARGETS = {"psi+": np.array([0, 1, 1, 0]) / np.sqrt(2) + 0j,
+            "phi+": np.array([1, 0, 0, 1]) / np.sqrt(2) + 0j}
 
 
-def pair_target(protocol: str) -> Ket:
-    """Maximally entangled target the fidelity is measured against:
+def pair_target(protocol: str) -> np.ndarray:
+    """The amplitudes of the Bell pair the fidelity is measured against:
     (|01>+|10>)/sqrt(2) for the W protocol, (|00>+|11>)/sqrt(2) otherwise."""
     return _TARGETS[BELL_RESOURCE[protocol]]
+
+
+def pair_fidelity(pair: np.ndarray, protocol: str) -> float:
+    """<t| pair |t> of a normalized 4x4 (sender, receiver) pair, sender the
+    high bit, with the protocol's target t."""
+    t = pair_target(protocol)
+    return float(np.real(t.conj() @ pair @ t))
 
 
 def f_ae_relay_depolarizing(q: float, n: int, sender: int, receiver: int) -> float:

@@ -46,7 +46,7 @@ from .analytic import (
     f_ae_w_loss,
     fidelity_report,
     p_success_w,
-    pair_target,
+    pair_fidelity,
     structured_pair,
     threshold_q,
 )
@@ -64,7 +64,6 @@ from .protocols import (
     sample_relay_runs,
     w_loss_branch_average_dense,
 )
-from .qcore import Ket, fidelity_with_pure
 from .security import security_report
 
 
@@ -288,7 +287,7 @@ def _sweep_row(protocol: str, channel: QuantumChannel, n: int, mode: str,
     if mode in ("exact", "both"):
         base = "W" if protocol == "W_loss" else protocol
         p_exact, pair = exact[base, n, channel]
-        f_exact = fidelity_with_pure(pair, pair_target(base))
+        f_exact = pair_fidelity(pair, base)
         if protocol == "W_loss":
             f_exact = w_loss_branch_average_dense(channel, n, f_exact)
             if mode == "exact":
@@ -398,11 +397,6 @@ def threshold(n_range, channel_family, as_json, out):
 # relay
 
 
-def _pair_fidelity(config: NetworkConfig, protocol: str) -> float:
-    """The fidelity of an exact run's pair with its protocol's target."""
-    return fidelity_with_pure(exact_pair(config, protocol)[1], pair_target(protocol))
-
-
 def _relay_point(n: int, s: int, r: int, channel: QuantumChannel, mode: str,
                  exact: dict) -> dict:
     """One placement's cells at one channel, keyed by column label; the
@@ -412,8 +406,8 @@ def _relay_point(n: int, s: int, r: int, channel: QuantumChannel, mode: str,
     if mode in ("analytic", "both"):
         cells[label] = f_ae_relay_depolarizing(q, n, s, r)
     if mode in ("exact", "both"):
-        cells[label + "_exact" if mode == "both" else label] = fidelity_with_pure(
-            exact[r, channel][1], pair_target("relay"))
+        cells[label + "_exact" if mode == "both" else label] = pair_fidelity(
+            exact[r, channel][1], "relay")
     return cells
 
 
@@ -545,7 +539,7 @@ def run(protocol, nodes, sender, receiver, channel_spec, channel_overrides,
             "zero": np.array([1, 0]),
             "one": np.array([0, 1])}[message].astype(complex)
     net = _network(nodes, sender, receiver, channel_spec, channel_overrides,
-                   lost, seed=seed, message_state=Ket(amps, ("message",)))
+                   lost, seed=seed, message_state=amps)
 
     runner = {"W": run_protocol1, "GHZ": run_ghz_protocol,
               "relay": run_relay_protocol}[protocol]
@@ -573,17 +567,16 @@ def run(protocol, nodes, sender, receiver, channel_spec, channel_overrides,
 # each value is a thunk, so a check that raises fails alone
 _ORACLE_CHECKS = {
     "w-depolarizing-closed-vs-engine": (
-        lambda: _pair_fidelity(_uniform(5, depolarizing(0.9)), "W"),
+        lambda: pair_fidelity(exact_pair(_uniform(5, depolarizing(0.9)), "W")[1], "W"),
         lambda: f_ae_w_depolarizing(0.9, 5), 1e-10),
     "w-dephasing-closed-vs-engine": (
-        lambda: _pair_fidelity(_uniform(4, dephasing(0.85)), "W"),
+        lambda: pair_fidelity(exact_pair(_uniform(4, dephasing(0.85)), "W")[1], "W"),
         lambda: f_ae_w_dephasing(0.85), 1e-10),
     "ghz-depolarizing-closed-vs-structured": (
-        lambda: fidelity_with_pure(structured_pair(_uniform(5, depolarizing(0.9)), "GHZ")[1],
-                                   pair_target("GHZ")),
+        lambda: pair_fidelity(structured_pair(_uniform(5, depolarizing(0.9)), "GHZ")[1], "GHZ"),
         lambda: f_ae_ghz_depolarizing(0.9, 5), 1e-10),
     "ghz-dephasing-closed-vs-engine": (
-        lambda: _pair_fidelity(_uniform(6, dephasing(0.8)), "GHZ"),
+        lambda: pair_fidelity(exact_pair(_uniform(6, dephasing(0.8)), "GHZ")[1], "GHZ"),
         lambda: f_ae_ghz_dephasing(0.8, 6), 1e-10),
     "w-success-probability-depolarizing": (
         lambda: exact_pair(_uniform(6, depolarizing(0.7)), "W")[0],
@@ -592,14 +585,16 @@ _ORACLE_CHECKS = {
         lambda: exact_pair(_uniform(5, dephasing(0.6)), "W")[0],
         lambda: 2 / 5, 1e-12),
     "relay-closed-vs-engine": (
-        lambda: _pair_fidelity(_uniform(5, depolarizing(0.9), 2, 4), "relay"),
+        lambda: pair_fidelity(exact_pair(_uniform(5, depolarizing(0.9), 2, 4), "relay")[1],
+                              "relay"),
         lambda: f_ae_relay_depolarizing(0.9, 5, 2, 4), 1e-10),
     "teleport-noiseless-delivery": (
         lambda: run_protocol1(_uniform(4, identity_channel(), receiver=3),
                               mode="exact").delivered_fidelity,
         lambda: 1.0, 1e-12),
     "loss-noiseless-conditional-two-thirds": (
-        lambda: _pair_fidelity(_uniform(5, identity_channel(), lost_nodes={5}), "W"),
+        lambda: pair_fidelity(exact_pair(_uniform(5, identity_channel(), lost_nodes={5}),
+                                         "W")[1], "W"),
         lambda: 2 / 3, 1e-12),
     "w-loss-closed-vs-engine-average": (
         lambda: w_loss_branch_average_dense(depolarizing(0.9), 5),
@@ -607,11 +602,12 @@ _ORACLE_CHECKS = {
     # at the usefulness threshold the exact pair fidelity is 1/2; N = 183 is
     # the W/GHZ crossover
     "w-threshold-183-exact-half": (
-        lambda: _pair_fidelity(_uniform(183, depolarizing(threshold_q(W_DEPOL, 183))), "W"),
+        lambda: pair_fidelity(exact_pair(
+            _uniform(183, depolarizing(threshold_q(W_DEPOL, 183))), "W")[1], "W"),
         lambda: 0.5, 1e-10),
     "ghz-threshold-183-exact-half": (
-        lambda: _pair_fidelity(_uniform(183, depolarizing(threshold_q(GHZ_DEPOL, 183))),
-                               "GHZ"),
+        lambda: pair_fidelity(exact_pair(
+            _uniform(183, depolarizing(threshold_q(GHZ_DEPOL, 183))), "GHZ")[1], "GHZ"),
         lambda: 0.5, 1e-10),
 }
 

@@ -56,17 +56,14 @@ import numpy as np
 from .channels import QuantumChannel, identity_channel, z_defect
 from .qcore import (
     BELL_CORRECTIONS,
-    DensityMatrix,
     HADAMARD,
     ID2,
-    Ket,
     PAULI_X,
     PAULI_Z,
     apply_op_dense,  # unused here; bench/tests reads it as a re-imported name
     bell_state_vector,
-    fidelity_with_pure,
 )
-from .analytic import BELL_RESOURCE, PAIR_LABELS, _normalized_pair, pair_target
+from .analytic import BELL_RESOURCE, PAIR_LABELS, _normalized_pair, pair_fidelity
 
 class ProtocolImpossibleError(RuntimeError):
     """The requested protocol cannot run in this configuration at all."""
@@ -119,7 +116,7 @@ class Transcript:
 
 
 _IDENTITY = identity_channel()  # one object, so memos keyed on channels hit
-_PLUS = Ket(np.array([1, 1], dtype=complex) / np.sqrt(2), ("message",))  # default message
+_PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)  # the default message
 
 
 def _private(node: int) -> str:
@@ -133,7 +130,8 @@ class NetworkConfig:
     per_qubit_channels maps node id (1-based) to its arrival channel;
     missing nodes get the identity.  lost_nodes stop responding before the
     source distributes anything: their qubit is traced out and they stay
-    silent in every classical subroutine.  Every route takes any node
+    silent in every classical subroutine.  message_state holds the message
+    qubit's two amplitudes (default |+>).  Every route takes any node
     count; recorded sampled runs have a transcript budget (see _Sampler).
     """
 
@@ -141,7 +139,7 @@ class NetworkConfig:
     sender: int
     receiver: int
     per_qubit_channels: Mapping[int, QuantumChannel] = field(default_factory=dict)
-    message_state: Ket | None = None
+    message_state: np.ndarray | None = None
     seed: int = 0
     veto_rounds: int = 20
     lost_nodes: frozenset = frozenset()
@@ -163,10 +161,12 @@ class NetworkConfig:
             raise ValueError("need at least 3 live nodes")
         if self.veto_rounds < 1:
             raise ValueError("veto needs at least one round")
-        if self.message_state is None:
-            self.message_state = _PLUS
-        if self.message_state.n_qubits != 1:
-            raise ValueError("message must be a single qubit")
+        amps = self.message_state = np.array(  # a copy: the default is shared
+            _PLUS if self.message_state is None else self.message_state, dtype=complex)
+        if amps.shape != (2,):
+            raise ValueError(f"message must be a single qubit's 2 amplitudes, not {amps.shape}")
+        if abs((norm := np.linalg.norm(amps)) - 1.0) > 1e-10:
+            raise ValueError(f"message norm {norm} is not 1")
         shared = {}  # one object per Kraus set, so memos keyed on channels hit
         self.per_qubit_channels = {i: ch and shared.setdefault(ch.kraus_ops.tobytes(), ch)
                                    for i, ch in self.per_qubit_channels.items()}
@@ -198,7 +198,7 @@ class RunOutcome:
     delivered_fidelity: float | None
     analytic_success_probability: float
     transcript: Transcript
-    anonymous_entanglement: DensityMatrix | None
+    anonymous_entanglement: np.ndarray | None  # 4x4 (sender, receiver), sender the high bit
     ae_fidelity: float | None = None
     veto_output: int | None = None
     public_teleport_bits: tuple | None = None
@@ -220,7 +220,9 @@ class RunOutcome:
             "max_live_qubits": self.max_live_qubits,
         }
         if self.anonymous_entanglement is not None:
-            d["anonymous_entanglement"] = self.anonymous_entanglement.to_json_dict()
+            d["anonymous_entanglement"] = {"labels": list(PAIR_LABELS), "entries": [
+                [[float(v.real), float(v.imag)] for v in row]
+                for row in self.anonymous_entanglement]}
         if include_transcript:
             d["transcript"] = [e.to_json_dict() for e in self.transcript.events]
         return d
@@ -526,29 +528,28 @@ def _fidelity(branch: np.ndarray, message: np.ndarray) -> float:
     return float(np.real(message.conj() @ (branch / weight) @ message))
 
 
-def _teleported(config: NetworkConfig, ae: DensityMatrix, protocol: str,
+def _teleported(config: NetworkConfig, ae: np.ndarray, protocol: str,
                 transcript: Transcript, weight: float = 1.0,
                 **extra) -> RunOutcome:
     """Exact-mode outcome: the message teleported through the pair ae,
     which is scored against the protocol's target pair."""
-    amps = config.message_state.amps
-    _, (b0, b1, b2, b3) = teleport_branches(ae.mat, amps, BELL_RESOURCE[protocol])
+    amps = config.message_state
+    _, (b0, b1, b2, b3) = teleport_branches(ae, amps, BELL_RESOURCE[protocol])
     return RunOutcome(
         aborted=False, delivered_fidelity=_fidelity(b0 + b1 + b2 + b3, amps),
         analytic_success_probability=weight, transcript=transcript,
-        anonymous_entanglement=ae,
-        ae_fidelity=fidelity_with_pure(ae, pair_target(protocol)), **extra)
+        anonymous_entanglement=ae, ae_fidelity=pair_fidelity(ae, protocol), **extra)
 
 
-def _branch_plan(config: NetworkConfig, pair: DensityMatrix, protocol: str) -> tuple:
+def _branch_plan(config: NetworkConfig, pair: np.ndarray, protocol: str) -> tuple:
     """(pair, (Bell-outcome CDF, delivered fidelities), pair fidelity) of a
     sampled branch's normalized pair; an outcome below 1e-15 gets 0s."""
-    amps = config.message_state.amps
-    weights, branches = teleport_branches(pair.mat, amps, BELL_RESOURCE[protocol])
+    amps = config.message_state
+    weights, branches = teleport_branches(pair, amps, BELL_RESOURCE[protocol])
     table = [(w, _fidelity(b, amps)) if w >= 1e-15 else (0.0, 0.0)
              for w, b in zip(weights, branches)]
     return (pair, (_cdf([w for w, _ in table]), [f for _, f in table]),
-            fidelity_with_pure(pair, pair_target(protocol)))
+            pair_fidelity(pair, protocol))
 
 
 def _announce(config: NetworkConfig, m: int, rng: np.random.Generator,
@@ -612,8 +613,8 @@ def _measuring(config: NetworkConfig) -> list:
     return [i for i in config.live_nodes if i not in (config.sender, config.receiver)]
 
 
-def exact_pair(config: NetworkConfig, protocol: str) -> tuple[float, DensityMatrix]:
-    """Born weight and normalized (sender, receiver) pair of the success
+def exact_pair(config: NetworkConfig, protocol: str) -> tuple[float, np.ndarray]:
+    """Born weight and normalized 4x4 (sender, receiver) pair of the success
     branch of an exact "W", "GHZ" or "relay" run, without its transcript or
     teleport; GHZ and the relay never abort, so their weight is 1."""
     return exact_pairs(config, protocol)[0]
@@ -829,7 +830,7 @@ class _Protocol1Sampler(_Sampler):
         return pullback_pair(self.config, dict(zip(self.measuring, bits)),
                              self.config.sender, self.config.receiver)
 
-    def _pair(self, bits: tuple) -> DensityMatrix:
+    def _pair(self, bits: tuple) -> np.ndarray:
         return _normalized_pair(self.zero_raw if bits == self.zeros else self._raw(bits))[1]
 
     def _walk(self, u: float) -> tuple:
@@ -992,7 +993,7 @@ class _GhzSampler(_Sampler):
         if self.one_pair:  # an underflowing pair is refused before a draw
             self._plan((0,) * len(self.measuring))
 
-    def _pair(self, bits: tuple) -> DensityMatrix:
+    def _pair(self, bits: tuple) -> np.ndarray:
         reads = {node: _X_READ[b] for node, b in zip(self.measuring, bits)}
         raw = _contract(self.config, _GHZ, reads, self.config.sender,
                         self.config.receiver, 2, self.transfers)
@@ -1157,10 +1158,9 @@ class _Relay:
             transcript.add(round_, "broadcast", actor, bytes([bit]))
         return transcript
 
-    def pair(self, rho: np.ndarray) -> DensityMatrix:
+    def pair(self, rho: np.ndarray) -> np.ndarray:
         """The (sender, receiver) ancillas of a closed register."""
-        pair = np.einsum("iabjicdj->abcd", rho.reshape((2,) * 8)).reshape(4, 4)
-        return DensityMatrix(pair, PAIR_LABELS)
+        return np.einsum("iabjicdj->abcd", rho.reshape((2,) * 8)).reshape(4, 4)
 
     def delivered(self, rho: np.ndarray, transcript: Transcript) -> RunOutcome:
         return _teleported(self.config, self.pair(rho), "relay", transcript,
@@ -1276,11 +1276,11 @@ def w_loss_branch_average_dense(channel: QuantumChannel, n: int,
     """
     if f_noloss is None:
         cfg = NetworkConfig(n, 1, 2, dict.fromkeys(range(1, n + 1), channel))
-        f_noloss = fidelity_with_pure(exact_pair(cfg, "W")[1], pair_target("W"))
+        f_noloss = pair_fidelity(exact_pair(cfg, "W")[1], "W")
     return (n - 1) / n * f_noloss + _vacuum_fidelity(channel) / n
 
 
 @lru_cache(maxsize=64)  # a sweep's W_loss rows share their column's channel
 def _vacuum_fidelity(channel: QuantumChannel) -> float:
     vac = channel(np.array([[1, 0], [0, 0]], dtype=complex))
-    return fidelity_with_pure(DensityMatrix(np.kron(vac, vac), PAIR_LABELS), pair_target("W"))
+    return pair_fidelity(np.kron(vac, vac), "W")

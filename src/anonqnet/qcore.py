@@ -1,16 +1,12 @@
-"""Exact quantum state representation for small labeled registers.
+"""Pauli and Bell-state constants, and the labeled registers of the tests'
+dense reference.
 
-Kets and density matrices carry an ordered tuple of qubit labels; every
-operation addresses qubits by label, never by position, because the
-protocols create and destroy qubits constantly and positional indexing
-breeds bugs.  Convention: labels[0] is the most significant bit of the
-computational-basis index.
-
-Density matrices are dense complex128 arrays.  No protocol route builds
-a whole network register: W and GHZ run on the O(n) transfer engine in
-protocols, and the relay and teleport on fixed four-qubit and two-qubit
-kernels.  The dense 2^n reference the tests check those kernels against
-is tests/dense_reference.py, built on this module's states.
+The package's routes hold a (sender, receiver) pair as a plain 4x4 array and
+a message as its two amplitudes.  Ket and DensityMatrix address qubits by
+label (labels[0] the most significant bit of the basis index); with
+make_bell_pair, fidelity_with_pure and apply_op_dense they serve
+tests/dense_reference.py, the 2^n simulator the tests check the package's
+kernels against.
 """
 
 from __future__ import annotations

@@ -129,7 +129,7 @@ def adversary_views(config: NetworkConfig, adversaries: Sequence[int],
                  for t in range(4)])
     if corrupt:  # the receiver keeps its carrier qubit
         carriers = np.einsum("cbsasd->cbad", pairs.reshape(-1, len(strings), 2, 2, 2, 2))
-        ops = _teleport_ops(config.message_state.amps.tobytes(), BELL_RESOURCE["W"])
+        ops = _teleport_ops(config.message_state.tobytes(), BELL_RESOURCE["W"])
         success = ops @ pairs[:, 1, None] @ ops.conj().transpose(0, 2, 1)
         blocks = np.concatenate([carriers[:, 0::2] - carriers[:, 1::2],
                                  carriers[:, 3::2], success], 1)

@@ -94,9 +94,9 @@ def test_criterion_2_fidelity_grid_matches_closed_forms():
                 _, ws = structured_pair(cfg, "W")
                 _, gs = structured_pair(cfg, "GHZ")
                 assert np.max(np.abs(
-                    w.anonymous_entanglement.mat - ws.mat)) <= 1e-10
+                    w.anonymous_entanglement - ws)) <= 1e-10
                 assert np.max(np.abs(
-                    g.anonymous_entanglement.mat - gs.mat)) <= 1e-10
+                    g.anonymous_entanglement - gs)) <= 1e-10
     assert time.monotonic() - start < 120.0
 
 
@@ -245,8 +245,7 @@ def test_criterion_8_teleport_branches_and_masking_uniformity():
     for amps, seed in ((np.array([1, 1]) / np.sqrt(2), 2026),
                        (np.array([0.0, 1.0]), 2027)):
         cfg = NetworkConfig(n_nodes=5, sender=1, receiver=3, seed=seed,
-                            message_state=Ket(amps.astype(complex),
-                                              ("message",)))
+                            message_state=amps.astype(complex))
         outs, _ = sample_protocol1_runs(cfg, 10000)
         counts = np.zeros(4)
         for o in outs:

@@ -28,6 +28,7 @@ from anonqnet.analytic import (
     fidelity_report,
     p_success_w,
     p_success_w_loss,
+    pair_fidelity,
     pair_target,
     structured_pair,
     threshold_q,
@@ -38,8 +39,9 @@ from anonqnet.channels import (
     depolarizing,
     identity_channel,
 )
-from anonqnet.protocols import NetworkConfig, ProtocolImpossibleError, exact_pair
-from anonqnet.qcore import ID2, PAULI_X, PAULI_Y, PAULI_Z, fidelity_with_pure
+from anonqnet.protocols import (NetworkConfig, ProtocolImpossibleError, exact_pair,
+                                run_ghz_protocol)
+from anonqnet.qcore import ID2, PAULI_X, PAULI_Y, PAULI_Z
 from dense_reference import (
     apply_to,
     make_ghz_state,
@@ -115,7 +117,7 @@ def test_w_postselected_pair_matches_closed_forms():
         (dephasing(0.7), 0.7, f_ae_w_dephasing(0.7)),
     ]:
         weight, state = structured_pair(uniform(chan, 6), "W")
-        fid = fidelity_with_pure(state, pair_target("W"))
+        fid = pair_fidelity(state, "W")
         assert fid == pytest.approx(closed, abs=1e-12)
         assert weight == pytest.approx(
             p_success_w(chan.name, q, 6), abs=1e-12)
@@ -124,7 +126,7 @@ def test_w_postselected_pair_matches_closed_forms():
 def test_w_postselected_pair_frozen_point():
     weight, state = structured_pair(uniform(depolarizing(0.85), 6), "W")
     assert weight == pytest.approx(0.2836040364583332, abs=1e-12)
-    assert fidelity_with_pure(state, pair_target("W")) == pytest.approx(
+    assert pair_fidelity(state, "W") == pytest.approx(
         0.6910610465116277, abs=1e-12)
 
 
@@ -135,7 +137,7 @@ def test_ghz_postselected_pair_weight_is_branch_weight():
         assert weight == pytest.approx(2.0 ** -(n - 2), abs=1e-12)
     weight, state = structured_pair(uniform(dephasing(0.75), 5), "GHZ")
     assert weight == pytest.approx(0.125, abs=1e-12)
-    assert fidelity_with_pure(state, pair_target("GHZ")) == pytest.approx(
+    assert pair_fidelity(state, "GHZ") == pytest.approx(
         0.515625, abs=1e-12)
 
 
@@ -156,10 +158,10 @@ def test_structured_pairs_match_engine_on_non_pauli_channels(channel):
         w_weight, w_pair = exact_pair(cfg, "W")
         _, ghz_pair = exact_pair(cfg, "GHZ")
         weight, state = structured_pair(cfg, "W")
-        assert np.abs(state.mat - w_pair.mat).max() <= 1e-12, n
+        assert np.abs(state - w_pair).max() <= 1e-12, n
         assert abs(weight - w_weight) <= 1e-12, n
         _, state = structured_pair(cfg, "GHZ")
-        assert np.abs(state.mat - ghz_pair.mat).max() <= 1e-12, n
+        assert np.abs(state - ghz_pair).max() <= 1e-12, n
 
 
 @pytest.mark.parametrize("n", [4, 5, 8])
@@ -177,13 +179,25 @@ def test_structured_ghz_pair_refuses_channels_not_covariant_under_z(n):
                                       per_qubit_channels=covariant | {2: channel}), "GHZ")
     cfg = NetworkConfig(n_nodes=n, sender=1, receiver=2,
                         per_qubit_channels=covariant | {1: channel})
-    assert np.abs(structured_pair(cfg, "GHZ")[1].mat
-                  - exact_pair(cfg, "GHZ")[1].mat).max() <= 1e-12
+    assert np.abs(structured_pair(cfg, "GHZ")[1]
+                  - exact_pair(cfg, "GHZ")[1]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1000, 1100, 10_000])
+def test_structured_ghz_pair_at_network_scale(n):
+    # each node's factor is summed doubled, 2<+|Φ_j(|x><y|)|+>, so the pair
+    # stays in range; the weight 2^-(n-2) reads 0.0 once it leaves the range
+    cfg = uniform(depolarizing(0.9999), n)
+    weight, pair = structured_pair(cfg, "GHZ")
+    assert np.abs(pair - exact_pair(cfg, "GHZ")[1]).max() <= 1e-12
+    assert pair_fidelity(pair, "GHZ") == pytest.approx(
+        f_ae_ghz_depolarizing(0.9999, n), abs=1e-12)
+    assert weight == pytest.approx(2.0 ** -(n - 2), rel=1e-12, abs=0.0)
 
 
 def structured_fidelity(protocol, channel, n):
     pair = structured_pair(uniform(channel, n), protocol)[1]
-    return fidelity_with_pure(pair, pair_target(protocol))
+    return pair_fidelity(pair, protocol)
 
 
 def test_structured_fidelity_dispatch():
@@ -218,7 +232,7 @@ def test_noiseless_w_pair_with_lost_nodes_has_fidelity_two_over_two_plus_l(n_nod
                             lost_nodes=set(range(n_nodes - lost + 1, n_nodes + 1)))
         for route in (structured_pair, exact_pair):
             weight, pair = route(cfg, "W")
-            assert fidelity_with_pure(pair, pair_target("W")) == pytest.approx(
+            assert pair_fidelity(pair, "W") == pytest.approx(
                 2 / (2 + lost), abs=1e-12), (route, lost)
             assert weight == pytest.approx((2 + lost) / n_nodes, abs=1e-12)
 
@@ -257,7 +271,7 @@ def test_structured_pair_matches_engine_on_random_per_node_networks(protocol):
         cfg = random_network(rng, n, protocol)
         weight, pair = structured_pair(cfg, protocol)
         ref_weight, ref = exact_pair(cfg, protocol)
-        assert np.abs(pair.mat - ref.mat).max() <= 1e-12, n
+        assert np.abs(pair - ref).max() <= 1e-12, n
         if protocol == "W":  # GHZ's weight is its all-|+> branch's; the run's is 1
             assert abs(weight / ref_weight - 1) <= 1e-12, n
 
@@ -277,7 +291,7 @@ def test_structured_pair_matches_dense_reference(protocol):
         raw = rho.permuted((cfg.sender, cfg.receiver)).mat
         weight, pair = structured_pair(cfg, protocol)
         assert weight == pytest.approx(np.trace(raw).real, abs=1e-12), n
-        assert np.abs(pair.mat - raw / np.trace(raw).real).max() <= 1e-12, n
+        assert np.abs(pair - raw / np.trace(raw).real).max() <= 1e-12, n
 
 
 def test_fidelity_report_fields():
@@ -467,8 +481,17 @@ def test_structured_weight_equals_formula(q, n):
 
 
 def test_pair_target_labels():
+    # targets and pairs are (sender, receiver) arrays, the sender the high bit,
+    # the order a run's JSON names with PAIR_LABELS
     t = pair_target("W")
-    assert t.labels == PAIR_LABELS
-    assert abs(t.amps[1]) == pytest.approx(1 / np.sqrt(2))
+    assert t.shape == (4,) and t.dtype == complex
+    assert abs(t[1]) == pytest.approx(1 / np.sqrt(2))
     g = pair_target("GHZ")
-    assert abs(g.amps[0]) == pytest.approx(1 / np.sqrt(2))
+    assert abs(g[0]) == pytest.approx(1 / np.sqrt(2))
+    # damping at the sender alone mixes the high bit's half, not the low one's
+    cfg = NetworkConfig(n_nodes=4, sender=3, receiver=1, per_qubit_channels={3: damping(0.5)})
+    halves = exact_pair(cfg, "GHZ")[1].reshape(2, 2, 2, 2)
+    assert np.abs(np.einsum("ajbj->ab", halves) - np.diag([0.75, 0.25])).max() <= 1e-12
+    assert np.abs(np.einsum("jajb->ab", halves) - np.eye(2) / 2).max() <= 1e-12
+    out = run_ghz_protocol(cfg, mode="exact").to_json_dict()
+    assert out["anonymous_entanglement"]["labels"] == list(PAIR_LABELS)

@@ -16,7 +16,7 @@ from anonqnet.channels import (
 from anonqnet.cli import main
 from anonqnet.protocols import (NetworkConfig, outcome_transfers, pullback_pairs,
                                 teleport_branches)
-from anonqnet.qcore import PAULI_X, PAULI_Y, PAULI_Z, Ket
+from anonqnet.qcore import PAULI_X, PAULI_Y, PAULI_Z
 from anonqnet.security import (
     _trace_norms,
     adversary_views,
@@ -531,7 +531,7 @@ def reference_view(config, adv, eff_receiver, mus, totals, zeros):
             abort(base + (0, 1, None), zero, w_zero)
         elif receiver_corrupt:
             weights, branches = teleport_branches(
-                zero / w_zero, config.message_state.amps, "psi+")
+                zero / w_zero, config.message_state, "psi+")
             for m, (w_m, fixed) in enumerate(zip(weights, branches)):
                 if w_m >= 1e-14:
                     add(base + (0, 0, ("m", m)), w_zero * w_m, fixed / w_m)
@@ -572,7 +572,7 @@ def random_audit(seed):
     amps = rng.normal(size=2) + 1j * rng.normal(size=2)
     cfg = NetworkConfig(n_nodes=n, sender=sender, receiver=receiver,
                         per_qubit_channels=chans, lost_nodes=lost,
-                        message_state=Ket(amps / np.linalg.norm(amps), ("message",)))
+                        message_state=amps / np.linalg.norm(amps))
     size = int(rng.integers(1, min(3, len(live)) + 1))
     adv = [int(i) for i in rng.choice(live, size, replace=False)]
     if seed % 3 == 0:
