@@ -1385,9 +1385,44 @@ def test_adversary_views_skip_an_honest_side_that_never_reads_zeros():
         assert sum(w for w, _ in view.values()) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_exact_and_sampled_routes_build_no_density_matrix(monkeypatch):
-    # pairs are plain 4x4 arrays: no exact or sampled route, nor the audit,
-    # its teleport included, builds a labeled register
+def test_exact_routes_build_no_density_matrix_wider_than_three(monkeypatch):
+    # pairs are plain 4x4 arrays, so no exact route, loss average,
+    # structured pair or adversary view builds a labeled register at all
+    widest = []
+    post_init = DensityMatrix.__post_init__
+
+    def recording(self):
+        post_init(self)
+        widest.append(len(self.labels))
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", recording)
+    chans = uniform(depolarizing(0.9), 9)
+    run_protocol1(NetworkConfig(n_nodes=9, sender=1, receiver=2,
+                                per_qubit_channels=chans), mode="exact")
+    run_protocol1(NetworkConfig(n_nodes=9, sender=1, receiver=2,
+                                per_qubit_channels=chans, lost_nodes={9}),
+                  mode="exact")
+    run_ghz_protocol(NetworkConfig(n_nodes=9, sender=3, receiver=7,
+                                   per_qubit_channels=chans), mode="exact")
+    run_ghz_protocol(NetworkConfig(n_nodes=9, sender=3, receiver=7,
+                                   per_qubit_channels=chans),
+                     rng=np.random.default_rng(0), mode="sampling")
+    w_loss_branch_average_dense(depolarizing(0.9), 9)
+    structured_pair(hetero_config(lost_nodes={5}), "W")
+    structured_pair(NetworkConfig(n_nodes=9, sender=3, receiver=7,
+                                  per_qubit_channels=chans), "GHZ")
+    for protocol, at in (("W", [7, 9]), ("GHZ", [7, 9]), ("relay", [2, 9])):
+        exact_pairs(NetworkConfig(n_nodes=9, sender=3, receiver=7,
+                                  per_qubit_channels=chans), protocol, at)
+    adversary_views(NetworkConfig(n_nodes=7, sender=1, receiver=2,
+                                  per_qubit_channels=uniform(dephasing(0.9), 7)),
+                    frozenset({2, 4}), [3])[0]
+    assert widest == []
+
+
+def test_teleports_build_only_the_pair_state(monkeypatch):
+    # a run's one state is its pair, a plain 4x4 array: exact runs, sampled
+    # batches and the audit, teleport included, build no DensityMatrix
     built = []
     post_init = DensityMatrix.__post_init__
 
@@ -1396,30 +1431,19 @@ def test_exact_and_sampled_routes_build_no_density_matrix(monkeypatch):
         built.append(self.labels)
 
     monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
-    chans = uniform(depolarizing(0.9), 9)
-    run_protocol1(NetworkConfig(n_nodes=9, sender=1, receiver=2,
-                                per_qubit_channels=chans, lost_nodes={9}),
-                  mode="exact")
-    w_loss_branch_average_dense(depolarizing(0.9), 9)
-    structured_pair(hetero_config(lost_nodes={5}), "W")
-    structured_pair(NetworkConfig(n_nodes=9, sender=3, receiver=7,
-                                  per_qubit_channels=chans), "GHZ")
-    for protocol, at in (("W", [7, 9]), ("GHZ", [7, 9]), ("relay", [2, 9])):
-        exact_pairs(NetworkConfig(n_nodes=9, sender=3, receiver=7,
-                                  per_qubit_channels=chans), protocol, at)
     for run in (run_protocol1, run_ghz_protocol, run_relay_protocol):
-        run(hetero_config(), mode="exact")
+        outcome = run(hetero_config(), mode="exact")
+        assert_pair(outcome.anonymous_entanglement, run)
         run(hetero_config(), rng=np.random.default_rng(1), mode="sampling")
+        assert built == [], run
     for make in (_Protocol1Sampler, _GhzSampler):
         sampler = make(hetero_config(veto_rounds=1))
         sampler.batch(400, np.random.default_rng(3))
         assert len(sampler.branches) > 1, make
+        assert built == [], make
     sample_relay_runs(hetero_config(), 50, np.random.default_rng(3))
     # the coalition holds the receiver, so every view teleports the message
     security_report(hetero_config(), [HR, 5])
-    adversary_views(NetworkConfig(n_nodes=7, sender=1, receiver=2,
-                                  per_qubit_channels=uniform(dephasing(0.9), 7)),
-                    frozenset({2, 4}), [3])
     assert built == []
 
 
