@@ -122,6 +122,17 @@ def p_success_w_loss(channel: str, q: float, n: int) -> float:
     return (n - 1) / n * p_success_w(channel, q, n - 1) + tr00_pow / n
 
 
+class ProtocolImpossibleError(RuntimeError):
+    """The requested protocol cannot run in this configuration at all."""
+
+
+def _refuse_lost_ghz(config) -> None:
+    """The one refusal of a GHZ pair with a lost node, for every route."""
+    if config.lost_nodes:
+        raise ProtocolImpossibleError("a lost node leaves the GHZ protocol with"
+                                      " a separable state; it cannot be carried out")
+
+
 def _normalized_pair(raw: np.ndarray) -> tuple[float, np.ndarray]:
     """Born weight and normalized 4x4 pair; a weight that is not a positive
     normal float (the W weight falls like ((1 + q)/2)^N) is refused."""
@@ -180,10 +191,7 @@ def structured_pair(config, protocol: str) -> tuple[float, np.ndarray]:
         coef[0, 0, 0, 0] += ratio[1, 1] - sum(m * t[1, 0] * t[0, 1] / t[0, 0] ** 2 for t, m in ts)
         coef *= np.prod([t[0, 0] ** m for t, m in ts]) / config.n_nodes
     elif protocol == "GHZ":
-        if config.lost_nodes:
-            from .protocols import ProtocolImpossibleError  # it imports this module
-            raise ProtocolImpossibleError("a lost node leaves the GHZ protocol with"
-                                          " a separable state; it cannot be carried out")
+        _refuse_lost_ghz(config)
         if any(z_defect(ch) > 1e-12 for ch in {*counts, config.channel_for(r)}):
             raise ValueError("the structured GHZ pair needs channels that commute with"
                              " Z conjugation at every node but the sender; use"
@@ -286,6 +294,8 @@ def crossover_n(n_max: int = 400, table: tuple | None = None) -> int:
 BELL_RESOURCE = {"W": "psi+", "W_loss": "psi+", "GHZ": "phi+", "relay": "phi+"}
 _TARGETS = {"psi+": np.array([0, 1, 1, 0]) / np.sqrt(2) + 0j,
             "phi+": np.array([1, 0, 0, 1]) / np.sqrt(2) + 0j}
+for _target in _TARGETS.values():
+    _target.flags.writeable = False  # pair_target hands these to every caller
 
 
 def pair_target(protocol: str) -> np.ndarray:

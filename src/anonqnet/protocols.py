@@ -63,10 +63,8 @@ from .qcore import (
     apply_op_dense,  # unused here; bench/tests reads it as a re-imported name
     bell_state_vector,
 )
-from .analytic import BELL_RESOURCE, PAIR_LABELS, _normalized_pair, pair_fidelity
-
-class ProtocolImpossibleError(RuntimeError):
-    """The requested protocol cannot run in this configuration at all."""
+from .analytic import (BELL_RESOURCE, PAIR_LABELS, ProtocolImpossibleError,  # re-exported
+                       _normalized_pair, _refuse_lost_ghz, pair_fidelity)
 
 
 @dataclass
@@ -325,28 +323,31 @@ def receiver_notification(sender: int, receiver: int, nodes: Sequence[int],
 
 class _Mps:
     """Tensors A[p] and boundary vectors l, r of a resource, held as the
-    maps a node applies to the (ket bond, bra bond) environment."""
+    maps a node applies to the (ket bond, bra bond) environment, with the
+    effects its nodes read and its squared norm (None: the node count)."""
 
-    def __init__(self, a, left, right):
+    def __init__(self, a, left, right, effects, norm):
         site = np.einsum("pac,qbd->abpqcd", a, a.conj()).reshape(4, 2, 2, 4)
         self.open = site.reshape(4, 16)  # the node's (p, q) indices stay open
         self.lift = site.transpose(0, 3, 2, 1).reshape(16, 4)  # E -> transfer
         self.identity = self.transfer(ID2)
+        self.identity.flags.writeable = False  # _transfer hands it out
         self.left = np.kron(left, left.conj())[None, :]
         self.right = np.kron(right, right.conj())
+        self.effects, self.norm = effects, norm
 
     def transfer(self, effect: np.ndarray) -> np.ndarray:
         return (self.lift @ effect.reshape(4)).reshape(4, 4)
 
 
-# W: A[0] = I, A[1] = |0><1|, l = e_0, r = e_1 (squared norm n); GHZ:
-# A[p] = |p><p|, l = r = (1, 1) (squared norm 2)
-_W = _Mps(np.array([ID2, np.outer(ID2[0], ID2[1])]), ID2[0], ID2[1])
-_GHZ = _Mps(np.array([np.outer(v, v) for v in ID2]), ID2[0] + ID2[1],
-            ID2[0] + ID2[1])
-_Z_R = np.kron(ID2, PAULI_Z)
 _READ = tuple(np.outer(v, v) for v in ID2)  # |b><b|
 _X_READ = tuple(np.outer(v, v) for v in HADAMARD)  # |±><±|
+# W: A[0] = I, A[1] = |0><1|, l = e_0, r = e_1 (squared norm n), Z reads;
+# GHZ: A[p] = |p><p|, l = r = (1, 1) (squared norm 2), X reads and the stack (I, X)
+_W = _Mps(np.array([ID2, np.outer(ID2[0], ID2[1])]), ID2[0], ID2[1], _READ, None)
+_GHZ = _Mps(np.array([np.outer(v, v) for v in ID2]), ID2[0] + ID2[1],
+            ID2[0] + ID2[1], (*_X_READ, np.array([ID2, PAULI_X])), 2)
+_Z_R = np.kron(ID2, PAULI_Z)
 
 
 def _superop(ops) -> np.ndarray:
@@ -370,34 +371,50 @@ def _noisy_site(mps: _Mps, channel: QuantumChannel) -> np.ndarray:
     return site
 
 
-def _contract(config: NetworkConfig, mps: _Mps, reads: Mapping, sender: int,
-              receiver: int, norm: float | None, transfers: dict | None = None,
-              sizes: Sequence[int] | None = None, lost: bool = False):
-    """(Φ_S ⊗ Φ_R) of the unnormalized (sender, receiver) state after each
-    node in reads reads its observable; every other node is traced out.
-    An observable may be a stack (B, 2, 2): its transfer stacks the lone
-    ones, so a close is B closes, each with the bits of a lone walk.  S and
-    R open as _noisy_sites, so a close only reshapes.  transfers memoises a
-    transfer per (channel, observable); norm None is the node count.  Given
-    sorted sizes, one walk closes the network of nodes 1..k for each k in
-    one stacked product (a prefix's environment serves every larger k;
-    Schollwöck, arXiv:1008.3477, §4); with lost, each close comes after that
-    of its network with node k lost."""
-    env, transfers, closing = mps.left, {} if transfers is None else transfers, []
-    at = {k: norm or k for k in sizes or [config.n_nodes]}
+@lru_cache(maxsize=64)  # every table, sampler and audit meets a few channels at many sites
+def _transfer(mps: _Mps, channel: QuantumChannel, read: int | None) -> np.ndarray:
+    """The one builder of a node's transfer: Φ†(mps.effects[read]) lifted (a
+    stack for a stacked effect), or the identity for read None (traced out)."""
+    if read is None:
+        return mps.identity
+    effect = mps.effects[read]
+    out = (mps.transfer(_heisenberg(channel, effect)) if effect.ndim == 2 else
+           np.array([mps.transfer(_heisenberg(channel, e)) for e in effect]))
+    out.flags.writeable = False  # one array serves every caller
+    return out
+
+
+def outcome_transfers(config: NetworkConfig, strings: Sequence[Mapping[int, int]],
+                      mps: _Mps = _W) -> np.ndarray:
+    """B x n x [S x] 4 x 4 transfer strings of mps for _contract and
+    pullback_pairs: node i reads mps.effects[strings[b][i]] (a stack of S),
+    or is traced out without one; one gather of the distinct _transfers."""
+    slots, chans = {}, [config.channel_for(i) for i in config.nodes]
+    at = [slots.setdefault((ch, s.get(i)), len(slots))
+          for s in strings for i, ch in zip(config.nodes, chans)]
+    table = np.array([_transfer(mps, *key) for key in slots])
+    return table[np.array(at, dtype=np.intp).reshape(len(strings), config.n_nodes)]
+
+
+def _contract(config: NetworkConfig, mps: _Mps, steps: np.ndarray, sender: int,
+              receiver: int, sizes: Sequence[int] | None = None, lost: bool = False):
+    """(Φ_S ⊗ Φ_R) of the unnormalized (sender, receiver) state of mps
+    after node i applies steps[i - 1], one outcome_transfers string; the
+    entries at S and R are unread.  A stacked string (n x B x 4 x 4) gives B
+    closes, each with the bits of a lone walk.  S and R open as _noisy_sites,
+    so a close only reshapes.  Given sorted sizes, one walk closes the
+    network of nodes 1..k for each k in one stacked product (a prefix's
+    environment serves every larger k; Schollwöck, arXiv:1008.3477, §4);
+    with lost, each close comes after that of its network with node k lost."""
+    env, closing = mps.left, []
+    at = {k: mps.norm or k for k in sizes or [config.n_nodes]}
     for node in range(1, max(at) + 1):
         if lost and node in at:
             closing.append((env @ mps.identity, at[node]))
         if node in (sender, receiver):
             env = (env @ _noisy_site(mps, config.channel_for(node))).reshape(*env.shape[:-2], -1, 4)
-        elif node not in reads:
-            env = env @ mps.identity
         else:
-            key = (config.channel_for(node), id(ops := reads[node]))
-            if key not in transfers:
-                transfers[key] = (mps.transfer(_heisenberg(key[0], ops)) if ops.ndim == 2 else
-                                  np.array([mps.transfer(_heisenberg(key[0], op)) for op in ops]))
-            env = env @ transfers[key]
+            env = env @ steps[node - 1]
         if node in at:
             closing.append((env, at[node]))
     envs, norms = zip(*closing)
@@ -412,26 +429,7 @@ def pullback_pair(config: NetworkConfig, outcomes: Mapping[int, int],
     """Unnormalized (sender, receiver) state of the noisy W resource after
     each node in outcomes reads that standard-basis bit; its trace is the
     Born weight.  Every other node (lost, or summed over) is traced out."""
-    reads = {node: _READ[bit] for node, bit in outcomes.items()}
-    return _contract(config, _W, reads, sender, receiver, config.n_nodes)
-
-
-@lru_cache(maxsize=64)  # never written; the roles of one audit share them
-def _read_transfer(channel: QuantumChannel, bit: int | None) -> np.ndarray:
-    return _W.identity if bit is None else _W.transfer(_heisenberg(channel, _READ[bit]))
-
-
-def outcome_transfers(config: NetworkConfig,
-                      strings: Sequence[Mapping[int, int]]) -> np.ndarray:
-    """B x n x 4 x 4 W transfer strings for pullback_pairs: node i reads the
-    standard-basis bit strings[b][i], or is traced out without one.  One
-    gather reads the strings off the distinct (channel, bit) transfers,
-    each built once."""
-    slots, chans = {}, [config.channel_for(i) for i in config.nodes]
-    at = [slots.setdefault((ch, s.get(i)), len(slots))
-          for s in strings for i, ch in zip(config.nodes, chans)]
-    table = np.array([_read_transfer(*key) for key in slots])
-    return table[np.array(at, dtype=np.intp).reshape(len(strings), config.n_nodes)]
+    return _contract(config, _W, outcome_transfers(config, [outcomes])[0], sender, receiver)
 
 
 def pullback_pairs(config: NetworkConfig, transfers: np.ndarray, fixed: int,
@@ -640,18 +638,18 @@ def exact_pairs(config: NetworkConfig, protocol: str, at: Sequence[int] | None =
         return [(1.0, relay.pair(rho)) for rho in relay.mixed()]
     at, pair = at or [config.n_nodes], (config.sender, config.receiver)
     if protocol == "W":
-        reads = dict.fromkeys(_measuring(config), _READ[0])
-        return list(map(_normalized_pair, _contract(config, _W, reads, *pair, None,
-                                                    sizes=at, lost=lost)))
+        steps = outcome_transfers(config, [dict.fromkeys(_measuring(config), 0)])[0]
+        return list(map(_normalized_pair, _contract(config, _W, steps, *pair, at, lost)))
     if protocol != "GHZ":
         raise ValueError(f"unknown protocol {protocol!r}")
     # a '-' outcome flips the receiver's phase: with E_± = Φ†(|±><±|), the
     # even-parity sum over outcome strings is (P + Q)/2 and the odd one,
     # which gets Z_R, is (P - Q)/2, where P takes E_+ + E_- = Φ†(I) and Q
-    # takes E_+ - E_- = Φ†(X) at every measuring node
-    reads = dict.fromkeys(_ghz_measuring(config), np.array([ID2, PAULI_X]))  # one stack
+    # takes E_+ - E_- = Φ†(X) at each measuring node (and, unread, at S and R)
+    _refuse_lost_ghz(config)  # a lost node leaves a separable state
+    steps = outcome_transfers(config, [dict.fromkeys(config.nodes, 2)], _GHZ)[0]
     return [(1.0, _normalized_pair((p + q) / 2 + _Z_R @ (p - q) @ _Z_R / 2)[1])
-            for p, q in _contract(config, _GHZ, reads, *pair, 2, sizes=at)]
+            for p, q in _contract(config, _GHZ, steps, *pair, at)]
 
 
 def _exact_run(config: NetworkConfig, protocol: str) -> RunOutcome:
@@ -746,6 +744,12 @@ class _Sampler:
                                                self.protocol)
         return self.branches[bits]
 
+    def _raw(self, bits: tuple) -> np.ndarray:
+        """_contract of a branch key's string, gathered from reads (read-0 and read-1 strings)."""
+        pick = dict(zip(self.measuring, bits))
+        steps = self.reads[[pick.get(i, 0) for i in self.config.nodes], range(self.config.n_nodes)]
+        return _contract(self.config, self.mps, steps, self.config.sender, self.config.receiver)
+
     def _codes(self, words, bkeys, bidx, q, hm) -> np.ndarray:
         """Result codes 16 * branch + 4 * m + public bits of delivered runs:
         a run takes branch bkeys[bidx], draws its Bell outcome m from word q
@@ -800,7 +804,7 @@ class _Protocol1Sampler(_Sampler):
     every start word of a chunk at once from spans of doubling length.
     A start's move then fits the least signed integer type that holds the
     larger miss, and only the runs that do not abort reach _codes."""
-    protocol = "W"
+    protocol, mps = "W", _W
 
     def __init__(self, config: NetworkConfig):
         self.config, self.outcomes, self.branches = config, {}, {}
@@ -815,20 +819,13 @@ class _Protocol1Sampler(_Sampler):
         misses = [2 * vw + 6 + after - h for h, (vw, after)
                   in enumerate(_halves(h, s) for h in (0, 1))]
         self.misses = np.array(misses, np.min_scalar_type(-max(misses) - 1))
-        # node i's read-0 and read-1 transfers (the identity where i does not read)
-        self.reads = outcome_transfers(config, [dict.fromkeys(self.measuring, b)
-                                                for b in (0, 1)])
+        self.reads = outcome_transfers(config, [dict.fromkeys(self.measuring, b) for b in (0, 1)])
         self.zero_raw = self._raw(self.zeros)
         w = float(np.trace(self.zero_raw).real)
         self.exact_success = w if w >= np.finfo(float).tiny else None
         self.zero_cut = self._walk(-math.inf)[1]  # below zero_cut, the walk reads zeros
         accept = min(max(self.zero_cut, 0.0), 1.0)
         self.cut = math.ceil(accept * 2**53)  # u < zero_cut iff word >> 11 < cut
-
-    def _raw(self, bits: tuple) -> np.ndarray:
-        """pullback_pair after the first len(bits) measuring nodes read bits."""
-        return pullback_pair(self.config, dict(zip(self.measuring, bits)),
-                             self.config.sender, self.config.receiver)
 
     def _pair(self, bits: tuple) -> np.ndarray:
         return _normalized_pair(self.zero_raw if bits == self.zeros else self._raw(bits))[1]
@@ -936,14 +933,6 @@ def batch_summary(batch: Batch) -> dict:
 # GHZ protocol
 
 
-def _ghz_measuring(config: NetworkConfig) -> list:
-    """The X-measuring nodes; a lost node leaves a separable state."""
-    if config.lost_nodes:
-        raise ProtocolImpossibleError("a lost node leaves the GHZ protocol with"
-                                      " a separable state; it cannot be carried out")
-    return _measuring(config)
-
-
 def run_ghz_protocol(config: NetworkConfig, rng: np.random.Generator | None = None,
                      mode: str = "exact") -> RunOutcome:
     """Anonymous transmission through a GHZ state.
@@ -963,7 +952,8 @@ def run_ghz_protocol(config: NetworkConfig, rng: np.random.Generator | None = No
 
 
 class _GhzSampler(_Sampler):
-    """GHZ plan: each measuring node's diag(Φ†(|±><±|)) is built once; the
+    """GHZ plan: the walk reads diag(Φ†(|±><±|)) off the read-'+' and
+    read-'-' strings, whose transfers are built once per channel; the
     corrected pair, its teleport plan and fidelity are memoised per
     X-outcome string (the branch key).  Recorded or not, a run spends the
     same words, in order: the walk's, the parity's shares, the Bell-outcome
@@ -971,15 +961,17 @@ class _GhzSampler(_Sampler):
     the buffered half for odd n, so two strides alternate).  With z_defect
     exactly 0 at every measuring node and R, every string's Z-corrected
     pair is the all-'+' one, bit for bit: unrecorded runs skip the walk."""
-    protocol = "GHZ"
+    protocol, mps = "GHZ", _GHZ
 
     def __init__(self, config: NetworkConfig):
-        self.config, self.outcomes = config, {}
-        self.measuring = _ghz_measuring(config)
+        self.config, self.outcomes, self.branches, self.exact_success = config, {}, {}, 1.0
+        _refuse_lost_ghz(config)
+        self.measuring = _measuring(config)
         self.events_per_run = 3 * config.n_nodes * (config.n_nodes + 2)
-        self.diags = [[np.diag(_heisenberg(config.channel_for(node), op)).real
-                       for op in _X_READ] for node in self.measuring]
-        self.branches, self.exact_success, self.transfers = {}, 1.0, {}
+        self.reads = outcome_transfers(config, [dict.fromkeys(self.measuring, b)
+                                                for b in (0, 1)], _GHZ)
+        at = np.array(self.measuring) - 1  # a transfer holds E[0, 0], E[1, 1] at (0, 0), (3, 3)
+        self.diags = self.reads[:, at][..., [0, 3], [0, 3]].real.swapaxes(0, 1)
         shares = config.n_nodes ** 2
         self.flip = shares & 1
         # words before the Bell-outcome word, and words per run, from h
@@ -994,9 +986,7 @@ class _GhzSampler(_Sampler):
             self._plan((0,) * len(self.measuring))
 
     def _pair(self, bits: tuple) -> np.ndarray:
-        reads = {node: _X_READ[b] for node, b in zip(self.measuring, bits)}
-        raw = _contract(self.config, _GHZ, reads, self.config.sender,
-                        self.config.receiver, 2, self.transfers)
+        raw = self._raw(bits)
         return _normalized_pair(_Z_R @ raw @ _Z_R if sum(bits) % 2 else raw)[1]
 
     def _walks(self, u: np.ndarray) -> tuple:

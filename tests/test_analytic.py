@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import anonqnet
 from anonqnet import analytic
 from anonqnet.analytic import (
     GHZ_DEPH,
@@ -218,9 +219,15 @@ def test_structured_pair_refuses_what_its_sums_cannot_give():
         with pytest.raises(ValueError, match=re.escape("(t00 = 0); use protocols.exact_pair")):
             structured_pair(t00_zero, "W")
     assert exact_pair(t00_zero, "W")[0] > 0  # where the message points
+    refusals = []
     for route in (structured_pair, exact_pair):
-        with pytest.raises(ProtocolImpossibleError, match="separable state"):
+        with pytest.raises(ProtocolImpossibleError, match="separable state") as info:
             route(uniform(depolarizing(0.9), 6, lost_nodes={4}), "GHZ")
+        refusals.append((type(info.value), str(info.value)))
+    # one refusal: the same class, re-exported as one object, and message
+    assert refusals[0] == refusals[1]
+    assert analytic.ProtocolImpossibleError is ProtocolImpossibleError
+    assert anonqnet.ProtocolImpossibleError is ProtocolImpossibleError
 
 
 @pytest.mark.parametrize("n_nodes", [8, 20, 183])
@@ -478,6 +485,17 @@ def test_structured_weight_equals_formula(q, n):
     weight, _ = structured_pair(uniform(depolarizing(q), n), "W")
     assert weight == pytest.approx(p_success_w("depolarizing", q, n),
                                    abs=1e-12)
+
+
+def test_pair_targets_are_read_only():
+    # every caller shares one array per target, so a write through
+    # pair_target would skew every later pair_fidelity in the process
+    with pytest.raises(ValueError, match="read-only"):
+        pair_target("W")[1] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        pair_target("GHZ")[0] = 0
+    noiseless = NetworkConfig(n_nodes=5, sender=2, receiver=4)
+    assert pair_fidelity(exact_pair(noiseless, "W")[1], "W") == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pair_target_labels():

@@ -49,6 +49,7 @@ from anonqnet.protocols import (
     _branch_plan,
     _cdf,
     _contract,
+    _heisenberg,
     _normalized_pair,
     batch_summary,
     collision_detection,
@@ -95,6 +96,14 @@ from dense_reference import (
 
 def uniform(channel, n):
     return {i: channel for i in range(1, n + 1)}
+
+
+def ghz_steps(cfg, measuring, bits):
+    """The GHZ transfer string of an X-outcome string, built node by node
+    without the _transfer cache: Φ†(|±><±|) lifted, the identity elsewhere."""
+    reads = dict(zip(measuring, bits))
+    return np.array([_GHZ.transfer(_heisenberg(cfg.channel_for(i), _X_READ[reads[i]]))
+                     if i in reads else _GHZ.identity for i in cfg.nodes])
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +157,7 @@ def test_equal_channels_walk_as_one_object(monkeypatch):
     for protocol in ("W", "GHZ"):
         runs = []
         for cfg in configs:
+            protocols._transfer.cache_clear()  # both configs share the identity object
             calls.clear()
             runs.append((exact_pair(cfg, protocol), len(calls)))
         ((w0, pair0), n0), ((w1, pair1), n1) = runs
@@ -445,13 +455,13 @@ def test_recordings_over_the_transcript_budget_are_refused_before_any_draw(
 def test_w_sampler_plans_with_one_contraction_and_refuses_over_budget_recordings(
         monkeypatch):
     # the walk carries one environment through the nodes, so a plan makes
-    # one pullback_pair call (the all-zero string's Born weight) at any node
+    # one _contract call (the all-zero string's Born weight) at any node
     # count and a walk makes none
     import anonqnet.protocols as protocols
 
     calls = []
-    real = protocols.pullback_pair
-    monkeypatch.setattr(protocols, "pullback_pair",
+    real = protocols._contract
+    monkeypatch.setattr(protocols, "_contract",
                         lambda *args: calls.append(1) or real(*args))
     cfg = NetworkConfig(n_nodes=2000, sender=1, receiver=2)
     for sample in (lambda rng: run_protocol1(cfg, rng=rng, mode="sampling"),
@@ -814,8 +824,8 @@ def test_ghz_sampler_keeps_the_stream(n, mixed):
     else:  # covariant: every unrecorded run reads the all-'+' pair
         assert list(sampler.branches) == [(0,) * len(sampler.measuring)]
     for bits, (pair, _, _) in sampler.branches.items():
-        reads = {node: _X_READ[b] for node, b in zip(sampler.measuring, bits)}
-        raw = _contract(cfg, _GHZ, reads, cfg.sender, cfg.receiver, 2)
+        raw = _contract(cfg, _GHZ, ghz_steps(cfg, sampler.measuring, bits),
+                        cfg.sender, cfg.receiver)
         if sum(bits) % 2:
             raw = _Z_R @ raw @ _Z_R
         assert np.abs(pair - raw / np.trace(raw).real).max() <= 1e-15
@@ -994,8 +1004,8 @@ def reference_ghz_batch(sampler, rng, n_runs):
         rng.integers(0, 2, size=(cfg.n_nodes, cfg.n_nodes))
         key = (0,) * len(bits) if sampler.one_pair else bits
         if key not in sampler.branches:
-            reads = {node: _X_READ[b] for node, b in zip(sampler.measuring, bits)}
-            raw = _contract(cfg, _GHZ, reads, cfg.sender, cfg.receiver, 2)
+            raw = _contract(cfg, _GHZ, ghz_steps(cfg, sampler.measuring, bits),
+                            cfg.sender, cfg.receiver)
             _, pair = _normalized_pair(_Z_R @ raw @ _Z_R if sum(bits) % 2 else raw)
             sampler.branches[key] = _branch_plan(cfg, pair, "GHZ")
         m = bisect_right(sampler.branches[key][1][0], rng.random())
@@ -1877,17 +1887,70 @@ def test_ghz_sampler_keeps_its_transfers(monkeypatch):
                               (depolarizing(0.9), True)):
         cfg = NetworkConfig(n_nodes=12, sender=3, receiver=9, seed=4,
                             per_qubit_channels=uniform(channel, 12))
-        sampler = _GhzSampler(cfg)
+        protocols._transfer.cache_clear()
         calls.clear()
+        sampler = _GhzSampler(cfg)
+        built = len(calls)
         sampler.batch(300)
         assert sampler.one_pair == one_pair
         if not one_pair:
             assert len(sampler.branches) > 50
             # one transfer per (channel, X outcome), whatever the outcome strings
-            assert len(sampler.transfers) == len(calls) == 2
+            assert built == len(calls) == 2
         else:  # one pair, contracted on the all-'+' string at construction
-            assert len(sampler.branches) == len(sampler.transfers) == 1
-            assert calls == []
+            assert len(sampler.branches) == 1
+            assert len(calls) == built == 2  # the '+' and '-' strings, none after
+
+
+def test_ghz_sampler_reads_each_channel_once(monkeypatch):
+    # three distinct channels on 40 nodes: building the sampler evaluates Φ†
+    # twice per channel (|+><+| and |-><-|), not twice per measuring node,
+    # and the walk's diagonals keep the bits of diag(Φ†(|±><±|))
+    import anonqnet.protocols as protocols
+
+    calls = []
+    real = protocols._heisenberg
+    monkeypatch.setattr(protocols, "_heisenberg",
+                        lambda ch, op: calls.append(1) or real(ch, op))
+    chans = [damp_then_rotate(0.2, 0.7), depolarizing(0.9), damp_then_rotate(0.05, 0.3)]
+    cfg = NetworkConfig(n_nodes=40, sender=5, receiver=33, seed=3,
+                        per_qubit_channels={i: chans[i % 3] for i in range(1, 41)})
+    protocols._transfer.cache_clear()
+    sampler = _GhzSampler(cfg)
+    assert len(calls) == 6 and not sampler.one_pair
+    want = [[np.diag(real(cfg.channel_for(node), op)).real for op in _X_READ]
+            for node in sampler.measuring]
+    assert [[d.tobytes() for d in diags] for diags in sampler.diags] == [
+        [d.tobytes() for d in diags] for diags in want]
+
+    def plus_probabilities(diags, bits):  # the walk's arithmetic along one string
+        products, out = np.ones(2), []
+        for d, bit in zip(diags, bits):
+            w_plus, w_minus = (products @ e for e in d)
+            out.append(w_plus / (w_plus + w_minus))
+            products = products * d[bit]
+        return out
+
+    strings, _ = sampler._walks(np.random.default_rng(8).random((200, len(sampler.measuring))))
+    assert len(strings) > 100
+    for bits in strings:
+        assert plus_probabilities(sampler.diags, bits) == plus_probabilities(want, bits)
+
+
+def test_transfers_are_read_only():
+    # one cached array serves every caller: lone and stacked reads and the
+    # identity of a traced-out node alike
+    from anonqnet.protocols import _transfer
+
+    channel = damp_then_rotate(0.2, 0.7)
+    for mps in (_W, _GHZ):
+        for read in (None, *range(len(mps.effects))):
+            t = _transfer(mps, channel, read)
+            assert t is _transfer(mps, channel, read)
+            assert t.shape == ((2, 4, 4) if mps is _GHZ and read == 2 else (4, 4))
+            assert not t.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                t[..., 0, 0] = 1
 
 
 # ---------------------------------------------------------------------------
